@@ -1,6 +1,7 @@
 #include "an2/network/network.h"
 
-#include <limits>
+#include <algorithm>
+#include <functional>
 
 #include "an2/base/error.h"
 
@@ -228,19 +229,21 @@ void
 Network::run(PicoTime until_ps)
 {
     AN2_REQUIRE(!nodes_.empty(), "network has no nodes");
-    while (true) {
-        PicoTime best = std::numeric_limits<PicoTime>::max();
-        NetNode* next = nullptr;
-        for (auto& n : nodes_) {
-            PicoTime t = n->nextTick();
-            if (t < best) {
-                best = t;
-                next = n.get();
-            }
-        }
-        if (best > until_ps)
-            break;
-        next->tick();
+    // Rebuilt on every entry, so nodes added between calls join the heap.
+    constexpr std::greater<> later{};  // makes the std heap a min-heap
+    ticks_.clear();
+    for (const auto& n : nodes_)
+        ticks_.push_back({n->nextTick(), n->id()});
+    std::make_heap(ticks_.begin(), ticks_.end(), later);
+    // A tick advances only its own node's clock, so re-keying just the
+    // popped entry keeps the heap exact.
+    while (ticks_.front().at <= until_ps) {
+        std::pop_heap(ticks_.begin(), ticks_.end(), later);
+        TickEntry& entry = ticks_.back();
+        NetNode& next = *nodes_[static_cast<size_t>(entry.node)];
+        next.tick();
+        entry.at = next.nextTick();
+        std::push_heap(ticks_.begin(), ticks_.end(), later);
     }
 }
 

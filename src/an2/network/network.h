@@ -7,6 +7,7 @@
 #ifndef AN2_NETWORK_NETWORK_H
 #define AN2_NETWORK_NETWORK_H
 
+#include <compare>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -95,7 +96,11 @@ class Network
     /** The unique link from `from` to `to` (state inspection). */
     const NetLink& linkBetween(NodeId from, NodeId to) const;
 
-    /** Run the event loop until wall time `until_ps`. */
+    /**
+     * Run the event loop until wall time `until_ps`: tick nodes in
+     * (next tick, node id) order, so same-instant ticks go to the lower
+     * node id. O(log nodes) per tick, plus O(nodes) on entry.
+     */
     void run(PicoTime until_ps);
 
     /** Run approximately `frames` switch frames of nominal wall time. */
@@ -176,6 +181,16 @@ class Network
         std::unique_ptr<NetLink> link;
     };
 
+    /** A node's entry in run()'s next-tick heap. The defaulted comparison
+        is lexicographic in member order: earliest tick, then lowest id. */
+    struct TickEntry
+    {
+        PicoTime at;
+        NodeId node;
+
+        auto operator<=>(const TickEntry&) const = default;
+    };
+
     /** Index of the unique edge from `from` to `to`; fatal if absent. */
     int findEdge(NodeId from, NodeId to) const;
 
@@ -200,6 +215,9 @@ class Network
     std::unordered_map<uint64_t, int> edge_index_;
     AdmissionController admission_;
     FlowId next_flow_ = 0;
+    /** run()'s binary min-heap, one entry per node; rebuilt on every
+        entry, so its capacity is reused across calls. */
+    std::vector<TickEntry> ticks_;
 };
 
 }  // namespace an2

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "an2/cbr/timing.h"
 #include "an2/matching/pim.h"
@@ -424,6 +425,145 @@ TEST(NetworkTest, TwoCbrFlowsShareASwitchUnderDrift)
     EXPECT_NEAR(ratio, 1.5, 0.05);  // 30 : 20 cells per frame
     EXPECT_EQ(sink.deliveryStats(fa).order_violations, 0);
     EXPECT_EQ(sink.deliveryStats(fb).order_violations, 0);
+}
+
+// The naive serial event loop, the oracle for Network::run's heap: rescan
+// every node before each tick and take the first earliest one (strict <,
+// so the lowest node id wins same-instant ties).
+void
+runByScan(Network& net, PicoTime until_ps)
+{
+    while (true) {
+        PicoTime best = std::numeric_limits<PicoTime>::max();
+        NodeId next = 0;
+        for (NodeId n = 0; n < net.numNodes(); ++n) {
+            PicoTime t = net.nodeAt(n).nextTick();
+            if (t < best) {
+                best = t;
+                next = n;
+            }
+        }
+        if (best > until_ps)
+            return;
+        net.nodeAt(next).tick();
+    }
+}
+
+// Runs the twins to the same segment ends, one through each engine, and
+// asserts identical per-flow delivery and per-link traffic.
+void
+expectRunsMatchScan(Network& heap, Network& scan,
+                    const std::vector<PicoTime>& segment_ends)
+{
+    for (PicoTime until : segment_ends) {
+        heap.run(until);
+        runByScan(scan, until);
+    }
+    ASSERT_EQ(heap.numNodes(), scan.numNodes());
+    int64_t delivered = 0;
+    for (NodeId n = 0; n < heap.numNodes(); ++n) {
+        if (heap.isSwitchNode(n))
+            continue;
+        auto got = heap.controller(n).allDeliveryStats();
+        auto want = scan.controller(n).allDeliveryStats();
+        ASSERT_EQ(got.size(), want.size()) << "node " << n;
+        for (const auto& [flow, st] : got) {
+            auto it = want.find(flow);
+            ASSERT_NE(it, want.end()) << "flow " << flow;
+            const FlowDeliveryStats& ref = it->second;
+            EXPECT_EQ(st.delivered, ref.delivered) << "flow " << flow;
+            EXPECT_EQ(st.order_violations, ref.order_violations)
+                << "flow " << flow;
+            EXPECT_EQ(st.wall_latency_ps.sum(), ref.wall_latency_ps.sum())
+                << "flow " << flow;
+            EXPECT_EQ(st.adjusted_latency_ps.sum(),
+                      ref.adjusted_latency_ps.sum())
+                << "flow " << flow;
+            delivered += st.delivered;
+        }
+    }
+    EXPECT_GT(delivered, 0);
+    ASSERT_EQ(heap.numLinks(), scan.numLinks());
+    for (int l = 0; l < heap.numLinks(); ++l)
+        EXPECT_EQ(heap.linkAt(l).cellsCarried(), scan.linkAt(l).cellsCarried())
+            << "link " << l;
+}
+
+// Two hosts on each of two switches, every node on the same nominal clock
+// and phase, joined by zero-latency links. Every tick is a tie, and a cell
+// sent at a tick reaches a higher-id receiver ticking at the same instant
+// but a lower-id one only a slot later, so tie order shows in latencies.
+void
+buildTiedNetwork(Network& net)
+{
+    NodeId h0 = net.addController(0.0, 1);
+    NodeId h1 = net.addController(0.0, 2);
+    NodeId s2 = net.addSwitch(3, 0.0, pim(3));
+    NodeId s3 = net.addSwitch(3, 0.0, pim(4));
+    NodeId h4 = net.addController(0.0, 5);
+    NodeId h5 = net.addController(0.0, 6);
+    auto duplex = [&](NodeId a, PortId pa, NodeId b, PortId pb) {
+        net.connect(a, pa, b, pb, 0);
+        net.connect(b, pb, a, pa, 0);
+    };
+    duplex(h0, 0, s2, 0);
+    duplex(h1, 0, s2, 1);
+    duplex(s2, 2, s3, 0);
+    duplex(s3, 1, h4, 0);
+    duplex(s3, 2, h5, 0);
+    net.addVbrFlow({h0, s2, s3, h4}, 0.5);
+    net.addVbrFlow({h1, s2, s3, h5}, 0.4);
+    net.addVbrFlow({h5, s3, s2, h0}, 0.6);
+    ASSERT_NE(net.addCbrFlow({h4, s3, s2, h1}, 5), kNoFlow);
+}
+
+TEST(NetworkTest, HeapEngineMatchesScanWithTiedTicks)
+{
+    NetworkConfig cfg;
+    cfg.slot_ps = 1000;
+    cfg.switch_frame_slots = 50;
+    Network heap(cfg);
+    Network scan(cfg);
+    buildTiedNetwork(heap);
+    buildTiedNetwork(scan);
+    // Segment ends both between and on slot boundaries, plus an empty one.
+    expectRunsMatchScan(heap, scan,
+                        {12'345, 50'000, 50'000, 137'500, 200'000, 500'000});
+}
+
+// The drifting-clock chain of AppendixBLatencyAndBufferBoundsHold, with a
+// VBR flow beside the CBR reservation.
+void
+buildDriftingChain(Network& net, double tol)
+{
+    constexpr PicoTime kLinkPs = 2000;
+    NodeId src = net.addController(+tol, 1);
+    NodeId s1 = net.addSwitch(2, -tol, pim(2));
+    NodeId s2 = net.addSwitch(2, +tol, pim(3));
+    NodeId s3 = net.addSwitch(2, -tol, pim(4));
+    NodeId dst = net.addController(-tol, 5);
+    net.connect(src, 0, s1, 0, kLinkPs);
+    net.connect(s1, 1, s2, 0, kLinkPs);
+    net.connect(s2, 1, s3, 0, kLinkPs);
+    net.connect(s3, 1, dst, 0, kLinkPs);
+    ASSERT_NE(net.addCbrFlow({src, s1, s2, s3, dst}, 5), kNoFlow);
+    net.addVbrFlow({src, s1, s2, s3, dst}, 0.3);
+}
+
+TEST(NetworkTest, HeapEngineMatchesScanWithDriftingClocks)
+{
+    constexpr double kTol = 0.005;
+    constexpr int kFrame = 50;
+    NetworkConfig cfg;
+    cfg.slot_ps = 1000;
+    cfg.switch_frame_slots = kFrame;
+    cfg.controller_padding = minControllerPadding(kFrame, kTol);
+    Network heap(cfg);
+    Network scan(cfg);
+    buildDriftingChain(heap, kTol);
+    buildDriftingChain(scan, kTol);
+    expectRunsMatchScan(heap, scan,
+                        {3'333'333, 7'500'000, 10'000'000, 20'000'000});
 }
 
 TEST(NetworkTest, TypedAccessorsValidateKind)
