@@ -88,14 +88,11 @@ runChain(int hops)
     res.measured_active_frames = 0;
     res.active_frames_bound = maxActiveFrames(t, hops);
     for (NodeId s : switches) {
-        const auto& occ = net.netSwitch(s).occupancy();
-        auto it = occ.max_per_cbr_flow.find(flow);
-        if (it != occ.max_per_cbr_flow.end())
-            res.measured_buffer = std::max(res.measured_buffer, it->second);
-        auto af = occ.max_active_frames.find(flow);
-        if (af != occ.max_active_frames.end())
-            res.measured_active_frames =
-                std::max(res.measured_active_frames, af->second);
+        const NetSwitch& sw = net.netSwitch(s);
+        res.measured_buffer =
+            std::max(res.measured_buffer, sw.maxQueuedCells(flow));
+        res.measured_active_frames =
+            std::max(res.measured_active_frames, sw.maxActiveFrames(flow));
     }
     return res;
 }

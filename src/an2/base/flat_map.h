@@ -1,12 +1,12 @@
 /**
  * @file
- * Open-addressing map from small integer keys to arbitrary values —
- * the FlatCounts idiom (see an2/base/flat_counts.h) generalized to a
- * value template, built for per-flow bookkeeping on hot paths: looking
- * up or mutating a key already present performs no heap allocation, so
- * sizing the constructor hint to the expected key population keeps a
- * steady-state loop allocation-free after every key has been touched
- * once (asserted for the network delivery path in
+ * Open-addressing map from small integer keys to arbitrary values,
+ * built for per-flow bookkeeping on hot paths (per-flow counts in the
+ * metrics collector, routes in the LAN switch, flow slots in the VOQs):
+ * looking up or mutating a key already present performs no heap
+ * allocation, so sizing the constructor hint to the expected key
+ * population keeps a steady-state loop allocation-free after every key
+ * has been touched once (asserted for the network delivery path in
  * tests/zero_alloc_test.cc).
  *
  * The table doubles only when a *new* key pushes the load factor past

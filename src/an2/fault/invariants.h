@@ -9,11 +9,13 @@
  * implementation carries an InvariantChecker and verifies, once per
  * slot:
  *
- *  - cell conservation: accepted == departed + buffered, using O(1)
- *    running totals (no per-slot scan beyond the bufferedCells() the
- *    simulator already pays for). Dropped cells never enter the buffers
- *    and are ledgered separately; the simulator's end-of-run identity
- *    injected == delivered + buffered + all-losses covers them;
+ *  - cell conservation: accepted == departed + purged + buffered, using
+ *    O(1) running totals (no per-slot scan beyond the bufferedCells() the
+ *    simulator already pays for). Purged cells were buffered and then
+ *    discarded on purpose (CBR path restoration). Dropped cells never
+ *    enter the buffers and are ledgered separately; the simulator's
+ *    end-of-run identity injected == delivered + buffered + all-losses
+ *    covers them;
  *  - matching legality against the live-port masks: no crossbar pairing
  *    touches a port the fault injector has killed;
  *  - reservation consistency: after any CBR repair operation, the frame
@@ -62,17 +64,22 @@ class InvariantChecker
     /** `k` cells left the switch this slot. */
     void noteDeparted(int64_t k) { departed_ += k; }
 
+    /** `k` buffered cells were discarded without departing. */
+    void notePurged(int64_t k) { purged_ += k; }
+
     int64_t accepted() const { return accepted_; }
     int64_t dropped() const { return dropped_; }
     int64_t departed() const { return departed_; }
+    int64_t purged() const { return purged_; }
 
-    /** Verify accepted == departed + buffered. */
+    /** Verify accepted == departed + purged + buffered. */
     void checkConservation(int64_t buffered, const char* who) const
     {
-        AN2_CHECK(accepted_ == departed_ + buffered,
+        AN2_CHECK(accepted_ == departed_ + purged_ + buffered,
                   who << ": cell conservation violated: " << accepted_
                       << " accepted != " << departed_ << " departed + "
-                      << buffered << " buffered (" << dropped_
+                      << purged_ << " purged + " << buffered
+                      << " buffered (" << dropped_
                       << " dropped at ingress)");
     }
 
@@ -121,6 +128,7 @@ class InvariantChecker
   private:
     int64_t accepted_ = 0;
     int64_t departed_ = 0;
+    int64_t purged_ = 0;
     int64_t dropped_ = 0;
 };
 

@@ -4,39 +4,25 @@
 
 #include "an2/base/error.h"
 #include "an2/fault/invariants.h"
-#include "an2/matching/request_matrix.h"
 
 namespace an2 {
 
 NetSwitch::NetSwitch(NodeId id, LocalClock clock, int n_ports,
                      int frame_slots, std::unique_ptr<Matcher> vbr_matcher,
                      bool fifo_merge)
-    : NetNode(id, clock), n_ports_(n_ports), frame_slots_(frame_slots),
-      fifo_merge_(fifo_merge), vbr_matcher_(std::move(vbr_matcher)),
+    : NetNode(id, clock), frame_slots_(frame_slots), fifo_merge_(fifo_merge),
       cbr_(n_ports, frame_slots),
+      core_(IqSwitchConfig{.n = n_ports}, std::move(vbr_matcher),
+            &cbr_.schedule()),
       in_links_(static_cast<size_t>(n_ports), nullptr),
-      out_links_(static_cast<size_t>(n_ports), nullptr),
-      in_busy_(static_cast<size_t>(n_ports), 0),
-      out_busy_(static_cast<size_t>(n_ports), 0), req_(n_ports),
-      match_(n_ports)
+      out_links_(static_cast<size_t>(n_ports), nullptr)
 {
-    AN2_REQUIRE(n_ports > 0, "switch needs at least one port");
-    AN2_REQUIRE(frame_slots > 0, "frame must be non-empty");
-    AN2_REQUIRE(vbr_matcher_ != nullptr, "a VBR matcher is required");
-    cbr_bufs_.reserve(static_cast<size_t>(n_ports));
-    vbr_bufs_.reserve(static_cast<size_t>(n_ports));
-    for (int p = 0; p < n_ports; ++p) {
-        cbr_bufs_.emplace_back(n_ports);
-        vbr_bufs_.emplace_back(n_ports);
-    }
-    occupancy_.max_cbr_per_input.assign(static_cast<size_t>(n_ports), 0);
-    occupancy_.max_vbr_per_input.assign(static_cast<size_t>(n_ports), 0);
 }
 
 void
 NetSwitch::checkPort(PortId p) const
 {
-    AN2_REQUIRE(p >= 0 && p < n_ports_, "port " << p << " out of range");
+    AN2_REQUIRE(p >= 0 && p < core_.size(), "port " << p << " out of range");
 }
 
 void
@@ -65,13 +51,17 @@ NetSwitch::addRoute(FlowId flow, PortId in_port, PortId out_port,
     checkPort(out_port);
     AN2_REQUIRE(!routes_.contains(flow),
                 "flow " << flow << " already routed through this switch");
+    Route route;
+    route.out_port = out_port;
+    route.cls = cls;
+    route.in_port = in_port;
     if (cls == TrafficClass::CBR) {
         if (!cbr_.addReservation(in_port, out_port, cells_per_frame))
             return false;
+        route.cells_per_frame = cells_per_frame;
+        cbr_flows_.push_back(flow);
     }
-    routes_[flow] = {out_port, cls,
-                     cls == TrafficClass::CBR ? cells_per_frame : 0, in_port,
-                     false};
+    routes_[flow] = route;
     return true;
 }
 
@@ -113,11 +103,11 @@ NetSwitch::restoreCbrRoute(FlowId flow, PortId in_port, PortId out_port,
     // the same port (retag to the new output, FIFO order kept); purged
     // when the ingress moved — their (input, output) schedule slots no
     // longer exist.
-    for (PortId p = 0; p < n_ports_; ++p) {
+    for (PortId p = 0; p < core_.size(); ++p) {
         if (p == in_port)
-            cbr_bufs_[static_cast<size_t>(p)].rebindFlow(flow, out_port);
+            core_.rebindFlow(p, TrafficClass::CBR, flow, out_port);
         else
-            purgeCbrQueueAt(p, flow);
+            purgeCbrQueueAt(p, flow, *route);
     }
     route->in_port = in_port;
     route->out_port = out_port;
@@ -129,32 +119,25 @@ NetSwitch::restoreCbrRoute(FlowId flow, PortId in_port, PortId out_port,
 }
 
 int
-NetSwitch::purgeCbrQueueAt(PortId p, FlowId flow)
+NetSwitch::purgeCbrQueueAt(PortId p, FlowId flow, Route& route)
 {
-    int n = cbr_bufs_[static_cast<size_t>(p)].purgeFlow(flow);
-    if (n > 0) {
-        restore_purged_ += n;
-        int& cur = flow_occupancy_[flow];
-        cur -= n;
-        AN2_ASSERT(cur >= 0, "negative flow occupancy after purge");
-    }
+    int n = core_.purgeCbrFlow(p, flow);
+    restore_purged_ += n;
+    route.queued -= n;
+    AN2_ASSERT(route.queued >= 0, "negative flow occupancy after purge");
     return n;
 }
 
 int
 NetSwitch::purgeCbrFlow(FlowId flow)
 {
+    Route* route = routes_.get(flow);
+    if (route == nullptr)
+        return 0;  // never routed here, so nothing was ever queued
     int purged = 0;
-    for (PortId p = 0; p < n_ports_; ++p)
-        purged += purgeCbrQueueAt(p, flow);
+    for (PortId p = 0; p < core_.size(); ++p)
+        purged += purgeCbrQueueAt(p, flow, *route);
     return purged;
-}
-
-bool
-NetSwitch::cbrRouteRevoked(FlowId flow) const
-{
-    const Route* route = routes_.get(flow);
-    return route != nullptr && route->revoked;
 }
 
 void
@@ -171,19 +154,10 @@ NetSwitch::updateRoute(FlowId flow, PortId out_port)
     if (route->out_port == out_port)
         return;
     route->out_port = out_port;
-    // Cells already buffered follow the new route too; the flow lives in
-    // at most one input buffer, the rest are hash-miss no-ops.
-    for (auto& buf : vbr_bufs_)
-        buf.rebindFlow(flow, out_port);
-}
-
-PortId
-NetSwitch::routeOutPort(FlowId flow) const
-{
-    const Route* route = routes_.get(flow);
-    AN2_REQUIRE(route != nullptr,
-                "flow " << flow << " not routed through this switch");
-    return route->out_port;
+    // Cells already buffered follow the new route too. An upstream
+    // reroute can leave the flow queued at more than one input.
+    for (PortId p = 0; p < core_.size(); ++p)
+        core_.rebindFlow(p, TrafficClass::VBR, flow, out_port);
 }
 
 void
@@ -193,29 +167,31 @@ NetSwitch::setVbrBufferLimit(int cells)
     vbr_buffer_limit_ = cells;
 }
 
-void
-NetSwitch::noteOccupancy(const Cell& cell, int delta)
+int
+NetSwitch::maxQueuedCells(FlowId flow) const
 {
-    if (cell.cls != TrafficClass::CBR)
-        return;
-    int& cur = flow_occupancy_[cell.flow];
-    cur += delta;
-    AN2_ASSERT(cur >= 0, "negative flow occupancy");
-    int& peak = occupancy_.max_per_cbr_flow[cell.flow];
-    peak = std::max(peak, cur);
+    const Route* route = routes_.get(flow);
+    return route != nullptr ? route->max_queued : 0;
+}
+
+int
+NetSwitch::maxActiveFrames(FlowId flow) const
+{
+    const Route* route = routes_.get(flow);
+    return route != nullptr ? route->max_active_frames : 0;
 }
 
 void
 NetSwitch::acceptArrivals(PicoTime now)
 {
-    for (PortId p = 0; p < n_ports_; ++p) {
+    for (PortId p = 0; p < core_.size(); ++p) {
         NetLink* link = in_links_[static_cast<size_t>(p)];
         if (link == nullptr)
             continue;
         arrivals_.clear();
         link->deliverInto(now, arrivals_);
         for (Cell c : arrivals_) {
-            const Route* route = routes_.get(c.flow);
+            Route* route = routes_.get(c.flow);
             AN2_REQUIRE(route != nullptr,
                         "cell of unrouted flow " << c.flow << " at switch "
                                                  << id_);
@@ -230,32 +206,31 @@ NetSwitch::acceptArrivals(PicoTime now)
             c.input = p;
             c.output = route->out_port;
             if (route->cls == TrafficClass::CBR) {
-                cbr_bufs_[static_cast<size_t>(p)].enqueue(c);
-                noteOccupancy(c, +1);
-                auto& peak =
-                    occupancy_.max_cbr_per_input[static_cast<size_t>(p)];
-                peak = std::max(
-                    peak, cbr_bufs_[static_cast<size_t>(p)].totalCells());
+                core_.acceptCell(c);
+                route->max_queued =
+                    std::max(route->max_queued, ++route->queued);
+            } else if (vbr_buffer_limit_ > 0 &&
+                       core_.vbrCellsAt(p) >= vbr_buffer_limit_) {
+                ++vbr_dropped_;  // flow-controlled datagram buffer full
+            } else if (fifo_merge_) {
+                // One FIFO per (input, output) pair, all flows mixed.
+                core_.acceptCellAs(static_cast<FlowId>(c.output), c);
             } else {
-                auto& vb = vbr_bufs_[static_cast<size_t>(p)];
-                if (vbr_buffer_limit_ > 0 &&
-                    vb.totalCells() >= vbr_buffer_limit_) {
-                    ++vbr_dropped_;  // flow-controlled datagram buffer full
-                    continue;
-                }
-                if (fifo_merge_) {
-                    // One FIFO per (input, output) pair, all flows mixed.
-                    auto key = static_cast<FlowId>(c.output);
-                    vbr_bufs_[static_cast<size_t>(p)].enqueueAs(key, c);
-                } else {
-                    vbr_bufs_[static_cast<size_t>(p)].enqueue(c);
-                }
-                auto& peak =
-                    occupancy_.max_vbr_per_input[static_cast<size_t>(p)];
-                peak = std::max(
-                    peak, vbr_bufs_[static_cast<size_t>(p)].totalCells());
+                core_.acceptCell(c);
             }
         }
+    }
+}
+
+void
+NetSwitch::closeFrame()
+{
+    for (FlowId flow : cbr_flows_) {
+        Route& route = *routes_.get(flow);
+        route.active_run = route.active_this_frame ? route.active_run + 1 : 0;
+        route.max_active_frames =
+            std::max(route.max_active_frames, route.active_run);
+        route.active_this_frame = false;
     }
 }
 
@@ -265,78 +240,30 @@ NetSwitch::tick()
     PicoTime now = clock_.nextTick();
     int64_t slot = clock_.advance();
     acceptArrivals(now);
-
-    auto fs = static_cast<int>(slot % frame_slots_);
-    // Frame boundary: close out the Appendix B active-frame runs.
-    if (fs == 0) {
-        for (auto& [flow, active] : active_this_frame_) {
-            int& run = active_run_[flow];
-            run = active ? run + 1 : 0;
-            int& peak = occupancy_.max_active_frames[flow];
-            peak = std::max(peak, run);
-            active = false;
-        }
-    }
+    if (slot % frame_slots_ == 0)
+        closeFrame();
     // T(c, s_n): end of this switch's current frame.
     PicoTime frame_end =
         clock_.slotStart((slot / frame_slots_ + 1) * frame_slots_);
 
-    // Phase 1: CBR cells ride their scheduled pairings.
-    std::fill(in_busy_.begin(), in_busy_.end(), uint8_t{0});
-    std::fill(out_busy_.begin(), out_busy_.end(), uint8_t{0});
-    const FrameSchedule& sched = cbr_.schedule();
-    for (PortId i = 0; i < n_ports_; ++i) {
-        PortId j = sched.outputAt(fs, i);
-        if (j == kNoPort)
-            continue;
-        auto& buf = cbr_bufs_[static_cast<size_t>(i)];
-        if (!buf.hasCellFor(j))
-            continue;
-        Cell c = buf.dequeueFor(j);
-        noteOccupancy(c, -1);
-        // Appendix B active-frame accounting for the flow's class 0.
-        const Route* route = routes_.get(c.flow);
-        if (route != nullptr && route->cells_per_frame > 0 &&
-            c.seq % route->cells_per_frame == 0)
-            active_this_frame_[c.flow] = true;
-        c.frame_end_ps = frame_end;
-        ++c.hops;
-        AN2_ASSERT(out_links_[static_cast<size_t>(j)] != nullptr,
-                   "scheduled output " << j << " has no link");
-        out_links_[static_cast<size_t>(j)]->send(c, now);
-        in_busy_[static_cast<size_t>(i)] = 1;
-        out_busy_[static_cast<size_t>(j)] = 1;
-        ++cbr_forwarded_;
-    }
-
-    // Phase 2: VBR matching over the remaining ports.
-    req_.clear();
-    for (PortId i = 0; i < n_ports_; ++i) {
-        if (in_busy_[static_cast<size_t>(i)])
-            continue;
-        const auto& buf = vbr_bufs_[static_cast<size_t>(i)];
-        if (buf.totalCells() == 0)
-            continue;
-        for (PortId j = 0; j < n_ports_; ++j) {
-            if (out_busy_[static_cast<size_t>(j)] ||
-                out_links_[static_cast<size_t>(j)] == nullptr)
-                continue;
-            int count = buf.cellCountFor(j);
-            if (count > 0)
-                req_.set(i, j, count);
+    // CBR cells ride their scheduled pairings, then VBR is matched over
+    // the ports CBR left free; departures come CBR first, then VBR, each
+    // by ascending input.
+    for (Cell c : core_.runSlot(slot)) {
+        if (c.cls == TrafficClass::CBR) {
+            Route& route = *routes_.get(c.flow);
+            --route.queued;
+            // Appendix B active-frame accounting for the flow's class 0.
+            if (route.cells_per_frame > 0 &&
+                c.seq % route.cells_per_frame == 0)
+                route.active_this_frame = true;
         }
-    }
-    vbr_matcher_->matchInto(req_, match_);
-    AN2_ASSERT(match_.isLegalFor(req_), "matcher returned illegal match");
-    for (PortId i = 0; i < n_ports_; ++i) {
-        PortId j = match_.outputOf(i);
-        if (j == kNoPort)
-            continue;
-        Cell c = vbr_bufs_[static_cast<size_t>(i)].dequeueFor(j);
+        NetLink* link = out_links_[static_cast<size_t>(c.output)];
+        AN2_REQUIRE(link != nullptr, "switch " << id_ << " output port "
+                                               << c.output << " has no link");
         c.frame_end_ps = frame_end;
         ++c.hops;
-        out_links_[static_cast<size_t>(j)]->send(c, now);
-        ++vbr_forwarded_;
+        link->send(c, now);
     }
 }
 

@@ -1,14 +1,16 @@
 /**
  * @file
- * A switch node in the drifting-clock network: VOQ input buffers, a
- * Slepian-Duguid frame schedule for CBR traffic, and a pluggable matcher
- * (PIM or statistical matching) for VBR traffic — the full AN2 switch of
- * §3-§5 embedded in a multi-hop topology.
+ * A switch node in the drifting-clock network: the AN2 switch of §3-§5
+ * (an InputQueuedSwitch with VOQ input buffers, a Slepian-Duguid frame
+ * schedule for CBR traffic, and a pluggable matcher such as PIM or
+ * statistical matching for VBR traffic) embedded in a multi-hop
+ * topology. This node adds only what the LAN needs around that core:
+ * its local clock, its links, per-flow routes, the VBR buffer cap, CBR
+ * path restoration, and the Appendix B per-flow occupancy statistics.
  */
 #ifndef AN2_NETWORK_NET_SWITCH_H
 #define AN2_NETWORK_NET_SWITCH_H
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -16,32 +18,9 @@
 #include "an2/cbr/slepian_duguid.h"
 #include "an2/matching/matcher.h"
 #include "an2/network/node.h"
-#include "an2/queueing/voq.h"
+#include "an2/sim/iq_switch.h"
 
 namespace an2 {
-
-/** Buffer-occupancy statistics for one switch. */
-struct SwitchOccupancy
-{
-    /** Peak CBR cells queued per input port. */
-    std::vector<int> max_cbr_per_input;
-
-    /** Peak VBR cells queued per input port. */
-    std::vector<int> max_vbr_per_input;
-
-    /** Peak queued cells per CBR flow (Appendix B buffer bound). */
-    std::map<FlowId, int> max_per_cbr_flow;
-
-    /**
-     * Longest run of consecutive *active* frames per CBR flow, measured
-     * for the flow's class-0 cells (cells with seq % k == 0). Appendix B
-     * analyzes a k cells/frame flow as k independent one-cell-per-frame
-     * classes and bounds each class's run length (the first displayed
-     * formula of §B.2) — the quantity that caps buffer build-up under
-     * clock drift.
-     */
-    std::map<FlowId, int> max_active_frames;
-};
 
 /** Switch node with per-flow routing and CBR + VBR scheduling. */
 class NetSwitch final : public NetNode
@@ -62,7 +41,10 @@ class NetSwitch final : public NetNode
               std::unique_ptr<Matcher> vbr_matcher,
               bool fifo_merge = false);
 
-    int ports() const { return n_ports_; }
+    // The core holds a pointer to cbr_'s schedule, so a switch never
+    // moves (deleting the copy also removes the implicit move).
+    NetSwitch(const NetSwitch&) = delete;
+    NetSwitch& operator=(const NetSwitch&) = delete;
 
     /** Attach the incoming link feeding port p. */
     void setInLink(PortId p, NetLink* link);
@@ -80,18 +62,16 @@ class NetSwitch final : public NetNode
 
     /**
      * Repoint an installed VBR route at a different output port (ECMP
-     * failover after a link fault). Cells already buffered keep their
-     * original output — they drain, or are lost if that link is down —
-     * while cells arriving after the update take the new port. Fatal for
-     * unknown flows and for CBR routes (reservations are pinned).
+     * failover after a link fault). Cells of the flow already buffered
+     * here move to the new output too, in FIFO order, as do cells
+     * arriving after the update. Fatal for unknown flows, for CBR routes
+     * (reservations are pinned), and in FIFO-merge mode (a merged queue
+     * mixes flows).
      */
     void updateRoute(FlowId flow, PortId out_port);
 
     /** True when `flow` is routed through this switch. */
     bool hasRoute(FlowId flow) const { return routes_.contains(flow); }
-
-    /** Output port a flow is currently routed to; fatal if unrouted. */
-    PortId routeOutPort(FlowId flow) const;
 
     void tick() override;
 
@@ -107,15 +87,25 @@ class NetSwitch final : public NetNode
     /** Datagram cells dropped by the VBR buffer cap. */
     int64_t vbrDropped() const { return vbr_dropped_; }
 
-    /** Occupancy statistics. */
-    const SwitchOccupancy& occupancy() const { return occupancy_; }
+    /**
+     * Peak cells of a CBR flow queued here at once (the Appendix B
+     * buffer bound); 0 for VBR and unknown flows.
+     */
+    int maxQueuedCells(FlowId flow) const;
 
-    /** The CBR scheduler (reservations and schedule inspection). */
-    const SlepianDuguidScheduler& cbrScheduler() const { return cbr_; }
+    /**
+     * Longest run of consecutive *active* frames of a CBR flow, measured
+     * for the flow's class-0 cells (cells with seq % k == 0). Appendix B
+     * analyzes a k cells/frame flow as k independent one-cell-per-frame
+     * classes and bounds each class's run length (the first displayed
+     * formula of §B.2) — the quantity that caps buffer build-up under
+     * clock drift. 0 for VBR and unknown flows.
+     */
+    int maxActiveFrames(FlowId flow) const;
 
     /** Cells forwarded, per class. */
-    int64_t cbrForwarded() const { return cbr_forwarded_; }
-    int64_t vbrForwarded() const { return vbr_forwarded_; }
+    int64_t cbrForwarded() const { return core_.cbrForwarded(); }
+    int64_t vbrForwarded() const { return core_.vbrForwarded(); }
 
     // ---- CBR path restoration (driven by fault::PathRestorer) ---------
 
@@ -148,9 +138,6 @@ class NetSwitch final : public NetNode
      */
     int purgeCbrFlow(FlowId flow);
 
-    /** True when the flow's route here is revoked (mid-restoration). */
-    bool cbrRouteRevoked(FlowId flow) const;
-
     /** Cells dropped at ingress because their route was revoked. */
     int64_t restorationDropped() const { return restore_dropped_; }
 
@@ -165,48 +152,44 @@ class NetSwitch final : public NetNode
         int cells_per_frame = 0;   ///< CBR reservation (0 for VBR)
         PortId in_port = kNoPort;  ///< ingress port (CBR restoration)
         bool revoked = false;      ///< reservation revoked, not yet rebuilt
+
+        // Appendix B statistics, kept for CBR flows only.
+        int queued = 0;                  ///< cells queued here now
+        int max_queued = 0;              ///< peak of `queued`
+        bool active_this_frame = false;  ///< a class-0 cell left
+        int active_run = 0;              ///< consecutive active frames
+        int max_active_frames = 0;       ///< peak of `active_run`
     };
 
     void checkPort(PortId p) const;
 
-    /** Pull arrived cells off the in-links into the input buffers. */
+    /** Pull arrived cells off the in-links into the core's buffers. */
     void acceptArrivals(PicoTime now);
 
-    /** Purge a CBR flow's queue at one input, fixing the occupancy
-        ledger and the restoration loss counter. */
-    int purgeCbrQueueAt(PortId p, FlowId flow);
+    /** Purge a CBR flow's queue at one input, fixing the route's queued
+        count and the restoration loss counter. */
+    int purgeCbrQueueAt(PortId p, FlowId flow, Route& route);
 
-    /** Track per-flow and per-input occupancy highs. */
-    void noteOccupancy(const Cell& cell, int delta);
+    /** Frame boundary: close out every CBR flow's active-frame run. */
+    void closeFrame();
 
-    int n_ports_;
     int frame_slots_;
     bool fifo_merge_;
-    std::unique_ptr<Matcher> vbr_matcher_;
     SlepianDuguidScheduler cbr_;
+    /** The AN2 switch proper; serves cbr_'s live schedule. */
+    InputQueuedSwitch core_;
     std::vector<NetLink*> in_links_;
     std::vector<NetLink*> out_links_;
-    std::vector<InputBuffer> cbr_bufs_;
-    std::vector<InputBuffer> vbr_bufs_;
     /** Flow -> route, looked up per arriving cell (O(1), no tree walk). */
     FlatMap<Route> routes_;
-    std::map<FlowId, int> flow_occupancy_;
-    /** Per-flow activity in the current frame / current run length. */
-    std::map<FlowId, bool> active_this_frame_;
-    std::map<FlowId, int> active_run_;
-    SwitchOccupancy occupancy_;
+    /** CBR flows routed here, walked at each frame boundary. */
+    std::vector<FlowId> cbr_flows_;
     int vbr_buffer_limit_ = 0;
     int64_t vbr_dropped_ = 0;
-    int64_t cbr_forwarded_ = 0;
-    int64_t vbr_forwarded_ = 0;
     int64_t restore_dropped_ = 0;
     int64_t restore_purged_ = 0;
     // Per-tick scratch, persistent so the slot loop never allocates.
     std::vector<Cell> arrivals_;
-    std::vector<uint8_t> in_busy_;
-    std::vector<uint8_t> out_busy_;
-    RequestMatrix req_;
-    Matching match_;
 };
 
 }  // namespace an2

@@ -192,7 +192,8 @@ detach()
 #else
 
 namespace detail {
-extern thread_local Recorder* tls_recorder;
+/** constinit: no dynamic initializer, so reads skip the TLS-init hook. */
+extern thread_local constinit Recorder* tls_recorder;
 }  // namespace detail
 
 /** The Recorder observing this thread, or nullptr (the common case). */

@@ -10,7 +10,7 @@ namespace an2::obs {
 #ifndef AN2_OBS_DISABLED
 
 namespace detail {
-thread_local Recorder* tls_recorder = nullptr;
+thread_local constinit Recorder* tls_recorder = nullptr;
 }  // namespace detail
 
 void

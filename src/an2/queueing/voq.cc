@@ -181,18 +181,18 @@ InputBuffer::flowHasCell(FlowId f) const
            !slots_[static_cast<size_t>(*idx - 1)].cells.empty();
 }
 
-void
+int
 InputBuffer::rebindFlow(FlowId f, PortId new_output)
 {
     AN2_REQUIRE(new_output >= 0 && new_output < n_outputs_,
                 "rebind to invalid output " << new_output);
     int32_t* idx = flow_index_.get(f);
     if (idx == nullptr)
-        return;
+        return 0;
     const int32_t slot = *idx - 1;
     PerFlow& st = slots_[static_cast<size_t>(slot)];
     if (st.output == kNoPort || st.output == new_output)
-        return;
+        return 0;
     PortId old = st.output;
 
     // Drop the flow's seat in the old eligible list (stale entries from
@@ -214,7 +214,7 @@ InputBuffer::rebindFlow(FlowId f, PortId new_output)
     auto n = static_cast<int>(st.cells.size());
     if (n == 0) {
         st.output = kNoPort;  // next enqueue binds fresh
-        return;
+        return 0;
     }
     // Retag queued cells in place; a full rotation keeps FIFO order.
     for (int i = 0; i < n; ++i) {
@@ -235,6 +235,7 @@ InputBuffer::rebindFlow(FlowId f, PortId new_output)
         reconcileSole(po_new, new_output);  // second flow for this output
     eligible_[static_cast<size_t>(new_output)].push_back(slot);
     st.eligible_listed = true;
+    return n;
 }
 
 int

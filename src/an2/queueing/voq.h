@@ -106,8 +106,9 @@ class InputBuffer
      * retagged in FIFO order and the per-output counts, occupancy bits,
      * and eligible lists move with them; a no-op when the flow has no
      * state here or is already bound to `new_output`.
+     * @return the number of cells moved.
      */
-    void rebindFlow(FlowId f, PortId new_output);
+    int rebindFlow(FlowId f, PortId new_output);
 
     /**
      * Discard every queued cell of a flow (CBR path restoration: cells

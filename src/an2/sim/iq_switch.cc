@@ -103,7 +103,7 @@ InputQueuedSwitch::outputPortLive(PortId j) const
 }
 
 void
-InputQueuedSwitch::acceptCell(const Cell& cell)
+InputQueuedSwitch::acceptCellAs(FlowId queue_key, const Cell& cell)
 {
     AN2_REQUIRE(cell.input >= 0 && cell.input < config_.n,
                 "cell input " << cell.input << " out of range");
@@ -120,14 +120,45 @@ InputQueuedSwitch::acceptCell(const Cell& cell)
     if (cell.cls == TrafficClass::CBR) {
         AN2_REQUIRE(cbr_schedule_ != nullptr,
                     "CBR cell arrived at a switch with no frame schedule");
-        cbr_bufs_[static_cast<size_t>(cell.input)].enqueue(cell);
+        cbr_bufs_[static_cast<size_t>(cell.input)].enqueueAs(queue_key, cell);
     } else {
-        vbr_bufs_[static_cast<size_t>(cell.input)].enqueue(cell);
+        vbr_bufs_[static_cast<size_t>(cell.input)].enqueueAs(queue_key, cell);
         // Patch the persistent request matrix; the matching dequeue-side
         // decrement happens in forwardVbr().
         vbr_req_.increment(cell.input, cell.output);
     }
     obs::cellEnqueued(cell);
+}
+
+void
+InputQueuedSwitch::rebindFlow(PortId i, TrafficClass cls, FlowId flow,
+                              PortId new_output)
+{
+    AN2_REQUIRE(i >= 0 && i < config_.n,
+                "input port " << i << " out of range");
+    if (cls == TrafficClass::CBR) {
+        cbr_bufs_[static_cast<size_t>(i)].rebindFlow(flow, new_output);
+        return;
+    }
+    InputBuffer& buf = vbr_bufs_[static_cast<size_t>(i)];
+    if (buf.rebindFlow(flow, new_output) == 0)
+        return;
+    // The moved cells shift counts between two VOQs of this input; resync
+    // its request row from the buffer (O(N), and rerouting is rare).
+    for (PortId j = 0; j < config_.n; ++j)
+        vbr_req_.set(i, j, buf.cellCountFor(j));
+    // A pipelined matching computed before the move may pair the old VOQ.
+    has_pending_ = false;
+}
+
+int
+InputQueuedSwitch::purgeCbrFlow(PortId i, FlowId flow)
+{
+    AN2_REQUIRE(i >= 0 && i < config_.n,
+                "input port " << i << " out of range");
+    const int n = cbr_bufs_[static_cast<size_t>(i)].purgeFlow(flow);
+    checker_.notePurged(n);
+    return n;
 }
 
 int

@@ -20,6 +20,10 @@
  * dequeue), mirroring the hardware's per-port-pair request wires; the
  * O(N^2) per-slot rebuild of earlier revisions is gone, and steady-state
  * runSlot() performs no heap allocation.
+ *
+ * The LAN's switch nodes (network/net_switch.h) run this same switch,
+ * one slot per local clock tick; rebindFlow() and purgeCbrFlow() serve
+ * their rerouting and CBR path restoration.
  */
 #ifndef AN2_SIM_IQ_SWITCH_H
 #define AN2_SIM_IQ_SWITCH_H
@@ -79,7 +83,18 @@ class InputQueuedSwitch final : public SwitchModel
                       std::unique_ptr<Matcher> matcher,
                       const FrameSchedule* cbr_schedule = nullptr);
 
-    void acceptCell(const Cell& cell) override;
+    void acceptCell(const Cell& cell) override
+    {
+        acceptCellAs(cell.flow, cell);
+    }
+
+    /**
+     * Buffer a cell under an explicit queue key instead of its flow id
+     * (InputBuffer::enqueueAs): cells sharing a key share one FIFO, as
+     * in the Figure 9 switches that merge an input's traffic per output.
+     */
+    void acceptCellAs(FlowId queue_key, const Cell& cell);
+
     const std::vector<Cell>& runSlot(SlotTime slot) override;
     void runSlots(SlotTime first, SlotTime count,
                   SlotDriver& driver) override;
@@ -116,6 +131,28 @@ class InputQueuedSwitch final : public SwitchModel
 
     /** The persistent VBR request matrix (patched incrementally). */
     const RequestMatrix& vbrRequests() const { return vbr_req_; }
+
+    /** VBR cells buffered at input i. */
+    int vbrCellsAt(PortId i) const
+    {
+        return vbr_bufs_[static_cast<size_t>(i)].totalCells();
+    }
+
+    /**
+     * Repoint a flow queued at input i at a new output (rerouting): its
+     * cells keep their FIFO order and move to the new VOQ, and for VBR
+     * the request matrix moves with them. A no-op when the flow has no
+     * state at that input.
+     */
+    void rebindFlow(PortId i, TrafficClass cls, FlowId flow,
+                    PortId new_output);
+
+    /**
+     * Discard every CBR cell of `flow` queued at input i (CBR path
+     * restoration). The ledger counts them as purged.
+     * @return cells discarded.
+     */
+    int purgeCbrFlow(PortId i, FlowId flow);
 
     /** Real VOQ occupancy (VBR + CBR buffers, plus speedup output
         queues in the backlog). */

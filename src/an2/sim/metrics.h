@@ -9,7 +9,7 @@
 #include <cstdint>
 #include <map>
 
-#include "an2/base/flat_counts.h"
+#include "an2/base/flat_map.h"
 #include "an2/base/matrix.h"
 #include "an2/base/stats.h"
 #include "an2/base/types.h"
@@ -94,7 +94,7 @@ class MetricsCollector
      * node on first touch of each flow mid-run). Sized for ~2 flows per
      * connection; rarer populations rehash once and stay flat after.
      */
-    FlatCounts per_flow_;
+    FlatMap<int64_t> per_flow_;
 };
 
 }  // namespace an2

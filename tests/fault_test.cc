@@ -373,6 +373,11 @@ TEST(InvariantCheckerTest, ConservationLedger)
     chk.noteDeparted(1);
     EXPECT_NO_THROW(chk.checkConservation(1, "test"));
     EXPECT_THROW(chk.checkConservation(0, "test"), InternalError);
+    // A purged cell leaves the buffers without departing.
+    chk.notePurged(1);
+    EXPECT_EQ(chk.purged(), 1);
+    EXPECT_NO_THROW(chk.checkConservation(0, "test"));
+    EXPECT_THROW(chk.checkConservation(1, "test"), InternalError);
 }
 
 TEST(InvariantCheckerTest, MatchingLegalityAgainstLiveMasks)

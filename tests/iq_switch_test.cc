@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "an2/cbr/slepian_duguid.h"
 #include "an2/matching/pim.h"
@@ -329,6 +330,128 @@ TEST(IqSwitchTest, InvalidConstruction)
     SlepianDuguidScheduler sd(8, 4);
     EXPECT_THROW(InputQueuedSwitch({.n = 4}, pim(), &sd.schedule()),
                  UsageError);
+}
+
+TEST(IqSwitchTest, AcceptCellAsMergesFlowsIntoOneQueue)
+{
+    // Two flows at input 0 for output 1 under one queue key: they share
+    // a FIFO, so arrival order is service order (no round-robin).
+    InputQueuedSwitch sw({.n = 4}, pim());
+    sw.acceptCellAs(100, vbrCell(1, 0, 1, 0));
+    sw.acceptCellAs(100, vbrCell(1, 0, 1, 1));
+    sw.acceptCellAs(100, vbrCell(2, 0, 1, 0));
+    EXPECT_EQ(sw.vbrRequests().count(0, 1), 3);
+    EXPECT_EQ(sw.vbrCellsAt(0), 3);
+    std::vector<FlowId> order;
+    for (SlotTime s = 0; s < 3; ++s)
+        for (const Cell& d : sw.runSlot(s))
+            order.push_back(d.flow);
+    EXPECT_EQ(order, (std::vector<FlowId>{1, 1, 2}));
+    EXPECT_EQ(sw.vbrCellsAt(0), 0);
+}
+
+TEST(IqSwitchTest, RebindMovesVbrRequestsAndCells)
+{
+    InputQueuedSwitch sw({.n = 4}, pim());
+    for (int s = 0; s < 3; ++s)
+        sw.acceptCell(vbrCell(5, 0, 1, s));
+    ASSERT_EQ(sw.vbrRequests().count(0, 1), 3);
+    sw.rebindFlow(0, TrafficClass::VBR, 5, 2);
+    EXPECT_EQ(sw.vbrRequests().count(0, 1), 0);
+    EXPECT_EQ(sw.vbrRequests().count(0, 2), 3);
+    EXPECT_FALSE(sw.vbrRequests().has(0, 1));
+    EXPECT_TRUE(sw.vbrRequests().has(0, 2));
+    EXPECT_EQ(sw.vbrRequests().numEdges(), 1);
+
+    // The next slots depart on the new output, in FIFO order, and the
+    // conservation ledger (checked inside runSlot) still balances.
+    for (SlotTime slot = 0; slot < 3; ++slot) {
+        const auto& departed = sw.runSlot(slot);
+        ASSERT_EQ(departed.size(), 1u);
+        EXPECT_EQ(departed[0].output, 2);
+        EXPECT_EQ(departed[0].seq, slot);
+    }
+    EXPECT_EQ(sw.vbrRequests().numEdges(), 0);
+    EXPECT_EQ(sw.invariants().accepted(), 3);
+    EXPECT_EQ(sw.invariants().departed(), 3);
+
+    // A flow with no cells at an input is a no-op there.
+    sw.acceptCell(vbrCell(6, 1, 3, 0));
+    sw.rebindFlow(0, TrafficClass::VBR, 6, 0);
+    EXPECT_EQ(sw.vbrRequests().count(1, 3), 1);
+    EXPECT_EQ(sw.vbrRequests().count(0, 0), 0);
+}
+
+TEST(IqSwitchTest, RebindDropsAStalePipelinedMatching)
+{
+    // The pipelined matching for slot 1 is computed in slot 0 and pairs
+    // (0,1); moving the flow to output 2 before slot 1 must not serve
+    // the vanished VOQ. The moved cell leaves one pipeline slot later.
+    InputQueuedSwitch sw({.n = 4, .output_speedup = 1, .pipelined = true},
+                         pim());
+    sw.acceptCell(vbrCell(5, 0, 1, 0));
+    EXPECT_EQ(sw.runSlot(0).size(), 0u);  // pipeline fill
+    sw.rebindFlow(0, TrafficClass::VBR, 5, 2);
+    EXPECT_EQ(sw.runSlot(1).size(), 0u);
+    const auto& departed = sw.runSlot(2);
+    ASSERT_EQ(departed.size(), 1u);
+    EXPECT_EQ(departed[0].output, 2);
+    EXPECT_EQ(sw.bufferedCells(), 0);
+}
+
+TEST(IqSwitchTest, RebindCbrFlowRidesTheNewReservation)
+{
+    SlepianDuguidScheduler sd(4, 4);
+    ASSERT_TRUE(sd.addReservation(0, 1, 1));
+    InputQueuedSwitch sw({.n = 4}, pim(), &sd.schedule());
+    for (int s = 0; s < 2; ++s) {
+        Cell c = vbrCell(9, 0, 1, s);
+        c.cls = TrafficClass::CBR;
+        sw.acceptCell(c);
+    }
+    // Move the reservation and the queued cells to output 3.
+    sd.removeReservation(0, 1, 1);
+    ASSERT_TRUE(sd.addReservation(0, 3, 1));
+    sw.rebindFlow(0, TrafficClass::CBR, 9, 3);
+    std::vector<int64_t> seqs;
+    for (SlotTime slot = 0; slot < 8; ++slot) {
+        for (const Cell& d : sw.runSlot(slot)) {
+            EXPECT_EQ(d.output, 3);
+            seqs.push_back(d.seq);
+        }
+    }
+    EXPECT_EQ(seqs, (std::vector<int64_t>{0, 1}));
+    EXPECT_EQ(sw.cbrForwarded(), 2);
+    EXPECT_EQ(sw.vbrRequests().numEdges(), 0);  // CBR never requests
+}
+
+TEST(IqSwitchTest, PurgeCbrFlowKeepsTheLedgerBalanced)
+{
+    SlepianDuguidScheduler sd(4, 4);
+    ASSERT_TRUE(sd.addReservation(0, 1, 1));
+    InputQueuedSwitch sw({.n = 4}, pim(), &sd.schedule());
+    auto cbr = [&](FlowId f, int64_t seq) {
+        Cell c = vbrCell(f, 0, 1, seq);
+        c.cls = TrafficClass::CBR;
+        sw.acceptCell(c);
+    };
+    for (int s = 0; s < 3; ++s)
+        cbr(9, s);
+    cbr(10, 0);
+    EXPECT_EQ(sw.purgeCbrFlow(0, 9), 3);
+    EXPECT_EQ(sw.purgeCbrFlow(1, 9), 0);  // nothing queued at input 1
+    EXPECT_EQ(sw.invariants().purged(), 3);
+    EXPECT_EQ(sw.bufferedCells(), 1);
+    // runSlot checks accepted == departed + purged + buffered each slot.
+    int64_t departed = 0;
+    for (SlotTime slot = 0; slot < 4; ++slot)
+        for (const Cell& d : sw.runSlot(slot)) {
+            EXPECT_EQ(d.flow, 10);
+            ++departed;
+        }
+    EXPECT_EQ(departed, 1);
+    EXPECT_EQ(sw.invariants().accepted(), 4);
+    EXPECT_EQ(sw.bufferedCells(), 0);
 }
 
 TEST(IqSwitchTest, NameDescribesConfiguration)

@@ -1,9 +1,11 @@
 // Unit tests for the network node internals: Controller frame pacing and
-// padding, NetSwitch routing validation (an2/network/*). The multi-node
-// behaviours live in network_test.cc; these drive the nodes directly.
+// padding, NetSwitch routing validation and rerouting (an2/network/*).
+// The multi-node behaviours live in network_test.cc; these drive the
+// nodes directly.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "an2/matching/pim.h"
 #include "an2/network/controller.h"
@@ -158,6 +160,91 @@ TEST(NetSwitchUnitTest, PortWiringValidated)
     sw.setInLink(0, &link);
     EXPECT_THROW(sw.setInLink(0, &link), UsageError);  // already wired
     EXPECT_THROW(sw.setOutLink(5, &link), UsageError);  // out of range
+}
+
+/** Expect `sw.tick()` to fail naming switch 3 and its unlinked port 1. */
+void
+expectUnlinkedPortError(NetSwitch& sw)
+{
+    try {
+        sw.tick();
+        ADD_FAILURE() << "a cell reached an unlinked output";
+    } catch (const UsageError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("switch 3"), std::string::npos) << what;
+        EXPECT_NE(what.find("output port 1"), std::string::npos) << what;
+    }
+}
+
+TEST(NetSwitchUnitTest, VbrCellToUnlinkedOutputRejected)
+{
+    NetSwitch sw(3, LocalClock(kSlotPs, 0.0), 2, 10, pim(6));
+    NetLink in(0);
+    sw.setInLink(0, &in);
+    ASSERT_TRUE(sw.addRoute(5, 0, 1, TrafficClass::VBR, 0));
+    Cell c;
+    c.flow = 5;
+    c.cls = TrafficClass::VBR;
+    in.send(c, 0);
+    expectUnlinkedPortError(sw);
+}
+
+TEST(NetSwitchUnitTest, CbrCellToUnlinkedOutputRejected)
+{
+    NetSwitch sw(3, LocalClock(kSlotPs, 0.0), 2, 10, pim(7));
+    NetLink in(0);
+    sw.setInLink(0, &in);
+    ASSERT_TRUE(sw.addRoute(6, 0, 1, TrafficClass::CBR, 10));
+    Cell c;
+    c.flow = 6;
+    c.cls = TrafficClass::CBR;
+    in.send(c, 0);
+    expectUnlinkedPortError(sw);
+}
+
+TEST(NetSwitchUnitTest, VbrRerouteMovesQueuedCellsInFifoOrder)
+{
+    // Three cells of one flow arrive together; one leaves per tick. After
+    // the first, the route moves to port 2: the two still queued and a
+    // later arrival leave on the new link, in sequence order.
+    NetSwitch sw(0, LocalClock(kSlotPs, 0.0), 3, 10, pim(8));
+    NetLink in(0);
+    NetLink old_out(0);
+    NetLink new_out(0);
+    sw.setInLink(0, &in);
+    sw.setOutLink(1, &old_out);
+    sw.setOutLink(2, &new_out);
+    ASSERT_TRUE(sw.addRoute(5, 0, 1, TrafficClass::VBR, 0));
+    Cell c;
+    c.flow = 5;
+    c.cls = TrafficClass::VBR;
+    for (c.seq = 0; c.seq < 3; ++c.seq)
+        in.send(c, 0);
+    sw.tick();
+    sw.updateRoute(5, 2);
+    in.send(c, kSlotPs);  // seq 3, after the update
+    for (int t = 0; t < 4; ++t)
+        sw.tick();
+
+    auto before = old_out.deliverUpTo(kSlotPs * 100);
+    ASSERT_EQ(before.size(), 1u);
+    EXPECT_EQ(before[0].seq, 0);
+    auto after = new_out.deliverUpTo(kSlotPs * 100);
+    ASSERT_EQ(after.size(), 3u);
+    for (size_t k = 0; k < after.size(); ++k)
+        EXPECT_EQ(after[k].seq, static_cast<int64_t>(k + 1));
+    EXPECT_EQ(sw.vbrForwarded(), 4);
+}
+
+TEST(NetSwitchUnitTest, RerouteRejectedForCbrAndMergedQueues)
+{
+    NetSwitch sw(0, LocalClock(kSlotPs, 0.0), 3, 10, pim(9));
+    ASSERT_TRUE(sw.addRoute(1, 0, 1, TrafficClass::CBR, 2));
+    EXPECT_THROW(sw.updateRoute(1, 2), UsageError);  // pinned reservation
+    EXPECT_THROW(sw.updateRoute(7, 2), UsageError);  // unknown flow
+    NetSwitch merged(1, LocalClock(kSlotPs, 0.0), 3, 10, pim(10), true);
+    ASSERT_TRUE(merged.addRoute(2, 0, 1, TrafficClass::VBR, 0));
+    EXPECT_THROW(merged.updateRoute(2, 2), UsageError);
 }
 
 }  // namespace

@@ -156,18 +156,17 @@ TEST(NetworkTest, AppendixBLatencyAndBufferBoundsHold)
     double buf_bound = bufferBound(t, kHops) * kCellsPerFrame;
     double frames_bound = maxActiveFrames(t, kHops);
     for (NodeId sw_id : {s1, s2, s3}) {
-        const auto& occ = net.netSwitch(sw_id).occupancy();
-        auto it = occ.max_per_cbr_flow.find(f);
-        ASSERT_NE(it, occ.max_per_cbr_flow.end());
-        EXPECT_LE(it->second, std::ceil(buf_bound));
-        EXPECT_GE(it->second, 1);
+        const NetSwitch& sw = net.netSwitch(sw_id);
+        EXPECT_LE(sw.maxQueuedCells(f), std::ceil(buf_bound));
+        EXPECT_GE(sw.maxQueuedCells(f), 1);
         // First displayed formula of B.2: consecutive active frames
         // (per cell class) are bounded.
-        auto af = occ.max_active_frames.find(f);
-        ASSERT_NE(af, occ.max_active_frames.end());
-        EXPECT_LE(af->second, frames_bound);
-        EXPECT_GE(af->second, 1);
+        EXPECT_LE(sw.maxActiveFrames(f), frames_bound);
+        EXPECT_GE(sw.maxActiveFrames(f), 1);
     }
+    // Unknown flows read as zero rather than failing.
+    EXPECT_EQ(net.netSwitch(s1).maxQueuedCells(f + 1000), 0);
+    EXPECT_EQ(net.netSwitch(s1).maxActiveFrames(f + 1000), 0);
 }
 
 TEST(NetworkTest, TwoSourcesShareBottleneckRoughlyEqually)

@@ -226,6 +226,120 @@ TEST(InputBufferTest, OccupancyMaskTracksDequeueFlow)
     EXPECT_FALSE(wordset::testBit(buf.occupancyMask(), 2));
 }
 
+// ------------------------------------------- InputBuffer rebind / purge
+
+TEST(InputBufferTest, RebindMovesQueuedCellsInFifoOrder)
+{
+    InputBuffer buf(4);
+    for (int s = 0; s < 4; ++s)
+        buf.enqueue(makeCell(7, 0, 1, s));
+    EXPECT_EQ(buf.rebindFlow(7, 3), 4);
+    EXPECT_EQ(buf.totalCells(), 4);
+    EXPECT_EQ(buf.cellCountFor(1), 0);
+    EXPECT_EQ(buf.cellCountFor(3), 4);
+    EXPECT_FALSE(wordset::testBit(buf.occupancyMask(), 1));
+    EXPECT_TRUE(wordset::testBit(buf.occupancyMask(), 3));
+    EXPECT_EQ(buf.eligibleFlowsFor(1), 0);
+    EXPECT_EQ(buf.eligibleFlowsFor(3), 1);
+    for (int s = 0; s < 4; ++s) {
+        Cell c = buf.dequeueFor(3);
+        EXPECT_EQ(c.seq, s);
+        EXPECT_EQ(c.output, 3);  // retagged in place
+    }
+    EXPECT_FALSE(wordset::anySet(buf.occupancyMask(), 1));
+    // The flow stays bound to its new output.
+    EXPECT_NO_THROW(buf.enqueue(makeCell(7, 0, 3, 4)));
+    EXPECT_THROW(buf.enqueue(makeCell(7, 0, 1, 5)), UsageError);
+}
+
+TEST(InputBufferTest, RebindNoOpsMoveNothing)
+{
+    InputBuffer buf(4);
+    EXPECT_EQ(buf.rebindFlow(9, 2), 0);  // no state for the flow
+    buf.enqueue(makeCell(1, 0, 2, 0));
+    EXPECT_EQ(buf.rebindFlow(1, 2), 0);  // already bound there
+    EXPECT_EQ(buf.cellCountFor(2), 1);
+    // A drained flow moves no cells; its next enqueue binds afresh.
+    buf.dequeueFor(2);
+    EXPECT_EQ(buf.rebindFlow(1, 3), 0);
+    EXPECT_NO_THROW(buf.enqueue(makeCell(1, 0, 0, 1)));
+    EXPECT_EQ(buf.dequeueFor(0).seq, 1);
+    EXPECT_THROW(buf.rebindFlow(1, 4), UsageError);  // output out of range
+}
+
+TEST(InputBufferTest, RebindOntoAnOccupiedOutputSharesRoundRobin)
+{
+    // Output 2 holds flow 1 alone (the single-flow fast path); moving
+    // flow 2 onto it must restore round-robin service between the two.
+    InputBuffer buf(4);
+    for (int s = 0; s < 2; ++s) {
+        buf.enqueue(makeCell(1, 0, 2, s));
+        buf.enqueue(makeCell(2, 0, 3, s));
+    }
+    EXPECT_EQ(buf.rebindFlow(2, 2), 2);
+    EXPECT_EQ(buf.cellCountFor(2), 4);
+    EXPECT_EQ(buf.eligibleFlowsFor(2), 2);
+    EXPECT_FALSE(buf.hasCellFor(3));
+    std::vector<FlowId> order;
+    while (buf.hasCellFor(2))
+        order.push_back(buf.dequeueFor(2).flow);
+    EXPECT_EQ(order, (std::vector<FlowId>{1, 2, 1, 2}));
+}
+
+TEST(InputBufferTest, RebindOffASharedOutputLeavesTheOtherFlow)
+{
+    InputBuffer buf(4);
+    for (int s = 0; s < 2; ++s) {
+        buf.enqueue(makeCell(1, 0, 2, s));
+        buf.enqueue(makeCell(2, 0, 2, s));
+    }
+    EXPECT_EQ(buf.rebindFlow(1, 0), 2);
+    EXPECT_EQ(buf.eligibleFlowsFor(2), 1);
+    EXPECT_EQ(buf.eligibleFlowsFor(0), 1);
+    EXPECT_EQ(buf.dequeueFor(2).flow, 2);
+    EXPECT_EQ(buf.dequeueFor(2).flow, 2);
+    EXPECT_FALSE(wordset::testBit(buf.occupancyMask(), 2));
+    EXPECT_EQ(buf.dequeueFor(0).seq, 0);
+    EXPECT_EQ(buf.dequeueFor(0).seq, 1);
+    EXPECT_EQ(buf.totalCells(), 0);
+}
+
+TEST(InputBufferTest, PurgeDropsOneFlowAndKeepsTheRest)
+{
+    InputBuffer buf(4);
+    for (int s = 0; s < 3; ++s)
+        buf.enqueue(makeCell(1, 0, 2, s));
+    for (int s = 0; s < 2; ++s)
+        buf.enqueue(makeCell(2, 0, 2, s));
+    EXPECT_EQ(buf.purgeFlow(1), 3);
+    EXPECT_EQ(buf.totalCells(), 2);
+    EXPECT_EQ(buf.cellCountFor(2), 2);
+    EXPECT_EQ(buf.eligibleFlowsFor(2), 1);
+    EXPECT_FALSE(buf.flowHasCell(1));
+    EXPECT_EQ(buf.dequeueFor(2).seq, 0);
+    EXPECT_EQ(buf.dequeueFor(2).seq, 1);
+    EXPECT_FALSE(wordset::testBit(buf.occupancyMask(), 2));
+    EXPECT_EQ(buf.purgeFlow(1), 0);  // already purged
+    EXPECT_EQ(buf.purgeFlow(9), 0);  // never seen
+    // A purged flow's next enqueue binds afresh.
+    EXPECT_NO_THROW(buf.enqueue(makeCell(1, 0, 3, 3)));
+    EXPECT_EQ(buf.dequeueFor(3).seq, 3);
+}
+
+TEST(InputBufferTest, PurgeSoleFlowClearsItsOutput)
+{
+    InputBuffer buf(4);
+    buf.enqueue(makeCell(4, 0, 1, 0));
+    buf.enqueue(makeCell(4, 0, 1, 1));
+    EXPECT_EQ(buf.purgeFlow(4), 2);
+    EXPECT_FALSE(buf.hasCellFor(1));
+    EXPECT_EQ(buf.eligibleFlowsFor(1), 0);
+    EXPECT_FALSE(wordset::anySet(buf.occupancyMask(), 1));
+    // A second flow can now take the output alone.
+    buf.enqueue(makeCell(5, 0, 1, 0));
+    EXPECT_EQ(buf.dequeueFor(1).flow, 5);
+}
+
 // ------------------------------------------------------------- RingQueue
 
 TEST(RingQueueTest, FifoOrderAcrossGrowth)
