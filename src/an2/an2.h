@@ -41,7 +41,6 @@
 #include "an2/matching/statistical.h"
 #include "an2/matching/windowed_fifo.h"
 
-#include "an2/queueing/flow_queue.h"
 #include "an2/queueing/output_queue.h"
 #include "an2/queueing/voq.h"
 

@@ -4,10 +4,11 @@
  * built for per-flow bookkeeping on hot paths (per-flow counts in the
  * metrics collector, routes in the LAN switch, flow slots in the VOQs):
  * looking up or mutating a key already present performs no heap
- * allocation, so sizing the constructor hint to the expected key
- * population keeps a steady-state loop allocation-free after every key
- * has been touched once (asserted for the network delivery path in
- * tests/zero_alloc_test.cc).
+ * allocation, so a steady-state loop is allocation-free once every key
+ * has been touched (asserted for the network delivery path in
+ * tests/zero_alloc_test.cc). The default table is the 16-slot minimum
+ * and grows on first touch; pass a hint only where the population is
+ * known up front.
  *
  * The table doubles only when a *new* key pushes the load factor past
  * 1/2. Values must be default-constructible and are value-initialized
@@ -35,7 +36,7 @@ class FlatMap
   public:
     /** @param expected_keys Sizing hint; the table starts with capacity
         for at least this many keys without rehashing. */
-    explicit FlatMap(int expected_keys = 64)
+    explicit FlatMap(int expected_keys = 8)
     {
         size_t cap = 16;
         while (cap < 2 * static_cast<size_t>(std::max(expected_keys, 1)))
@@ -46,14 +47,16 @@ class FlatMap
     /** Value slot for `key`, value-initialized when absent. */
     V& operator[](int32_t key)
     {
-        if (2 * (used_ + 1) > slots_.size())
-            grow();
         Slot* s = find(slots_, key);
-        if (!s->occupied) {
-            s->occupied = true;
-            s->key = key;
-            ++used_;
+        if (s->occupied)
+            return s->value;
+        if (2 * (used_ + 1) > slots_.size()) {
+            grow();
+            s = find(slots_, key);
         }
+        s->occupied = true;
+        s->key = key;
+        ++used_;
         return s->value;
     }
 

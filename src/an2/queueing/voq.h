@@ -12,20 +12,18 @@
  * Viewed per output, this structure is a virtual output queue (VOQ);
  * the class name reflects that common framing.
  *
- * Layout: per-flow state lives in a dense append-only vector; a flat
- * integer-keyed index maps flow ids to vector slots, and the per-output
- * eligible rings store slot indices directly. Enqueue therefore costs
- * one linear-probe lookup, and dequeue — the matching-driven hot path —
- * touches no hash structure at all.
+ * Layout: like the hardware's one cell memory per port, queued cells
+ * live in a single per-input slab of {cell, next} entries. A flow's FIFO
+ * is a chain of `int32` next-links through the slab, and freed entries
+ * form a free list, so the buffer's cell memory is bounded by the most
+ * cells it has held at once, whatever the number of flows. A flow is
+ * head, tail and count plus one link in its output's eligible list; an
+ * output is its cell count and the head and tail of that list.
  *
- * Single-flow fast path: most workloads route exactly one flow to each
- * (input, output) pair, so each per-output record carries the slot of
- * the *sole* flow bound to that output (sticky: it degrades to "many"
- * the moment a second flow binds and never recovers). While an output
- * is single-flow, enqueue skips the flow-index probe and dequeue skips
- * the eligible ring entirely — the round-robin among one flow is the
- * identity — and the transition to many flows restores the eligible
- * list to exactly the state the general path would have maintained.
+ * A flat integer-keyed index maps flow ids to flow slots. Each output
+ * also remembers the slot of the last flow enqueued there, so a run of
+ * cells for one flow skips the index probe. Dequeue — the
+ * matching-driven hot path — touches no hash structure at all.
  */
 #ifndef AN2_QUEUEING_VOQ_H
 #define AN2_QUEUEING_VOQ_H
@@ -34,7 +32,6 @@
 #include <vector>
 
 #include "an2/base/flat_map.h"
-#include "an2/base/ring.h"
 #include "an2/cell/cell.h"
 #include "an2/cell/flow.h"
 
@@ -72,17 +69,6 @@ class InputBuffer
     /** Total buffered cells at this input. */
     int totalCells() const { return total_cells_; }
 
-    /**
-     * Occupancy bitmask: bit j set iff some cell is queued for output j.
-     * Maintained incrementally on enqueue/dequeue; this is the input's
-     * request row, read directly by the switch to patch its persistent
-     * request matrix instead of rescanning every (input, output) pair.
-     */
-    const uint64_t* occupancyMask() const { return occ_.data(); }
-
-    /** Number of 64-bit words in occupancyMask(). */
-    int occupancyWords() const { return static_cast<int>(occ_.size()); }
-
     /** Number of distinct eligible flows for output j. */
     int eligibleFlowsFor(PortId j) const;
 
@@ -92,20 +78,11 @@ class InputBuffer
      */
     Cell dequeueFor(PortId j);
 
-    /** True when a specific flow has at least one queued cell. */
-    bool flowHasCell(FlowId f) const;
-
-    /**
-     * Dequeue the head cell of a specific flow (used by the CBR frame
-     * schedule, which reserves slots per flow). Requires flowHasCell(f).
-     */
-    Cell dequeueFlow(FlowId f);
-
     /**
      * Repoint a flow at a new output (VBR rerouting). Queued cells are
-     * retagged in FIFO order and the per-output counts, occupancy bits,
-     * and eligible lists move with them; a no-op when the flow has no
-     * state here or is already bound to `new_output`.
+     * retagged in FIFO order and the per-output counts and eligible
+     * lists move with them; a no-op when the flow has no state here or
+     * is already bound to `new_output`.
      * @return the number of cells moved.
      */
     int rebindFlow(FlowId f, PortId new_output);
@@ -113,72 +90,73 @@ class InputBuffer
     /**
      * Discard every queued cell of a flow (CBR path restoration: cells
      * buffered at a switch that left the flow's path can never be
-     * scheduled again). Counts, occupancy bits, and eligible lists are
-     * maintained; the flow's slot survives for later re-use.
+     * scheduled again). Counts and eligible lists are maintained; the
+     * flow's slot survives for later re-use.
      * @return the number of cells discarded.
      */
     int purgeFlow(FlowId f);
 
   private:
+    /** End of a slab chain or eligible list; an unset cache entry. */
+    static constexpr int32_t kNil = -1;
+
+    /** One slab entry: a queued cell and the next cell of its flow, or,
+        on the free list, the next free entry. */
+    struct Entry
+    {
+        Cell cell;
+        int32_t next = kNil;
+    };
+
     struct PerFlow
     {
-        /** Per-flow FIFO; a ring so steady-state churn never allocates
-            (std::deque slides through 512-byte blocks as it rotates). */
-        RingQueue<Cell> cells;
-        bool eligible_listed = false;  ///< present in an eligible list
+        FlowId key = kNoFlow;          ///< the queue key of this slot
         PortId output = kNoPort;       ///< the flow's routed output
-        FlowId flow = kNoFlow;         ///< the flow this slot belongs to
+        int32_t head = kNil;           ///< oldest queued cell (slab index)
+        int32_t tail = kNil;           ///< newest queued cell (slab index)
+        int32_t count = 0;             ///< queued cells
+        int32_t next_eligible = kNil;  ///< next flow in the output's list
     };
 
     /**
-     * Per-output bookkeeping, one cache-resident record combining the
-     * queued-cell count with the single-flow fast-path hint so the hot
-     * paths touch one line per output instead of two arrays.
+     * Per-output bookkeeping in one record, so the hot paths touch one
+     * line per output. A flow is in its output's eligible list iff it
+     * has a queued cell.
      */
     struct PerOutput
     {
-        int32_t cells = 0;  ///< cells queued for this output (all flows)
-        /** slots_ index + 1 of the only flow ever bound to this output;
-            0 = none yet, -1 = two or more (sticky). */
-        int32_t sole = 0;
+        int32_t cells = 0;     ///< cells queued for this output (all flows)
+        int32_t head = kNil;   ///< next flow to serve (flows_ index)
+        int32_t tail = kNil;   ///< last flow in the round-robin order
+        int32_t last = kNil;   ///< flow most recently enqueued here
     };
 
-    /** Index into slots_ for flow f, creating the slot on first touch. */
+    /** Index into flows_ for key f, creating the slot on first touch. */
     int32_t flowSlot(FlowId f);
 
-    /** Record one fewer cell for output j, keeping occ_ in sync. */
-    void noteDequeued(PortId j);
+    /** A slab entry holding `cell`, from the free list when possible. */
+    int32_t allocEntry(const Cell& cell);
 
-    /**
-     * Output j is gaining a second flow: re-establish the general-path
-     * eligible-list invariant (listed iff non-empty) that the direct
-     * single-flow paths elide, then mark the output multi-flow.
-     */
-    void reconcileSole(PerOutput& po, PortId j);
+    /** Seat flow `slot` at the back of `po`'s eligible list. */
+    void appendEligible(PerOutput& po, int32_t slot);
+
+    /** Take flow `slot` out of `po`'s eligible list, wherever it sits. */
+    void unlinkEligible(PerOutput& po, int32_t slot);
 
     int n_outputs_;
     int total_cells_ = 0;
-    /**
-     * FlowId -> slots_ index + 1 (0 = absent). A linear-probe flat map,
-     * so the enqueue path's lookup is one multiply and a short probe;
-     * the map is consulted only when a cell arrives or a caller names a
-     * flow explicitly — the dequeue path below never hashes at all.
-     */
+    /** FlowId -> flows_ index + 1 (0 = absent). Consulted only when a
+        cell arrives for a flow other than its output's last one, or a
+        caller names a flow explicitly. */
     FlatMap<int32_t> flow_index_;
     /** Per-flow state, append-only (flows are never removed, matching
         the paper's per-connection queue model). */
-    std::vector<PerFlow> slots_;
-    /**
-     * Round-robin eligible list per output, holding slots_ *indices*
-     * (not flow ids): serving an output is ring-pop + direct vector
-     * access. A ring (not a deque) so steady-state rotation never
-     * allocates.
-     */
-    std::vector<RingQueue<int32_t>> eligible_;
-    /** Count + single-flow hint per output, maintained incrementally. */
+    std::vector<PerFlow> flows_;
     std::vector<PerOutput> per_output_;
-    /** Bit j set iff per_output_[j].cells > 0. */
-    std::vector<uint64_t> occ_;
+    /** The cell memory; grows by doubling, never shrinks. */
+    std::vector<Entry> slab_;
+    /** Head of the free entries' chain through slab_. */
+    int32_t free_ = kNil;
 };
 
 }  // namespace an2

@@ -1,10 +1,13 @@
-// Tests for the queueing substrates: per-flow FIFOs, the random-access
-// input buffer with eligible-flow lists, and output queues.
+// Tests for the queueing substrates: the random-access input buffer
+// with per-flow FIFOs and eligible-flow lists, and output queues.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+
 #include "an2/base/ring.h"
-#include "an2/matching/wordset.h"
-#include "an2/queueing/flow_queue.h"
+#include "an2/base/rng.h"
 #include "an2/queueing/output_queue.h"
 #include "an2/queueing/voq.h"
 
@@ -20,34 +23,6 @@ makeCell(FlowId flow, PortId input, PortId output, int64_t seq)
     c.output = output;
     c.seq = seq;
     return c;
-}
-
-// ----------------------------------------------------------- FlowQueue
-
-TEST(FlowQueueTest, FifoOrder)
-{
-    FlowQueue q;
-    for (int s = 0; s < 5; ++s)
-        q.push(makeCell(0, 0, 0, s));
-    EXPECT_EQ(q.size(), 5);
-    for (int s = 0; s < 5; ++s)
-        EXPECT_EQ(q.pop().seq, s);
-    EXPECT_TRUE(q.empty());
-}
-
-TEST(FlowQueueTest, FrontDoesNotPop)
-{
-    FlowQueue q;
-    q.push(makeCell(0, 0, 0, 7));
-    EXPECT_EQ(q.front().seq, 7);
-    EXPECT_EQ(q.size(), 1);
-}
-
-TEST(FlowQueueTest, EmptyAccessPanics)
-{
-    FlowQueue q;
-    EXPECT_THROW(q.front(), InternalError);
-    EXPECT_THROW(q.pop(), InternalError);
 }
 
 // ---------------------------------------------------------- InputBuffer
@@ -109,41 +84,6 @@ TEST(InputBufferTest, DequeueEmptyOutputRejected)
     EXPECT_THROW(buf.dequeueFor(0), UsageError);
 }
 
-TEST(InputBufferTest, DequeueSpecificFlow)
-{
-    InputBuffer buf(4);
-    buf.enqueue(makeCell(5, 0, 3, 0));
-    buf.enqueue(makeCell(6, 0, 3, 0));
-    EXPECT_TRUE(buf.flowHasCell(6));
-    Cell c = buf.dequeueFlow(6);
-    EXPECT_EQ(c.flow, 6);
-    EXPECT_FALSE(buf.flowHasCell(6));
-    EXPECT_EQ(buf.cellCountFor(3), 1);
-}
-
-TEST(InputBufferTest, StaleEligibleEntryAfterDequeueFlow)
-{
-    // dequeueFlow leaves a stale entry in the eligible list; a later
-    // dequeueFor must skip it and still find the live flow.
-    InputBuffer buf(4);
-    buf.enqueue(makeCell(1, 0, 2, 0));  // flow 1 listed first
-    buf.enqueue(makeCell(2, 0, 2, 0));
-    buf.dequeueFlow(1);  // empties flow 1, entry goes stale
-    ASSERT_TRUE(buf.hasCellFor(2));
-    EXPECT_EQ(buf.dequeueFor(2).flow, 2);
-    EXPECT_FALSE(buf.hasCellFor(2));
-}
-
-TEST(InputBufferTest, ReEnqueueAfterStaleEntryStillReachable)
-{
-    InputBuffer buf(4);
-    buf.enqueue(makeCell(1, 0, 2, 0));
-    buf.dequeueFlow(1);  // stale but still listed
-    buf.enqueue(makeCell(1, 0, 2, 1));  // flag prevents double listing
-    EXPECT_EQ(buf.dequeueFor(2).seq, 1);
-    EXPECT_EQ(buf.totalCells(), 0);
-}
-
 TEST(InputBufferTest, InvalidCellsRejected)
 {
     InputBuffer buf(2);
@@ -164,12 +104,6 @@ TEST(InputBufferTest, FlowCannotChangeOutput)
     buf.dequeueFor(2);
     EXPECT_THROW(buf.enqueue(makeCell(1, 0, 3, 1)), UsageError);
     EXPECT_NO_THROW(buf.enqueue(makeCell(1, 0, 2, 1)));
-}
-
-TEST(InputBufferTest, DequeueFlowWithoutCellRejected)
-{
-    InputBuffer buf(2);
-    EXPECT_THROW(buf.dequeueFlow(3), UsageError);
 }
 
 // ---------------------------------------------------------- OutputQueue
@@ -195,35 +129,29 @@ TEST(OutputQueueTest, PopEmptyPanics)
 
 // ------------------------------------------------- InputBuffer occupancy
 
-TEST(InputBufferTest, OccupancyMaskTracksQueuedOutputs)
+TEST(InputBufferTest, OccupancyTracksQueuedOutputs)
 {
-    InputBuffer buf(70);  // two mask words
-    EXPECT_EQ(buf.occupancyWords(), 2);
-    EXPECT_FALSE(wordset::anySet(buf.occupancyMask(), 2));
+    InputBuffer buf(70);
+    for (PortId j = 0; j < 70; ++j)
+        EXPECT_FALSE(buf.hasCellFor(j));
 
     buf.enqueue(makeCell(1, 0, 3, 0));
     buf.enqueue(makeCell(1, 0, 3, 1));
     buf.enqueue(makeCell(2, 0, 68, 2));
-    EXPECT_TRUE(wordset::testBit(buf.occupancyMask(), 3));
-    EXPECT_TRUE(wordset::testBit(buf.occupancyMask(), 68));
-    EXPECT_EQ(wordset::popcountAll(buf.occupancyMask(), 2), 2);
+    EXPECT_EQ(buf.cellCountFor(3), 2);
+    EXPECT_EQ(buf.cellCountFor(68), 1);
+    int occupied = 0;
+    for (PortId j = 0; j < 70; ++j)
+        occupied += buf.hasCellFor(j) ? 1 : 0;
+    EXPECT_EQ(occupied, 2);
 
-    // The bit stays while any cell remains, clears on the last dequeue.
+    // An output stays occupied while any cell remains.
     buf.dequeueFor(3);
-    EXPECT_TRUE(wordset::testBit(buf.occupancyMask(), 3));
+    EXPECT_TRUE(buf.hasCellFor(3));
     buf.dequeueFor(3);
-    EXPECT_FALSE(wordset::testBit(buf.occupancyMask(), 3));
+    EXPECT_FALSE(buf.hasCellFor(3));
     buf.dequeueFor(68);
-    EXPECT_FALSE(wordset::anySet(buf.occupancyMask(), 2));
-}
-
-TEST(InputBufferTest, OccupancyMaskTracksDequeueFlow)
-{
-    InputBuffer buf(8);
-    buf.enqueue(makeCell(5, 0, 2, 0));
-    EXPECT_TRUE(wordset::testBit(buf.occupancyMask(), 2));
-    buf.dequeueFlow(5);
-    EXPECT_FALSE(wordset::testBit(buf.occupancyMask(), 2));
+    EXPECT_EQ(buf.totalCells(), 0);
 }
 
 // ------------------------------------------- InputBuffer rebind / purge
@@ -237,8 +165,8 @@ TEST(InputBufferTest, RebindMovesQueuedCellsInFifoOrder)
     EXPECT_EQ(buf.totalCells(), 4);
     EXPECT_EQ(buf.cellCountFor(1), 0);
     EXPECT_EQ(buf.cellCountFor(3), 4);
-    EXPECT_FALSE(wordset::testBit(buf.occupancyMask(), 1));
-    EXPECT_TRUE(wordset::testBit(buf.occupancyMask(), 3));
+    EXPECT_FALSE(buf.hasCellFor(1));
+    EXPECT_TRUE(buf.hasCellFor(3));
     EXPECT_EQ(buf.eligibleFlowsFor(1), 0);
     EXPECT_EQ(buf.eligibleFlowsFor(3), 1);
     for (int s = 0; s < 4; ++s) {
@@ -246,7 +174,7 @@ TEST(InputBufferTest, RebindMovesQueuedCellsInFifoOrder)
         EXPECT_EQ(c.seq, s);
         EXPECT_EQ(c.output, 3);  // retagged in place
     }
-    EXPECT_FALSE(wordset::anySet(buf.occupancyMask(), 1));
+    EXPECT_EQ(buf.totalCells(), 0);
     // The flow stays bound to its new output.
     EXPECT_NO_THROW(buf.enqueue(makeCell(7, 0, 3, 4)));
     EXPECT_THROW(buf.enqueue(makeCell(7, 0, 1, 5)), UsageError);
@@ -269,8 +197,8 @@ TEST(InputBufferTest, RebindNoOpsMoveNothing)
 
 TEST(InputBufferTest, RebindOntoAnOccupiedOutputSharesRoundRobin)
 {
-    // Output 2 holds flow 1 alone (the single-flow fast path); moving
-    // flow 2 onto it must restore round-robin service between the two.
+    // Output 2 holds flow 1 alone; moving flow 2 onto it must give the
+    // two round-robin service, flow 2 taking the back seat.
     InputBuffer buf(4);
     for (int s = 0; s < 2; ++s) {
         buf.enqueue(makeCell(1, 0, 2, s));
@@ -298,7 +226,7 @@ TEST(InputBufferTest, RebindOffASharedOutputLeavesTheOtherFlow)
     EXPECT_EQ(buf.eligibleFlowsFor(0), 1);
     EXPECT_EQ(buf.dequeueFor(2).flow, 2);
     EXPECT_EQ(buf.dequeueFor(2).flow, 2);
-    EXPECT_FALSE(wordset::testBit(buf.occupancyMask(), 2));
+    EXPECT_FALSE(buf.hasCellFor(2));
     EXPECT_EQ(buf.dequeueFor(0).seq, 0);
     EXPECT_EQ(buf.dequeueFor(0).seq, 1);
     EXPECT_EQ(buf.totalCells(), 0);
@@ -315,10 +243,12 @@ TEST(InputBufferTest, PurgeDropsOneFlowAndKeepsTheRest)
     EXPECT_EQ(buf.totalCells(), 2);
     EXPECT_EQ(buf.cellCountFor(2), 2);
     EXPECT_EQ(buf.eligibleFlowsFor(2), 1);
-    EXPECT_FALSE(buf.flowHasCell(1));
-    EXPECT_EQ(buf.dequeueFor(2).seq, 0);
-    EXPECT_EQ(buf.dequeueFor(2).seq, 1);
-    EXPECT_FALSE(wordset::testBit(buf.occupancyMask(), 2));
+    for (int s = 0; s < 2; ++s) {
+        Cell c = buf.dequeueFor(2);
+        EXPECT_EQ(c.flow, 2);  // nothing of flow 1 is left
+        EXPECT_EQ(c.seq, s);
+    }
+    EXPECT_FALSE(buf.hasCellFor(2));
     EXPECT_EQ(buf.purgeFlow(1), 0);  // already purged
     EXPECT_EQ(buf.purgeFlow(9), 0);  // never seen
     // A purged flow's next enqueue binds afresh.
@@ -334,10 +264,212 @@ TEST(InputBufferTest, PurgeSoleFlowClearsItsOutput)
     EXPECT_EQ(buf.purgeFlow(4), 2);
     EXPECT_FALSE(buf.hasCellFor(1));
     EXPECT_EQ(buf.eligibleFlowsFor(1), 0);
-    EXPECT_FALSE(wordset::anySet(buf.occupancyMask(), 1));
+    EXPECT_EQ(buf.totalCells(), 0);
     // A second flow can now take the output alone.
     buf.enqueue(makeCell(5, 0, 1, 0));
     EXPECT_EQ(buf.dequeueFor(1).flow, 5);
+}
+
+// ---------------------------------------- InputBuffer differential oracle
+
+/**
+ * The paper's buffer written the obvious way: a std::deque of cells per
+ * queue key and, per output, a std::deque round-robin of the keys that
+ * have cells. Same contract as InputBuffer, no slab, no links, no cache.
+ */
+class ReferenceBuffer
+{
+  public:
+    explicit ReferenceBuffer(int n_outputs)
+        : rr_(static_cast<size_t>(n_outputs))
+    {
+    }
+
+    /** Output `key` is bound to, or kNoPort. */
+    PortId boundOutput(FlowId key) const
+    {
+        auto it = queues_.find(key);
+        return it == queues_.end() ? kNoPort : it->second.output;
+    }
+
+    void enqueueAs(FlowId key, const Cell& c)
+    {
+        Queue& q = queues_[key];
+        if (q.output == kNoPort)
+            q.output = c.output;
+        if (q.cells.empty())
+            rr_[static_cast<size_t>(c.output)].push_back(key);
+        q.cells.push_back(c);
+    }
+
+    Cell dequeueFor(PortId j)
+    {
+        std::deque<FlowId>& rr = rr_[static_cast<size_t>(j)];
+        const FlowId key = rr.front();
+        rr.pop_front();
+        Queue& q = queues_[key];
+        Cell c = q.cells.front();
+        q.cells.pop_front();
+        if (!q.cells.empty())
+            rr.push_back(key);
+        return c;
+    }
+
+    int rebindFlow(FlowId key, PortId to)
+    {
+        auto it = queues_.find(key);
+        if (it == queues_.end())
+            return 0;
+        Queue& q = it->second;
+        if (q.output == kNoPort || q.output == to)
+            return 0;
+        const int n = static_cast<int>(q.cells.size());
+        if (n == 0) {
+            q.output = kNoPort;
+            return 0;
+        }
+        leaveRoundRobin(q.output, key);
+        for (Cell& c : q.cells)
+            c.output = to;
+        q.output = to;
+        rr_[static_cast<size_t>(to)].push_back(key);
+        return n;
+    }
+
+    int purgeFlow(FlowId key)
+    {
+        auto it = queues_.find(key);
+        if (it == queues_.end() || it->second.output == kNoPort)
+            return 0;
+        Queue& q = it->second;
+        const int n = static_cast<int>(q.cells.size());
+        if (n > 0)
+            leaveRoundRobin(q.output, key);
+        q.cells.clear();
+        q.output = kNoPort;
+        return n;
+    }
+
+    int cellCountFor(PortId j) const
+    {
+        int n = 0;
+        for (FlowId key : rr_[static_cast<size_t>(j)])
+            n += static_cast<int>(queues_.at(key).cells.size());
+        return n;
+    }
+
+    int eligibleFlowsFor(PortId j) const
+    {
+        return static_cast<int>(rr_[static_cast<size_t>(j)].size());
+    }
+
+    int totalCells() const
+    {
+        int n = 0;
+        for (const auto& [key, q] : queues_)
+            n += static_cast<int>(q.cells.size());
+        return n;
+    }
+
+  private:
+    struct Queue
+    {
+        std::deque<Cell> cells;
+        PortId output = kNoPort;
+    };
+
+    void leaveRoundRobin(PortId j, FlowId key)
+    {
+        std::deque<FlowId>& rr = rr_[static_cast<size_t>(j)];
+        rr.erase(std::find(rr.begin(), rr.end(), key));
+    }
+
+    std::map<FlowId, Queue> queues_;
+    std::vector<std::deque<FlowId>> rr_;
+};
+
+TEST(InputBufferTest, MatchesNaiveReferenceUnderRandomOperations)
+{
+    // Per-flow keys 0..39 go through enqueue(); merge keys 100..107
+    // (the Figure 9 discipline) go through enqueueAs() with cells of
+    // arbitrary flows. Rebinds and purges hit bound, drained and
+    // never-seen keys alike.
+    constexpr int kOutputs = 9;
+    constexpr int kFlows = 40;
+    constexpr int kMergeKeys = 8;
+    constexpr int kOps = 1500;
+    for (uint64_t seed = 1; seed <= 150; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Xoshiro256 rng(seed);
+        InputBuffer buf(kOutputs);
+        ReferenceBuffer ref(kOutputs);
+        int64_t seq = 0;
+        for (int op = 0; op < kOps; ++op) {
+            const uint64_t roll = rng.nextBelow(100);
+            if (roll < 55) {
+                const bool merged = roll >= 40;
+                const FlowId key =
+                    merged ? 100 + static_cast<FlowId>(
+                                       rng.nextBelow(kMergeKeys))
+                           : static_cast<FlowId>(rng.nextBelow(kFlows));
+                PortId out = ref.boundOutput(key);
+                if (out == kNoPort)
+                    out = static_cast<PortId>(rng.nextBelow(kOutputs));
+                const FlowId flow =
+                    merged ? static_cast<FlowId>(rng.nextBelow(kFlows))
+                           : key;
+                Cell c = makeCell(flow, 0, out, seq++);
+                if (merged)
+                    buf.enqueueAs(key, c);
+                else
+                    buf.enqueue(c);
+                ref.enqueueAs(key, c);
+            } else if (roll < 92) {
+                const auto j = static_cast<PortId>(rng.nextBelow(kOutputs));
+                ASSERT_EQ(buf.hasCellFor(j), ref.cellCountFor(j) > 0);
+                if (!buf.hasCellFor(j))
+                    continue;
+                const Cell got = buf.dequeueFor(j);
+                const Cell want = ref.dequeueFor(j);
+                ASSERT_EQ(got.flow, want.flow) << "op " << op;
+                ASSERT_EQ(got.seq, want.seq) << "op " << op;
+                ASSERT_EQ(got.output, want.output) << "op " << op;
+            } else {
+                const bool merged = rng.nextBelow(4) == 0;
+                const FlowId key =
+                    merged ? 100 + static_cast<FlowId>(
+                                       rng.nextBelow(kMergeKeys + 1))
+                           : static_cast<FlowId>(rng.nextBelow(kFlows + 4));
+                if (roll < 96) {
+                    const auto to =
+                        static_cast<PortId>(rng.nextBelow(kOutputs));
+                    ASSERT_EQ(buf.rebindFlow(key, to), ref.rebindFlow(key, to))
+                        << "op " << op;
+                } else {
+                    ASSERT_EQ(buf.purgeFlow(key), ref.purgeFlow(key))
+                        << "op " << op;
+                }
+            }
+            ASSERT_EQ(buf.totalCells(), ref.totalCells()) << "op " << op;
+            for (PortId j = 0; j < kOutputs; ++j) {
+                ASSERT_EQ(buf.cellCountFor(j), ref.cellCountFor(j))
+                    << "op " << op << " output " << j;
+                ASSERT_EQ(buf.eligibleFlowsFor(j), ref.eligibleFlowsFor(j))
+                    << "op " << op << " output " << j;
+            }
+        }
+        // Drain: the remaining order must agree too.
+        for (PortId j = 0; j < kOutputs; ++j) {
+            while (ref.cellCountFor(j) > 0) {
+                const Cell got = buf.dequeueFor(j);
+                const Cell want = ref.dequeueFor(j);
+                ASSERT_EQ(got.flow, want.flow);
+                ASSERT_EQ(got.seq, want.seq);
+            }
+            ASSERT_FALSE(buf.hasCellFor(j));
+        }
+        ASSERT_EQ(buf.totalCells(), 0);
+    }
 }
 
 // ------------------------------------------------------------- RingQueue

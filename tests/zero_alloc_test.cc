@@ -17,6 +17,7 @@
 #include "an2/matching/pim.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/obs/recorder.h"
+#include "an2/queueing/voq.h"
 #include "an2/sim/cioq_switch.h"
 #include "an2/sim/iq_switch.h"
 #include "an2/sim/metrics.h"
@@ -51,6 +52,23 @@ void*
 operator new[](std::size_t size)
 {
     return ::operator new(size);
+}
+
+// The nothrow forms are replaced too: std::stable_sort takes its
+// temporary buffer from them and frees it through the replaced
+// operator delete, so under ASan a library-provided nothrow new would
+// pair with free() and abort with alloc-dealloc-mismatch.
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size);
+}
+
+void*
+operator new[](std::size_t size, const std::nothrow_t& tag) noexcept
+{
+    return ::operator new(size, tag);
 }
 
 void
@@ -468,6 +486,26 @@ TEST(ZeroAllocTest, MetricsDeliverySteadyStateIsAllocationFree)
     EXPECT_EQ(after - before, 0u);
     EXPECT_EQ(m.delivered(), 3 * 256);
     EXPECT_EQ(m.deliveredPerFlow().at(0), 3);
+}
+
+TEST(ZeroAllocTest, InputBufferMemoryFollowsCellsNotFlows)
+{
+    // One cell from each of 4096 flows passes through one input: the
+    // flow table and index double as flows appear, but cells reuse one
+    // slab entry, so there is no per-flow queue storage to allocate.
+    InputBuffer buf(16);
+    size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (FlowId f = 0; f < 4096; ++f) {
+        Cell c;
+        c.flow = f;
+        c.output = f % 16;
+        c.seq = f;
+        buf.enqueue(c);
+        EXPECT_EQ(buf.dequeueFor(c.output).flow, f);
+    }
+    size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_LT(after - before, 64u);
+    EXPECT_EQ(buf.totalCells(), 0);
 }
 
 TEST(ZeroAllocTest, CountingAllocatorIsLive)
