@@ -20,10 +20,20 @@ using namespace an2::bench;
 
 constexpr int kN = 16;
 
+/** The k-replicated fabric: cells beyond the first per output wait in
+    the output stage (k = 1 is the plain crossbar). */
+IqSwitchConfig
+replicatedFabric(int speedup)
+{
+    return {.n = kN,
+            .service = speedup > 1 ? ServiceDiscipline::Strict
+                                   : ServiceDiscipline::None};
+}
+
 double
 uniformDelay(int speedup, double load)
 {
-    InputQueuedSwitch sw({.n = kN, .output_speedup = speedup},
+    InputQueuedSwitch sw(replicatedFabric(speedup),
                          makePim(4, 10 + static_cast<uint64_t>(speedup),
                                  speedup));
     UniformTraffic traffic(kN, load, 20);
@@ -36,7 +46,7 @@ uniformDelay(int speedup, double load)
 double
 hotspotDelay(int speedup, double load)
 {
-    InputQueuedSwitch sw({.n = kN, .output_speedup = speedup},
+    InputQueuedSwitch sw(replicatedFabric(speedup),
                          makePim(4, 30 + static_cast<uint64_t>(speedup),
                                  speedup));
     HotspotTraffic traffic(kN, load, 0, 0.3, 40);

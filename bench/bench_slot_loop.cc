@@ -30,7 +30,6 @@
 #include "an2/matching/pim_fast.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/obs/recorder.h"
-#include "an2/sim/cioq_switch.h"
 #include "an2/sim/fifo_switch.h"
 #include "an2/sim/oq_switch.h"
 #include "an2/sim/simulator.h"
@@ -249,12 +248,13 @@ archsUnderTest()
     // committed baseline, so adding this row leaves BENCH_hotpath.json
     // comparisons untouched.
     archs.push_back({"CIOQ(S=2,strict)", [](int n, uint64_t seed) {
-                         CioqSwitchConfig cfg;
-                         cfg.n = n;
-                         cfg.speedup = 2;
-                         return std::make_unique<CioqSwitch>(
-                             cfg, std::make_unique<SerialGreedyMatcher>(
-                                      true, seed));
+                         return std::make_unique<InputQueuedSwitch>(
+                             IqSwitchConfig{
+                                 .n = n,
+                                 .speedup = 2,
+                                 .service = ServiceDiscipline::Strict},
+                             std::make_unique<SerialGreedyMatcher>(true,
+                                                                   seed));
                      }});
     return archs;
 }

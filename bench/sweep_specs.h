@@ -28,7 +28,6 @@
 #include "an2/obs/recorder.h"
 #include "an2/obs/timeseries.h"
 #include "an2/obs/trace_export.h"
-#include "an2/sim/cioq_switch.h"
 #include "an2/sim/fifo_switch.h"
 #include "an2/sim/oq_switch.h"
 #include "bench_common.h"
@@ -96,13 +95,11 @@ cioqArch(int speedup, const std::string& service = "strict")
     return {std::move(name),
             [speedup,
              disc](int n, uint64_t seed) -> std::unique_ptr<SwitchModel> {
-                CioqSwitchConfig cfg;
-                cfg.n = n;
-                cfg.speedup = speedup;
-                cfg.service = disc;
-                return std::make_unique<CioqSwitch>(
-                    cfg, std::make_unique<SerialGreedyMatcher>(
-                             /*randomize=*/true, seed));
+                return std::make_unique<InputQueuedSwitch>(
+                    IqSwitchConfig{
+                        .n = n, .speedup = speedup, .service = disc},
+                    std::make_unique<SerialGreedyMatcher>(
+                        /*randomize=*/true, seed));
             }};
 }
 

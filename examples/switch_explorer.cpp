@@ -118,7 +118,10 @@ makeSwitch(const Options& opt)
         cfg.seed = opt.seed;
         cfg.output_capacity = opt.speedup;
         return std::make_unique<InputQueuedSwitch>(
-            IqSwitchConfig{.n = opt.n, .output_speedup = opt.speedup},
+            IqSwitchConfig{.n = opt.n,
+                           .service = opt.speedup > 1
+                                          ? ServiceDiscipline::Strict
+                                          : ServiceDiscipline::None},
             std::make_unique<PimMatcher>(cfg));
     }
     if (opt.switch_kind == "islip") {

@@ -41,7 +41,6 @@
 #include "an2/matching/statistical.h"
 #include "an2/matching/windowed_fifo.h"
 
-#include "an2/queueing/output_queue.h"
 #include "an2/queueing/voq.h"
 
 #include "an2/fabric/batcher_banyan.h"
@@ -55,7 +54,6 @@
 #include "an2/cbr/subframes.h"
 #include "an2/cbr/timing.h"
 
-#include "an2/sim/cioq_switch.h"
 #include "an2/sim/fifo_switch.h"
 #include "an2/sim/iq_switch.h"
 #include "an2/sim/metrics.h"

@@ -1,5 +1,6 @@
 #include "an2/sim/iq_switch.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "an2/base/error.h"
@@ -18,40 +19,56 @@ InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config,
       out_busy_(static_cast<size_t>(busy_words_), 0),
       next_in_(static_cast<size_t>(busy_words_), 0),
       next_out_(static_cast<size_t>(busy_words_), 0),
-      vbr_match_(config.n, config.n),
-      combined_(config.n, config.n, config.output_speedup),
+      vbr_match_(config.n, config.n), combined_(config.n, config.n),
       pending_vbr_(config.n, config.n),
       dead_in_(static_cast<size_t>(busy_words_), 0),
       dead_out_(static_cast<size_t>(busy_words_), 0)
 {
     AN2_REQUIRE(config_.n > 0, "switch size must be positive");
-    AN2_REQUIRE(config_.output_speedup >= 1, "speedup must be >= 1");
+    AN2_REQUIRE(config_.speedup >= 1 && config_.speedup <= 4,
+                "speedup must be in 1..4, got " << config_.speedup);
     AN2_REQUIRE(matcher_ != nullptr, "a matcher is required");
-    AN2_REQUIRE(config_.output_speedup == 1 || cbr_schedule_ == nullptr,
-                "output speedup cannot be combined with a CBR schedule");
+    AN2_REQUIRE(config_.speedup == 1 || hasOutputQueues(),
+                "speedup > 1 needs the output stage (strict or wrr)");
+    AN2_REQUIRE(!hasOutputQueues() || cbr_schedule_ == nullptr,
+                "the output stage cannot be combined with a CBR schedule");
+    AN2_REQUIRE(!hasOutputQueues() || !config_.pipelined,
+                "the output stage cannot be combined with pipelining");
+    for (int w : config_.wrr_weights)
+        AN2_REQUIRE(w > 0, "WRR weights must be positive");
+    vbr_bufs_.reserve(static_cast<size_t>(config_.n));
+    for (int i = 0; i < config_.n; ++i)
+        vbr_bufs_.emplace_back(config_.n);
     if (cbr_schedule_ != nullptr) {
         AN2_REQUIRE(cbr_schedule_->size() == config_.n,
                     "frame schedule size does not match switch");
+        cbr_bufs_.reserve(static_cast<size_t>(config_.n));
+        for (int i = 0; i < config_.n; ++i)
+            cbr_bufs_.emplace_back(config_.n);
     }
-    vbr_bufs_.reserve(static_cast<size_t>(config_.n));
-    cbr_bufs_.reserve(static_cast<size_t>(config_.n));
-    for (int i = 0; i < config_.n; ++i) {
-        vbr_bufs_.emplace_back(config_.n);
-        cbr_bufs_.emplace_back(config_.n);
+    if (hasOutputQueues()) {
+        out_q_.resize(static_cast<size_t>(config_.n) * kNumTrafficClasses);
+        wrr_cls_.assign(static_cast<size_t>(config_.n), 0);
+        wrr_credit_.assign(static_cast<size_t>(config_.n),
+                           config_.wrr_weights[0]);
+        departed_.reserve(static_cast<size_t>(config_.n));
     }
-    if (config_.output_speedup > 1)
-        out_queues_.resize(static_cast<size_t>(config_.n));
     forwarded_.reserve(static_cast<size_t>(config_.n) *
-                       static_cast<size_t>(config_.output_speedup));
+                       static_cast<size_t>(config_.speedup));
 }
 
 std::string
 InputQueuedSwitch::name() const
 {
     std::ostringstream oss;
+    if (hasOutputQueues()) {
+        oss << "CIOQ[" << matcher_->name() << ",S=" << config_.speedup << ","
+            << (config_.service == ServiceDiscipline::Strict ? "strict"
+                                                             : "wrr")
+            << "]";
+        return oss.str();
+    }
     oss << "IQ[" << matcher_->name();
-    if (config_.output_speedup > 1)
-        oss << ",speedup=" << config_.output_speedup;
     if (cbr_schedule_ != nullptr)
         oss << ",CBR";
     if (config_.pipelined)
@@ -107,6 +124,8 @@ InputQueuedSwitch::acceptCellAs(FlowId queue_key, const Cell& cell)
 {
     AN2_REQUIRE(cell.input >= 0 && cell.input < config_.n,
                 "cell input " << cell.input << " out of range");
+    AN2_REQUIRE(cell.output >= 0 && cell.output < config_.n,
+                "cell output " << cell.output << " out of range");
     if (any_dead_ && (wordset::testBit(dead_in_.data(), cell.input) ||
                       wordset::testBit(dead_out_.data(), cell.output))) {
         // Dead port: the cell is lost at the line card, not buffered.
@@ -116,8 +135,9 @@ InputQueuedSwitch::acceptCellAs(FlowId queue_key, const Cell& cell)
         obs::count(obs::Counter::CellsDroppedByFaults);
         return;
     }
-    checker_.noteAccepted();
-    if (cell.cls == TrafficClass::CBR) {
+    // A CBR cell waits for the frame schedule; with the output stage it
+    // is matched like VBR and its class sets its priority at the output.
+    if (cell.cls == TrafficClass::CBR && !hasOutputQueues()) {
         AN2_REQUIRE(cbr_schedule_ != nullptr,
                     "CBR cell arrived at a switch with no frame schedule");
         cbr_bufs_[static_cast<size_t>(cell.input)].enqueueAs(queue_key, cell);
@@ -127,6 +147,9 @@ InputQueuedSwitch::acceptCellAs(FlowId queue_key, const Cell& cell)
         // decrement happens in forwardVbr().
         vbr_req_.increment(cell.input, cell.output);
     }
+    // Counted only once a buffer holds the cell: a rejected cell never
+    // reaches the ledger.
+    checker_.noteAccepted();
     obs::cellEnqueued(cell);
 }
 
@@ -136,8 +159,10 @@ InputQueuedSwitch::rebindFlow(PortId i, TrafficClass cls, FlowId flow,
 {
     AN2_REQUIRE(i >= 0 && i < config_.n,
                 "input port " << i << " out of range");
-    if (cls == TrafficClass::CBR) {
-        cbr_bufs_[static_cast<size_t>(i)].rebindFlow(flow, new_output);
+    if (cls == TrafficClass::CBR && !hasOutputQueues()) {
+        // CBR cells wait in the frame-schedule buffers, if there are any.
+        if (!cbr_bufs_.empty())
+            cbr_bufs_[static_cast<size_t>(i)].rebindFlow(flow, new_output);
         return;
     }
     InputBuffer& buf = vbr_bufs_[static_cast<size_t>(i)];
@@ -156,6 +181,8 @@ InputQueuedSwitch::purgeCbrFlow(PortId i, FlowId flow)
 {
     AN2_REQUIRE(i >= 0 && i < config_.n,
                 "input port " << i << " out of range");
+    if (cbr_bufs_.empty())
+        return 0;
     const int n = cbr_bufs_[static_cast<size_t>(i)].purgeFlow(flow);
     checker_.notePurged(n);
     return n;
@@ -234,6 +261,9 @@ InputQueuedSwitch::computeVbrMatch(const uint64_t* in_busy,
     }
     matcher_->matchInto(*req, out);
     AN2_ASSERT(out.isLegalFor(*req), "matcher returned illegal match");
+    AN2_REQUIRE(out.outputCapacity() == 1 || hasOutputQueues(),
+                "matcher output capacity " << out.outputCapacity()
+                                           << " needs the output stage");
 }
 
 void
@@ -253,6 +283,52 @@ InputQueuedSwitch::forwardVbr(SlotTime slot, PortId i, PortId j)
     forwarded_.push_back(c);
 }
 
+void
+InputQueuedSwitch::serveOutput(PortId j)
+{
+    if (config_.service == ServiceDiscipline::Strict) {
+        for (int cls = 0; cls < kNumTrafficClasses; ++cls) {
+            RingQueue<Cell>& q =
+                outQueue(j, static_cast<TrafficClass>(cls));
+            if (q.empty())
+                continue;
+            departed_.push_back(q.front());
+            q.pop_front();
+            return;
+        }
+        return;
+    }
+    // Deterministic WRR: the pointer rests on a class with some credit;
+    // serving costs one credit, and an exhausted or empty class passes
+    // the pointer on with a fresh grant of that class's weight. At most
+    // kNumTrafficClasses + 1 probes reach a cell whenever one exists, so
+    // the discipline stays work-conserving.
+    auto sj = static_cast<size_t>(j);
+    for (int probes = 0; probes <= kNumTrafficClasses; ++probes) {
+        int cls = wrr_cls_[sj];
+        RingQueue<Cell>& q = outQueue(j, static_cast<TrafficClass>(cls));
+        if (wrr_credit_[sj] > 0 && !q.empty()) {
+            --wrr_credit_[sj];
+            departed_.push_back(q.front());
+            q.pop_front();
+            return;
+        }
+        int next = (cls + 1) % kNumTrafficClasses;
+        wrr_cls_[sj] = static_cast<uint8_t>(next);
+        wrr_credit_[sj] = config_.wrr_weights[static_cast<size_t>(next)];
+    }
+}
+
+int
+InputQueuedSwitch::outputBacklog(PortId j) const
+{
+    int queued = 0;
+    for (int cls = 0; cls < kNumTrafficClasses; ++cls)
+        queued += static_cast<int>(
+            outQueue(j, static_cast<TrafficClass>(cls)).size());
+    return queued;
+}
+
 const std::vector<Cell>&
 InputQueuedSwitch::runSlot(SlotTime slot)
 {
@@ -270,46 +346,77 @@ InputQueuedSwitch::runSlot(SlotTime slot)
     const size_t n_cbr = forwarded_.size();
 
     // Phase 2: the VBR matching for this slot — computed now, or (in
-    // pipelined mode) taken from the previous slot's computation — is
-    // merged with the CBR pairings into the crossbar setting.
-    combined_.reset(n, n, config_.output_speedup);
-    for (size_t k = 0; k < n_cbr; ++k)
-        combined_.add(forwarded_[k].input, forwarded_[k].output);
-    if (!config_.pipelined) {
-        computeVbrMatch(in_busy_.data(), out_busy_.data(), cbr_busy,
-                        vbr_match_);
-        for (PortId i = 0; i < n; ++i) {
-            PortId j = vbr_match_.outputOf(i);
-            if (j == kNoPort)
-                continue;
-            combined_.add(i, j);
-            forwardVbr(slot, i, j);
+    // pipelined mode) taken from the previous slot's computation — and
+    // the CBR pairings set the crossbar, and the cells cross (CBR first,
+    // then VBR, the order they were appended to forwarded_). The output
+    // stage repeats this up to S times, each phase matching over the
+    // requests the previous one left, so a hot (i,j) pair can cross up
+    // to S cells per slot. Without it the matcher runs every slot, even
+    // with no request pending: randomized matchers draw on every call.
+    size_t phase_first = 0;
+    for (int phase = 0; phase < config_.speedup; ++phase) {
+        if (hasOutputQueues()) {
+            if (vbr_req_.numEdges() == 0)
+                break;
+            obs::count(obs::Counter::SpeedupPhases);
+            ++phases_run_;
         }
-    } else if (has_pending_) {
-        for (PortId i = 0; i < n; ++i) {
-            PortId j = pending_vbr_.outputOf(i);
-            if (j == kNoPort)
-                continue;
-            // A CBR cell that arrived after the matching was computed
-            // reclaims its scheduled ports: CBR has priority.
-            if (cbr_busy && (wordset::testBit(in_busy_.data(), i) ||
-                             wordset::testBit(out_busy_.data(), j)))
-                continue;
-            // A port killed after the matching was computed (mask flip
-            // mid-pipeline) invalidates its pairings.
-            if (any_dead_ && (wordset::testBit(dead_in_.data(), i) ||
-                              wordset::testBit(dead_out_.data(), j)))
-                continue;
-            combined_.add(i, j);
-            forwardVbr(slot, i, j);
+        if (!config_.pipelined) {
+            computeVbrMatch(in_busy_.data(), out_busy_.data(), cbr_busy,
+                            vbr_match_);
+            if (hasOutputQueues() && vbr_match_.size() == 0)
+                break;
         }
-    }
+        // The crossbar setting is this phase's VBR matching, merged into
+        // combined_ when CBR pairings (served only in single-phase slots)
+        // join it or a pipelined matching loses stale pairs.
+        const bool merged = n_cbr > 0 || config_.pipelined;
+        if (merged) {
+            combined_.reset(n, n);
+            for (size_t k = 0; k < n_cbr; ++k)
+                combined_.add(forwarded_[k].input, forwarded_[k].output);
+        }
+        if (!config_.pipelined) {
+            for (PortId i = 0; i < n; ++i) {
+                PortId j = vbr_match_.outputOf(i);
+                if (j == kNoPort)
+                    continue;
+                if (merged)
+                    combined_.add(i, j);
+                forwardVbr(slot, i, j);
+            }
+        } else if (has_pending_) {
+            for (PortId i = 0; i < n; ++i) {
+                PortId j = pending_vbr_.outputOf(i);
+                if (j == kNoPort)
+                    continue;
+                // A CBR cell that arrived after the matching was computed
+                // reclaims its scheduled ports: CBR has priority.
+                if (cbr_busy && (wordset::testBit(in_busy_.data(), i) ||
+                                 wordset::testBit(out_busy_.data(), j)))
+                    continue;
+                // A port killed after the matching was computed (mask flip
+                // mid-pipeline) invalidates its pairings.
+                if (any_dead_ && (wordset::testBit(dead_in_.data(), i) ||
+                                  wordset::testBit(dead_out_.data(), j)))
+                    continue;
+                combined_.add(i, j);
+                forwardVbr(slot, i, j);
+            }
+        }
 
-    // Phase 3: forward across the crossbar (CBR cells first, then VBR,
-    // exactly the order they were appended to forwarded_).
-    crossbar_.configure(combined_);
-    for (const Cell& c : forwarded_)
-        crossbar_.forward(c);
+        // Always-on invariant: the crossbar setting never touches a dead
+        // port.
+        const Matching& setting = merged ? combined_ : vbr_match_;
+        if (any_dead_)
+            fault::InvariantChecker::checkMatchingAvoidsDead(
+                setting, dead_in_.data(), dead_out_.data(),
+                "InputQueuedSwitch");
+        crossbar_.configure(setting);
+        for (size_t k = phase_first; k < forwarded_.size(); ++k)
+            crossbar_.forward(forwarded_[k]);
+        phase_first = forwarded_.size();
+    }
 
     // Pipelined mode: while this slot's cells cross the fabric, the
     // scheduler computes the matching the *next* slot will use.
@@ -325,35 +432,40 @@ InputQueuedSwitch::runSlot(SlotTime slot)
         has_pending_ = true;
     }
 
-    // Departures: direct with a plain crossbar; via output queues with a
-    // replicated fabric (one cell leaves each output link per slot).
+    // Departures: crossed cells leave at once, or join their output's
+    // class queue in crossing order, and then every live output sends
+    // one cell (a dead output holds its queues until revival).
     const std::vector<Cell>* result = &forwarded_;
-    if (config_.output_speedup > 1) {
-        for (const Cell& c : forwarded_)
-            out_queues_[static_cast<size_t>(c.output)].push(c);
-        departed_.clear();
-        for (auto& q : out_queues_) {
-            q.noteOccupancy();
-            if (!q.empty())
-                departed_.push_back(q.pop());
+    int cbr_crossed = static_cast<int>(n_cbr);
+    if (hasOutputQueues()) {
+        for (const Cell& c : forwarded_) {
+            outQueue(c.output, c.cls).push_back(c);
+            if (c.cls == TrafficClass::CBR)
+                ++cbr_crossed;
         }
+        departed_.clear();
+        for (PortId j = 0; j < n; ++j) {
+            if (any_dead_ && wordset::testBit(dead_out_.data(), j))
+                continue;
+            serveOutput(j);
+        }
+        // Backlog high-water mark across all outputs (post-departure).
+        for (PortId j = 0; j < n; ++j)
+            out_hwm_ = std::max<int64_t>(out_hwm_, outputBacklog(j));
         result = &departed_;
     }
 
-    // Always-on invariants: the crossbar setting never touches a dead
-    // port, and the conservation ledger balances every slot.
-    if (any_dead_)
-        fault::InvariantChecker::checkMatchingAvoidsDead(
-            combined_, dead_in_.data(), dead_out_.data(), "InputQueuedSwitch");
+    // Always-on invariant: the conservation ledger balances every slot.
     checker_.noteDeparted(static_cast<int64_t>(result->size()));
     checker_.checkConservation(bufferedCells(), "InputQueuedSwitch");
 
     // Slot-boundary probes; the periodic snapshot samples the post-slot
     // queue state.
     if (obs::Recorder* rec = obs::current()) {
-        rec->endSlot(static_cast<int>(forwarded_.size()),
-                     static_cast<int>(n_cbr),
-                     combined_.size() - static_cast<int>(n_cbr));
+        if (hasOutputQueues())
+            rec->set(obs::Gauge::OutputQueueHwm, out_hwm_);
+        rec->endSlot(static_cast<int>(forwarded_.size()), cbr_crossed,
+                     static_cast<int>(forwarded_.size() - n_cbr));
         if (rec->snapshotDue(slot))
             takeSnapshot(*rec, slot);
     }
@@ -381,15 +493,12 @@ InputQueuedSwitch::fillOccupancy(int32_t* voq, int32_t* backlog) const
 {
     const int n = config_.n;
     for (PortId j = 0; j < n; ++j)
-        backlog[j] = out_queues_.empty()
-                         ? 0
-                         : static_cast<int32_t>(
-                               out_queues_[static_cast<size_t>(j)].size());
+        backlog[j] = out_q_.empty() ? 0 : outputBacklog(j);
     for (PortId i = 0; i < n; ++i) {
         for (PortId j = 0; j < n; ++j) {
-            int32_t cells =
-                vbr_bufs_[static_cast<size_t>(i)].cellCountFor(j) +
-                cbr_bufs_[static_cast<size_t>(i)].cellCountFor(j);
+            int32_t cells = vbr_bufs_[static_cast<size_t>(i)].cellCountFor(j);
+            if (!cbr_bufs_.empty())
+                cells += cbr_bufs_[static_cast<size_t>(i)].cellCountFor(j);
             voq[static_cast<size_t>(i) * static_cast<size_t>(n) +
                 static_cast<size_t>(j)] = cells;
             backlog[j] += cells;
@@ -412,14 +521,10 @@ InputQueuedSwitch::bufferedCells() const
     int total = 0;
     for (const auto& b : vbr_bufs_)
         total += b.totalCells();
-    // CBR cells can only be accepted when a frame schedule is present,
-    // so the CBR buffers are provably empty otherwise (and this runs
-    // twice per slot on the conservation-check path).
-    if (cbr_schedule_ != nullptr)
-        for (const auto& b : cbr_bufs_)
-            total += b.totalCells();
-    for (const auto& q : out_queues_)
-        total += q.size();
+    for (const auto& b : cbr_bufs_)
+        total += b.totalCells();
+    for (const auto& q : out_q_)
+        total += static_cast<int>(q.size());
     return total;
 }
 

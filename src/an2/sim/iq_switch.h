@@ -12,8 +12,17 @@
  *     every slot CBR does not use (§4).
  *  3. Forwarding across the crossbar; departures leave on output links.
  *
- * With output_speedup k > 1 (replicated fabric, §3.1) up to k cells reach
- * an output per slot and drain through an output queue at one per slot.
+ * An optional output stage turns the switch into a combined input-output
+ * queued (CIOQ) switch. Cells that cross the fabric join per-output,
+ * per-class queues (CBR > VBR > best-effort), and every live output sends
+ * one cell per slot, chosen by strict priority or weighted round-robin.
+ * Two things may then put more than one cell into an output per slot:
+ * a matcher with output capacity k > 1 (the replicated fabric of §3.1),
+ * and up to S matching phases per slot (crossbar speedup S, Cogill &
+ * Lall). With a maximal matcher, S = 2 tracks the ideal output-queued
+ * switch. The output stage excludes a frame schedule and pipelining; a
+ * CBR-class cell is then matched like VBR and takes its priority at the
+ * output.
  *
  * The scheduling input is a persistent RequestMatrix patched as cells
  * arrive and depart (one increment per enqueue, one decrement per
@@ -28,15 +37,16 @@
 #ifndef AN2_SIM_IQ_SWITCH_H
 #define AN2_SIM_IQ_SWITCH_H
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
+#include "an2/base/ring.h"
 #include "an2/cbr/frame_schedule.h"
 #include "an2/fabric/crossbar.h"
 #include "an2/fault/invariants.h"
 #include "an2/matching/matcher.h"
-#include "an2/queueing/output_queue.h"
 #include "an2/queueing/voq.h"
 #include "an2/sim/switch.h"
 
@@ -46,14 +56,18 @@ namespace obs {
 class Recorder;
 }  // namespace obs
 
+/** How the output stage picks among an output's class queues each slot. */
+enum class ServiceDiscipline : uint8_t {
+    None,    ///< no output stage: crossed cells leave at once
+    Strict,  ///< CBR before VBR before best-effort, always
+    Wrr,     ///< weighted round-robin over non-empty classes
+};
+
 /** Configuration for an InputQueuedSwitch. */
 struct IqSwitchConfig
 {
     /** Switch size N. */
     int n = 16;
-
-    /** Cells deliverable to one output per slot (1 = plain crossbar). */
-    int output_speedup = 1;
 
     /**
      * Model the hardware scheduling pipeline: the matching used in slot
@@ -65,9 +79,22 @@ struct IqSwitchConfig
      * model shifts every VBR delay by the same constant.
      */
     bool pipelined = false;
+
+    /** Matching phases per slot (crossbar speedup S), 1..4. S > 1
+        needs the output stage. */
+    int speedup = 1;
+
+    /** The output stage: None (default) sends crossed cells at once;
+        Strict or Wrr queues them per output and class. */
+    ServiceDiscipline service = ServiceDiscipline::None;
+
+    /** WRR weights per TrafficClass (cells served before the pointer
+        advances); ignored unless the service is Wrr. */
+    std::array<int, kNumTrafficClasses> wrr_weights = {4, 2, 1};
 };
 
-/** The AN2 switch: VOQ input buffers + pluggable matcher + CBR schedule. */
+/** The AN2 switch: VOQ input buffers + pluggable matcher + CBR schedule,
+    with an optional per-class output stage. */
 class InputQueuedSwitch final : public SwitchModel
 {
   public:
@@ -76,7 +103,7 @@ class InputQueuedSwitch final : public SwitchModel
      * @param matcher VBR scheduling algorithm (owned).
      * @param cbr_schedule Optional frame schedule for CBR traffic; not
      *        owned, may be updated externally between slots (reservation
-     *        changes). Must outlive the switch. Output speedup > 1 cannot
+     *        changes). Must outlive the switch. The output stage cannot
      *        be combined with a CBR schedule.
      */
     InputQueuedSwitch(const IqSwitchConfig& config,
@@ -114,10 +141,11 @@ class InputQueuedSwitch final : public SwitchModel
     /** The per-slot invariant ledger (conservation totals). */
     const fault::InvariantChecker& invariants() const { return checker_; }
 
-    /** CBR cells forwarded so far. */
+    /** CBR cells the frame schedule forwarded so far. */
     int64_t cbrForwarded() const { return cbr_forwarded_; }
 
-    /** VBR cells forwarded so far. */
+    /** Cells the VBR matching forwarded so far (with the output stage,
+        CBR-class cells too). */
     int64_t vbrForwarded() const { return vbr_forwarded_; }
 
     /** VBR cells forwarded inside scheduled-but-idle CBR slots. */
@@ -149,16 +177,58 @@ class InputQueuedSwitch final : public SwitchModel
 
     /**
      * Discard every CBR cell of `flow` queued at input i (CBR path
-     * restoration). The ledger counts them as purged.
+     * restoration). The ledger counts them as purged. Only a switch
+     * with a frame schedule has CBR buffers; any other returns 0.
      * @return cells discarded.
      */
     int purgeCbrFlow(PortId i, FlowId flow);
 
-    /** Real VOQ occupancy (VBR + CBR buffers, plus speedup output
-        queues in the backlog). */
+    /** Real VOQ occupancy (VBR + CBR buffers, plus the output queues
+        in the backlog). */
     void fillOccupancy(int32_t* voq, int32_t* backlog) const override;
 
+    /** Matching phases executed so far by the output-queued switch
+        (<= speedup per slot). */
+    int64_t phasesRun() const { return phases_run_; }
+
+    /** Largest single-output backlog (all classes) seen at any slot
+        boundary. */
+    int64_t outputQueueHighWaterMark() const { return out_hwm_; }
+
+    /** Cells currently queued at output j in class `cls` (0 without
+        the output stage). */
+    int outputQueueDepth(PortId j, TrafficClass cls) const
+    {
+        return out_q_.empty() ? 0
+                              : static_cast<int>(outQueue(j, cls).size());
+    }
+
   private:
+    /** True when crossed cells wait in per-output class queues. */
+    bool hasOutputQueues() const
+    {
+        return config_.service != ServiceDiscipline::None;
+    }
+
+    RingQueue<Cell>& outQueue(PortId j, TrafficClass cls)
+    {
+        return out_q_[static_cast<size_t>(j) * kNumTrafficClasses +
+                      static_cast<size_t>(cls)];
+    }
+
+    const RingQueue<Cell>& outQueue(PortId j, TrafficClass cls) const
+    {
+        return out_q_[static_cast<size_t>(j) * kNumTrafficClasses +
+                      static_cast<size_t>(cls)];
+    }
+
+    /** Send at most one cell from output j's class queues, chosen by
+        the service discipline, into departed_. */
+    void serveOutput(PortId j);
+
+    /** Cells queued at output j across its class queues. */
+    int outputBacklog(PortId j) const;
+
     /** Serve the frame schedule's pairings for `slot` into forwarded_,
         marking claimed ports in in_busy_/out_busy_; returns count. */
     int serveCbr(SlotTime slot);
@@ -185,14 +255,23 @@ class InputQueuedSwitch final : public SwitchModel
     std::unique_ptr<Matcher> matcher_;
     const FrameSchedule* cbr_schedule_;
     std::vector<InputBuffer> vbr_bufs_;
-    std::vector<InputBuffer> cbr_bufs_;
-    std::vector<OutputQueue> out_queues_;  ///< used when speedup > 1
+    std::vector<InputBuffer> cbr_bufs_;  ///< built only with a schedule
     Crossbar crossbar_;
 
+    /** The output stage's per-output, per-class FIFO rings, class-major
+        within an output; empty without the output stage. */
+    std::vector<RingQueue<Cell>> out_q_;
+
+    // WRR state per output: the class the pointer rests on and the
+    // credit it has left there.
+    std::vector<uint8_t> wrr_cls_;
+    std::vector<int32_t> wrr_credit_;
+
     /**
-     * Requests for the VBR scheduler: count(i,j) = VBR cells queued at
-     * input i for output j. Incremented in acceptCell, decremented as
-     * cells cross the fabric — never rebuilt.
+     * Requests for the VBR scheduler: count(i,j) = cells queued in input
+     * i's VBR buffer for output j (every class, with the output stage).
+     * Incremented in acceptCell, decremented as cells cross the fabric —
+     * never rebuilt.
      */
     RequestMatrix vbr_req_;
     /** Scratch copy of vbr_req_ with CBR-claimed ports cleared. */
@@ -205,9 +284,9 @@ class InputQueuedSwitch final : public SwitchModel
     std::vector<uint64_t> next_in_;    ///< predicted busy, next slot
     std::vector<uint64_t> next_out_;   ///< predicted busy, next slot
     Matching vbr_match_;               ///< matcher output buffer
-    Matching combined_;                ///< CBR + VBR crossbar setting
+    Matching combined_;                ///< merged CBR + VBR setting
     std::vector<Cell> forwarded_;      ///< cells crossing this slot
-    std::vector<Cell> departed_;       ///< runSlot return (speedup > 1)
+    std::vector<Cell> departed_;       ///< runSlot return (output stage)
 
     /** Pipelined mode: the matching precomputed for the next slot. */
     Matching pending_vbr_;
@@ -224,6 +303,8 @@ class InputQueuedSwitch final : public SwitchModel
     int64_t cbr_forwarded_ = 0;
     int64_t vbr_forwarded_ = 0;
     int64_t vbr_in_cbr_slots_ = 0;
+    int64_t phases_run_ = 0;
+    int64_t out_hwm_ = 0;
 };
 
 }  // namespace an2

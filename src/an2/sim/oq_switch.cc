@@ -61,7 +61,7 @@ OutputQueuedSwitch::acceptCell(const Cell& cell)
     }
     checker_.noteAccepted();
     // Perfect fabric: the cell crosses to its output queue immediately.
-    queues_[static_cast<size_t>(cell.output)].push(cell);
+    queues_[static_cast<size_t>(cell.output)].push_back(cell);
 }
 
 const std::vector<Cell>&
@@ -70,12 +70,13 @@ OutputQueuedSwitch::runSlot(SlotTime)
     departed_.clear();
     for (PortId j = 0; j < n_; ++j) {
         auto& q = queues_[static_cast<size_t>(j)];
-        q.noteOccupancy();
         // A dead output link transmits nothing; its queue holds.
         if (any_dead_ && !outputPortLive(j))
             continue;
-        if (!q.empty())
-            departed_.push_back(q.pop());
+        if (!q.empty()) {
+            departed_.push_back(q.front());
+            q.pop_front();
+        }
     }
     checker_.noteDeparted(static_cast<int64_t>(departed_.size()));
     checker_.checkConservation(bufferedCells(), "OutputQueuedSwitch");
@@ -87,7 +88,7 @@ OutputQueuedSwitch::bufferedCells() const
 {
     int total = 0;
     for (const auto& q : queues_)
-        total += q.size();
+        total += static_cast<int>(q.size());
     return total;
 }
 

@@ -12,8 +12,8 @@
 
 #include <vector>
 
+#include "an2/base/ring.h"
 #include "an2/fault/invariants.h"
-#include "an2/queueing/output_queue.h"
 #include "an2/sim/switch.h"
 
 namespace an2 {
@@ -41,7 +41,7 @@ class OutputQueuedSwitch final : public SwitchModel
 
   private:
     int n_;
-    std::vector<OutputQueue> queues_;
+    std::vector<RingQueue<Cell>> queues_;
     std::vector<Cell> departed_;  ///< runSlot return buffer, reused
 
     // Fault state: a dead output stops draining (its queue holds until

@@ -1,7 +1,8 @@
-// Tests for the CIOQ switch (an2/sim/cioq_switch.h): speedup phases,
-// per-class output scheduling (strict priority and WRR), conservation,
-// fault masking, determinism, and the obs probe contract.
-#include "an2/sim/cioq_switch.h"
+// Tests for the AN2 switch's CIOQ configuration (an2/sim/iq_switch.h with
+// the output stage on): speedup phases, per-class output scheduling
+// (strict priority and WRR), conservation, fault masking, determinism,
+// and the obs probe contract.
+#include "an2/sim/iq_switch.h"
 
 #include <gtest/gtest.h>
 
@@ -19,17 +20,14 @@
 namespace an2 {
 namespace {
 
-std::unique_ptr<CioqSwitch>
+std::unique_ptr<InputQueuedSwitch>
 makeCioq(int n, int speedup,
          ServiceDiscipline service = ServiceDiscipline::Strict,
          uint64_t seed = 7)
 {
-    CioqSwitchConfig cfg;
-    cfg.n = n;
-    cfg.speedup = speedup;
-    cfg.service = service;
-    return std::make_unique<CioqSwitch>(
-        cfg, std::make_unique<SerialGreedyMatcher>(true, seed));
+    return std::make_unique<InputQueuedSwitch>(
+        IqSwitchConfig{.n = n, .speedup = speedup, .service = service},
+        std::make_unique<SerialGreedyMatcher>(true, seed));
 }
 
 Cell
@@ -45,21 +43,28 @@ cell(FlowId flow, PortId in, PortId out, TrafficClass cls,
     return c;
 }
 
-TEST(CioqSwitchTest, ConfigIsValidated)
+TEST(CioqTest, ConfigIsValidated)
 {
     EXPECT_THROW(makeCioq(4, 0), UsageError);
     EXPECT_THROW(makeCioq(4, 5), UsageError);
     EXPECT_THROW(makeCioq(0, 2), UsageError);
-    CioqSwitchConfig cfg;
-    cfg.n = 4;
-    cfg.service = ServiceDiscipline::Wrr;
+    // Speedup needs the output stage, which excludes pipelining.
+    EXPECT_THROW(makeCioq(4, 2, ServiceDiscipline::None), UsageError);
+    EXPECT_THROW(InputQueuedSwitch(
+                     {.n = 4,
+                      .pipelined = true,
+                      .service = ServiceDiscipline::Strict},
+                     std::make_unique<SerialGreedyMatcher>(true, 1)),
+                 UsageError);
+    IqSwitchConfig cfg{
+        .n = 4, .speedup = 2, .service = ServiceDiscipline::Wrr};
     cfg.wrr_weights = {4, 0, 1};
-    EXPECT_THROW(CioqSwitch(cfg,
-                            std::make_unique<SerialGreedyMatcher>(true, 1)),
+    EXPECT_THROW(InputQueuedSwitch(
+                     cfg, std::make_unique<SerialGreedyMatcher>(true, 1)),
                  UsageError);
 }
 
-TEST(CioqSwitchTest, NameDescribesMatcherSpeedupAndService)
+TEST(CioqTest, NameDescribesMatcherSpeedupAndService)
 {
     EXPECT_EQ(makeCioq(4, 2)->name(),
               "CIOQ[Greedy(random-order),S=2,strict]");
@@ -67,7 +72,7 @@ TEST(CioqSwitchTest, NameDescribesMatcherSpeedupAndService)
               "CIOQ[Greedy(random-order),S=3,wrr]");
 }
 
-TEST(CioqSwitchTest, OneDeparturePerOutputPerSlot)
+TEST(CioqTest, OneDeparturePerOutputPerSlot)
 {
     // Three inputs each hold a cell for output 1: with S = 2 two of
     // them cross into the output queue in the first slot, but the line
@@ -83,7 +88,7 @@ TEST(CioqSwitchTest, OneDeparturePerOutputPerSlot)
     EXPECT_EQ(sw->bufferedCells(), 0);
 }
 
-TEST(CioqSwitchTest, SpeedupBoundsPhasesAndCellsCrossed)
+TEST(CioqTest, SpeedupBoundsPhasesAndCellsCrossed)
 {
     // A single input holds 4 cells for distinct outputs. With S = 2 it
     // can send at most 2 per slot; with S = 4, all 4 leave at once
@@ -98,7 +103,7 @@ TEST(CioqSwitchTest, SpeedupBoundsPhasesAndCellsCrossed)
     }
 }
 
-TEST(CioqSwitchTest, PhasesStopEarlyWhenRequestsDrain)
+TEST(CioqTest, PhasesStopEarlyWhenRequestsDrain)
 {
     // One lone cell: phase 1 moves it, later phases see an empty
     // request matrix and are skipped entirely.
@@ -111,7 +116,7 @@ TEST(CioqSwitchTest, PhasesStopEarlyWhenRequestsDrain)
     EXPECT_EQ(sw->phasesRun(), 1);
 }
 
-TEST(CioqSwitchTest, StrictPriorityServesCbrThenVbrThenBe)
+TEST(CioqTest, StrictPriorityServesCbrThenVbrThenBe)
 {
     // Load one cell of each class into the same output's queues in
     // reverse priority order; strict priority must emit CBR, VBR, BE.
@@ -131,19 +136,17 @@ TEST(CioqSwitchTest, StrictPriorityServesCbrThenVbrThenBe)
                                          TrafficClass::BE}));
 }
 
-TEST(CioqSwitchTest, WrrInterleavesClassesByWeight)
+TEST(CioqTest, WrrInterleavesClassesByWeight)
 {
     // A single input feeds one output (crossing order = VOQ FIFO order,
     // 4 cells per slot at S = 4), so the output's class queues fill
     // deterministically. With weights {2, 1, 1} the WRR pointer must
     // emit the exact cycle CBR, CBR, VBR, BE — best-effort is never
     // starved, unlike strict priority.
-    CioqSwitchConfig cfg;
-    cfg.n = 4;
-    cfg.speedup = 4;
-    cfg.service = ServiceDiscipline::Wrr;
+    IqSwitchConfig cfg{
+        .n = 4, .speedup = 4, .service = ServiceDiscipline::Wrr};
     cfg.wrr_weights = {2, 1, 1};
-    CioqSwitch sw(cfg, std::make_unique<SerialGreedyMatcher>(true, 7));
+    InputQueuedSwitch sw(cfg, std::make_unique<SerialGreedyMatcher>(true, 7));
     const TrafficClass batch[] = {TrafficClass::CBR, TrafficClass::VBR,
                                   TrafficClass::BE, TrafficClass::CBR};
     int64_t seq = 0;
@@ -164,15 +167,13 @@ TEST(CioqSwitchTest, WrrInterleavesClassesByWeight)
     EXPECT_EQ(sw.bufferedCells(), 0);
 }
 
-TEST(CioqSwitchTest, WrrIsWorkConservingWhenClassesEmpty)
+TEST(CioqTest, WrrIsWorkConservingWhenClassesEmpty)
 {
     // Only BE traffic present: WRR must still serve every slot rather
     // than idling on empty higher-priority queues.
-    CioqSwitchConfig cfg;
-    cfg.n = 4;
-    cfg.speedup = 2;
-    cfg.service = ServiceDiscipline::Wrr;
-    CioqSwitch sw(cfg, std::make_unique<SerialGreedyMatcher>(true, 9));
+    IqSwitchConfig cfg{
+        .n = 4, .speedup = 2, .service = ServiceDiscipline::Wrr};
+    InputQueuedSwitch sw(cfg, std::make_unique<SerialGreedyMatcher>(true, 9));
     for (int k = 0; k < 3; ++k)
         sw.acceptCell(cell(0, 0, 1, TrafficClass::BE, k));
     for (SlotTime s = 0; s < 3; ++s)
@@ -180,7 +181,7 @@ TEST(CioqSwitchTest, WrrIsWorkConservingWhenClassesEmpty)
     EXPECT_EQ(sw.bufferedCells(), 0);
 }
 
-TEST(CioqSwitchTest, ConservationHoldsUnderMultiClassLoad)
+TEST(CioqTest, ConservationHoldsUnderMultiClassLoad)
 {
     auto sw = makeCioq(8, 2);
     MultiClassUniformTraffic traffic(8, 0.9, 42);
@@ -197,7 +198,7 @@ TEST(CioqSwitchTest, ConservationHoldsUnderMultiClassLoad)
     EXPECT_GT(res.delivered, 0);
 }
 
-TEST(CioqSwitchTest, PerFlowOrderPreservedEndToEnd)
+TEST(CioqTest, PerFlowOrderPreservedEndToEnd)
 {
     auto sw = makeCioq(8, 3);
     MultiClassUniformTraffic traffic(8, 0.8, 10);
@@ -213,7 +214,7 @@ TEST(CioqSwitchTest, PerFlowOrderPreservedEndToEnd)
     runSimulation(*sw, traffic, cfg);
 }
 
-TEST(CioqSwitchTest, SpeedupTwoTracksOutputQueueing)
+TEST(CioqTest, SpeedupTwoTracksOutputQueueing)
 {
     // The Cogill-Lall headline at test scale: greedy maximal matching
     // at S = 2 stays within 10% of the ideal output-queued switch's
@@ -239,7 +240,7 @@ TEST(CioqSwitchTest, SpeedupTwoTracksOutputQueueing)
     EXPECT_GT(s1_delay, oq_delay * 1.50);
 }
 
-TEST(CioqSwitchTest, DeterministicAcrossIdenticalRuns)
+TEST(CioqTest, DeterministicAcrossIdenticalRuns)
 {
     auto run = [] {
         auto sw = makeCioq(8, 2, ServiceDiscipline::Wrr, 123);
@@ -258,7 +259,7 @@ TEST(CioqSwitchTest, DeterministicAcrossIdenticalRuns)
 
 // ---------------------------------------------------------------- faults
 
-TEST(CioqSwitchTest, DeadInputDropsArrivalsAtTheLineCard)
+TEST(CioqTest, DeadInputDropsArrivalsAtTheLineCard)
 {
     auto sw = makeCioq(4, 2);
     sw->setInputPortLive(0, false);
@@ -273,7 +274,7 @@ TEST(CioqSwitchTest, DeadInputDropsArrivalsAtTheLineCard)
     EXPECT_EQ(sw->runSlot(1).size(), 1u);
 }
 
-TEST(CioqSwitchTest, DeadOutputHoldsItsQueuesUntilRevival)
+TEST(CioqTest, DeadOutputHoldsItsQueuesUntilRevival)
 {
     auto sw = makeCioq(4, 2);
     // Queue a cell, let it cross into the output queue, then kill the
@@ -295,7 +296,7 @@ TEST(CioqSwitchTest, DeadOutputHoldsItsQueuesUntilRevival)
     EXPECT_EQ(sw->bufferedCells(), 0);
 }
 
-TEST(CioqSwitchTest, MaskedFaultRunStaysConservative)
+TEST(CioqTest, MaskedFaultRunStaysConservative)
 {
     auto sw = makeCioq(8, 2);
     MultiClassUniformTraffic traffic(8, 0.8, 17);
@@ -331,7 +332,7 @@ TEST(CioqSwitchTest, MaskedFaultRunStaysConservative)
 
 #ifndef AN2_OBS_DISABLED
 
-TEST(CioqSwitchTest, ObsCountersFollowTheProbeContract)
+TEST(CioqTest, ObsCountersFollowTheProbeContract)
 {
     obs::RecorderConfig rc;
     rc.ports = 8;
@@ -369,7 +370,7 @@ TEST(CioqSwitchTest, ObsCountersFollowTheProbeContract)
     EXPECT_GT(sw->outputQueueHighWaterMark(), 0);
 }
 
-TEST(CioqSwitchTest, FaultDropsAreCounted)
+TEST(CioqTest, FaultDropsAreCounted)
 {
     obs::RecorderConfig rc;
     rc.ports = 4;

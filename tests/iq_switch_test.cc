@@ -1,5 +1,7 @@
 // Tests for the AN2 input-queued switch (an2/sim/iq_switch.h): VOQ + PIM
-// scheduling, CBR frame-schedule integration, and output speedup.
+// scheduling, CBR frame-schedule integration, the replicated fabric's
+// output stage, and cell validation. cioq_switch_test.cc covers the
+// output stage's speedup phases and class service.
 #include "an2/sim/iq_switch.h"
 
 #include <gtest/gtest.h>
@@ -228,7 +230,7 @@ TEST(IqSwitchTest, OutputSpeedupCrossesKCellsPerSlot)
     mcfg.iterations = 4;
     mcfg.output_capacity = 2;
     mcfg.seed = 14;
-    InputQueuedSwitch sw({.n = 4, .output_speedup = 2},
+    InputQueuedSwitch sw({.n = 4, .service = ServiceDiscipline::Strict},
                          std::make_unique<PimMatcher>(mcfg));
     for (PortId i = 0; i < 4; ++i)
         sw.acceptCell(vbrCell(i, i, 0));
@@ -250,7 +252,7 @@ TEST(IqSwitchTest, PipelinedModeAddsOneSlotOfLatency)
     // in slot 0; the pipelined switch computes the matching during slot
     // 0 and transmits in slot 1 (§3.2's "time to receive one cell").
     InputQueuedSwitch direct({.n = 4}, pim(4, 41));
-    InputQueuedSwitch piped({.n = 4, .output_speedup = 1, .pipelined = true},
+    InputQueuedSwitch piped({.n = 4, .pipelined = true},
                             pim(4, 41));
     Cell c = vbrCell(0, 1, 2);
     direct.acceptCell(c);
@@ -266,7 +268,7 @@ TEST(IqSwitchTest, PipelinedThroughputMatchesDirectAtSaturation)
     // The pipeline shifts delay by one slot but must not cost
     // throughput: at full load both variants saturate identically.
     InputQueuedSwitch direct({.n = 8}, pim(4, 42));
-    InputQueuedSwitch piped({.n = 8, .output_speedup = 1, .pipelined = true},
+    InputQueuedSwitch piped({.n = 8, .pipelined = true},
                             pim(4, 42));
     UniformTraffic t1(8, 1.0, 43);
     UniformTraffic t2(8, 1.0, 43);
@@ -286,7 +288,7 @@ TEST(IqSwitchTest, PipelinedCbrPriorityOverStaleMatching)
     // the CBR cell must win and the VBR pair is dropped for that slot.
     SlepianDuguidScheduler sd(2, 1);  // every slot schedules (0 -> 1)
     ASSERT_TRUE(sd.addReservation(0, 1, 1));
-    InputQueuedSwitch sw({.n = 2, .output_speedup = 1, .pipelined = true},
+    InputQueuedSwitch sw({.n = 2, .pipelined = true},
                          pim(4, 44), &sd.schedule());
     // Slot 0: only a VBR cell on the reserved pair; the pipeline
     // computes a matching for slot 1 using the idle reservation.
@@ -309,9 +311,76 @@ TEST(IqSwitchTest, PipelinedCbrPriorityOverStaleMatching)
 TEST(IqSwitchTest, SpeedupWithCbrRejected)
 {
     SlepianDuguidScheduler sd(4, 4);
-    EXPECT_THROW(InputQueuedSwitch({.n = 4, .output_speedup = 2}, pim(),
-                                   &sd.schedule()),
+    EXPECT_THROW(InputQueuedSwitch({.n = 4,
+                                    .speedup = 2,
+                                    .service = ServiceDiscipline::Strict},
+                                   pim(), &sd.schedule()),
                  UsageError);
+}
+
+TEST(IqSwitchTest, OutputCapacityAboveOneNeedsTheOutputStage)
+{
+    // A matcher granting k = 2 cells per output needs somewhere to put
+    // the second one: a slot without the output stage rejects it.
+    PimConfig mcfg;
+    mcfg.output_capacity = 2;
+    InputQueuedSwitch sw({.n = 4}, std::make_unique<PimMatcher>(mcfg));
+    sw.acceptCell(vbrCell(0, 0, 1));
+    EXPECT_THROW(sw.runSlot(0), UsageError);
+}
+
+TEST(IqSwitchTest, ReplicatedFabricHoldsCellsForADeadOutput)
+{
+    // Three cells for output 1 on a k = 2 fabric: two cross in slot 0
+    // and one leaves. Once output 1 dies, the queued cell must stay put
+    // (SwitchModel's fault contract) and leave only after revival.
+    PimConfig mcfg;
+    mcfg.iterations = 4;
+    mcfg.output_capacity = 2;
+    mcfg.seed = 14;
+    InputQueuedSwitch sw({.n = 4, .service = ServiceDiscipline::Strict},
+                         std::make_unique<PimMatcher>(mcfg));
+    for (PortId i : {0, 2, 3})
+        sw.acceptCell(vbrCell(i, i, 1));
+    EXPECT_EQ(sw.runSlot(0).size(), 1u);
+    sw.setOutputPortLive(1, false);
+    for (SlotTime s = 1; s < 4; ++s)
+        EXPECT_EQ(sw.runSlot(s).size(), 0u) << "slot " << s;
+    EXPECT_EQ(sw.bufferedCells(), 2);
+    sw.setOutputPortLive(1, true);
+    EXPECT_EQ(sw.runSlot(4).size(), 1u);
+    EXPECT_EQ(sw.runSlot(5).size(), 1u);
+    EXPECT_EQ(sw.bufferedCells(), 0);
+}
+
+TEST(IqSwitchTest, OutOfRangeOutputIsRejectedWhileAPortIsDead)
+{
+    // With a port dead the dead-port masks are consulted on every
+    // arrival; an output outside the switch must be rejected before
+    // they are indexed with it.
+    InputQueuedSwitch sw({.n = 4}, pim());
+    sw.setOutputPortLive(2, false);
+    EXPECT_THROW(sw.acceptCell(vbrCell(0, 0, 64)), UsageError);
+    EXPECT_THROW(sw.acceptCell(vbrCell(1, 0, -1)), UsageError);
+    EXPECT_EQ(sw.droppedCells(), 0);
+    EXPECT_EQ(sw.invariants().accepted(), 0);
+}
+
+TEST(IqSwitchTest, RejectedCellsStayOffTheLedger)
+{
+    // A caller may catch a rejected cell and carry on: the next slot's
+    // conservation check must still balance.
+    InputQueuedSwitch sw({.n = 4}, pim());
+    Cell cbr = vbrCell(0, 0, 1);
+    cbr.cls = TrafficClass::CBR;
+    EXPECT_THROW(sw.acceptCell(cbr), UsageError);  // no frame schedule
+    sw.acceptCell(vbrCell(1, 0, 1, 0));
+    EXPECT_THROW(sw.acceptCell(vbrCell(1, 0, 2, 1)),
+                 UsageError);  // flow 1 is bound to output 1
+    EXPECT_EQ(sw.invariants().accepted(), 1);
+    EXPECT_EQ(sw.runSlot(0).size(), 1u);
+    EXPECT_EQ(sw.invariants().departed(), 1);
+    EXPECT_EQ(sw.bufferedCells(), 0);
 }
 
 TEST(IqSwitchTest, CrossbarAccountsForwardedCells)
@@ -387,7 +456,7 @@ TEST(IqSwitchTest, RebindDropsAStalePipelinedMatching)
     // The pipelined matching for slot 1 is computed in slot 0 and pairs
     // (0,1); moving the flow to output 2 before slot 1 must not serve
     // the vanished VOQ. The moved cell leaves one pipeline slot later.
-    InputQueuedSwitch sw({.n = 4, .output_speedup = 1, .pipelined = true},
+    InputQueuedSwitch sw({.n = 4, .pipelined = true},
                          pim());
     sw.acceptCell(vbrCell(5, 0, 1, 0));
     EXPECT_EQ(sw.runSlot(0).size(), 0u);  // pipeline fill

@@ -1,5 +1,5 @@
 // Tests for the queueing substrates: the random-access input buffer
-// with per-flow FIFOs and eligible-flow lists, and output queues.
+// with per-flow FIFOs and eligible-flow lists, and the RingQueue FIFO.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 
 #include "an2/base/ring.h"
 #include "an2/base/rng.h"
-#include "an2/queueing/output_queue.h"
 #include "an2/queueing/voq.h"
 
 namespace an2 {
@@ -104,27 +103,6 @@ TEST(InputBufferTest, FlowCannotChangeOutput)
     buf.dequeueFor(2);
     EXPECT_THROW(buf.enqueue(makeCell(1, 0, 3, 1)), UsageError);
     EXPECT_NO_THROW(buf.enqueue(makeCell(1, 0, 2, 1)));
-}
-
-// ---------------------------------------------------------- OutputQueue
-
-TEST(OutputQueueTest, FifoAndOccupancy)
-{
-    OutputQueue q;
-    for (int s = 0; s < 4; ++s)
-        q.push(makeCell(0, 0, 0, s));
-    q.noteOccupancy();
-    EXPECT_EQ(q.size(), 4);
-    EXPECT_EQ(q.maxOccupancy(), 4);
-    EXPECT_EQ(q.pop().seq, 0);
-    q.noteOccupancy();
-    EXPECT_EQ(q.maxOccupancy(), 4);  // peak is sticky
-}
-
-TEST(OutputQueueTest, PopEmptyPanics)
-{
-    OutputQueue q;
-    EXPECT_THROW(q.pop(), InternalError);
 }
 
 // ------------------------------------------------- InputBuffer occupancy

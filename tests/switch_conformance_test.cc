@@ -49,14 +49,13 @@ allSwitches()
                       cfg.output_capacity = 2;
                       cfg.seed = 14;
                       return std::make_unique<InputQueuedSwitch>(
-                          IqSwitchConfig{.n = n, .output_speedup = 2},
+                          IqSwitchConfig{
+                              .n = n, .service = ServiceDiscipline::Strict},
                           std::make_unique<PimMatcher>(cfg));
                   }});
     fs.push_back({"iq_pim_pipelined", [](int n) {
                       return std::make_unique<InputQueuedSwitch>(
-                          IqSwitchConfig{.n = n,
-                                         .output_speedup = 1,
-                                         .pipelined = true},
+                          IqSwitchConfig{.n = n, .pipelined = true},
                           std::make_unique<PimMatcher>(
                               PimConfig{.iterations = 4, .seed = 17}));
                   }});
@@ -91,20 +90,18 @@ allSwitches()
                       return sw;
                   }});
     fs.push_back({"cioq_s2_strict", [](int n) {
-                      CioqSwitchConfig cfg;
-                      cfg.n = n;
-                      cfg.speedup = 2;
-                      return std::make_unique<CioqSwitch>(
-                          cfg,
+                      return std::make_unique<InputQueuedSwitch>(
+                          IqSwitchConfig{
+                              .n = n,
+                              .speedup = 2,
+                              .service = ServiceDiscipline::Strict},
                           std::make_unique<SerialGreedyMatcher>(true, 18));
                   }});
     fs.push_back({"cioq_s3_wrr", [](int n) {
-                      CioqSwitchConfig cfg;
-                      cfg.n = n;
-                      cfg.speedup = 3;
-                      cfg.service = ServiceDiscipline::Wrr;
-                      return std::make_unique<CioqSwitch>(
-                          cfg,
+                      return std::make_unique<InputQueuedSwitch>(
+                          IqSwitchConfig{.n = n,
+                                         .speedup = 3,
+                                         .service = ServiceDiscipline::Wrr},
                           std::make_unique<SerialGreedyMatcher>(true, 19));
                   }});
     return fs;
