@@ -16,7 +16,6 @@
 #include "an2/matching/hopcroft_karp.h"
 #include "an2/matching/islip.h"
 #include "an2/matching/pim.h"
-#include "an2/matching/pim_fast.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/matching/statistical.h"
 
@@ -75,14 +74,6 @@ BM_Pim4(benchmark::State& state)
 }
 
 void
-BM_FastPim4(benchmark::State& state)
-{
-    runMatcherBench(state, [](int) {
-        return std::make_unique<FastPimMatcher>(4, 7);
-    });
-}
-
-void
 BM_PimComplete(benchmark::State& state)
 {
     runMatcherBench(state, [](int) {
@@ -111,27 +102,6 @@ BM_HopcroftKarp(benchmark::State& state)
 {
     runMatcherBench(state, [](int) {
         return std::make_unique<HopcroftKarpMatcher>();
-    });
-}
-
-void
-BM_Pim4Reference(benchmark::State& state)
-{
-    // The scalar core the word-parallel backend replaced; kept
-    // benchmarked so the speedup is visible in one report.
-    runMatcherBench(state, [](int) {
-        return std::make_unique<PimMatcher>(PimConfig{
-            .iterations = 4, .seed = 7,
-            .backend = MatcherBackend::Reference});
-    });
-}
-
-void
-BM_Islip4Reference(benchmark::State& state)
-{
-    runMatcherBench(state, [](int) {
-        return std::make_unique<IslipMatcher>(4,
-                                              MatcherBackend::Reference);
     });
 }
 
@@ -208,14 +178,6 @@ BM_GreedyWarm(benchmark::State& state)
 }
 
 void
-BM_FastPim4Warm(benchmark::State& state)
-{
-    runChurnBench(state, [](int) {
-        return std::make_unique<FastPimMatcher>(4, 7, WarmStart::On);
-    });
-}
-
-void
 BM_Statistical2(benchmark::State& state)
 {
     runMatcherBench(state, [](int n) {
@@ -228,16 +190,11 @@ BM_Statistical2(benchmark::State& state)
     });
 }
 
-// The word-parallel cores cover N up to 1024 (multi-word masks beyond
-// 64); the reference cores are benchmarked alongside at the sizes where
-// their O(N^2) scans stay tolerable.
+// The word-parallel cores run on multi-word masks beyond 64 ports.
 BENCHMARK(BM_Pim4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_FastPim4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_PimComplete)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_Islip4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_Greedy)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_Pim4Reference)->Arg(16)->Arg(64)->Arg(256);
-BENCHMARK(BM_Islip4Reference)->Arg(16)->Arg(64)->Arg(256);
 BENCHMARK(BM_HopcroftKarp)->Arg(16)->Arg(64);
 BENCHMARK(BM_Statistical2)->Arg(16)->Arg(64);
 
@@ -246,7 +203,6 @@ BENCHMARK(BM_Islip4Churn)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_Islip4Warm)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_GreedyChurn)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_GreedyWarm)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
-BENCHMARK(BM_FastPim4Warm)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 }  // namespace
 

@@ -27,7 +27,6 @@
 #include "an2/harness/aggregate.h"
 #include "an2/harness/json_writer.h"
 #include "an2/matching/islip.h"
-#include "an2/matching/pim_fast.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/obs/recorder.h"
 #include "an2/sim/fifo_switch.h"
@@ -204,11 +203,6 @@ archsUnderTest()
                              std::make_unique<SerialGreedyMatcher>(true,
                                                                    seed));
                      }});
-    archs.push_back({"FastPIM(4)", [](int n, uint64_t seed) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{.n = n},
-                             std::make_unique<FastPimMatcher>(4, seed));
-                     }});
     // Warm-start (temporal locality) variants: WarmStart::On seeds each
     // slot's matching from the previous slot's surviving edges and
     // repairs only the changed ports (see matcher.h). The obs-counters
@@ -225,12 +219,6 @@ archsUnderTest()
                              std::make_unique<SerialGreedyMatcher>(
                                  true, seed, MatcherBackend::Auto,
                                  WarmStart::On));
-                     }});
-    archs.push_back({"FastPIM(4)+warm", [](int n, uint64_t seed) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{.n = n},
-                             std::make_unique<FastPimMatcher>(
-                                 4, seed, WarmStart::On));
                      }});
     archs.push_back({"iSLIP(4)+warm+obs-counters",
                      [](int n, uint64_t) {

@@ -35,7 +35,7 @@ GRID = [
     (64, 0.9, 50_000, 5_000, 2, [None]),
     (256, 0.9, 20_000, 2_000, 2, [None]),
     (1024, 0.5, 20_000, 5_000, 1, ["iSLIP"]),
-    (1024, 0.9, 20_000, 5_000, 1, ["iSLIP", "Greedy", "FastPIM"]),
+    (1024, 0.9, 20_000, 5_000, 1, ["iSLIP", "Greedy"]),
     (1024, 0.99, 20_000, 5_000, 1, ["iSLIP"]),
 ]
 

@@ -35,7 +35,6 @@
 #include "an2/matching/matching.h"
 #include "an2/matching/multicast.h"
 #include "an2/matching/pim.h"
-#include "an2/matching/pim_fast.h"
 #include "an2/matching/request_matrix.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/matching/statistical.h"

@@ -6,12 +6,6 @@
 
 namespace an2 {
 
-namespace {
-
-constexpr int kMaxFastPorts = 1024;
-
-}  // namespace
-
 IslipMatcher::IslipMatcher(int iterations, MatcherBackend backend,
                            WarmStart warm)
     : iterations_(iterations), backend_(backend), warm_(warm)
@@ -59,11 +53,7 @@ IslipMatcher::matchInto(const RequestMatrix& req, Matching& out)
                 "request matrix size changed without reset()");
     out.reset(n_in, n_out);
 
-    bool fast = backend_ != MatcherBackend::Reference &&
-                n_in <= kMaxFastPorts && n_out <= kMaxFastPorts;
-    if (backend_ == MatcherBackend::WordParallel) {
-        AN2_REQUIRE(fast, "word-parallel iSLIP supports at most 1024 ports");
-    }
+    const bool fast = backend_ != MatcherBackend::Reference;
     if (warm_ == WarmStart::On) {
         matchWarm(req, out, fast);
         return;

@@ -27,9 +27,9 @@ class IslipMatcher final : public Matcher
   public:
     /**
      * @param iterations Grant/accept rounds per slot (>= 1).
-     * @param backend Implementation core; Auto uses the word-parallel
-     *                core up to 1024 ports (identical matchings — the
-     *                algorithm is deterministic given the pointers).
+     * @param backend Implementation core; Auto runs the word-parallel
+     *                core, Reference the scalar one (identical matchings —
+     *                the algorithm is deterministic given the pointers).
      * @param warm WarmStart::On seeds each slot from the previous slot's
      *             surviving edges and repairs only the free ports (a
      *             different policy from cold iSLIP; see matcher.h). Both

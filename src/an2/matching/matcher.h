@@ -16,18 +16,16 @@ namespace an2 {
 
 /**
  * Which implementation core a matcher runs on. The word-parallel cores
- * produce bit-identical matchings to the reference (scalar) cores — they
- * consume PRNG draws and rotate pointers in exactly the same order — so
- * Auto is always safe; Reference exists for differential testing and for
- * configurations the fast cores do not cover (e.g. output capacity > 1).
+ * cover every size and configuration and produce bit-identical matchings
+ * to the scalar reference cores — they consume PRNG draws and rotate
+ * pointers in exactly the same order. Reference exists only as the
+ * oracle the differential tests compare against.
  */
 enum class MatcherBackend {
-    /** Word-parallel when the configuration allows, reference otherwise. */
+    /** The word-parallel core. */
     Auto,
-    /** Always the scalar reference implementation. */
+    /** The scalar reference core. */
     Reference,
-    /** Require the word-parallel core (errors if unsupported). */
-    WordParallel,
 };
 
 /**
@@ -41,10 +39,10 @@ enum class MatcherBackend {
  * algorithm (reused edges skip re-arbitration), so the knob defaults to
  * Off and every existing sweep/golden stays byte-identical.
  *
- * Supported by IslipMatcher, SerialGreedyMatcher, and FastPimMatcher.
- * PimMatcher deliberately has no warm mode: its word-parallel backend's
- * contract is exact RNG-draw replay of the reference core, and a warm
- * seed would change which draws are consumed.
+ * Supported by IslipMatcher and SerialGreedyMatcher. PimMatcher
+ * deliberately has no warm mode: its word-parallel core's contract is
+ * exact RNG-draw replay of the reference core, and a warm seed would
+ * change which draws are consumed.
  */
 enum class WarmStart {
     Off,

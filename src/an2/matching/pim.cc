@@ -7,13 +7,6 @@
 
 namespace an2 {
 
-namespace {
-
-/** Largest port count the word-parallel core dispatches for. */
-constexpr int kMaxFastPorts = 1024;
-
-}  // namespace
-
 PimMatcher::PimMatcher(const PimConfig& config, std::unique_ptr<Rng> rng)
     : config_(config),
       rng_(rng ? std::move(rng) : std::make_unique<Xoshiro256>(config.seed))
@@ -44,27 +37,15 @@ PimMatcher::reset()
     accept_ptr_.clear();
 }
 
-bool
-PimMatcher::useFastCore(const RequestMatrix& req) const
-{
-    if (config_.backend == MatcherBackend::Reference)
-        return false;
-    const bool supported = config_.output_capacity == 1 &&
-                           req.numInputs() <= kMaxFastPorts &&
-                           req.numOutputs() <= kMaxFastPorts;
-    if (config_.backend == MatcherBackend::WordParallel) {
-        AN2_REQUIRE(supported, "word-parallel PIM requires unit output "
-                               "capacity and at most 1024 ports");
-    }
-    return supported;
-}
-
 void
-PimMatcher::ensureAcceptPtrs(int n_in)
+PimMatcher::ensureAcceptPtrs(const RequestMatrix& req)
 {
-    if (accept_ptr_.empty())
-        accept_ptr_.assign(static_cast<size_t>(n_in), 0);
-    AN2_REQUIRE(static_cast<int>(accept_ptr_.size()) == n_in,
+    if (accept_ptr_.empty()) {
+        accept_ptr_.assign(static_cast<size_t>(req.numInputs()), 0);
+        accept_outputs_ = req.numOutputs();
+    }
+    AN2_REQUIRE(static_cast<int>(accept_ptr_.size()) == req.numInputs() &&
+                    accept_outputs_ == req.numOutputs(),
                 "request matrix size changed without reset()");
 }
 
@@ -81,6 +62,7 @@ PimMatcher::prepareFastState(const RequestMatrix& req)
     requesters_.resize(static_cast<size_t>(col_words_));
     grant_rows_.resize(static_cast<size_t>(n_in) *
                        static_cast<size_t>(row_words_));
+    grant_order_.reserve(static_cast<size_t>(n_in));
     wordset::fillFirst(free_in_.data(), col_words_, n_in);
     wordset::fillFirst(free_out_.data(), row_words_, n_out);
 }
@@ -96,51 +78,42 @@ PimMatcher::match(const RequestMatrix& req)
 void
 PimMatcher::matchInto(const RequestMatrix& req, Matching& out)
 {
-    const int n_in = req.numInputs();
-    const int n_out = req.numOutputs();
-    out.reset(n_in, n_out, config_.output_capacity);
-    ensureAcceptPtrs(n_in);
-
-    // An iteration with unresolved requests always adds at least one match
-    // (some output grants, some input accepts), so "no progress" implies
-    // maximality and the loop terminates for iterations == 0.
-    if (useFastCore(req)) {
-        prepareFastState(req);
-        for (int it = 0;
-             config_.iterations == 0 || it < config_.iterations; ++it)
-            if (runIterationFast(req, out, it) == 0)
-                break;
-    } else {
-        for (int it = 0;
-             config_.iterations == 0 || it < config_.iterations; ++it)
-            if (runIteration(req, out, it) == 0)
-                break;
-    }
+    out.reset(req.numInputs(), req.numOutputs(), config_.output_capacity);
+    runIterations(req, out, config_.iterations, nullptr);
 }
 
 Matching
 PimMatcher::matchDetailed(const RequestMatrix& req, PimRunStats& stats,
                           int max_iterations)
 {
-    const int n_in = req.numInputs();
-    const int n_out = req.numOutputs();
-    Matching m(n_in, n_out, config_.output_capacity);
-    ensureAcceptPtrs(n_in);
-
+    Matching m(req.numInputs(), req.numOutputs(), config_.output_capacity);
     stats = PimRunStats{};
-    const bool fast = useFastCore(req);
+    runIterations(req, m, max_iterations, &stats);
+    stats.reached_maximal = m.isMaximalFor(req);
+    return m;
+}
+
+void
+PimMatcher::runIterations(const RequestMatrix& req, Matching& m,
+                          int max_iterations, PimRunStats* stats)
+{
+    ensureAcceptPtrs(req);
+    const bool fast = config_.backend != MatcherBackend::Reference;
     if (fast)
         prepareFastState(req);
+    // An iteration with unresolved requests always adds at least one match
+    // (some output grants, some input accepts), so "no progress" implies
+    // maximality and the loop terminates for max_iterations == 0.
     for (int it = 0; max_iterations == 0 || it < max_iterations; ++it) {
-        int added = fast ? runIterationFast(req, m, it)
-                         : runIteration(req, m, it);
-        ++stats.iterations_run;
-        stats.matches_after_iteration.push_back(m.size());
+        const int added = fast ? runIterationFast(req, m, it)
+                               : runIteration(req, m, it);
+        if (stats) {
+            ++stats->iterations_run;
+            stats->matches_after_iteration.push_back(m.size());
+        }
         if (added == 0)
             break;
     }
-    stats.reached_maximal = m.isMaximalFor(req);
-    return m;
 }
 
 int
@@ -237,10 +210,20 @@ PimMatcher::runIterationFast(const RequestMatrix& req, Matching& m, int it)
     int requests_seen = 0;
     int grants_issued = 0;
 
-    // Grant phase: every free output with free requesters grants one
-    // uniformly. The draw sequence matches the scalar core exactly —
-    // outputs visited in ascending order, one nextBelow(#requesters)
-    // draw per granting output.
+    // Grant phase: every free output with free requesters grants up to
+    // its remaining capacity. The draw sequence matches the scalar core
+    // exactly: outputs visited in ascending order, one
+    // nextBelow(#requesters) draw when one grant is left, otherwise the
+    // scalar core's shuffle over the requesters in ascending order.
+    auto grant = [&](int i, int j) {
+        uint64_t* row = grant_rows_.data() +
+                        static_cast<size_t>(i) * static_cast<size_t>(rw);
+        if (!testBit(granted, i)) {
+            setBit(granted, i);
+            clearAll(row, rw);
+        }
+        setBit(row, j);
+    };
     clearAll(granted, cw);
     forEachSet(free_out_.data(), rw, [&](int j) {
         const uint64_t* col = req.colMask(j);
@@ -251,21 +234,27 @@ PimMatcher::runIterationFast(const RequestMatrix& req, Matching& m, int it)
         }
         if (any == 0)
             return;
-        int cnt = popcountAll(reqsters, cw);
-        if (rec) {
+        const int cnt = popcountAll(reqsters, cw);
+        if (rec)
             requests_seen += cnt;
-            ++grants_issued;
+        const int capacity_left = m.outputCapacity() - m.outputDegree(j);
+        if (capacity_left == 1) {
+            grant(selectBit(reqsters, cw,
+                            static_cast<int>(rng_->nextBelow(
+                                static_cast<uint64_t>(cnt)))),
+                  j);
+            if (rec)
+                ++grants_issued;
+            return;
         }
-        int pick = selectBit(
-            reqsters, cw,
-            static_cast<int>(rng_->nextBelow(static_cast<uint64_t>(cnt))));
-        uint64_t* row = grant_rows_.data() +
-                        static_cast<size_t>(pick) * static_cast<size_t>(rw);
-        if (!testBit(granted, pick)) {
-            setBit(granted, pick);
-            clearAll(row, rw);
-        }
-        setBit(row, j);
+        grant_order_.clear();
+        forEachSet(reqsters, cw, [&](int i) { grant_order_.push_back(i); });
+        rng_->shuffle(grant_order_);
+        const int grants = std::min(capacity_left, cnt);
+        for (int g = 0; g < grants; ++g)
+            grant(grant_order_[static_cast<size_t>(g)], j);
+        if (rec)
+            grants_issued += grants;
     });
     if (!anySet(granted, cw)) {
         if (rec)
@@ -292,7 +281,8 @@ PimMatcher::runIterationFast(const RequestMatrix& req, Matching& m, int it)
         }
         m.add(i, chosen);
         clearBit(free_in_.data(), i);
-        clearBit(free_out_.data(), chosen);
+        if (m.isOutputSaturated(chosen))
+            clearBit(free_out_.data(), chosen);
         ++added;
     });
     if (rec)

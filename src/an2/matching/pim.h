@@ -63,10 +63,9 @@ struct PimConfig
     uint64_t seed = 1;
 
     /**
-     * Implementation core. Auto uses the word-parallel core (bit-identical
-     * results, same PRNG draw sequence) whenever output_capacity == 1 and
-     * the switch fits 1024 ports; larger capacities fall back to the
-     * scalar reference core.
+     * Implementation core. Auto runs the word-parallel core at every
+     * size and output capacity; Reference runs the scalar core it
+     * replays draw for draw (bit-identical matchings).
      */
     MatcherBackend backend = MatcherBackend::Auto;
 };
@@ -114,11 +113,13 @@ class PimMatcher final : public Matcher
                            int max_iterations);
 
   private:
-    /** True when this request matrix runs on the word-parallel core. */
-    bool useFastCore(const RequestMatrix& req) const;
+    /** Validate/initialize the per-input accept pointers for `req`. */
+    void ensureAcceptPtrs(const RequestMatrix& req);
 
-    /** Validate/initialize the per-input accept pointers for n inputs. */
-    void ensureAcceptPtrs(int n_in);
+    /** Run rounds into `m` until one adds nothing or `max_iterations`
+        have run (0 = no limit); `stats`, when given, records each. */
+    void runIterations(const RequestMatrix& req, Matching& m,
+                       int max_iterations, PimRunStats* stats);
 
     /** Size and initialize the word-parallel scratch for `req`. */
     void prepareFastState(const RequestMatrix& req);
@@ -134,6 +135,7 @@ class PimMatcher final : public Matcher
     PimConfig config_;
     std::unique_ptr<Rng> rng_;
     std::vector<int> accept_ptr_;  ///< per-input round-robin pointer
+    int accept_outputs_ = 0;       ///< outputs the pointers range over
 
     // Word-parallel scratch, reused across slots (no steady-state heap
     // traffic). Column masks run over inputs (col_words_ words); grant
@@ -145,6 +147,7 @@ class PimMatcher final : public Matcher
     std::vector<uint64_t> granted_;     ///< inputs granted this round
     std::vector<uint64_t> requesters_;  ///< per-output scratch
     std::vector<uint64_t> grant_rows_;  ///< outputs granting each input
+    std::vector<PortId> grant_order_;   ///< one output's requesters (k > 1)
 };
 
 }  // namespace an2

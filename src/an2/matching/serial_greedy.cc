@@ -8,12 +8,6 @@
 
 namespace an2 {
 
-namespace {
-
-constexpr int kMaxFastPorts = 1024;
-
-}  // namespace
-
 SerialGreedyMatcher::SerialGreedyMatcher(bool randomize, uint64_t seed,
                                          MatcherBackend backend,
                                          WarmStart warm)
@@ -87,14 +81,7 @@ SerialGreedyMatcher::matchInto(const RequestMatrix& req, Matching& out)
     int requests_seen = 0;
     int grants_issued = 0;
 
-    bool fast = backend_ != MatcherBackend::Reference &&
-                n_in <= kMaxFastPorts && n_out <= kMaxFastPorts;
-    if (backend_ == MatcherBackend::WordParallel) {
-        AN2_REQUIRE(fast,
-                    "word-parallel greedy supports at most 1024 ports");
-    }
-
-    if (fast) {
+    if (backend_ != MatcherBackend::Reference) {
         using namespace wordset;
         const int rw = req.rowWords();
         free_out_.resize(static_cast<size_t>(rw));

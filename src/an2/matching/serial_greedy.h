@@ -28,9 +28,9 @@ class SerialGreedyMatcher final : public Matcher
      * @param randomize Visit inputs and outputs in random order (fairer);
      *                  when false, lowest index wins every tie.
      * @param seed PRNG seed used when randomizing.
-     * @param backend Implementation core; Auto uses the word-parallel
-     *                core up to 1024 ports (bit-identical matchings —
-     *                same shuffle and same PRNG draw per input).
+     * @param backend Implementation core; Auto runs the word-parallel
+     *                core, Reference the scalar one (bit-identical
+     *                matchings — same shuffle and same PRNG draw per input).
      * @param warm WarmStart::On seeds each slot from the previous slot's
      *             surviving edges; seeded inputs skip their visit (and
      *             their PRNG draw). See matcher.h.

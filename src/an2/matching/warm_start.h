@@ -1,7 +1,7 @@
 /**
  * @file
  * Cross-slot warm-start state shared by the incremental matcher paths
- * (WarmStart::On in iSLIP, serial-greedy, and FastPIM).
+ * (WarmStart::On in iSLIP and serial greedy).
  *
  * The state remembers the previous slot's matching as a dense in->out
  * array plus the request matrix's epoch at the moment the deltas were

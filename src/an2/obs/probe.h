@@ -34,7 +34,7 @@ namespace an2::obs {
 /**
  * Monotonic counters, one slot each in the attached Recorder. The
  * match-phase counters (RequestsSeen .. KeepGrantRetained) are defined
- * identically for the Reference and WordParallel matcher backends; the
+ * identically for the Reference and word-parallel matcher backends; the
  * obs conformance test pins the two to byte-identical values.
  */
 enum class Counter : int {

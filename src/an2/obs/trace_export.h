@@ -29,8 +29,8 @@
  *
  * The export is fully deterministic: two identically-seeded runs produce
  * byte-identical documents (pinned by the golden-trace test), which is
- * also what lets the conformance suite diff Reference vs WordParallel
- * backends at the trace level.
+ * also what lets the conformance suite diff the Reference and
+ * word-parallel backends at the trace level.
  */
 #ifndef AN2_OBS_TRACE_EXPORT_H
 #define AN2_OBS_TRACE_EXPORT_H

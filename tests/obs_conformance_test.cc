@@ -1,8 +1,8 @@
 // Backend conformance for the obs probe layer: the Reference and
-// WordParallel matcher cores must report byte-identical per-iteration
+// word-parallel matcher cores must report byte-identical per-iteration
 // counters and MatchIter event sequences on seeded runs. (The matchings
-// themselves are already pinned identical by matcher_conformance_test
-// and pim_fast_test; this suite pins the *instrumentation*.)
+// themselves are already pinned identical by matcher_conformance_test;
+// this suite pins the *instrumentation*.)
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -54,6 +54,23 @@ factories()
                       cfg.iterations = 0;
                       cfg.accept = AcceptPolicy::RoundRobin;
                       cfg.seed = 22;
+                      cfg.backend = b;
+                      return std::make_unique<PimMatcher>(cfg);
+                  }});
+    fs.push_back({"pim_k2", [](MatcherBackend b) {
+                      PimConfig cfg;
+                      cfg.iterations = 4;
+                      cfg.output_capacity = 2;
+                      cfg.seed = 24;
+                      cfg.backend = b;
+                      return std::make_unique<PimMatcher>(cfg);
+                  }});
+    fs.push_back({"pim_complete_k3_rr", [](MatcherBackend b) {
+                      PimConfig cfg;
+                      cfg.iterations = 0;
+                      cfg.accept = AcceptPolicy::RoundRobin;
+                      cfg.output_capacity = 3;
+                      cfg.seed = 25;
                       cfg.backend = b;
                       return std::make_unique<PimMatcher>(cfg);
                   }});
@@ -138,14 +155,14 @@ TEST_P(ObsBackendConformanceTest, ReferenceAndWordParallelCountersMatch)
     const std::vector<NamedFactory> fs = factories();
     const NamedFactory& f = fs[static_cast<size_t>(fi)];
     ObservedRun ref = observe(f.make, MatcherBackend::Reference, n);
-    ObservedRun fast = observe(f.make, MatcherBackend::WordParallel, n);
+    ObservedRun fast = observe(f.make, MatcherBackend::Auto, n);
     ASSERT_GT(ref.events.size(), 0u) << f.label;
     expectIdenticalObservations(ref, fast);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllMatchers, ObsBackendConformanceTest,
-    ::testing::Combine(::testing::Range(0, 5),
+    ::testing::Combine(::testing::Range(0, 7),
                        ::testing::Values(4, 16, 80)));
 
 }  // namespace

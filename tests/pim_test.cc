@@ -303,6 +303,28 @@ TEST(PimTest, SizeChangeWithoutResetFails)
     EXPECT_NO_THROW(pim.match(big));
 }
 
+TEST(PimTest, OutputCountChangeWithoutResetFails)
+{
+    // The round-robin accept pointers range over the outputs, so fewer
+    // outputs with the same inputs is the same misuse as above, on both
+    // cores.
+    for (MatcherBackend backend :
+         {MatcherBackend::Auto, MatcherBackend::Reference}) {
+        PimConfig cfg;
+        cfg.accept = AcceptPolicy::RoundRobin;
+        cfg.backend = backend;
+        PimMatcher pim(cfg);
+        RequestMatrix wide(4, 8);
+        wide.set(0, 6, 1);  // input 0's pointer moves to output 7
+        EXPECT_EQ(pim.match(wide).outputOf(0), 6);
+        RequestMatrix square(4);
+        square.set(0, 0, 1);
+        EXPECT_THROW(pim.match(square), UsageError);
+        pim.reset();
+        EXPECT_EQ(pim.match(square).outputOf(0), 0);
+    }
+}
+
 TEST(PimTest, InvalidConfigRejected)
 {
     EXPECT_THROW(PimMatcher(PimConfig{.iterations = -1}), UsageError);

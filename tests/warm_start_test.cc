@@ -13,7 +13,6 @@
 #include "an2/base/rng.h"
 #include "an2/matching/islip.h"
 #include "an2/matching/matcher.h"
-#include "an2/matching/pim_fast.h"
 #include "an2/matching/request_matrix.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/obs/recorder.h"
@@ -63,7 +62,6 @@ struct WarmConfig
 {
     std::string name;
     std::unique_ptr<Matcher> (*make)(WarmStart warm);
-    bool maximal;  ///< the matcher guarantees maximality
 };
 
 std::vector<WarmConfig>
@@ -74,45 +72,29 @@ warmConfigs()
                        [](WarmStart w) -> std::unique_ptr<Matcher> {
                            return std::make_unique<IslipMatcher>(
                                4, MatcherBackend::Reference, w);
-                       },
-                       true});
+                       }});
     configs.push_back({"islip-word",
                        [](WarmStart w) -> std::unique_ptr<Matcher> {
                            return std::make_unique<IslipMatcher>(
-                               4, MatcherBackend::WordParallel, w);
-                       },
-                       true});
+                               4, MatcherBackend::Auto, w);
+                       }});
     configs.push_back({"greedy-reference",
                        [](WarmStart w) -> std::unique_ptr<Matcher> {
                            return std::make_unique<SerialGreedyMatcher>(
                                true, 7, MatcherBackend::Reference, w);
-                       },
-                       true});
+                       }});
     configs.push_back({"greedy-word",
                        [](WarmStart w) -> std::unique_ptr<Matcher> {
                            return std::make_unique<SerialGreedyMatcher>(
-                               true, 7, MatcherBackend::WordParallel, w);
-                       },
-                       true});
-    // Run-to-completion FastPIM converges to a maximal matching; the
-    // fixed-iteration variant may legally stop short.
-    configs.push_back({"fastpim-complete",
-                       [](WarmStart w) -> std::unique_ptr<Matcher> {
-                           return std::make_unique<FastPimMatcher>(0, 11, w);
-                       },
-                       true});
-    configs.push_back({"fastpim-4iter",
-                       [](WarmStart w) -> std::unique_ptr<Matcher> {
-                           return std::make_unique<FastPimMatcher>(4, 11, w);
-                       },
-                       false});
+                               true, 7, MatcherBackend::Auto, w);
+                       }});
     return configs;
 }
 
 // Random request churn with mid-run port death and revival: every warm
-// matching must be legal, avoid dead ports, and (where guaranteed) be
-// maximal — including the slots right after a liveness flip, where any
-// stale reused edge would surface.
+// matching must be legal, avoid dead ports, and be maximal — including
+// the slots right after a liveness flip, where any stale reused edge
+// would surface.
 TEST(WarmStartProperty, LegalAndMaximalUnderChurnAndFaults)
 {
     constexpr int kN = 70;  // > one mask word, exercises multi-word paths
@@ -145,8 +127,7 @@ TEST(WarmStartProperty, LegalAndMaximalUnderChurnAndFaults)
                 cfg.name + " round " + std::to_string(round);
             EXPECT_TRUE(m.isLegalFor(req)) << ctx;
             expectAvoidsDeadPorts(req, m, ctx);
-            if (cfg.maximal)
-                expectMaximal(req, m, ctx);
+            expectMaximal(req, m, ctx);
         }
     }
 }
@@ -212,8 +193,7 @@ TEST(WarmStartProperty, CopyAssignedMatrixNeverReplaysStale)
         req = other;
         matcher->matchInto(req, m);
         EXPECT_TRUE(m.isLegalFor(req)) << cfg.name;
-        if (cfg.maximal)
-            expectMaximal(req, m, cfg.name);
+        expectMaximal(req, m, cfg.name);
     }
 }
 
@@ -235,8 +215,6 @@ TEST(WarmStartRegression, OffMatchesSeedBehavior)
     pairs.push_back({std::make_unique<SerialGreedyMatcher>(
                          true, 3, MatcherBackend::Auto, WarmStart::Off),
                      std::make_unique<SerialGreedyMatcher>(true, 3)});
-    pairs.push_back({std::make_unique<FastPimMatcher>(4, 3, WarmStart::Off),
-                     std::make_unique<FastPimMatcher>(4, 3)});
     for (Pair& p : pairs) {
         RequestMatrix req(kN);
         Matching a(kN);
@@ -276,8 +254,7 @@ TEST(WarmStartProperty, ResetInvalidatesRememberedMatching)
         RequestMatrix fresh = RequestMatrix::bernoulli(kN, 0.4, rng);
         matcher->matchInto(fresh, m);
         EXPECT_TRUE(m.isLegalFor(fresh)) << cfg.name;
-        if (cfg.maximal)
-            expectMaximal(fresh, m, cfg.name);
+        expectMaximal(fresh, m, cfg.name);
     }
 }
 

@@ -173,40 +173,19 @@ TEST(ZeroAllocTest, WarmGreedyRunSlotSteadyStateIsAllocationFree)
 namespace {
 
 /**
- * SlotDriver feeding a deterministic full-load permutation (input i
- * always sends to output (i + 3) % n). Queue depth is stationary, so
- * no ring can legitimately grow after warmup — unlike Bernoulli
- * workloads, whose rare depth excursions grow arrival-side buffers
- * forever — making the batched accept + runSlot measurement exact. The
- * request matrix is also unchanged across slots (counts never cross
- * zero), so a warm matcher rides the full-reuse tier.
+ * SlotDriver base that counts heap allocations from the start of each
+ * slot's accepts to the end of its runSlot, in slots at or after
+ * `warmup`. Subclasses append the slot's arrivals.
  */
-class PermutationDriver final : public SlotDriver
+class CountingDriver : public SlotDriver
 {
   public:
-    PermutationDriver(int n, SlotTime warmup) : n_(n), warmup_(warmup) {}
+    CountingDriver(int n, SlotTime warmup) : n_(n), warmup_(warmup) {}
 
     const std::vector<Cell>& beginSlot(SlotTime slot) override
     {
         arrivals_.clear();
-        // Slot 0 primes each flow with an extra cell so queue depths
-        // stay >= 1 forever after: request counts then never cross
-        // zero, the matrix epoch freezes, and the warm matcher rides
-        // the full-reuse tier every subsequent slot.
-        const int per_input = slot == 0 ? 2 : 1;
-        for (PortId i = 0; i < n_; ++i) {
-            for (int k = 0; k < per_input; ++k) {
-                Cell c;
-                c.input = i;
-                c.output = (i + 3) % n_;
-                c.flow = i * n_ + c.output;
-                c.cls = TrafficClass::VBR;
-                c.seq = slot + k;
-                c.inject_slot = slot;
-                c.arrival_slot = slot;
-                arrivals_.push_back(c);
-            }
-        }
+        arrive(slot);
         before_ = g_allocations.load(std::memory_order_relaxed);
         return arrivals_;
     }
@@ -220,12 +199,79 @@ class PermutationDriver final : public SlotDriver
 
     size_t counted() const { return counted_; }
 
-  private:
+  protected:
+    virtual void arrive(SlotTime slot) = 0;
+
+    /** Append one VBR cell from input i to output j. */
+    void push(PortId i, PortId j, SlotTime slot, int64_t seq)
+    {
+        Cell c;
+        c.input = i;
+        c.output = j;
+        c.flow = i * n_ + j;
+        c.cls = TrafficClass::VBR;
+        c.seq = seq;
+        c.inject_slot = slot;
+        c.arrival_slot = slot;
+        arrivals_.push_back(c);
+    }
+
     int n_;
+
+  private:
     SlotTime warmup_;
     std::vector<Cell> arrivals_;
     size_t before_ = 0;
     size_t counted_ = 0;
+};
+
+/**
+ * A deterministic full-load permutation (input i always sends to output
+ * (i + 3) % n). Queue depth is stationary, so no ring can legitimately
+ * grow after warmup — unlike Bernoulli workloads, whose rare depth
+ * excursions grow arrival-side buffers forever — making the batched
+ * accept + runSlot measurement exact. The request matrix is also
+ * unchanged across slots (counts never cross zero), so a warm matcher
+ * rides the full-reuse tier.
+ */
+class PermutationDriver final : public CountingDriver
+{
+  public:
+    using CountingDriver::CountingDriver;
+
+  private:
+    void arrive(SlotTime slot) override
+    {
+        // Slot 0 primes each flow with an extra cell so queue depths
+        // stay >= 1 forever after: request counts then never cross
+        // zero, the matrix epoch freezes, and the warm matcher rides
+        // the full-reuse tier every subsequent slot.
+        const int per_input = slot == 0 ? 2 : 1;
+        for (PortId i = 0; i < n_; ++i)
+            for (int k = 0; k < per_input; ++k)
+                push(i, (i + 3) % n_, slot, slot + k);
+    }
+};
+
+/**
+ * Full load that needs a replicated fabric: inputs 2m and 2m+1 both
+ * send to output m on even slots and to output n/2 + m on odd slots.
+ * Every port carries load 1, and every busy output has two requesters,
+ * so a k = 2 matcher grants both each slot (its shuffle runs) and each
+ * output ends every slot with at most one cell queued.
+ */
+class PairedOutputsDriver final : public CountingDriver
+{
+  public:
+    using CountingDriver::CountingDriver;
+
+  private:
+    void arrive(SlotTime slot) override
+    {
+        const int half = slot % 2 == 0 ? 0 : n_ / 2;
+        for (PortId i = 0; i < n_; ++i)
+            push(i, half + i / 2, slot, slot);
+    }
 };
 
 }  // namespace
@@ -286,6 +332,21 @@ TEST(ZeroAllocTest, CioqWrrRunSlotsSteadyStateIsAllocationFree)
     PermutationDriver driver(16, 100);
     sw.runSlots(0, 2000, driver);
     EXPECT_EQ(driver.counted(), 0u);
+}
+
+TEST(ZeroAllocTest, ReplicatedFabricPimRunSlotsSteadyStateIsAllocationFree)
+{
+    // PIM granting up to k = 2 cells per output (the replicated fabric of
+    // paper §3.1) draws its grants by shuffling a preallocated requester
+    // array and drains through the output stage.
+    InputQueuedSwitch sw(
+        IqSwitchConfig{.n = 16, .service = ServiceDiscipline::Strict},
+        std::make_unique<PimMatcher>(PimConfig{
+            .iterations = 4, .output_capacity = 2, .seed = 8}));
+    PairedOutputsDriver driver(16, 100);
+    sw.runSlots(0, 2000, driver);
+    EXPECT_EQ(driver.counted(), 0u);
+    EXPECT_EQ(sw.outputQueueHighWaterMark(), 1);
 }
 
 TEST(ZeroAllocTest, OutputQueuedSteadyStateIsAllocationFree)
