@@ -16,6 +16,23 @@ Controller::Controller(NodeId id, LocalClock clock, int frame_slots,
 }
 
 void
+Controller::setOutLink(NetLink* link)
+{
+    AN2_REQUIRE(out_link_ == nullptr,
+                "controller " << id_ << " output already connected");
+    out_link_ = link;
+}
+
+void
+Controller::setInLink(NetLink* link)
+{
+    AN2_REQUIRE(in_link_ == nullptr,
+                "controller " << id_ << " input already connected");
+    link->watch(&in_due_);
+    in_link_ = link;
+}
+
+void
 Controller::addCbrSource(FlowId flow, int cells_per_frame,
                          int attempted_per_frame)
 {
@@ -72,8 +89,8 @@ Controller::addVbrSource(FlowId flow, double rate)
 void
 Controller::drainSink(PicoTime now)
 {
-    if (in_link_ == nullptr)
-        return;
+    if (in_due_ > now)
+        return;  // nothing due, or no link
     arrivals_.clear();
     in_link_->deliverInto(now, arrivals_);
     obs::Recorder* rec = obs::current();  // hoisted: one load per drain

@@ -60,11 +60,17 @@ class Controller final : public NetNode
     Controller(NodeId id, LocalClock clock, int frame_slots,
                int schedulable_slots, uint64_t seed);
 
-    /** Attach the outgoing link (source side). */
-    void setOutLink(NetLink* link) { out_link_ = link; }
+    // An in-link holds a pointer to in_due_, so a controller never
+    // moves (deleting the copy also removes the implicit move).
+    Controller(const Controller&) = delete;
+    Controller& operator=(const Controller&) = delete;
 
-    /** Attach the incoming link (sink side). */
-    void setInLink(NetLink* link) { in_link_ = link; }
+    /** Attach the outgoing link (source side); fatal if already wired. */
+    void setOutLink(NetLink* link);
+
+    /** Attach the incoming link (sink side); fatal if already wired. The
+        link then keeps the due time (see NetLink::watch). */
+    void setInLink(NetLink* link);
 
     /**
      * Register a CBR flow originating here with k cells/frame. Flows are
@@ -153,6 +159,9 @@ class Controller final : public NetNode
     int cbr_assigned_ = 0;
     NetLink* out_link_ = nullptr;
     NetLink* in_link_ = nullptr;
+    /** in_link_'s NetLink::nextDue(), kept by the link (kNever when
+        unwired), so an idle sink tick reads no link. */
+    PicoTime in_due_ = NetLink::kNever;
     std::vector<CbrSource> cbr_sources_;
     std::vector<VbrSource> vbr_sources_;
     double total_vbr_rate_ = 0.0;

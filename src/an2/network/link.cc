@@ -19,11 +19,20 @@ NetLink::send(const Cell& cell, PicoTime now_ps)
     // Transmissions from one upstream port are naturally ordered in time,
     // so both queues stay sorted by arrival.
     PicoTime arrives = now_ps + latency_ps_;
-    RingQueue<TimedCell>& q = deferred_ ? pending_ : in_flight_;
-    AN2_ASSERT(q.empty() || q.back().arrives_ps <= arrives,
-               "link send out of time order");
-    q.push_back({cell, arrives});
     ++cells_carried_;
+    if (deferred_) {
+        // The downstream shard owns in_flight_ and the due slot until
+        // the barrier's commit(), so a deferred send reads neither.
+        AN2_ASSERT(pending_.empty() || pending_.back().arrives_ps <= arrives,
+                   "link send out of time order");
+        pending_.push_back({cell, arrives});
+        return;
+    }
+    AN2_ASSERT(in_flight_.empty() || in_flight_.back().arrives_ps <= arrives,
+               "link send out of time order");
+    in_flight_.push_back({cell, arrives});
+    if (in_flight_.size() == 1)
+        publishDue();  // a new head
 }
 
 void
@@ -37,6 +46,9 @@ NetLink::setDeferred(bool deferred)
 void
 NetLink::commit()
 {
+    if (pending_.empty())
+        return;
+    bool new_head = in_flight_.empty();
     while (!pending_.empty()) {
         const TimedCell& tc = pending_.front();
         AN2_ASSERT(in_flight_.empty() ||
@@ -45,6 +57,8 @@ NetLink::commit()
         in_flight_.push_back(tc);
         pending_.pop_front();
     }
+    if (new_head)
+        publishDue();
 }
 
 void
@@ -58,7 +72,16 @@ NetLink::setUp(bool up)
             static_cast<int64_t>(in_flight_.size() + pending_.size());
         in_flight_.clear();
         pending_.clear();
+        publishDue();
     }
+}
+
+void
+NetLink::watch(PicoTime* slot)
+{
+    AN2_REQUIRE(due_ == nullptr, "link already feeds a node");
+    due_ = slot;
+    publishDue();
 }
 
 void
@@ -68,6 +91,7 @@ NetLink::deliverInto(PicoTime now_ps, std::vector<Cell>& out)
         out.push_back(in_flight_.front().cell);
         in_flight_.pop_front();
     }
+    publishDue();
 }
 
 std::vector<Cell>

@@ -12,10 +12,17 @@
  * commit() — called at a barrier, when no node is ticking — publishes
  * staged cells into the in-flight queue. Immediate mode (the default)
  * keeps the classic serial semantics: send() publishes directly.
+ *
+ * Due-time mirror: the node a link feeds watch()es it, and from then on
+ * the link keeps that node's due slot equal to nextDue(), so a node
+ * finds its idle in-links without reading them. The slot belongs with
+ * the in-flight queue to the downstream side: a deferred send touches
+ * neither.
  */
 #ifndef AN2_NETWORK_LINK_H
 #define AN2_NETWORK_LINK_H
 
+#include <limits>
 #include <vector>
 
 #include "an2/base/ring.h"
@@ -38,6 +45,9 @@ struct TimedCell
 class NetLink
 {
   public:
+    /** nextDue() of a link with nothing in flight. */
+    static constexpr PicoTime kNever = std::numeric_limits<PicoTime>::max();
+
     /**
      * @param latency_ps Propagation latency plus downstream per-cell
      *        processing overhead (wall picoseconds).
@@ -83,6 +93,21 @@ class NetLink
 
     bool isUp() const { return up_; }
 
+    /** Arrival time of the head in-flight cell, or kNever when none is
+        in flight (staged cells count from their commit()). */
+    PicoTime
+    nextDue() const
+    {
+        return in_flight_.empty() ? kNever : in_flight_.front().arrives_ps;
+    }
+
+    /**
+     * Keep `*slot` equal to nextDue() from now on: the link rewrites it
+     * whenever the head of its in-flight queue changes. Called by the
+     * node the link feeds; fatal if the link already feeds one.
+     */
+    void watch(PicoTime* slot);
+
     /** Cells currently in flight (published; excludes staged cells). */
     int inFlight() const { return static_cast<int>(in_flight_.size()); }
 
@@ -98,11 +123,21 @@ class NetLink
     int64_t cellsLost() const { return cells_lost_; }
 
   private:
+    /** Mirror nextDue() into the watched slot, if any. */
+    void
+    publishDue()
+    {
+        if (due_ != nullptr)
+            *due_ = nextDue();
+    }
+
     PicoTime latency_ps_;
     RingQueue<TimedCell> in_flight_;
     RingQueue<TimedCell> pending_;
     bool up_ = true;
     bool deferred_ = false;
+    /** The downstream node's due slot (watch()); null until watched. */
+    PicoTime* due_ = nullptr;
     int64_t cells_carried_ = 0;
     int64_t cells_lost_ = 0;
 };

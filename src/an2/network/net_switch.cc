@@ -15,6 +15,7 @@ NetSwitch::NetSwitch(NodeId id, LocalClock clock, int n_ports,
       core_(IqSwitchConfig{.n = n_ports}, std::move(vbr_matcher),
             &cbr_.schedule()),
       in_links_(static_cast<size_t>(n_ports), nullptr),
+      in_due_(static_cast<size_t>(n_ports), NetLink::kNever),
       out_links_(static_cast<size_t>(n_ports), nullptr)
 {
 }
@@ -31,6 +32,7 @@ NetSwitch::setInLink(PortId p, NetLink* link)
     checkPort(p);
     AN2_REQUIRE(in_links_[static_cast<size_t>(p)] == nullptr,
                 "input port " << p << " already connected");
+    link->watch(&in_due_[static_cast<size_t>(p)]);
     in_links_[static_cast<size_t>(p)] = link;
 }
 
@@ -185,11 +187,10 @@ void
 NetSwitch::acceptArrivals(PicoTime now)
 {
     for (PortId p = 0; p < core_.size(); ++p) {
-        NetLink* link = in_links_[static_cast<size_t>(p)];
-        if (link == nullptr)
-            continue;
+        if (in_due_[static_cast<size_t>(p)] > now)
+            continue;  // nothing due, or no link
         arrivals_.clear();
-        link->deliverInto(now, arrivals_);
+        in_links_[static_cast<size_t>(p)]->deliverInto(now, arrivals_);
         for (Cell c : arrivals_) {
             Route* route = routes_.get(c.flow);
             AN2_REQUIRE(route != nullptr,

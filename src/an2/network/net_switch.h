@@ -46,7 +46,8 @@ class NetSwitch final : public NetNode
     NetSwitch(const NetSwitch&) = delete;
     NetSwitch& operator=(const NetSwitch&) = delete;
 
-    /** Attach the incoming link feeding port p. */
+    /** Attach the incoming link feeding port p (the link then keeps
+        the port's due time; see NetLink::watch). */
     void setInLink(PortId p, NetLink* link);
 
     /** Attach the outgoing link driven by port p. */
@@ -163,7 +164,8 @@ class NetSwitch final : public NetNode
 
     void checkPort(PortId p) const;
 
-    /** Pull arrived cells off the in-links into the core's buffers. */
+    /** Pull arrived cells off the in-links that have a cell due into
+        the core's buffers. */
     void acceptArrivals(PicoTime now);
 
     /** Purge a CBR flow's queue at one input, fixing the route's queued
@@ -179,6 +181,10 @@ class NetSwitch final : public NetNode
     /** The AN2 switch proper; serves cbr_'s live schedule. */
     InputQueuedSwitch core_;
     std::vector<NetLink*> in_links_;
+    /** Per input port, its in-link's NetLink::nextDue(), kept by the
+        link itself (kNever when unwired), so a tick reads only the
+        links with a cell due. */
+    std::vector<PicoTime> in_due_;
     std::vector<NetLink*> out_links_;
     /** Flow -> route, looked up per arriving cell (O(1), no tree walk). */
     FlatMap<Route> routes_;

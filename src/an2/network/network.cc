@@ -1,7 +1,6 @@
 #include "an2/network/network.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "an2/base/error.h"
 
@@ -88,17 +87,20 @@ Network::connect(NodeId from, PortId from_port, NodeId to, PortId to_port,
     node(to);
     auto link = std::make_unique<NetLink>(latency_ps);
     NetLink* raw = link.get();
-    if (is_switch_[static_cast<size_t>(from)]) {
-        netSwitch(from).setOutLink(from_port, raw);
-    } else {
-        AN2_REQUIRE(from_port == 0, "controllers have a single port 0");
-        controller(from).setOutLink(raw);
-    }
+    // Input end first: if the output end then refuses the link, the
+    // input end's due time for it stays kNever, so nothing ever reads
+    // the discarded link.
     if (is_switch_[static_cast<size_t>(to)]) {
         netSwitch(to).setInLink(to_port, raw);
     } else {
         AN2_REQUIRE(to_port == 0, "controllers have a single port 0");
         controller(to).setInLink(raw);
+    }
+    if (is_switch_[static_cast<size_t>(from)]) {
+        netSwitch(from).setOutLink(from_port, raw);
+    } else {
+        AN2_REQUIRE(from_port == 0, "controllers have a single port 0");
+        controller(from).setOutLink(raw);
     }
     int index = static_cast<int>(edges_.size());
     edges_.push_back({from, from_port, to, to_port, std::move(link)});
@@ -229,21 +231,32 @@ void
 Network::run(PicoTime until_ps)
 {
     AN2_REQUIRE(!nodes_.empty(), "network has no nodes");
-    // Rebuilt on every entry, so nodes added between calls join the heap.
-    constexpr std::greater<> later{};  // makes the std heap a min-heap
+    // Rebuilt on every entry, so nodes added between calls join the ring.
     ticks_.clear();
     for (const auto& n : nodes_)
         ticks_.push_back({n->nextTick(), n->id()});
-    std::make_heap(ticks_.begin(), ticks_.end(), later);
-    // A tick advances only its own node's clock, so re-keying just the
-    // popped entry keeps the heap exact.
-    while (ticks_.front().at <= until_ps) {
-        std::pop_heap(ticks_.begin(), ticks_.end(), later);
-        TickEntry& entry = ticks_.back();
+    std::sort(ticks_.begin(), ticks_.end());
+    // ticks_ is a ring sorted from `head`. A tick advances only its own
+    // node's clock, by about one period, so the re-keyed entry goes back
+    // in from the ring's back (the slot it was popped from) and seldom
+    // passes another entry on the way.
+    const size_t n = ticks_.size();
+    size_t head = 0;
+    while (ticks_[head].at <= until_ps) {
+        TickEntry entry = ticks_[head];
         NetNode& next = *nodes_[static_cast<size_t>(entry.node)];
         next.tick();
         entry.at = next.nextTick();
-        std::push_heap(ticks_.begin(), ticks_.end(), later);
+        size_t hole = head;
+        for (size_t passed = 1; passed < n; ++passed) {
+            size_t prev = hole == 0 ? n - 1 : hole - 1;
+            if (!(entry < ticks_[prev]))
+                break;
+            ticks_[hole] = ticks_[prev];  // shift a later tick up one
+            hole = prev;
+        }
+        ticks_[hole] = entry;
+        head = head + 1 == n ? 0 : head + 1;
     }
 }
 

@@ -68,7 +68,8 @@ class Network
 
     /**
      * Create a directed link from `from`'s output port to `to`'s input
-     * port. Controller ports must be 0.
+     * port. Controller ports must be 0; fatal when either port is
+     * already connected.
      * @return the link index (dense, in connect order; also the
      *         admission-control LinkId and the FaultPlan link target).
      */
@@ -99,7 +100,11 @@ class Network
     /**
      * Run the event loop until wall time `until_ps`: tick nodes in
      * (next tick, node id) order, so same-instant ticks go to the lower
-     * node id. O(log nodes) per tick, plus O(nodes) on entry.
+     * node id. Costs O(nodes log nodes) on entry, then per tick O(1)
+     * plus one shift for every other node whose next tick sorts after
+     * the ticked node's new one. That is O(nodes) at worst, but rare
+     * while clock rates differ by less than the spacing of the nodes'
+     * phases.
      */
     void run(PicoTime until_ps);
 
@@ -181,7 +186,7 @@ class Network
         std::unique_ptr<NetLink> link;
     };
 
-    /** A node's entry in run()'s next-tick heap. The defaulted comparison
+    /** A node's entry in run()'s tick ring. The defaulted comparison
         is lexicographic in member order: earliest tick, then lowest id. */
     struct TickEntry
     {
@@ -215,8 +220,9 @@ class Network
     std::unordered_map<uint64_t, int> edge_index_;
     AdmissionController admission_;
     FlowId next_flow_ = 0;
-    /** run()'s binary min-heap, one entry per node; rebuilt on every
-        entry, so its capacity is reused across calls. */
+    /** run()'s tick ring, one entry per node, sorted from a moving
+        head; rebuilt on every entry, so its capacity is reused across
+        calls. */
     std::vector<TickEntry> ticks_;
 };
 

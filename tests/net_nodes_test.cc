@@ -1,11 +1,12 @@
-// Unit tests for the network node internals: Controller frame pacing and
-// padding, NetSwitch routing validation and rerouting (an2/network/*).
-// The multi-node behaviours live in network_test.cc; these drive the
-// nodes directly.
+// Unit tests for the network node internals: the NetLink due-time
+// mirror, Controller frame pacing and padding, NetSwitch routing
+// validation and rerouting (an2/network/*). The multi-node behaviours
+// live in network_test.cc; these drive the nodes directly.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "an2/matching/pim.h"
 #include "an2/network/controller.h"
@@ -21,6 +22,100 @@ pim(uint64_t seed)
 {
     return std::make_unique<PimMatcher>(
         PimConfig{.iterations = 4, .seed = seed});
+}
+
+// -------------------------------------------------------------- NetLink
+
+Cell
+cellOfFlow(FlowId flow)
+{
+    Cell c;
+    c.flow = flow;
+    c.cls = TrafficClass::VBR;
+    return c;
+}
+
+TEST(NetLinkUnitTest, WatchedSlotTracksNextDue)
+{
+    NetLink link(100);
+    PicoTime slot = 0;
+    std::vector<Cell> out;
+    // Watching a link with cells already in flight reads their head.
+    link.send(cellOfFlow(1), 0);
+    link.watch(&slot);
+    EXPECT_EQ(slot, 100);
+    EXPECT_EQ(slot, link.nextDue());
+
+    link.send(cellOfFlow(2), 50);  // into a non-empty queue: head kept
+    EXPECT_EQ(slot, 100);
+    link.deliverInto(120, out);  // partial: the second cell is the head
+    EXPECT_EQ(out.size(), 1u);
+    EXPECT_EQ(slot, 150);
+    EXPECT_EQ(slot, link.nextDue());
+    link.deliverInto(150, out);  // full: nothing left in flight
+    EXPECT_EQ(out.size(), 2u);
+    EXPECT_EQ(slot, NetLink::kNever);
+    EXPECT_EQ(slot, link.nextDue());
+    link.send(cellOfFlow(3), 200);  // into an empty queue: a new head
+    EXPECT_EQ(slot, 300);
+    EXPECT_EQ(slot, link.nextDue());
+    link.deliverInto(300, out);
+    EXPECT_EQ(slot, NetLink::kNever);
+
+    // A deferred send stages the cell and leaves the slot alone; the
+    // commit publishes it.
+    link.setDeferred(true);
+    link.send(cellOfFlow(4), 400);
+    EXPECT_EQ(link.pendingCount(), 1);
+    EXPECT_EQ(slot, NetLink::kNever);
+    EXPECT_EQ(slot, link.nextDue());
+    link.commit();
+    EXPECT_EQ(slot, 500);
+    EXPECT_EQ(slot, link.nextDue());
+    link.send(cellOfFlow(5), 450);  // committed behind a live head
+    link.commit();
+    EXPECT_EQ(slot, 500);
+    EXPECT_EQ(slot, link.nextDue());
+    link.deliverInto(600, out);
+    EXPECT_EQ(slot, NetLink::kNever);
+
+    // Leaving deferred mode commits what is staged.
+    link.send(cellOfFlow(6), 700);
+    EXPECT_EQ(slot, NetLink::kNever);
+    link.setDeferred(false);
+    EXPECT_EQ(link.pendingCount(), 0);
+    EXPECT_EQ(slot, 800);
+    EXPECT_EQ(slot, link.nextDue());
+
+    // A downed link loses its cells, and so its due time.
+    link.send(cellOfFlow(7), 750);
+    link.setUp(false);
+    EXPECT_EQ(link.inFlight(), 0);
+    EXPECT_EQ(slot, NetLink::kNever);
+    EXPECT_EQ(slot, link.nextDue());
+    link.setUp(true);
+    link.send(cellOfFlow(8), 900);
+    EXPECT_EQ(slot, 1000);
+    EXPECT_EQ(slot, link.nextDue());
+}
+
+TEST(NetLinkUnitTest, LinkFeedsOneNode)
+{
+    NetLink link(0);
+    PicoTime a = 0;
+    PicoTime b = 0;
+    link.watch(&a);
+    EXPECT_THROW(link.watch(&b), UsageError);
+    EXPECT_EQ(a, NetLink::kNever);
+    // The same rule through the nodes: a link wired into one switch
+    // cannot feed a second switch or a controller too.
+    NetLink shared(0);
+    NetSwitch s0(0, LocalClock(kSlotPs, 0.0), 2, 10, pim(11));
+    NetSwitch s1(1, LocalClock(kSlotPs, 0.0), 2, 10, pim(12));
+    Controller ctl(2, LocalClock(kSlotPs, 0.0), 10, 8, 1);
+    s0.setInLink(0, &shared);
+    EXPECT_THROW(s1.setInLink(0, &shared), UsageError);
+    EXPECT_THROW(ctl.setInLink(&shared), UsageError);
 }
 
 // ----------------------------------------------------------- Controller
@@ -102,6 +197,18 @@ TEST(ControllerUnitTest, InvalidConstruction)
                  UsageError);
 }
 
+TEST(ControllerUnitTest, PortWiringValidated)
+{
+    Controller ctl(0, LocalClock(kSlotPs, 0.0), 10, 8, 1);
+    NetLink in(0);
+    NetLink out(0);
+    NetLink spare(0);
+    ctl.setInLink(&in);
+    ctl.setOutLink(&out);
+    EXPECT_THROW(ctl.setInLink(&spare), UsageError);   // already wired
+    EXPECT_THROW(ctl.setOutLink(&spare), UsageError);  // already wired
+}
+
 // ------------------------------------------------------------ NetSwitch
 
 TEST(NetSwitchUnitTest, UnroutedFlowCellRejected)
@@ -160,6 +267,23 @@ TEST(NetSwitchUnitTest, PortWiringValidated)
     sw.setInLink(0, &link);
     EXPECT_THROW(sw.setInLink(0, &link), UsageError);  // already wired
     EXPECT_THROW(sw.setOutLink(5, &link), UsageError);  // out of range
+}
+
+TEST(NetSwitchUnitTest, AcceptsCellSentBeforeWiring)
+{
+    // The cell is in flight before the switch watches the link; the
+    // watch must pick up its due time, or the switch would skip it.
+    NetSwitch sw(0, LocalClock(kSlotPs, 0.0), 2, 10, pim(13));
+    NetLink in(0);
+    NetLink out(0);
+    ASSERT_TRUE(sw.addRoute(5, 0, 1, TrafficClass::VBR, 0));
+    in.send(cellOfFlow(5), 0);
+    sw.setInLink(0, &in);
+    sw.setOutLink(1, &out);
+    sw.tick();
+    EXPECT_EQ(in.inFlight(), 0);
+    EXPECT_EQ(out.deliverUpTo(kSlotPs * 100).size(), 1u);
+    EXPECT_EQ(sw.vbrForwarded(), 1);
 }
 
 /** Expect `sw.tick()` to fail naming switch 3 and its unlinked port 1. */

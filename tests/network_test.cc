@@ -268,6 +268,30 @@ TEST(NetworkTest, PathValidationErrors)
     EXPECT_THROW(net.addVbrFlow({c0}, 0.5), UsageError);
 }
 
+TEST(NetworkTest, ControllerPortsConnectOnce)
+{
+    // A second link into or out of a controller is refused. Before, it
+    // silently replaced the first: a->b would have carried away every
+    // cell a sent for c.
+    NetworkConfig cfg;
+    cfg.slot_ps = 1000;
+    cfg.switch_frame_slots = 100;
+    Network net(cfg);
+    NodeId a = net.addController(0.0, 1);
+    NodeId b = net.addController(0.0, 2);
+    NodeId c = net.addController(0.0, 3);
+    net.connect(a, 0, c, 0, 100);
+    EXPECT_THROW(net.connect(b, 0, c, 0, 100), UsageError);  // c's input
+    EXPECT_THROW(net.connect(a, 0, b, 0, 100), UsageError);  // a's output
+    EXPECT_EQ(net.numLinks(), 1);
+    // The refusal at c's input wired nothing, so b's output is free.
+    EXPECT_NO_THROW(net.connect(b, 0, a, 0, 100));
+    FlowId f = net.addVbrFlow({a, c}, 1.0);
+    net.runFrames(2);
+    ASSERT_TRUE(net.controller(c).hasDeliveries(f));
+    EXPECT_GT(net.controller(c).deliveryStats(f).delivered, 150);
+}
+
 TEST(NetworkTest, ConcentratorSharesOneSwitchPort)
 {
     // §2.1: a concentrator card connects four slower workstations to a
@@ -426,7 +450,7 @@ TEST(NetworkTest, TwoCbrFlowsShareASwitchUnderDrift)
     EXPECT_EQ(sink.deliveryStats(fb).order_violations, 0);
 }
 
-// The naive serial event loop, the oracle for Network::run's heap: rescan
+// The naive serial event loop, the oracle for Network::run's tick ring: rescan
 // every node before each tick and take the first earliest one (strict <,
 // so the lowest node id wins same-instant ties).
 void
@@ -451,19 +475,19 @@ runByScan(Network& net, PicoTime until_ps)
 // Runs the twins to the same segment ends, one through each engine, and
 // asserts identical per-flow delivery and per-link traffic.
 void
-expectRunsMatchScan(Network& heap, Network& scan,
+expectRunsMatchScan(Network& ring, Network& scan,
                     const std::vector<PicoTime>& segment_ends)
 {
     for (PicoTime until : segment_ends) {
-        heap.run(until);
+        ring.run(until);
         runByScan(scan, until);
     }
-    ASSERT_EQ(heap.numNodes(), scan.numNodes());
+    ASSERT_EQ(ring.numNodes(), scan.numNodes());
     int64_t delivered = 0;
-    for (NodeId n = 0; n < heap.numNodes(); ++n) {
-        if (heap.isSwitchNode(n))
+    for (NodeId n = 0; n < ring.numNodes(); ++n) {
+        if (ring.isSwitchNode(n))
             continue;
-        auto got = heap.controller(n).allDeliveryStats();
+        auto got = ring.controller(n).allDeliveryStats();
         auto want = scan.controller(n).allDeliveryStats();
         ASSERT_EQ(got.size(), want.size()) << "node " << n;
         for (const auto& [flow, st] : got) {
@@ -482,23 +506,26 @@ expectRunsMatchScan(Network& heap, Network& scan,
         }
     }
     EXPECT_GT(delivered, 0);
-    ASSERT_EQ(heap.numLinks(), scan.numLinks());
-    for (int l = 0; l < heap.numLinks(); ++l)
-        EXPECT_EQ(heap.linkAt(l).cellsCarried(), scan.linkAt(l).cellsCarried())
+    ASSERT_EQ(ring.numLinks(), scan.numLinks());
+    for (int l = 0; l < ring.numLinks(); ++l)
+        EXPECT_EQ(ring.linkAt(l).cellsCarried(), scan.linkAt(l).cellsCarried())
             << "link " << l;
 }
 
-// Two hosts on each of two switches, every node on the same nominal clock
-// and phase, joined by zero-latency links. Every tick is a tie, and a cell
-// sent at a tick reaches a higher-id receiver ticking at the same instant
-// but a lower-id one only a slot later, so tie order shows in latencies.
+// Two hosts on each of two switches, every node on the same phase and
+// all but s3 on the nominal clock, joined by zero-latency links. Every
+// tick is a tie, and a cell sent at a tick reaches a higher-id receiver
+// ticking at the same instant but a lower-id one only a slot later, so
+// tie order shows in latencies. s3 at rate error -0.5 ticks every other
+// slot, still on the others' instants, so its re-keyed entry meets its
+// ties out of id order.
 void
-buildTiedNetwork(Network& net)
+buildTiedNetwork(Network& net, double s3_rate_error)
 {
     NodeId h0 = net.addController(0.0, 1);
     NodeId h1 = net.addController(0.0, 2);
     NodeId s2 = net.addSwitch(3, 0.0, pim(3));
-    NodeId s3 = net.addSwitch(3, 0.0, pim(4));
+    NodeId s3 = net.addSwitch(3, s3_rate_error, pim(4));
     NodeId h4 = net.addController(0.0, 5);
     NodeId h5 = net.addController(0.0, 6);
     auto duplex = [&](NodeId a, PortId pa, NodeId b, PortId pb) {
@@ -516,18 +543,21 @@ buildTiedNetwork(Network& net)
     ASSERT_NE(net.addCbrFlow({h4, s3, s2, h1}, 5), kNoFlow);
 }
 
-TEST(NetworkTest, HeapEngineMatchesScanWithTiedTicks)
+TEST(NetworkTest, TickRingMatchesScanWithTiedTicks)
 {
     NetworkConfig cfg;
     cfg.slot_ps = 1000;
     cfg.switch_frame_slots = 50;
-    Network heap(cfg);
-    Network scan(cfg);
-    buildTiedNetwork(heap);
-    buildTiedNetwork(scan);
-    // Segment ends both between and on slot boundaries, plus an empty one.
-    expectRunsMatchScan(heap, scan,
-                        {12'345, 50'000, 50'000, 137'500, 200'000, 500'000});
+    for (double s3_rate_error : {0.0, -0.5}) {
+        SCOPED_TRACE(s3_rate_error);
+        Network ring(cfg);
+        Network scan(cfg);
+        buildTiedNetwork(ring, s3_rate_error);
+        buildTiedNetwork(scan, s3_rate_error);
+        // Segment ends between and on slot boundaries, plus an empty one.
+        expectRunsMatchScan(
+            ring, scan, {12'345, 50'000, 50'000, 137'500, 200'000, 500'000});
+    }
 }
 
 // The drifting-clock chain of AppendixBLatencyAndBufferBoundsHold, with a
@@ -549,7 +579,7 @@ buildDriftingChain(Network& net, double tol)
     net.addVbrFlow({src, s1, s2, s3, dst}, 0.3);
 }
 
-TEST(NetworkTest, HeapEngineMatchesScanWithDriftingClocks)
+TEST(NetworkTest, TickRingMatchesScanWithDriftingClocks)
 {
     constexpr double kTol = 0.005;
     constexpr int kFrame = 50;
@@ -557,12 +587,101 @@ TEST(NetworkTest, HeapEngineMatchesScanWithDriftingClocks)
     cfg.slot_ps = 1000;
     cfg.switch_frame_slots = kFrame;
     cfg.controller_padding = minControllerPadding(kFrame, kTol);
-    Network heap(cfg);
+    Network ring(cfg);
     Network scan(cfg);
-    buildDriftingChain(heap, kTol);
+    buildDriftingChain(ring, kTol);
     buildDriftingChain(scan, kTol);
-    expectRunsMatchScan(heap, scan,
+    expectRunsMatchScan(ring, scan,
                         {3'333'333, 7'500'000, 10'000'000, 20'000'000});
+}
+
+// Rate error and phase of node i in buildWideDriftLan: errors up to
+// +-0.3 and phases within three slots, so a re-keyed entry often passes
+// several others in the tick ring.
+constexpr double kWideRates[] = {+0.30, -0.30, +0.07, -0.22, 0.00, +0.19,
+                                 -0.11, +0.26, -0.04, +0.13, -0.27, +0.02,
+                                 -0.17, +0.23, -0.08, +0.11};
+constexpr PicoTime kWidePhases[] = {0, 2'731, 410, 1'999, 0, 2'222, 77, 1'500,
+                                    999, 2'999, 333, 0, 1'234, 640, 2'048, 4};
+
+// A line of four 6-port switches with three hosts each (ports 0-2), the
+// neighbours on ports 3 (left) and 4 (right), and port 5 left free for a
+// late host. Switches and hosts interleave in id order; link latencies
+// mix zero (same-instant delivery, where tie order shows) with a few
+// slots. VBR flows cross one to three switches; one CBR flow crosses two.
+void
+buildWideDriftLan(Network& net)
+{
+    std::vector<NodeId> switches;
+    std::vector<NodeId> hosts;
+    int i = 0;
+    for (int s = 0; s < 4; ++s) {
+        switches.push_back(
+            net.addSwitch(6, kWideRates[i], pim(static_cast<uint64_t>(i)),
+                          kWidePhases[i]));
+        ++i;
+        for (int h = 0; h < 3; ++h, ++i)
+            hosts.push_back(net.addController(kWideRates[i],
+                                              static_cast<uint64_t>(100 + i),
+                                              kWidePhases[i]));
+    }
+    ASSERT_EQ(net.numNodes(), 16);
+    constexpr PicoTime kLatencies[] = {0, 700, 2'500};
+    int l = 0;
+    auto duplex = [&](NodeId a, PortId pa, NodeId b, PortId pb) {
+        net.connect(a, pa, b, pb, kLatencies[l++ % 3]);
+        net.connect(b, pb, a, pa, kLatencies[l++ % 3]);
+    };
+    for (int s = 0; s < 4; ++s)
+        for (int h = 0; h < 3; ++h)
+            duplex(hosts[static_cast<size_t>(3 * s + h)], 0,
+                   switches[static_cast<size_t>(s)], h);
+    for (int s = 0; s + 1 < 4; ++s)
+        duplex(switches[static_cast<size_t>(s)], 4,
+               switches[static_cast<size_t>(s + 1)], 3);
+    auto host = [&](int k) { return hosts[static_cast<size_t>(k)]; };
+    auto sw = [&](int k) { return switches[static_cast<size_t>(k)]; };
+    net.addVbrFlow({host(0), sw(0), sw(1), host(4)}, 0.4);
+    net.addVbrFlow({host(5), sw(1), sw(2), sw(3), host(11)}, 0.3);
+    net.addVbrFlow({host(10), sw(3), sw(2), host(7)}, 0.5);
+    net.addVbrFlow({host(8), sw(2), sw(1), sw(0), host(1)}, 0.25);
+    net.addVbrFlow({host(2), sw(0), host(0)}, 0.6);
+    ASSERT_NE(net.addCbrFlow({host(3), sw(1), sw(2), host(6)}, 4), kNoFlow);
+}
+
+// A host joins switch 3's free port between two run() calls. Its clock
+// starts at wall time 0, so the ring first replays its missed ticks one
+// after another, each re-keyed entry passing every other node.
+void
+addLateHost(Network& net)
+{
+    // buildWideDriftLan's ids: switches 0, 4, 8 and 12, each followed by
+    // its three hosts.
+    constexpr NodeId kSw1 = 4;
+    constexpr NodeId kSw2 = 8;
+    constexpr NodeId kSw3 = 12;
+    NodeId host = net.addController(-0.15, 999, 0);
+    net.connect(host, 0, kSw3, 5, 300);
+    net.connect(kSw3, 5, host, 0, 300);
+    net.addVbrFlow({host, kSw3, kSw2, kSw1, kSw1 + 1}, 0.35);
+    net.addVbrFlow({kSw2 + 1, kSw2, kSw3, host}, 0.2);
+}
+
+TEST(NetworkTest, TickRingMatchesScanWithWideDriftAndLateNode)
+{
+    constexpr int kFrame = 50;
+    NetworkConfig cfg;
+    cfg.slot_ps = 1000;
+    cfg.switch_frame_slots = kFrame;
+    cfg.controller_padding = minControllerPadding(kFrame, 0.3);
+    Network ring(cfg);
+    Network scan(cfg);
+    buildWideDriftLan(ring);
+    buildWideDriftLan(scan);
+    expectRunsMatchScan(ring, scan, {7'777, 40'000, 40'000, 123'456});
+    addLateHost(ring);
+    addLateHost(scan);
+    expectRunsMatchScan(ring, scan, {123'456, 200'001, 350'000, 600'000});
 }
 
 TEST(NetworkTest, TypedAccessorsValidateKind)
