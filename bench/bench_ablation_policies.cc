@@ -36,7 +36,7 @@ prngSensitivity()
         PimMatcher pim(PimConfig{.iterations = 0}, std::move(engine));
         Xoshiro256 pattern_rng(8);
         RunningStats iters;
-        Histogram hist(1.0, 64);
+        LogHistogram hist;
         for (int t = 0; t < 20'000; ++t) {
             auto req = RequestMatrix::bernoulli(16, 1.0, pattern_rng);
             PimRunStats stats;
@@ -44,9 +44,10 @@ prngSensitivity()
             iters.add(stats.iterations_run - 1);
             hist.add(stats.iterations_run - 1);
         }
-        std::printf("     %-18s  %10.3f  %10.1f\n",
+        std::printf("     %-18s  %10.3f  %10lld\n",
                     weak ? "WeakLcg (16-bit)" : "xoshiro256**",
-                    iters.mean(), hist.quantile(0.99));
+                    iters.mean(),
+                    static_cast<long long>(hist.quantile(0.99)));
     }
 }
 

@@ -28,7 +28,7 @@ constexpr int kCellsPerFrame = 16;
 struct DelayResult
 {
     double mean;
-    double p99;
+    int64_t p99;
     double max;
 };
 
@@ -45,7 +45,7 @@ run(bool subframe_class)
 
     Xoshiro256 rng(32);
     RunningStats delay;
-    Histogram hist(1.0, 4096);
+    LogHistogram hist;
     int64_t seq = 0;
     for (SlotTime slot = 0; slot < 500 * kFrame; ++slot) {
         // Paced CBR source: kCellsPerFrame spread evenly over the frame.
@@ -72,8 +72,8 @@ run(bool subframe_class)
         for (const Cell& d : sw.runSlot(slot)) {
             if (d.flow != 7)
                 continue;
-            auto dl = static_cast<double>(slot - d.inject_slot);
-            delay.add(dl);
+            const SlotTime dl = slot - d.inject_slot;
+            delay.add(static_cast<double>(dl));
             hist.add(dl);
         }
     }
@@ -94,13 +94,15 @@ main()
     std::printf("  %-32s  %8s  %8s  %8s  %s\n", "service class", "mean",
                 "p99", "max", "granule (cells/frame)");
     DelayResult frame_class = run(false);
-    std::printf("  %-32s  %8.1f  %8.1f  %8.0f  %d\n",
+    std::printf("  %-32s  %8.1f  %8lld  %8.0f  %d\n",
                 "frame class (any placement)", frame_class.mean,
-                frame_class.p99, frame_class.max, 1);
+                static_cast<long long>(frame_class.p99), frame_class.max,
+                1);
     DelayResult sub_class = run(true);
-    std::printf("  %-32s  %8.1f  %8.1f  %8.0f  %d\n",
+    std::printf("  %-32s  %8.1f  %8lld  %8.0f  %d\n",
                 "subframe class (every subframe)", sub_class.mean,
-                sub_class.p99, sub_class.max, kSubframes);
+                static_cast<long long>(sub_class.p99), sub_class.max,
+                kSubframes);
     std::printf("\n  The subframe-class flow's worst-case delay is bounded"
                 " by ~2 subframes\n  (%d slots) instead of ~2 frames (%d"
                 " slots), in exchange for allocating\n  bandwidth in"

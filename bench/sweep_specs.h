@@ -546,7 +546,7 @@ runObservedPoint(const harness::SweepSpec& spec, const SweepCli& cli)
         static const char* kClsNames[kNumTrafficClasses] = {"cbr", "vbr",
                                                             "be"};
         for (int cls = 0; cls < kNumTrafficClasses; ++cls) {
-            const obs::LogHistogram& h = rec.latencyHistogram(
+            const LogHistogram& h = rec.latencyHistogram(
                 static_cast<TrafficClass>(cls));
             std::fprintf(stderr,
                          "    %s: count=%lld p50=%lld p99=%lld p999=%lld "

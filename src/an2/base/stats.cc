@@ -51,63 +51,6 @@ RunningStats::stddev() const
     return std::sqrt(variance());
 }
 
-Histogram::Histogram(double bin_width, int num_bins) : bin_width_(bin_width)
-{
-    AN2_REQUIRE(bin_width > 0.0, "histogram bin width must be positive");
-    AN2_REQUIRE(num_bins > 0, "histogram needs at least one bin");
-    bins_.assign(static_cast<size_t>(num_bins), 0);
-}
-
-void
-Histogram::add(double x)
-{
-    ++total_;
-    if (x < 0.0)
-        x = 0.0;
-    auto b = static_cast<int64_t>(x / bin_width_);
-    if (b >= static_cast<int64_t>(bins_.size())) {
-        ++overflow_;
-    } else {
-        ++bins_[static_cast<size_t>(b)];
-    }
-}
-
-int64_t
-Histogram::binCount(int b) const
-{
-    AN2_REQUIRE(b >= 0 && b < numBins(), "bin index out of range");
-    return bins_[static_cast<size_t>(b)];
-}
-
-double
-Histogram::quantile(double q) const
-{
-    AN2_REQUIRE(q >= 0.0 && q <= 1.0, "quantile must be in [0,1]");
-    AN2_REQUIRE(total_ > 0, "quantile of empty histogram");
-    auto target = static_cast<int64_t>(
-        std::ceil(q * static_cast<double>(total_)));
-    target = std::max<int64_t>(target, 1);
-    // Saturated: the quantile is among the overflow samples, whose values
-    // are unknown beyond "past the last bin". Report the overflow bucket's
-    // lower bound rather than pretending the samples sat in the last bin.
-    if (target > total_ - overflow_)
-        return bin_width_ * static_cast<double>(bins_.size());
-    int64_t acc = 0;
-    for (size_t b = 0; b < bins_.size(); ++b) {
-        int64_t prev = acc;
-        acc += bins_[b];
-        if (acc >= target) {
-            // Interpolate within the bin.
-            double frac = bins_[b] == 0
-                              ? 0.0
-                              : static_cast<double>(target - prev) /
-                                    static_cast<double>(bins_[b]);
-            return (static_cast<double>(b) + frac) * bin_width_;
-        }
-    }
-    return bin_width_ * static_cast<double>(bins_.size());
-}
-
 double
 jainFairnessIndex(const std::vector<double>& allocations)
 {

@@ -1,16 +1,16 @@
 /**
  * @file
- * Statistics collection: running moments, histograms with quantiles, and
- * the fairness index used by the §5 experiments.
+ * Statistics collection: running moments, a log-linear histogram with
+ * quantiles, and the fairness index used by the §5 experiments.
  */
 #ifndef AN2_BASE_STATS_H
 #define AN2_BASE_STATS_H
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
-
-#include "an2/base/error.h"
 
 namespace an2 {
 
@@ -57,57 +57,134 @@ class RunningStats
 };
 
 /**
- * Fixed-width histogram over [0, binWidth * numBins) with an overflow
- * bucket, supporting approximate quantiles. Used for queueing-delay
- * distributions.
+ * Log-linear (HDR-style) histogram of non-negative integer samples, used
+ * for every delay-in-slots distribution in the library.
+ *
+ * Values below 2^(kSubBits+1) = 64 land in exact unit bins; above that,
+ * each power-of-two range is split into kSubBuckets equal sub-buckets, so
+ * the relative quantization error is below 1/kSubBuckets (~3%) at every
+ * scale. All bins are preallocated in the constructor: add() touches one
+ * counter and never allocates, which lets the slot loop keep delay
+ * tracking attached under the zero-alloc test.
+ *
+ * Quantiles return the *lower bound* of the bin holding the requested
+ * rank: an integer, deterministic across platforms, so exported
+ * p50/p99/p999 values are byte-stable in JSON.
  */
-class Histogram
+class LogHistogram
 {
   public:
+    /** Sub-bucket resolution: 2^5 = 32 buckets per power of two. */
+    static constexpr int kSubBits = 5;
+    static constexpr int64_t kSubBuckets = int64_t{1} << kSubBits;
+
+    /** Values at or above 2^kValueBits clamp into the last bin (a delay
+        of 2^34 slots is ~3 months of simulated time at 424 ns/slot). */
+    static constexpr int kValueBits = 34;
+
+    /** Total bins: the exact range plus kSubBuckets per extra octave. */
+    static constexpr size_t kBins =
+        static_cast<size_t>(kSubBuckets) +
+        static_cast<size_t>(kValueBits - kSubBits) *
+            static_cast<size_t>(kSubBuckets);
+
+    LogHistogram() : bins_(kBins, 0) {}
+
+    /** Bin index for `v` (negatives clamp to 0, huge values to last). */
+    static size_t binOf(int64_t v)
+    {
+        if (v < kSubBuckets)
+            return static_cast<size_t>(std::max<int64_t>(v, 0));
+        // msb >= kSubBits here; shifting by (msb - kSubBits) renormalizes
+        // v into [kSubBuckets, 2*kSubBuckets).
+        int msb = 63 - std::countl_zero(static_cast<uint64_t>(v));
+        int shift = msb - kSubBits;
+        int64_t sub = v >> shift;
+        size_t bin = static_cast<size_t>(shift + 1) *
+                         static_cast<size_t>(kSubBuckets) +
+                     static_cast<size_t>(sub - kSubBuckets);
+        return std::min(bin, kBins - 1);
+    }
+
+    /** Smallest value mapping into bin `b` (the quantile estimate). */
+    static int64_t binLowerBound(size_t b)
+    {
+        if (b < static_cast<size_t>(kSubBuckets))
+            return static_cast<int64_t>(b);
+        int shift = static_cast<int>(b >> kSubBits) - 1;
+        int64_t sub =
+            kSubBuckets + static_cast<int64_t>(b & (kSubBuckets - 1));
+        return sub << shift;
+    }
+
+    void add(int64_t v)
+    {
+        ++bins_[binOf(v)];
+        ++count_;
+        sum_ += std::max<int64_t>(v, 0);
+        max_ = std::max(max_, v);
+    }
+
+    int64_t count() const { return count_; }
+    int64_t sum() const { return sum_; }
+    int64_t max() const { return max_; }
+
+    /** Mean of the exact samples (not the binned estimate); 0 if empty. */
+    double mean() const
+    {
+        return count_ == 0 ? 0.0
+                           : static_cast<double>(sum_) /
+                                 static_cast<double>(count_);
+    }
+
     /**
-     * @param bin_width Width of each bin (must be positive).
-     * @param num_bins Number of regular bins (must be positive).
+     * Value at quantile `q` in [0, 1]: the lower bound of the bin that
+     * contains the ceil(q * count)-th smallest sample (rank clamps to at
+     * least 1). Returns 0 when the histogram is empty.
      */
-    Histogram(double bin_width, int num_bins);
+    int64_t quantile(double q) const
+    {
+        if (count_ == 0)
+            return 0;
+        int64_t rank = static_cast<int64_t>(
+            static_cast<double>(count_) * q + 0.9999999999);
+        rank = std::clamp<int64_t>(rank, 1, count_);
+        int64_t seen = 0;
+        for (size_t b = 0; b < kBins; ++b) {
+            seen += bins_[b];
+            if (seen >= rank)
+                return binLowerBound(b);
+        }
+        return binLowerBound(kBins - 1);
+    }
 
-    /** Record a sample (negative samples clamp into bin 0). */
-    void add(double x);
+    /** Add every sample of `other` into this histogram. */
+    void merge(const LogHistogram& other)
+    {
+        for (size_t b = 0; b < kBins; ++b)
+            bins_[b] += other.bins_[b];
+        count_ += other.count_;
+        sum_ += other.sum_;
+        max_ = std::max(max_, other.max_);
+    }
 
-    /** Total samples recorded. */
-    int64_t count() const { return total_; }
+    void reset()
+    {
+        std::fill(bins_.begin(), bins_.end(), 0);
+        count_ = 0;
+        sum_ = 0;
+        max_ = 0;
+    }
 
-    /** Count in regular bin b. */
-    int64_t binCount(int b) const;
-
-    /**
-     * Samples that fell beyond the last regular bin. A quantile that
-     * lands among these is saturated — callers reporting tail statistics
-     * should check this and widen the histogram when it is non-zero.
-     */
-    int64_t overflowCount() const { return overflow_; }
-
-    /**
-     * Approximate quantile (q in [0,1]) by linear interpolation within
-     * the containing bin. A quantile landing in the overflow bucket
-     * returns the bucket's lower bound (binWidth() * numBins()) — a
-     * conservative *lower* bound on the true value, never an
-     * interpolated guess; overflowCount() tells callers it happened.
-     * Requires at least one sample.
-     */
-    double quantile(double q) const;
-
-    /** Number of regular bins. */
-    int numBins() const { return static_cast<int>(bins_.size()); }
-
-    /** Width of each regular bin. */
-    double binWidth() const { return bin_width_; }
+    const std::vector<int64_t>& bins() const { return bins_; }
 
   private:
-    double bin_width_;
     std::vector<int64_t> bins_;
-    int64_t overflow_ = 0;
-    int64_t total_ = 0;
+    int64_t count_ = 0;
+    int64_t sum_ = 0;
+    int64_t max_ = 0;
 };
+
 
 /**
  * Jain's fairness index over per-entity allocations:

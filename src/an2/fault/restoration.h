@@ -33,8 +33,8 @@
 #include <cstdint>
 #include <map>
 
+#include "an2/base/stats.h"
 #include "an2/base/types.h"
-#include "an2/obs/latency.h"
 
 namespace an2::topo {
 class Lan;
@@ -93,7 +93,7 @@ struct RestoreStats
 
     /** Fault-to-terminal-state latency of successful episodes
         (Restored or Degraded), in slots. */
-    obs::LogHistogram latency_slots;
+    LogHistogram latency_slots;
 };
 
 /**

@@ -15,9 +15,7 @@ RequestMatrix::RequestMatrix(int n_inputs, int n_outputs)
                      static_cast<size_t>(col_words_),
                  0),
       live_in_(static_cast<size_t>(col_words_), 0),
-      live_out_(static_cast<size_t>(row_words_), 0),
-      dirty_rows_(static_cast<size_t>(col_words_), 0),
-      dirty_cols_(static_cast<size_t>(row_words_), 0)
+      live_out_(static_cast<size_t>(row_words_), 0)
 {
     AN2_REQUIRE(n_inputs > 0 && n_outputs > 0,
                 "request matrix must have positive dimensions");
@@ -35,14 +33,8 @@ RequestMatrix::RequestMatrix(const RequestMatrix& other)
       live_out_(other.live_out_),
       dead_ports_(other.dead_ports_),
       edges_(other.edges_),
-      dirty_rows_(other.dirty_rows_),
-      dirty_cols_(other.dirty_cols_),
-      epoch_(other.epoch_)
+      epoch_(other.epoch_ + 1)  // content wholesale-assigned
 {
-    // Conservative: the new object's content was wholesale-assigned.
-    wordset::fillFirst(dirty_rows_.data(), col_words_, numInputs());
-    wordset::fillFirst(dirty_cols_.data(), row_words_, numOutputs());
-    ++epoch_;
 }
 
 RequestMatrix&
@@ -60,13 +52,9 @@ RequestMatrix::operator=(const RequestMatrix& other)
     live_out_ = other.live_out_;
     dead_ports_ = other.dead_ports_;
     edges_ = other.edges_;
-    dirty_rows_ = other.dirty_rows_;
-    dirty_cols_ = other.dirty_cols_;
-    // Conservative: any visible edge may have changed, and the epoch must
-    // advance past every value a consumer of *this* may have snapshotted
-    // (a recycled scratch matrix is overwritten every slot).
-    wordset::fillFirst(dirty_rows_.data(), col_words_, numInputs());
-    wordset::fillFirst(dirty_cols_.data(), row_words_, numOutputs());
+    // Any visible edge may have changed, so the epoch must advance past
+    // every value a consumer of *this* may have snapshotted (the switch
+    // overwrites its masked request copy every slot).
     epoch_ = std::max(own_epoch, other.epoch_) + 1;
     return *this;
 }
@@ -94,7 +82,7 @@ RequestMatrix::set(PortId i, PortId j, int count)
         wordset::clearBit(colMaskMut(j), i);
         --edges_;
     }
-    markDirty(i, j);
+    ++epoch_;
 }
 
 void
@@ -109,7 +97,7 @@ RequestMatrix::decrement(PortId i, PortId j)
         wordset::clearBit(rowMaskMut(i), j);
         wordset::clearBit(colMaskMut(j), i);
         --edges_;
-        markDirty(i, j);
+        ++epoch_;
     }
 }
 
@@ -123,13 +111,13 @@ RequestMatrix::setInputLive(PortId i, bool live)
     uint64_t* row = rowMaskMut(i);
     if (!live) {
         // Hide row i: drop its visible edges from the column masks. Each
-        // hidden edge is an edge-set transition, so the dirty sets record
-        // it — a warm-started matcher must not reuse a pairing whose
-        // input just died.
+        // hidden edge is an edge-set transition, so the epoch records it
+        // — a warm-started matcher must not reuse a pairing whose input
+        // just died.
         wordset::forEachSet(row, row_words_, [&](int j) {
             wordset::clearBit(colMaskMut(j), i);
             --edges_;
-            markDirty(i, j);
+            ++epoch_;
         });
         wordset::clearAll(row, row_words_);
         wordset::clearBit(live_in_.data(), i);
@@ -138,7 +126,7 @@ RequestMatrix::setInputLive(PortId i, bool live)
         wordset::setBit(live_in_.data(), i);
         --dead_ports_;
         // Re-expose the surviving requests toward live outputs; each
-        // re-exposed edge is a transition the dirty sets must record
+        // re-exposed edge is a transition the epoch must record
         // (hidden-then-revived requests reappear without any count
         // change, so the set/decrement paths never see them).
         for (PortId j = 0; j < numOutputs(); ++j) {
@@ -146,7 +134,7 @@ RequestMatrix::setInputLive(PortId i, bool live)
                 wordset::setBit(row, j);
                 wordset::setBit(colMaskMut(j), i);
                 ++edges_;
-                markDirty(i, j);
+                ++epoch_;
             }
         }
     }
@@ -164,7 +152,7 @@ RequestMatrix::setOutputLive(PortId j, bool live)
         wordset::forEachSet(col, col_words_, [&](int i) {
             wordset::clearBit(rowMaskMut(i), j);
             --edges_;
-            markDirty(i, j);
+            ++epoch_;
         });
         wordset::clearAll(col, col_words_);
         wordset::clearBit(live_out_.data(), j);
@@ -177,7 +165,7 @@ RequestMatrix::setOutputLive(PortId j, bool live)
                 wordset::setBit(rowMaskMut(i), j);
                 wordset::setBit(col, i);
                 ++edges_;
-                markDirty(i, j);
+                ++epoch_;
             }
         }
     }
@@ -190,11 +178,7 @@ RequestMatrix::clear()
     std::fill(row_masks_.begin(), row_masks_.end(), 0);
     std::fill(col_masks_.begin(), col_masks_.end(), 0);
     edges_ = 0;
-    // Conservatively mark everything dirty: a wholesale wipe changes (or
-    // may change) every row and column.
-    wordset::fillFirst(dirty_rows_.data(), col_words_, numInputs());
-    wordset::fillFirst(dirty_cols_.data(), row_words_, numOutputs());
-    ++epoch_;
+    ++epoch_;  // a wholesale wipe changes (or may change) every edge
 }
 
 void
@@ -205,7 +189,7 @@ RequestMatrix::clearRow(PortId i)
         counts_.at(i, j) = 0;
         wordset::clearBit(colMaskMut(j), i);
         --edges_;
-        markDirty(i, j);
+        ++epoch_;
     });
     wordset::clearAll(row, row_words_);
     if (dead_ports_ > 0) {
@@ -224,7 +208,7 @@ RequestMatrix::clearColumn(PortId j)
         counts_.at(i, j) = 0;
         wordset::clearBit(rowMaskMut(i), j);
         --edges_;
-        markDirty(i, j);
+        ++epoch_;
     });
     wordset::clearAll(col, col_words_);
     if (dead_ports_ > 0) {

@@ -25,17 +25,12 @@
  * granted by any matcher. Reviving a port re-exposes its surviving
  * queued requests. Liveness survives clear() and copy assignment.
  *
- * Delta tracking (temporal locality): every mutation that changes the
+ * Change tracking (temporal locality): every mutation that changes the
  * *visible* edge set — a count crossing zero, clearRow/clearColumn,
- * clear(), and liveness flips hiding or re-exposing edges — marks the
- * affected input in a dirty-row set, the affected output in a dirty-col
- * set, and bumps an epoch counter. A warm-starting matcher can thus ask
- * "which rows/columns changed since my last matching?" in O(words) and
- * detect a completely unchanged matrix in O(1) via epoch(). Count
- * changes that do not cross zero (2 -> 1 queued cells) leave the edge
- * set intact and mark nothing. The dirty sets are acknowledgment state
- * for a single consumer: clearDirty() is const (the members are
- * mutable) so the matcher can acknowledge deltas on a const matrix.
+ * clear(), and liveness flips hiding or re-exposing edges — bumps an
+ * epoch counter, so a warm-starting matcher detects a completely
+ * unchanged matrix in O(1). Count changes that do not cross zero (2 -> 1
+ * queued cells) leave the edge set intact and the epoch alone.
  */
 #ifndef AN2_MATCHING_REQUEST_MATRIX_H
 #define AN2_MATCHING_REQUEST_MATRIX_H
@@ -62,11 +57,11 @@ class RequestMatrix
     explicit RequestMatrix(int n) : RequestMatrix(n, n) {}
 
     /**
-     * Copying conservatively marks every row and column dirty and bumps
-     * the destination's epoch past both operands: an overwrite may change
-     * any visible edge without an individually recorded transition, so a
-     * warm-started matcher must never wholesale-reuse a matching across a
-     * copy (the per-edge seeding path remains valid). Moves are exact.
+     * Copying bumps the destination's epoch past both operands: an
+     * overwrite may change any visible edge without an individually
+     * recorded transition, so a warm-started matcher must never
+     * wholesale-reuse a matching across a copy (the per-edge seeding path
+     * remains valid). Moves are exact.
      */
     RequestMatrix(const RequestMatrix& other);
     RequestMatrix& operator=(const RequestMatrix& other);
@@ -158,48 +153,12 @@ class RequestMatrix
                static_cast<size_t>(j) * static_cast<size_t>(col_words_);
     }
 
-    // ---- delta tracking (see the file comment) ------------------------
-
-    /** Inputs whose visible row changed since clearDirty() (bit i set);
-        colWords() words. */
-    const uint64_t* dirtyRows() const { return dirty_rows_.data(); }
-
-    /** Outputs whose visible column changed since clearDirty() (bit j
-        set); rowWords() words. */
-    const uint64_t* dirtyCols() const { return dirty_cols_.data(); }
-
-    bool rowDirty(PortId i) const
-    {
-        return wordset::testBit(dirty_rows_.data(), i);
-    }
-
-    bool colDirty(PortId j) const
-    {
-        return wordset::testBit(dirty_cols_.data(), j);
-    }
-
-    /** True when any visible edge changed since clearDirty(). */
-    bool anyDirty() const
-    {
-        return wordset::anySet(dirty_rows_.data(), col_words_) ||
-               wordset::anySet(dirty_cols_.data(), row_words_);
-    }
-
     /**
-     * Monotonic change counter: bumped on every visible-edge transition.
-     * Never reset (clearDirty() leaves it alone), so a consumer holding a
-     * stale snapshot can detect "anything changed?" in O(1) even if some
-     * other consumer acknowledged the dirty sets in between.
+     * Monotonic change counter: bumped on every visible-edge transition
+     * and never reset, so any number of consumers holding a snapshot can
+     * detect "anything changed?" in O(1).
      */
     uint64_t epoch() const { return epoch_; }
-
-    /** Acknowledge all deltas (single-consumer contract; const because
-        the matcher holds the matrix by const reference). */
-    void clearDirty() const
-    {
-        wordset::clearAll(dirty_rows_.data(), col_words_);
-        wordset::clearAll(dirty_cols_.data(), row_words_);
-    }
 
     /**
      * Generate a random pattern: each pair independently has one request
@@ -208,14 +167,6 @@ class RequestMatrix
     static RequestMatrix bernoulli(int n, double p, Rng& rng);
 
   private:
-    /** Record a visible-edge transition on (i, j). */
-    void markDirty(PortId i, PortId j)
-    {
-        wordset::setBit(dirty_rows_.data(), i);
-        wordset::setBit(dirty_cols_.data(), j);
-        ++epoch_;
-    }
-
     uint64_t* rowMaskMut(PortId i)
     {
         return row_masks_.data() +
@@ -237,11 +188,7 @@ class RequestMatrix
     std::vector<uint64_t> live_out_;   ///< bit j set = output j live
     int dead_ports_ = 0;               ///< dead inputs + dead outputs
     int edges_ = 0;
-
-    // Delta tracking; mutable so a const consumer can acknowledge.
-    mutable std::vector<uint64_t> dirty_rows_;  ///< inputs, col_words_
-    mutable std::vector<uint64_t> dirty_cols_;  ///< outputs, row_words_
-    uint64_t epoch_ = 0;
+    uint64_t epoch_ = 0;  ///< visible-edge transitions (see epoch())
 };
 
 }  // namespace an2

@@ -71,7 +71,6 @@ WarmStartState::remember(const RequestMatrix& req, const Matching& out)
         prev_[static_cast<size_t>(i)] = out.outputOf(i);
     n_outputs_ = req.numOutputs();
     last_req_ = &req;
-    req.clearDirty();
     last_epoch_ = req.epoch();
     valid_ = true;
 }

@@ -4,8 +4,8 @@
  * (WarmStart::On in iSLIP and serial greedy).
  *
  * The state remembers the previous slot's matching as a dense in->out
- * array plus the request matrix's epoch at the moment the deltas were
- * acknowledged. Two reuse tiers:
+ * array plus the request matrix's epoch at the moment it was taken. Two
+ * reuse tiers:
  *
  *  - unchanged(): the same matrix object with an unchanged epoch means
  *    no visible edge changed since the last matching, so the previous
@@ -75,8 +75,8 @@ class WarmStartState
         (isInputMatched / isOutputSaturated). */
     int seed(const RequestMatrix& req, Matching& out) const;
 
-    /** Snapshot `out` as the previous matching and acknowledge the
-        matrix's deltas (clearDirty + epoch capture). */
+    /** Snapshot `out` as the previous matching and capture the
+        matrix's epoch. */
     void remember(const RequestMatrix& req, const Matching& out);
 
     /** Drop the remembered matching (reset(), fault-plan restarts). */

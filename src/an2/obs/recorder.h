@@ -18,9 +18,9 @@
 #include <string>
 #include <vector>
 
+#include "an2/base/stats.h"
 #include "an2/base/types.h"
 #include "an2/cell/cell.h"
-#include "an2/obs/latency.h"
 #include "an2/obs/probe.h"
 #include "an2/obs/timeseries.h"
 

@@ -2,23 +2,16 @@
 
 #include <algorithm>
 
+#include "an2/base/error.h"
+
 namespace an2 {
 
-MetricsCollector::MetricsCollector(SlotTime warmup_slots, int ports,
-                                   int delay_hist_bins)
-    : warmup_(warmup_slots), delay_hist_(1.0, delay_hist_bins),
-      per_connection_(checkPorts(ports), ports),
-      per_flow_(std::max(128, 2 * ports * ports))
+MetricsCollector::MetricsCollector(SlotTime warmup_slots, int ports)
+    : warmup_(warmup_slots)
 {
     AN2_REQUIRE(warmup_slots >= 0, "warmup must be non-negative");
-}
-
-int
-MetricsCollector::checkPorts(int ports)
-{
     AN2_REQUIRE(ports > 0, "metrics need a positive port count, got "
                                << ports);
-    return ports;
 }
 
 void
@@ -32,19 +25,16 @@ MetricsCollector::noteInjected(const Cell& cell)
 void
 MetricsCollector::noteDelivered(const Cell& cell, SlotTime slot)
 {
-    auto d = static_cast<double>(slot - cell.inject_slot);
-    AN2_ASSERT(d >= 0.0, "cell delivered before injection");
+    const SlotTime d = slot - cell.inject_slot;
+    AN2_ASSERT(d >= 0, "cell delivered before injection");
     // Throughput-style counts filter on *delivery* time so that, at
     // saturation, service slots spent draining the warmup backlog are
     // still credited. Delay statistics filter on *injection* time so the
     // initial transient cannot bias them.
-    if (slot >= warmup_) {
+    if (slot >= warmup_)
         ++delivered_;
-        ++per_connection_(cell.input, cell.output);
-        ++per_flow_[cell.flow];
-    }
     if (cell.inject_slot >= warmup_) {
-        delay_.add(d);
+        delay_.add(static_cast<double>(d));
         delay_hist_.add(d);
     }
 }

@@ -130,8 +130,7 @@ runSimulation(SwitchModel& sw, TrafficGenerator& traffic,
                                               << " lost to faults");
 
     result.mean_delay = metrics.meanDelay();
-    result.p99_delay =
-        metrics.delayStats().count() > 0 ? metrics.delayQuantile(0.99) : 0.0;
+    result.p99_delay = metrics.delayQuantile(0.99);
     result.injected = metrics.injected();
     result.delivered = metrics.delivered();
     result.measured_slots = config.slots - config.warmup;
@@ -139,8 +138,6 @@ runSimulation(SwitchModel& sw, TrafficGenerator& traffic,
     result.throughput = static_cast<double>(result.delivered) / denom;
     result.offered = static_cast<double>(result.injected) / denom;
     result.max_occupancy = metrics.maxOccupancy();
-    result.per_connection = metrics.deliveredPerConnection();
-    result.per_flow = metrics.deliveredPerFlow();
     return result;
 }
 

@@ -8,9 +8,7 @@
 #define AN2_SIM_SIMULATOR_H
 
 #include <functional>
-#include <map>
 
-#include "an2/base/matrix.h"
 #include "an2/base/types.h"
 #include "an2/fault/injector.h"
 #include "an2/sim/metrics.h"
@@ -63,15 +61,6 @@ struct SimResult
 
     /** Peak total buffer occupancy. */
     int max_occupancy = 0;
-
-    /**
-     * Delivered cells per (input, output) connection (post-warmup),
-     * as a dense N x N matrix indexed [input][output].
-     */
-    Matrix<int64_t> per_connection;
-
-    /** Delivered cells per flow (post-warmup). */
-    std::map<FlowId, int64_t> per_flow;
 
     /** Slots over which metrics were accumulated. */
     SlotTime measured_slots = 0;

@@ -100,96 +100,84 @@ ParallelNet::run(PicoTime until_ps)
     for (NodeId n = 0; n < net_.numNodes(); ++n)
         m = std::min(m, net_.nodeAt(n).nextTick());
 
-    int stalled = 0;
-    if (threads_ == 1) {
-        while (m <= until_ps) {
-            PicoTime end = std::min(until_ps, m + min_latency_ - 1);
-            PicoTime prev_m = m;
-            m = tickShard(0, end);
-            commitShard(0);
-            ++windows_;
-            noteWindowAdvance(prev_m, m, stalled);
-        }
-    } else {
-        // Shared window state, published by the main thread (shard 0)
-        // strictly between barrier phases. A shard that throws (e.g. an
-        // invariant check) records the exception and keeps honoring the
-        // barrier protocol so nobody deadlocks; the first error is
-        // rethrown on the caller's thread after the pool drains.
-        PicoTime window_end = 0;
-        bool done = false;
-        std::vector<PicoTime> local_min(static_cast<size_t>(threads_),
-                                        kNever);
-        std::vector<std::exception_ptr> errors(
-            static_cast<size_t>(threads_));
-        std::barrier sync(threads_);
+    // Shared window state, published by the main thread (shard 0)
+    // strictly between barrier phases; with one thread the barrier has a
+    // single participant and the pool is empty. A shard that throws (e.g.
+    // an invariant check) records the exception and keeps honoring the
+    // barrier protocol so nobody deadlocks; the first error is rethrown
+    // on the caller's thread after the pool drains.
+    PicoTime window_end = 0;
+    bool done = false;
+    std::vector<PicoTime> local_min(static_cast<size_t>(threads_), kNever);
+    std::vector<std::exception_ptr> errors(static_cast<size_t>(threads_));
+    std::barrier sync(threads_);
 
-        auto step = [&](int k) {
-            auto idx = static_cast<size_t>(k);
-            try {
-                local_min[idx] = tickShard(k, window_end);
-            } catch (...) {
+    auto step = [&](int k) {
+        auto idx = static_cast<size_t>(k);
+        try {
+            local_min[idx] = tickShard(k, window_end);
+        } catch (...) {
+            errors[idx] = std::current_exception();
+            local_min[idx] = kNever;
+        }
+        sync.arrive_and_wait();  // all ticks done
+        try {
+            commitShard(k);
+        } catch (...) {
+            if (errors[idx] == nullptr)
                 errors[idx] = std::current_exception();
-                local_min[idx] = kNever;
-            }
-            sync.arrive_and_wait();  // all ticks done
-            try {
-                commitShard(k);
-            } catch (...) {
-                if (errors[idx] == nullptr)
-                    errors[idx] = std::current_exception();
-            }
-            sync.arrive_and_wait();  // all commits done
-        };
-
-        auto worker = [&](int k) {
-            while (true) {
-                sync.arrive_and_wait();  // window published
-                if (done)
-                    return;
-                step(k);
-            }
-        };
-
-        std::vector<std::thread> pool;
-        pool.reserve(static_cast<size_t>(threads_ - 1));
-        for (int k = 1; k < threads_; ++k)
-            pool.emplace_back(worker, k);
-
-        std::exception_ptr failure;
-        while (m <= until_ps) {
-            window_end = std::min(until_ps, m + min_latency_ - 1);
-            PicoTime prev_m = m;
-            sync.arrive_and_wait();
-            step(0);
-            m = kNever;
-            for (PicoTime t : local_min)
-                m = std::min(m, t);
-            ++windows_;
-            for (const std::exception_ptr& e : errors)
-                if (e != nullptr && failure == nullptr)
-                    failure = e;
-            // The watchdog must not throw past the barrier protocol
-            // (workers would block forever at "window published"); route
-            // it through the drain path like any shard error.
-            try {
-                noteWindowAdvance(prev_m, m, stalled);
-            } catch (...) {
-                if (failure == nullptr)
-                    failure = std::current_exception();
-            }
-            if (failure != nullptr)
-                break;
         }
-        done = true;
+        sync.arrive_and_wait();  // all commits done
+    };
+
+    auto worker = [&](int k) {
+        while (true) {
+            sync.arrive_and_wait();  // window published
+            if (done)
+                return;
+            step(k);
+        }
+    };
+
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<size_t>(threads_ - 1));
+    for (int k = 1; k < threads_; ++k)
+        pool.emplace_back(worker, k);
+
+    std::exception_ptr failure;
+    int stalled = 0;
+    while (m <= until_ps) {
+        window_end = std::min(until_ps, m + min_latency_ - 1);
+        PicoTime prev_m = m;
         sync.arrive_and_wait();
-        for (std::thread& t : pool)
-            t.join();
-        if (failure != nullptr) {
-            for (int l = 0; l < net_.numLinks(); ++l)
-                net_.linkAt(l).setDeferred(false);
-            std::rethrow_exception(failure);
+        step(0);
+        m = kNever;
+        for (PicoTime t : local_min)
+            m = std::min(m, t);
+        ++windows_;
+        for (const std::exception_ptr& e : errors)
+            if (e != nullptr && failure == nullptr)
+                failure = e;
+        // The watchdog must not throw past the barrier protocol (workers
+        // would block forever at "window published"); route it through
+        // the drain path like any shard error.
+        try {
+            noteWindowAdvance(prev_m, m, stalled);
+        } catch (...) {
+            if (failure == nullptr)
+                failure = std::current_exception();
         }
+        if (failure != nullptr)
+            break;
+    }
+    done = true;
+    sync.arrive_and_wait();
+    for (std::thread& t : pool)
+        t.join();
+    if (failure != nullptr) {
+        for (int l = 0; l < net_.numLinks(); ++l)
+            net_.linkAt(l).setDeferred(false);
+        std::rethrow_exception(failure);
     }
 
     obs::count(obs::Counter::ShardWindows, windows_ - windows_at_entry);

@@ -9,6 +9,7 @@
 
 #include "an2/matching/pim.h"
 #include "an2/topo/lan.h"
+#include "an2/topo/parallel_net.h"
 #include "an2/topo/topology.h"
 
 using namespace an2;
@@ -98,6 +99,23 @@ TEST(ParallelNetTest, MatchesSerialOnEveryThreadCount)
         EXPECT_GT(parallel->shardWindows(), 0);
         expectIdentical(*serial, *parallel);
     }
+}
+
+TEST(ParallelNetTest, OneThreadMatchesSerial)
+{
+    // Lan sends threads <= 1 to the serial loop, so drive the engine
+    // directly: one shard runs the same windows behind a barrier of one.
+    Topology topo = Topology::fatTree(4, 1);
+    auto serial = buildLan(topo, "");
+    serial->runFrames(30, 1);
+
+    auto sharded = buildLan(topo, "");
+    ParallelNet engine(sharded->net(), 1);
+    const NetworkConfig& net = sharded->net().config();
+    engine.run(30 * net.switch_frame_slots * net.slot_ps);
+    EXPECT_EQ(engine.threads(), 1);
+    EXPECT_GT(engine.windows(), 0);
+    expectIdentical(*serial, *sharded);
 }
 
 TEST(ParallelNetTest, MatchesSerialUnderLinkFaults)

@@ -268,106 +268,78 @@ TEST(RequestMatrixLiveness, IdempotentAndSurvivesClear)
     EXPECT_EQ(req.numEdges(), 2);
 }
 
-TEST(RequestMatrixDirty, EdgeTransitionsMarkRowsAndCols)
+TEST(RequestMatrixEpoch, EdgeTransitionsBumpEpoch)
 {
     RequestMatrix req(6);
-    req.clearDirty();
     const uint64_t e0 = req.epoch();
-    EXPECT_FALSE(req.anyDirty());
 
     req.set(2, 4, 1);  // edge born
-    EXPECT_TRUE(req.rowDirty(2));
-    EXPECT_TRUE(req.colDirty(4));
-    EXPECT_FALSE(req.rowDirty(1));
-    EXPECT_FALSE(req.colDirty(3));
     EXPECT_GT(req.epoch(), e0);
-
-    req.clearDirty();
-    EXPECT_FALSE(req.anyDirty());
     const uint64_t e1 = req.epoch();
-    EXPECT_EQ(req.epoch(), e1);  // clearDirty leaves the epoch alone
 
     // A count change that does not cross zero changes no visible edge.
     req.increment(2, 4);
-    EXPECT_FALSE(req.anyDirty());
     EXPECT_EQ(req.epoch(), e1);
 
     req.decrement(2, 4);  // 2 -> 1, still present
-    EXPECT_FALSE(req.anyDirty());
+    EXPECT_EQ(req.epoch(), e1);
     req.decrement(2, 4);  // edge dies
-    EXPECT_TRUE(req.rowDirty(2));
-    EXPECT_TRUE(req.colDirty(4));
     EXPECT_GT(req.epoch(), e1);
 }
 
-TEST(RequestMatrixDirty, ClearLinesMarkEveryAffectedEdge)
+TEST(RequestMatrixEpoch, ClearLinesBumpEpochOnlyWhenEdgesDie)
 {
     RequestMatrix req(5);
     req.set(1, 0, 1);
     req.set(1, 3, 2);
     req.set(4, 3, 1);
-    req.clearDirty();
 
+    uint64_t e = req.epoch();
     req.clearRow(1);
-    EXPECT_TRUE(req.rowDirty(1));
-    EXPECT_TRUE(req.colDirty(0));
-    EXPECT_TRUE(req.colDirty(3));
-    EXPECT_FALSE(req.rowDirty(4));
+    EXPECT_GT(req.epoch(), e);
 
-    req.clearDirty();
+    e = req.epoch();
     req.clearColumn(3);
-    EXPECT_TRUE(req.rowDirty(4));
-    EXPECT_TRUE(req.colDirty(3));
-    EXPECT_FALSE(req.rowDirty(1));  // row 1 had nothing left in col 3
+    EXPECT_GT(req.epoch(), e);
 
     // Clearing empty lines changes nothing.
-    req.clearDirty();
-    const uint64_t e = req.epoch();
+    e = req.epoch();
     req.clearRow(1);
     req.clearColumn(3);
-    EXPECT_FALSE(req.anyDirty());
     EXPECT_EQ(req.epoch(), e);
 }
 
-TEST(RequestMatrixDirty, LivenessFlipsMarkHiddenAndRevivedEdges)
+TEST(RequestMatrixEpoch, LivenessFlipsBumpEpoch)
 {
     RequestMatrix req(4);
     req.set(2, 1, 1);
     req.set(2, 3, 2);
-    req.clearDirty();
-    const uint64_t e0 = req.epoch();
+    uint64_t e = req.epoch();
 
-    // Killing the input hides two visible edges -> both marked.
+    // Killing the input hides two visible edges.
     req.setInputLive(2, false);
-    EXPECT_TRUE(req.rowDirty(2));
-    EXPECT_TRUE(req.colDirty(1));
-    EXPECT_TRUE(req.colDirty(3));
-    EXPECT_GT(req.epoch(), e0);
+    EXPECT_GT(req.epoch(), e);
 
-    // Mutations while dead stay invisible and mark nothing new.
-    req.clearDirty();
+    // Mutations while dead stay invisible.
+    e = req.epoch();
     req.increment(2, 0);  // born hidden
-    EXPECT_FALSE(req.anyDirty());
+    EXPECT_EQ(req.epoch(), e);
 
-    // Revival re-exposes the surviving requests -> marked again,
-    // including the one that appeared while the port was dead.
+    // Revival re-exposes the surviving requests, including the one that
+    // appeared while the port was dead.
     req.setInputLive(2, true);
-    EXPECT_TRUE(req.rowDirty(2));
-    EXPECT_TRUE(req.colDirty(0));
-    EXPECT_TRUE(req.colDirty(1));
-    EXPECT_TRUE(req.colDirty(3));
+    EXPECT_GT(req.epoch(), e);
 
     // Same via the output side.
-    req.clearDirty();
+    e = req.epoch();
     req.setOutputLive(1, false);
-    EXPECT_TRUE(req.rowDirty(2));
-    EXPECT_TRUE(req.colDirty(1));
-    req.clearDirty();
+    EXPECT_GT(req.epoch(), e);
+    e = req.epoch();
     req.setOutputLive(1, true);
-    EXPECT_TRUE(req.colDirty(1));
+    EXPECT_GT(req.epoch(), e);
 }
 
-TEST(RequestMatrixDirty, CopyConservativelyMarksAllAndBumpsEpoch)
+TEST(RequestMatrixEpoch, CopyBumpsEpochPastBothOperands)
 {
     RequestMatrix a(4);
     a.set(0, 0, 1);
@@ -378,27 +350,16 @@ TEST(RequestMatrixDirty, CopyConservativelyMarksAllAndBumpsEpoch)
         b.set(1, 1, 1);
         b.set(1, 1, 0);
     }
-    a.clearDirty();
-    b.clearDirty();
     const uint64_t ea = a.epoch();
     const uint64_t eb = b.epoch();
 
     b = a;
-    // Every row/column dirty, epoch strictly past both operands: a warm
-    // consumer remembering either epoch can never mistake the copy for
-    // an unchanged matrix.
-    for (PortId p = 0; p < 4; ++p) {
-        EXPECT_TRUE(b.rowDirty(p));
-        EXPECT_TRUE(b.colDirty(p));
-    }
+    // Epoch strictly past both operands: a warm consumer remembering
+    // either epoch can never mistake the copy for an unchanged matrix.
     EXPECT_GT(b.epoch(), ea);
     EXPECT_GT(b.epoch(), eb);
 
     RequestMatrix c(a);  // copy-construction likewise
-    for (PortId p = 0; p < 4; ++p) {
-        EXPECT_TRUE(c.rowDirty(p));
-        EXPECT_TRUE(c.colDirty(p));
-    }
     EXPECT_GT(c.epoch(), a.epoch());
 }
 

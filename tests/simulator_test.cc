@@ -50,23 +50,6 @@ TEST(SimulatorTest, CallbackSeesEveryDeliveredCell)
     EXPECT_GT(seen, 0);
 }
 
-TEST(SimulatorTest, PerConnectionCountsSumToDelivered)
-{
-    InputQueuedSwitch sw({.n = 4}, std::make_unique<PimMatcher>());
-    UniformTraffic traffic(4, 0.6, 4);
-    SimConfig cfg;
-    cfg.slots = 10'000;
-    cfg.warmup = 1'000;
-    SimResult res = runSimulation(sw, traffic, cfg);
-    EXPECT_EQ(res.per_connection.rows(), 4);
-    EXPECT_EQ(res.per_connection.cols(), 4);
-    EXPECT_EQ(res.per_connection.total(), res.delivered);
-    int64_t per_flow_total = 0;
-    for (const auto& [flow, count] : res.per_flow)
-        per_flow_total += count;
-    EXPECT_EQ(per_flow_total, res.delivered);
-}
-
 TEST(SimulatorTest, MaxOccupancyTracked)
 {
     OutputQueuedSwitch sw(4);

@@ -175,9 +175,9 @@ TEST(WarmStartProperty, FullReuseCounterFires)
 }
 #endif
 
-// Copy-assignment may swap in arbitrary content; the conservative
-// all-dirty copy semantics must keep the warm matcher off the wholesale
-// replay tier, so the matching stays legal for the *new* content.
+// Copy-assignment may swap in arbitrary content; the epoch bump on copy
+// must keep the warm matcher off the wholesale replay tier, so the
+// matching stays legal for the *new* content.
 TEST(WarmStartProperty, CopyAssignedMatrixNeverReplaysStale)
 {
     constexpr int kN = 32;
