@@ -155,8 +155,7 @@ void
 BM_Islip4Warm(benchmark::State& state)
 {
     runChurnBench(state, [](int) {
-        return std::make_unique<IslipMatcher>(4, MatcherBackend::Auto,
-                                              WarmStart::On);
+        return std::make_unique<IslipMatcher>(4, WarmStart::On);
     });
 }
 

@@ -210,8 +210,7 @@ archsUnderTest()
     archs.push_back({"iSLIP(4)+warm", [](int n, uint64_t) {
                          return std::make_unique<InputQueuedSwitch>(
                              IqSwitchConfig{.n = n},
-                             std::make_unique<IslipMatcher>(
-                                 4, MatcherBackend::Auto, WarmStart::On));
+                             std::make_unique<IslipMatcher>(4, WarmStart::On));
                      }});
     archs.push_back({"Greedy+warm", [](int n, uint64_t seed) {
                          return std::make_unique<InputQueuedSwitch>(
@@ -224,8 +223,7 @@ archsUnderTest()
                      [](int n, uint64_t) {
                          return std::make_unique<InputQueuedSwitch>(
                              IqSwitchConfig{.n = n},
-                             std::make_unique<IslipMatcher>(
-                                 4, MatcherBackend::Auto, WarmStart::On));
+                             std::make_unique<IslipMatcher>(4, WarmStart::On));
                      },
                      /*obs_mode=*/1});
     archs.push_back({"OutputQueued", [](int n, uint64_t) {

@@ -10,7 +10,9 @@ the change being documented, one from *after*) over the full netscale
 sweep on three engine shapes: the serial loop, and the sharded engine at
 2 and 4 threads. (`--engine parallel --threads 1` is promoted to 2
 threads, so the one-thread row is the serial engine.) Each shape runs
-three times per binary and records:
+five times per binary, the two binaries interleaved run by run with the
+first alternating, so a host that slows or speeds up during the script
+weighs on both sides alike. Each row records:
 
   sweep_s        median wall seconds of the sweep, taken from the
                  "N runs in X s on T engine thread(s)" line that
@@ -42,7 +44,7 @@ ENGINES = [
     ("parallel-4", ["--engine", "parallel", "--threads", "4"]),
 ]
 
-RUNS = 3  # per binary and engine shape
+RUNS = 5  # per binary and engine shape
 
 BASELINE = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "BENCH_netscale.json")
@@ -82,27 +84,36 @@ def run_once(binary, flags):
     return float(match.group(2)), int(match.group(3)), delivered
 
 
-def measure(binary):
-    rows = []
+def row(name, runs):
+    seconds = [s for s, _, _ in runs]
+    _, threads, delivered = runs[-1]
+    median = statistics.median(seconds)
+    return {
+        "engine": name,
+        "engine_threads": threads,
+        "runs": len(runs),
+        "sweep_s": {"median": round(median, 3),
+                    "min": min(seconds), "max": max(seconds)},
+        "delivered_cells": delivered,
+        "cells_per_s": round(delivered / median),
+    }
+
+
+def measure(before_bin, after_bin):
+    """Rows for both binaries; runs interleave, alternating the first."""
+    sides = [("before", before_bin), ("after", after_bin)]
+    rows = {"before": [], "after": []}
     for name, flags in ENGINES:
-        seconds = []
+        runs = {"before": [], "after": []}
         for rep in range(RUNS):
-            s, threads, delivered = run_once(binary, flags)
-            seconds.append(s)
-            print("  %s %-10s run %d: %.2f s on %d thread(s)" % (
-                os.path.basename(binary), name, rep + 1, s, threads),
-                flush=True)
-        median = statistics.median(seconds)
-        rows.append({
-            "engine": name,
-            "engine_threads": threads,
-            "runs": RUNS,
-            "sweep_s": {"median": round(median, 3),
-                        "min": min(seconds), "max": max(seconds)},
-            "delivered_cells": delivered,
-            "cells_per_s": round(delivered / median),
-        })
-    return rows
+            for side, binary in (sides if rep % 2 == 0 else sides[::-1]):
+                result = run_once(binary, flags)
+                runs[side].append(result)
+                print("  %-6s %-10s run %d: %.2f s on %d thread(s)" % (
+                    side, name, rep + 1, result[0], result[1]), flush=True)
+        for side in rows:
+            rows[side].append(row(name, runs[side]))
+    return rows["before"], rows["after"]
 
 
 def speedups(before, after):
@@ -123,10 +134,7 @@ def main():
     args = parser.parse_args()
 
     try:
-        print("before rows:")
-        before = measure(args.before_bin)
-        print("after rows:")
-        after = measure(args.after_bin)
+        before, after = measure(args.before_bin, args.after_bin)
     except NetperfError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

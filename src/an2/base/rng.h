@@ -43,15 +43,18 @@ class Rng
     nextBelow(uint64_t bound)
     {
         AN2_ASSERT(bound > 0, "nextBelow bound must be positive");
-        // Debiased multiply-shift (Lemire). The rejection loop terminates
-        // quickly for the small bounds used by the schedulers.
-        uint64_t threshold = (-bound) % bound;
-        while (true) {
-            uint64_t r = next64();
-            __uint128_t m = static_cast<__uint128_t>(r) * bound;
-            if (static_cast<uint64_t>(m) >= threshold)
-                return static_cast<uint64_t>(m >> 64);
+        // Debiased multiply-shift (Lemire): a draw is rejected when the
+        // low word of r * bound falls below (2^64 - bound) % bound. That
+        // threshold is below bound, so a low word >= bound is accepted
+        // without the division, and the values and draws consumed are
+        // those of the plain rejection loop.
+        __uint128_t m = static_cast<__uint128_t>(next64()) * bound;
+        if (static_cast<uint64_t>(m) < bound) {
+            const uint64_t threshold = (-bound) % bound;
+            while (static_cast<uint64_t>(m) < threshold)
+                m = static_cast<__uint128_t>(next64()) * bound;
         }
+        return static_cast<uint64_t>(m >> 64);
     }
 
     /** Uniform integer in [lo, hi] inclusive. */

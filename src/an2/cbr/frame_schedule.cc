@@ -11,7 +11,11 @@ FrameSchedule::FrameSchedule(int n, int frame_slots)
       in2out_(static_cast<size_t>(frame_slots),
               std::vector<PortId>(static_cast<size_t>(n), kNoPort)),
       out2in_(static_cast<size_t>(frame_slots),
-              std::vector<PortId>(static_cast<size_t>(n), kNoPort))
+              std::vector<PortId>(static_cast<size_t>(n), kNoPort)),
+      in_words_(wordset::numWords(n)),
+      scheduled_(static_cast<size_t>(frame_slots) *
+                     static_cast<size_t>(in_words_),
+                 0)
 {
     AN2_REQUIRE(n > 0, "switch size must be positive");
     AN2_REQUIRE(frame_slots > 0, "frame must have at least one slot");
@@ -57,6 +61,7 @@ FrameSchedule::assign(int s, PortId i, PortId j)
                "slot " << s << " output " << j << " already scheduled");
     in2out_[static_cast<size_t>(s)][static_cast<size_t>(i)] = j;
     out2in_[static_cast<size_t>(s)][static_cast<size_t>(j)] = i;
+    wordset::setBit(scheduledMut(s), i);
     ++total_;
 }
 
@@ -69,6 +74,7 @@ FrameSchedule::clear(int s, PortId i, PortId j)
                "slot " << s << " does not schedule (" << i << "," << j << ")");
     in2out_[static_cast<size_t>(s)][static_cast<size_t>(i)] = kNoPort;
     out2in_[static_cast<size_t>(s)][static_cast<size_t>(j)] = kNoPort;
+    wordset::clearBit(scheduledMut(s), i);
     --total_;
 }
 
@@ -79,6 +85,7 @@ FrameSchedule::reset()
         std::fill(row.begin(), row.end(), kNoPort);
     for (auto& row : out2in_)
         std::fill(row.begin(), row.end(), kNoPort);
+    std::fill(scheduled_.begin(), scheduled_.end(), 0);
     total_ = 0;
 }
 

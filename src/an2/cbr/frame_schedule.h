@@ -5,14 +5,22 @@
  * this schedule every frame; CBR cells ride their scheduled slots, and
  * any slot capacity left over (or scheduled but idle) is filled with VBR
  * traffic by parallel iterative matching.
+ *
+ * Each slot also keeps the set of its scheduled inputs as a word set
+ * (an2/matching/wordset.h), written by assign(), clear() and reset().
+ * A slot usually pairs only a few ports, so the switch's CBR pass walks
+ * that set instead of asking every input for its output.
  */
 #ifndef AN2_CBR_FRAME_SCHEDULE_H
 #define AN2_CBR_FRAME_SCHEDULE_H
 
+#include <cstdint>
 #include <vector>
 
+#include "an2/base/error.h"
 #include "an2/base/types.h"
 #include "an2/cbr/reservations.h"
+#include "an2/matching/wordset.h"
 
 namespace an2 {
 
@@ -37,6 +45,20 @@ class FrameSchedule
 
     bool inputFree(int s, PortId i) const { return outputAt(s, i) == kNoPort; }
     bool outputFree(int s, PortId j) const { return inputAt(s, j) == kNoPort; }
+
+    /** Words per scheduled-input set. */
+    int inputWords() const { return in_words_; }
+
+    /** Inputs scheduled in slot s, inputWords() words: bit i set iff
+        outputAt(s, i) != kNoPort. */
+    const uint64_t*
+    scheduledInputs(int s) const
+    {
+        AN2_ASSERT(s >= 0 && s < frame_slots_,
+                   "slot " << s << " out of frame");
+        return scheduled_.data() +
+               static_cast<size_t>(s) * static_cast<size_t>(in_words_);
+    }
 
     /** Schedule the pair (i,j) in slot s; both ports must be free. */
     void assign(int s, PortId i, PortId j);
@@ -64,12 +86,22 @@ class FrameSchedule
     void checkSlot(int s) const;
     void checkPorts(PortId i, PortId j) const;
 
+    uint64_t*
+    scheduledMut(int s)
+    {
+        return scheduled_.data() +
+               static_cast<size_t>(s) * static_cast<size_t>(in_words_);
+    }
+
     int n_;
     int frame_slots_;
     /** per-slot input -> output. */
     std::vector<std::vector<PortId>> in2out_;
     /** per-slot output -> input. */
     std::vector<std::vector<PortId>> out2in_;
+    int in_words_;
+    /** per-slot scheduled inputs, frame_slots_ x in_words_. */
+    std::vector<uint64_t> scheduled_;
     int total_ = 0;
 };
 

@@ -109,7 +109,8 @@ IslipMatcher::matchWarm(const RequestMatrix& req, Matching& out, bool fast)
     // both cores — and both pointers rotate past a repaired pair. The
     // result is maximal: an input left free at the end was free when any
     // output j was visited, so a leftover requested (i, j) pair with j
-    // free would have produced a repair at j.
+    // free would have produced a repair at j. The word core visits only
+    // requested outputs; an unrequested one has nothing to repair.
     int reused = 0;
     int repaired = 0;
     int requests_seen = 0;
@@ -125,7 +126,8 @@ IslipMatcher::matchWarm(const RequestMatrix& req, Matching& out, bool fast)
             warm_state_.seed(req, out, free_in_.data(), free_out_.data());
         const int cw = col_words_;
         uint64_t* reqsters = requesters_.data();
-        forEachSet(free_out_.data(), row_words_, [&](int j) {
+        const uint64_t* requested = req.requestedOutputs();
+        forEachSetInBoth(free_out_.data(), requested, row_words_, [&](int j) {
             const uint64_t* col = req.colMask(j);
             uint64_t any = 0;
             for (int w = 0; w < cw; ++w) {
@@ -263,9 +265,11 @@ IslipMatcher::runIterationFast(const RequestMatrix& req, Matching& m, int it)
     int grants_issued = 0;
 
     // Grant phase: "nearest at-or-after the pointer" is a circular
-    // first-set-bit search over (requesters & free inputs).
+    // first-set-bit search over (requesters & free inputs), at each free
+    // output that some input requests.
     clearAll(granted, cw);
-    forEachSet(free_out_.data(), rw, [&](int j) {
+    const uint64_t* requested = req.requestedOutputs();
+    forEachSetInBoth(free_out_.data(), requested, rw, [&](int j) {
         const uint64_t* col = req.colMask(j);
         uint64_t any = 0;
         for (int w = 0; w < cw; ++w) {

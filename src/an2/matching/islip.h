@@ -39,6 +39,12 @@ class IslipMatcher final : public Matcher
                           MatcherBackend backend = MatcherBackend::Auto,
                           WarmStart warm = WarmStart::Off);
 
+    /** The word-parallel core with the given warm-start policy. */
+    IslipMatcher(int iterations, WarmStart warm)
+        : IslipMatcher(iterations, MatcherBackend::Auto, warm)
+    {
+    }
+
     Matching match(const RequestMatrix& req) override;
     void matchInto(const RequestMatrix& req, Matching& out) override;
     std::string name() const override;

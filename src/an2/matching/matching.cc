@@ -1,14 +1,11 @@
 #include "an2/matching/matching.h"
 
-#include <algorithm>
-
 #include "an2/base/error.h"
 
 namespace an2 {
 
 Matching::Matching(int n_inputs, int n_outputs, int output_capacity)
     : in2out_(static_cast<size_t>(n_inputs), kNoPort),
-      out2ins_(static_cast<size_t>(n_outputs)),
       out_degree_(static_cast<size_t>(n_outputs), 0),
       output_capacity_(output_capacity)
 {
@@ -24,9 +21,6 @@ Matching::reset(int n_inputs, int n_outputs, int output_capacity)
                 "matching must have positive dimensions");
     AN2_REQUIRE(output_capacity >= 1, "output capacity must be >= 1");
     in2out_.assign(static_cast<size_t>(n_inputs), kNoPort);
-    out2ins_.resize(static_cast<size_t>(n_outputs));
-    for (auto& ins : out2ins_)
-        ins.clear();  // keeps each inner vector's capacity
     out_degree_.assign(static_cast<size_t>(n_outputs), 0);
     output_capacity_ = output_capacity;
     size_ = 0;
@@ -41,7 +35,6 @@ Matching::add(PortId i, PortId j)
     AN2_ASSERT(!isInputMatched(i), "input " << i << " already matched");
     AN2_ASSERT(!isOutputSaturated(j), "output " << j << " saturated");
     in2out_[static_cast<size_t>(i)] = j;
-    out2ins_[static_cast<size_t>(j)].push_back(i);
     ++out_degree_[static_cast<size_t>(j)];
     ++size_;
 }
@@ -53,24 +46,18 @@ Matching::removeInput(PortId i)
     PortId j = in2out_[static_cast<size_t>(i)];
     AN2_ASSERT(j != kNoPort, "input " << i << " is not matched");
     in2out_[static_cast<size_t>(i)] = kNoPort;
-    auto& ins = out2ins_[static_cast<size_t>(j)];
-    ins.erase(std::find(ins.begin(), ins.end(), i));
     --out_degree_[static_cast<size_t>(j)];
     --size_;
-}
-
-const std::vector<PortId>&
-Matching::inputsOf(PortId j) const
-{
-    AN2_REQUIRE(j >= 0 && j < numOutputs(), "output " << j << " out of range");
-    return out2ins_[static_cast<size_t>(j)];
 }
 
 PortId
 Matching::inputOf(PortId j) const
 {
-    const auto& ins = inputsOf(j);
-    return ins.empty() ? kNoPort : ins.front();
+    AN2_REQUIRE(j >= 0 && j < numOutputs(), "output " << j << " out of range");
+    for (PortId i = 0; i < numInputs(); ++i)
+        if (in2out_[static_cast<size_t>(i)] == j)
+            return i;
+    return kNoPort;
 }
 
 std::vector<std::pair<PortId, PortId>>

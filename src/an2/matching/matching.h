@@ -60,10 +60,11 @@ class Matching
     /** Output matched to input i, or kNoPort. */
     PortId outputOf(PortId i) const { return in2out_.at(static_cast<size_t>(i)); }
 
-    /** Inputs matched to output j (empty if unmatched). */
-    const std::vector<PortId>& inputsOf(PortId j) const;
-
-    /** The single input matched to output j, or kNoPort (capacity-1 use). */
+    /**
+     * The lowest input matched to output j, or kNoPort. An O(n) scan:
+     * only input -> output pairs are stored, so add() and reset() keep
+     * no per-output lists.
+     */
     PortId inputOf(PortId j) const;
 
     bool isInputMatched(PortId i) const { return outputOf(i) != kNoPort; }
@@ -101,7 +102,6 @@ class Matching
 
   private:
     std::vector<PortId> in2out_;
-    std::vector<std::vector<PortId>> out2ins_;
     std::vector<int> out_degree_;
     int output_capacity_;
     int size_ = 0;

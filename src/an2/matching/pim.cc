@@ -214,7 +214,9 @@ PimMatcher::runIterationFast(const RequestMatrix& req, Matching& m, int it)
     // its remaining capacity. The draw sequence matches the scalar core
     // exactly: outputs visited in ascending order, one
     // nextBelow(#requesters) draw when one grant is left, otherwise the
-    // scalar core's shuffle over the requesters in ascending order.
+    // scalar core's shuffle over the requesters in ascending order. Only
+    // requested outputs are visited: an output with an empty column has
+    // no requester, so it would draw and count nothing.
     auto grant = [&](int i, int j) {
         uint64_t* row = grant_rows_.data() +
                         static_cast<size_t>(i) * static_cast<size_t>(rw);
@@ -225,7 +227,8 @@ PimMatcher::runIterationFast(const RequestMatrix& req, Matching& m, int it)
         setBit(row, j);
     };
     clearAll(granted, cw);
-    forEachSet(free_out_.data(), rw, [&](int j) {
+    const uint64_t* requested = req.requestedOutputs();
+    forEachSetInBoth(free_out_.data(), requested, rw, [&](int j) {
         const uint64_t* col = req.colMask(j);
         uint64_t any = 0;
         for (int w = 0; w < cw; ++w) {

@@ -14,6 +14,7 @@ RequestMatrix::RequestMatrix(int n_inputs, int n_outputs)
       col_masks_(static_cast<size_t>(n_outputs) *
                      static_cast<size_t>(col_words_),
                  0),
+      req_out_(static_cast<size_t>(row_words_), 0),
       live_in_(static_cast<size_t>(col_words_), 0),
       live_out_(static_cast<size_t>(row_words_), 0)
 {
@@ -29,6 +30,7 @@ RequestMatrix::RequestMatrix(const RequestMatrix& other)
       col_words_(other.col_words_),
       row_masks_(other.row_masks_),
       col_masks_(other.col_masks_),
+      req_out_(other.req_out_),
       live_in_(other.live_in_),
       live_out_(other.live_out_),
       dead_ports_(other.dead_ports_),
@@ -48,6 +50,7 @@ RequestMatrix::operator=(const RequestMatrix& other)
     col_words_ = other.col_words_;
     row_masks_ = other.row_masks_;
     col_masks_ = other.col_masks_;
+    req_out_ = other.req_out_;
     live_in_ = other.live_in_;
     live_out_ = other.live_out_;
     dead_ports_ = other.dead_ports_;
@@ -57,6 +60,28 @@ RequestMatrix::operator=(const RequestMatrix& other)
     // overwrites its masked request copy every slot).
     epoch_ = std::max(own_epoch, other.epoch_) + 1;
     return *this;
+}
+
+void
+RequestMatrix::showEdge(PortId i, PortId j)
+{
+    wordset::setBit(rowMaskMut(i), j);
+    wordset::setBit(colMaskMut(j), i);
+    wordset::setBit(req_out_.data(), j);
+    ++edges_;
+    ++epoch_;
+}
+
+void
+RequestMatrix::hideEdge(PortId i, PortId j)
+{
+    uint64_t* col = colMaskMut(j);
+    wordset::clearBit(rowMaskMut(i), j);
+    wordset::clearBit(col, i);
+    if (!wordset::anySet(col, col_words_))
+        wordset::clearBit(req_out_.data(), j);
+    --edges_;
+    ++epoch_;
 }
 
 void
@@ -73,16 +98,10 @@ RequestMatrix::set(PortId i, PortId j, int count)
     // count track only the visible view.
     if (dead_ports_ > 0 && (!inputLive(i) || !outputLive(j)))
         return;
-    if (now) {
-        wordset::setBit(rowMaskMut(i), j);
-        wordset::setBit(colMaskMut(j), i);
-        ++edges_;
-    } else {
-        wordset::clearBit(rowMaskMut(i), j);
-        wordset::clearBit(colMaskMut(j), i);
-        --edges_;
-    }
-    ++epoch_;
+    if (now)
+        showEdge(i, j);
+    else
+        hideEdge(i, j);
 }
 
 void
@@ -94,10 +113,7 @@ RequestMatrix::decrement(PortId i, PortId j)
     if (--cell == 0) {
         if (dead_ports_ > 0 && (!inputLive(i) || !outputLive(j)))
             return;  // hidden edge: nothing visible to clear
-        wordset::clearBit(rowMaskMut(i), j);
-        wordset::clearBit(colMaskMut(j), i);
-        --edges_;
-        ++epoch_;
+        hideEdge(i, j);
     }
 }
 
@@ -108,18 +124,12 @@ RequestMatrix::setInputLive(PortId i, bool live)
                 "input port " << i << " out of range");
     if (inputLive(i) == live)
         return;
-    uint64_t* row = rowMaskMut(i);
     if (!live) {
-        // Hide row i: drop its visible edges from the column masks. Each
-        // hidden edge is an edge-set transition, so the epoch records it
-        // — a warm-started matcher must not reuse a pairing whose input
-        // just died.
-        wordset::forEachSet(row, row_words_, [&](int j) {
-            wordset::clearBit(colMaskMut(j), i);
-            --edges_;
-            ++epoch_;
-        });
-        wordset::clearAll(row, row_words_);
+        // Hide row i. Each hidden edge is an edge-set transition, so the
+        // epoch records it — a warm-started matcher must not reuse a
+        // pairing whose input just died.
+        wordset::forEachSet(rowMask(i), row_words_,
+                            [&](int j) { hideEdge(i, j); });
         wordset::clearBit(live_in_.data(), i);
         ++dead_ports_;
     } else {
@@ -129,14 +139,9 @@ RequestMatrix::setInputLive(PortId i, bool live)
         // re-exposed edge is a transition the epoch must record
         // (hidden-then-revived requests reappear without any count
         // change, so the set/decrement paths never see them).
-        for (PortId j = 0; j < numOutputs(); ++j) {
-            if (counts_.at(i, j) > 0 && outputLive(j)) {
-                wordset::setBit(row, j);
-                wordset::setBit(colMaskMut(j), i);
-                ++edges_;
-                ++epoch_;
-            }
-        }
+        for (PortId j = 0; j < numOutputs(); ++j)
+            if (counts_.at(i, j) > 0 && outputLive(j))
+                showEdge(i, j);
     }
 }
 
@@ -147,27 +152,17 @@ RequestMatrix::setOutputLive(PortId j, bool live)
                 "output port " << j << " out of range");
     if (outputLive(j) == live)
         return;
-    uint64_t* col = colMaskMut(j);
     if (!live) {
-        wordset::forEachSet(col, col_words_, [&](int i) {
-            wordset::clearBit(rowMaskMut(i), j);
-            --edges_;
-            ++epoch_;
-        });
-        wordset::clearAll(col, col_words_);
+        wordset::forEachSet(colMask(j), col_words_,
+                            [&](int i) { hideEdge(i, j); });
         wordset::clearBit(live_out_.data(), j);
         ++dead_ports_;
     } else {
         wordset::setBit(live_out_.data(), j);
         --dead_ports_;
-        for (PortId i = 0; i < numInputs(); ++i) {
-            if (counts_.at(i, j) > 0 && inputLive(i)) {
-                wordset::setBit(rowMaskMut(i), j);
-                wordset::setBit(col, i);
-                ++edges_;
-                ++epoch_;
-            }
-        }
+        for (PortId i = 0; i < numInputs(); ++i)
+            if (counts_.at(i, j) > 0 && inputLive(i))
+                showEdge(i, j);
     }
 }
 
@@ -177,6 +172,7 @@ RequestMatrix::clear()
     counts_.fill(0);
     std::fill(row_masks_.begin(), row_masks_.end(), 0);
     std::fill(col_masks_.begin(), col_masks_.end(), 0);
+    std::fill(req_out_.begin(), req_out_.end(), 0);
     edges_ = 0;
     ++epoch_;  // a wholesale wipe changes (or may change) every edge
 }
@@ -184,14 +180,10 @@ RequestMatrix::clear()
 void
 RequestMatrix::clearRow(PortId i)
 {
-    uint64_t* row = rowMaskMut(i);
-    wordset::forEachSet(row, row_words_, [&](int j) {
+    wordset::forEachSet(rowMask(i), row_words_, [&](int j) {
         counts_.at(i, j) = 0;
-        wordset::clearBit(colMaskMut(j), i);
-        --edges_;
-        ++epoch_;
+        hideEdge(i, j);
     });
-    wordset::clearAll(row, row_words_);
     if (dead_ports_ > 0) {
         // Also zero requests hidden behind dead ports (the mask walk
         // above cannot see them); only paid when faults are active.
@@ -203,14 +195,10 @@ RequestMatrix::clearRow(PortId i)
 void
 RequestMatrix::clearColumn(PortId j)
 {
-    uint64_t* col = colMaskMut(j);
-    wordset::forEachSet(col, col_words_, [&](int i) {
+    wordset::forEachSet(colMask(j), col_words_, [&](int i) {
         counts_.at(i, j) = 0;
-        wordset::clearBit(rowMaskMut(i), j);
-        --edges_;
-        ++epoch_;
+        hideEdge(i, j);
     });
-    wordset::clearAll(col, col_words_);
     if (dead_ports_ > 0) {
         for (PortId i = 0; i < numInputs(); ++i)
             counts_.at(i, j) = 0;

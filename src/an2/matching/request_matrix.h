@@ -11,11 +11,14 @@
  * Alongside the dense counts the matrix maintains, incrementally on every
  * mutation, the bit-parallel view the fast matcher backends consume: a
  * row mask per input (bit j set when input i requests output j), a column
- * mask per output (bit i set when input i requests output j), and the
- * edge count. This mirrors the AN2 hardware, where the request state is
- * literally one wire per port pair (§3.3), and lets a switch patch the
- * matrix as cells arrive and depart instead of rebuilding O(N^2) state
- * every slot.
+ * mask per output (bit i set when input i requests output j), the set of
+ * requested outputs (bit j set when column j is non-empty), and the edge
+ * count. This mirrors the AN2 hardware, where the request state is
+ * literally one wire per port pair (§3.3) and an output's arbiter acts
+ * only when one of its wires is high: the matchers grant over the
+ * requested outputs, so a slot pays for outputs with work, not for every
+ * port. It also lets a switch patch the matrix as cells arrive and depart
+ * instead of rebuilding O(N^2) state every slot.
  *
  * Port liveness (fault injection): setInputLive/setOutputLive mark ports
  * dead, which *hides* their requests — has() returns false, the row and
@@ -153,6 +156,10 @@ class RequestMatrix
                static_cast<size_t>(j) * static_cast<size_t>(col_words_);
     }
 
+    /** Requested outputs, rowWords() words: bit j set iff colMask(j) is
+        non-empty (requests hidden by dead ports are excluded). */
+    const uint64_t* requestedOutputs() const { return req_out_.data(); }
+
     /**
      * Monotonic change counter: bumped on every visible-edge transition
      * and never reset, so any number of consumers holding a snapshot can
@@ -179,11 +186,19 @@ class RequestMatrix
                static_cast<size_t>(j) * static_cast<size_t>(col_words_);
     }
 
+    /** Add (i,j) to the visible view: both masks, the requested
+        outputs, the edge count and the epoch. */
+    void showEdge(PortId i, PortId j);
+
+    /** Remove the visible edge (i,j) from the view (see showEdge). */
+    void hideEdge(PortId i, PortId j);
+
     Matrix<int> counts_;
     int row_words_;
     int col_words_;
     std::vector<uint64_t> row_masks_;  ///< numInputs x row_words_
     std::vector<uint64_t> col_masks_;  ///< numOutputs x col_words_
+    std::vector<uint64_t> req_out_;    ///< bit j set = column j non-empty
     std::vector<uint64_t> live_in_;    ///< bit i set = input i live
     std::vector<uint64_t> live_out_;   ///< bit j set = output j live
     int dead_ports_ = 0;               ///< dead inputs + dead outputs

@@ -164,6 +164,18 @@ forEachSet(const uint64_t* w, int n_words, Fn&& fn)
             fn(i * kWordBits + std::countr_zero(word));
 }
 
+/** Invoke fn(bit) for every bit set in both a and b, in ascending order.
+    Each word of the intersection is read before its bits are visited, so
+    fn may clear bits of a or b that it has already been handed. */
+template <typename Fn>
+inline void
+forEachSetInBoth(const uint64_t* a, const uint64_t* b, int n_words, Fn&& fn)
+{
+    for (int i = 0; i < n_words; ++i)
+        for (uint64_t word = a[i] & b[i]; word != 0; word &= word - 1)
+            fn(i * kWordBits + std::countr_zero(word));
+}
+
 }  // namespace an2::wordset
 
 #endif  // AN2_MATCHING_WORDSET_H

@@ -10,6 +10,7 @@ LocalClock::LocalClock(PicoTime nominal_slot_ps, double rate_error,
     AN2_REQUIRE(rate_error > -1.0 && rate_error < 1.0,
                 "clock rate error must be in (-1,1)");
     period_ps_ = static_cast<double>(nominal_slot_ps) / (1.0 + rate_error);
+    next_tick_ps_ = slotStart(0);
 }
 
 PicoTime

@@ -33,8 +33,9 @@ class LocalClock
     /** Wall time at which local slot k begins. */
     PicoTime slotStart(int64_t k) const;
 
-    /** Wall time of the next unexecuted slot. */
-    PicoTime nextTick() const { return slotStart(next_slot_); }
+    /** Wall time of the next unexecuted slot (kept by advance(), so
+        the engines' repeated reads cost no rounding). */
+    PicoTime nextTick() const { return next_tick_ps_; }
 
     /** Index of the next unexecuted slot. */
     int64_t nextSlot() const { return next_slot_; }
@@ -43,6 +44,7 @@ class LocalClock
     int64_t
     advance()
     {
+        next_tick_ps_ = slotStart(next_slot_ + 1);
         return next_slot_++;
     }
 
@@ -53,6 +55,7 @@ class LocalClock
     double period_ps_;
     PicoTime phase_ps_;
     int64_t next_slot_ = 0;
+    PicoTime next_tick_ps_;  ///< slotStart(next_slot_)
 };
 
 }  // namespace an2

@@ -91,10 +91,8 @@ Controller::drainSink(PicoTime now)
 {
     if (in_due_ > now)
         return;  // nothing due, or no link
-    arrivals_.clear();
-    in_link_->deliverInto(now, arrivals_);
     obs::Recorder* rec = obs::current();  // hoisted: one load per drain
-    for (const Cell& c : arrivals_) {
+    in_link_->deliverEach(now, [&](const Cell& c) {
         FlowDeliveryStats& st = delivered_[c.flow];
         ++st.delivered;
         st.wall_latency_ps.add(static_cast<double>(now - c.inject_ps));
@@ -108,7 +106,7 @@ Controller::drainSink(PicoTime now)
         if (c.seq != st.next_expected_seq)
             ++st.order_violations;
         st.next_expected_seq = c.seq + 1;
-    }
+    });
 }
 
 void

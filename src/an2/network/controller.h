@@ -168,8 +168,6 @@ class Controller final : public NetNode
     /** Flow-indexed flat table: the per-cell sink accounting path stays
         allocation-free once every terminating flow has been seen. */
     FlatMap<FlowDeliveryStats> delivered_;
-    /** Arrival scratch, persistent across ticks. */
-    std::vector<Cell> arrivals_;
     Xoshiro256 rng_;
 };
 

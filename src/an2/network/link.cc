@@ -87,11 +87,7 @@ NetLink::watch(PicoTime* slot)
 void
 NetLink::deliverInto(PicoTime now_ps, std::vector<Cell>& out)
 {
-    while (!in_flight_.empty() && in_flight_.front().arrives_ps <= now_ps) {
-        out.push_back(in_flight_.front().cell);
-        in_flight_.pop_front();
-    }
-    publishDue();
+    deliverEach(now_ps, [&](const Cell& c) { out.push_back(c); });
 }
 
 std::vector<Cell>

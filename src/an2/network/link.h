@@ -7,8 +7,9 @@
  *
  * Concurrency contract (the sharded engine, an2/topo/parallel_net.h):
  * in *deferred* mode, send() appends to a staging queue touched only by
- * the upstream node's shard, while deliverInto()/deliverUpTo() pop from
- * the in-flight queue touched only by the downstream node's shard;
+ * the upstream node's shard, while deliverEach() (and its wrappers
+ * deliverInto()/deliverUpTo()) pops from the in-flight queue touched
+ * only by the downstream node's shard;
  * commit() — called at a barrier, when no node is ticking — publishes
  * staged cells into the in-flight queue. Immediate mode (the default)
  * keeps the classic serial semantics: send() publishes directly.
@@ -59,11 +60,32 @@ class NetLink
     void send(const Cell& cell, PicoTime now_ps);
 
     /**
-     * Append every cell that has arrived by `now` to `out` (which is
-     * not cleared) and remove it from the link. The steady-state
-     * delivery path: no heap allocation once `out` has grown to its
-     * working capacity.
+     * Hand every cell that has arrived by `now` to fn(const Cell&), in
+     * arrival order, straight from the in-flight queue, and remove it
+     * once fn returns. The nodes' delivery path: no copy into a scratch
+     * vector and no allocation. fn must not touch this link. The watched
+     * due slot equals nextDue() on return, also when fn throws; the cell
+     * it threw on stays in flight.
      */
+    template <typename Fn>
+    void
+    deliverEach(PicoTime now_ps, Fn&& fn)
+    {
+        try {
+            while (!in_flight_.empty() &&
+                   in_flight_.front().arrives_ps <= now_ps) {
+                fn(in_flight_.front().cell);
+                in_flight_.pop_front();
+            }
+        } catch (...) {
+            publishDue();
+            throw;
+        }
+        publishDue();
+    }
+
+    /** Append every cell that has arrived by `now` to `out` (which is
+        not cleared) and remove it from the link (wraps deliverEach). */
     void deliverInto(PicoTime now_ps, std::vector<Cell>& out);
 
     /** Remove and return all cells that have arrived by `now`

@@ -18,6 +18,10 @@ NetSwitch::NetSwitch(NodeId id, LocalClock clock, int n_ports,
       in_due_(static_cast<size_t>(n_ports), NetLink::kNever),
       out_links_(static_cast<size_t>(n_ports), nullptr)
 {
+    // The end of the frame holding the clock's next slot; tick() moves it
+    // on at every frame's first slot.
+    frame_end_ps_ = clock_.slotStart(
+        (clock_.nextSlot() / frame_slots_ + 1) * frame_slots_);
 }
 
 void
@@ -189,21 +193,21 @@ NetSwitch::acceptArrivals(PicoTime now)
     for (PortId p = 0; p < core_.size(); ++p) {
         if (in_due_[static_cast<size_t>(p)] > now)
             continue;  // nothing due, or no link
-        arrivals_.clear();
-        in_links_[static_cast<size_t>(p)]->deliverInto(now, arrivals_);
-        for (Cell c : arrivals_) {
-            Route* route = routes_.get(c.flow);
-            AN2_REQUIRE(route != nullptr,
-                        "cell of unrouted flow " << c.flow << " at switch "
-                                                 << id_);
+        NetLink& link = *in_links_[static_cast<size_t>(p)];
+        link.deliverEach(now, [&](const Cell& arrived) {
+            Route* route = routes_.get(arrived.flow);
+            AN2_REQUIRE(route != nullptr, "cell of unrouted flow "
+                                              << arrived.flow
+                                              << " at switch " << id_);
             if (route->revoked) {
                 // Mid-restoration: the reservation is gone, so the cell
                 // has no schedule slot to ride. It is shed here rather
                 // than parked — the restorer re-sources the flow once a
                 // new path is admitted.
                 ++restore_dropped_;
-                continue;
+                return;
             }
+            Cell c = arrived;
             c.input = p;
             c.output = route->out_port;
             if (route->cls == TrafficClass::CBR) {
@@ -219,7 +223,7 @@ NetSwitch::acceptArrivals(PicoTime now)
             } else {
                 core_.acceptCell(c);
             }
-        }
+        });
     }
 }
 
@@ -241,11 +245,10 @@ NetSwitch::tick()
     PicoTime now = clock_.nextTick();
     int64_t slot = clock_.advance();
     acceptArrivals(now);
-    if (slot % frame_slots_ == 0)
+    if (slot % frame_slots_ == 0) {
         closeFrame();
-    // T(c, s_n): end of this switch's current frame.
-    PicoTime frame_end =
-        clock_.slotStart((slot / frame_slots_ + 1) * frame_slots_);
+        frame_end_ps_ = clock_.slotStart(slot + frame_slots_);
+    }
 
     // CBR cells ride their scheduled pairings, then VBR is matched over
     // the ports CBR left free; departures come CBR first, then VBR, each
@@ -262,7 +265,7 @@ NetSwitch::tick()
         NetLink* link = out_links_[static_cast<size_t>(c.output)];
         AN2_REQUIRE(link != nullptr, "switch " << id_ << " output port "
                                                << c.output << " has no link");
-        c.frame_end_ps = frame_end;
+        c.frame_end_ps = frame_end_ps_;
         ++c.hops;
         link->send(c, now);
     }

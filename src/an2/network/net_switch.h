@@ -194,8 +194,9 @@ class NetSwitch final : public NetNode
     int64_t vbr_dropped_ = 0;
     int64_t restore_dropped_ = 0;
     int64_t restore_purged_ = 0;
-    // Per-tick scratch, persistent so the slot loop never allocates.
-    std::vector<Cell> arrivals_;
+    /** T(c, s_n): wall time the current frame ends, set at each frame's
+        first slot. */
+    PicoTime frame_end_ps_ = 0;
 };
 
 }  // namespace an2

@@ -189,22 +189,21 @@ InputQueuedSwitch::purgeCbrFlow(PortId i, FlowId flow)
 }
 
 int
-InputQueuedSwitch::serveCbr(SlotTime slot)
+InputQueuedSwitch::serveCbr(int fs)
 {
-    int fs = static_cast<int>(slot % cbr_schedule_->frameSlots());
+    // Ascending input order, so forwarded_ keeps its CBR order.
     int served = 0;
-    for (PortId i = 0; i < config_.n; ++i) {
-        PortId j = cbr_schedule_->outputAt(fs, i);
-        if (j == kNoPort)
-            continue;
+    const uint64_t* scheduled = cbr_schedule_->scheduledInputs(fs);
+    wordset::forEachSet(scheduled, cbr_schedule_->inputWords(), [&](int i) {
+        const PortId j = cbr_schedule_->outputAt(fs, i);
         // A reservation whose schedule has not yet been repaired may
         // still pair a dead port; it cannot be served.
         if (any_dead_ && (wordset::testBit(dead_in_.data(), i) ||
                           wordset::testBit(dead_out_.data(), j)))
-            continue;
+            return;
         auto& buf = cbr_bufs_[static_cast<size_t>(i)];
         if (!buf.hasCellFor(j))
-            continue;  // idle reservation: the slot falls to VBR
+            return;  // idle reservation: the slot falls to VBR
         forwarded_.push_back(buf.dequeueFor(j));
         obs::cellDequeued(forwarded_.back());
         obs::count(obs::Counter::CbrCellsForwarded);
@@ -212,31 +211,31 @@ InputQueuedSwitch::serveCbr(SlotTime slot)
         wordset::setBit(out_busy_.data(), j);
         ++cbr_forwarded_;
         ++served;
-    }
+    });
     return served;
 }
 
 bool
-InputQueuedSwitch::predictCbrBusy(SlotTime slot)
+InputQueuedSwitch::predictCbrBusy(int fs)
 {
-    // Ports the frame schedule will claim in `slot`, predicted from the
+    // Ports the frame schedule will claim in `fs`, predicted from the
     // CBR cells queued right now (CBR buffers only drain at their own
     // scheduled slots, so a cell present now is still present then; a
     // cell arriving later makes the prediction optimistic, and the
     // transmit path re-checks with CBR priority).
-    int fs = static_cast<int>(slot % cbr_schedule_->frameSlots());
     bool any = false;
-    for (PortId i = 0; i < config_.n; ++i) {
-        PortId j = cbr_schedule_->outputAt(fs, i);
-        if (j == kNoPort || !cbr_bufs_[static_cast<size_t>(i)].hasCellFor(j))
-            continue;
+    const uint64_t* scheduled = cbr_schedule_->scheduledInputs(fs);
+    wordset::forEachSet(scheduled, cbr_schedule_->inputWords(), [&](int i) {
+        const PortId j = cbr_schedule_->outputAt(fs, i);
+        if (!cbr_bufs_[static_cast<size_t>(i)].hasCellFor(j))
+            return;
         if (any_dead_ && (wordset::testBit(dead_in_.data(), i) ||
                           wordset::testBit(dead_out_.data(), j)))
-            continue;  // dead pairing cannot claim ports next slot
+            return;  // dead pairing cannot claim ports next slot
         wordset::setBit(next_in_.data(), i);
         wordset::setBit(next_out_.data(), j);
         any = true;
-    }
+    });
     return any;
 }
 
@@ -267,7 +266,7 @@ InputQueuedSwitch::computeVbrMatch(const uint64_t* in_busy,
 }
 
 void
-InputQueuedSwitch::forwardVbr(SlotTime slot, PortId i, PortId j)
+InputQueuedSwitch::forwardVbr(int fs, PortId i, PortId j)
 {
     AN2_ASSERT(vbr_bufs_[static_cast<size_t>(i)].hasCellFor(j),
                "pipelined matching references a vanished cell");
@@ -275,11 +274,11 @@ InputQueuedSwitch::forwardVbr(SlotTime slot, PortId i, PortId j)
     obs::cellDequeued(c);
     vbr_req_.decrement(i, j);
     ++vbr_forwarded_;
-    if (cbr_schedule_ != nullptr) {
-        int fs = static_cast<int>(slot % cbr_schedule_->frameSlots());
-        if (cbr_schedule_->outputAt(fs, i) == j)
-            ++vbr_in_cbr_slots_;
-    }
+    // An idle reservation's pairing carried this VBR cell.
+    if (cbr_schedule_ != nullptr &&
+        wordset::testBit(cbr_schedule_->scheduledInputs(fs), i) &&
+        cbr_schedule_->outputAt(fs, i) == j)
+        ++vbr_in_cbr_slots_;
     forwarded_.push_back(c);
 }
 
@@ -338,10 +337,12 @@ InputQueuedSwitch::runSlot(SlotTime slot)
 
     // Phase 1: CBR service from the frame schedule.
     bool cbr_busy = false;
+    int fs = 0;  // the slot's place in the frame
     if (cbr_schedule_ != nullptr) {
+        fs = static_cast<int>(slot % cbr_schedule_->frameSlots());
         wordset::clearAll(in_busy_.data(), busy_words_);
         wordset::clearAll(out_busy_.data(), busy_words_);
-        cbr_busy = serveCbr(slot) > 0;
+        cbr_busy = serveCbr(fs) > 0;
     }
     const size_t n_cbr = forwarded_.size();
 
@@ -383,7 +384,7 @@ InputQueuedSwitch::runSlot(SlotTime slot)
                     continue;
                 if (merged)
                     combined_.add(i, j);
-                forwardVbr(slot, i, j);
+                forwardVbr(fs, i, j);
             }
         } else if (has_pending_) {
             for (PortId i = 0; i < n; ++i) {
@@ -401,7 +402,7 @@ InputQueuedSwitch::runSlot(SlotTime slot)
                                   wordset::testBit(dead_out_.data(), j)))
                     continue;
                 combined_.add(i, j);
-                forwardVbr(slot, i, j);
+                forwardVbr(fs, i, j);
             }
         }
 
@@ -425,7 +426,8 @@ InputQueuedSwitch::runSlot(SlotTime slot)
         if (cbr_schedule_ != nullptr) {
             wordset::clearAll(next_in_.data(), busy_words_);
             wordset::clearAll(next_out_.data(), busy_words_);
-            any_next = predictCbrBusy(slot + 1);
+            any_next = predictCbrBusy(
+                fs + 1 == cbr_schedule_->frameSlots() ? 0 : fs + 1);
         }
         computeVbrMatch(next_in_.data(), next_out_.data(), any_next,
                         pending_vbr_);

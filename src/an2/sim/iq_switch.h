@@ -229,16 +229,18 @@ class InputQueuedSwitch final : public SwitchModel
     /** Cells queued at output j across its class queues. */
     int outputBacklog(PortId j) const;
 
-    /** Serve the frame schedule's pairings for `slot` into forwarded_,
-        marking claimed ports in in_busy_/out_busy_; returns count. */
-    int serveCbr(SlotTime slot);
+    /** Serve the frame schedule's pairings for frame slot `fs` into
+        forwarded_, marking claimed ports in in_busy_/out_busy_; returns
+        count. Visits only the inputs the slot schedules. */
+    int serveCbr(int fs);
 
-    /** Predict the ports the frame schedule will claim in `slot`,
-        marking them in next_in_/next_out_; returns true if any. */
-    bool predictCbrBusy(SlotTime slot);
+    /** Predict the ports the frame schedule will claim in frame slot
+        `fs`, marking them in next_in_/next_out_; returns true if any. */
+    bool predictCbrBusy(int fs);
 
-    /** Dequeue the VBR cell behind pairing (i,j) and log statistics. */
-    void forwardVbr(SlotTime slot, PortId i, PortId j);
+    /** Dequeue the VBR cell behind pairing (i,j), crossing in frame
+        slot `fs` (ignored without a schedule), and log statistics. */
+    void forwardVbr(int fs, PortId i, PortId j);
 
     /**
      * Compute a VBR matching into `out`, excluding the ports whose bits

@@ -6,10 +6,15 @@
 
 namespace an2 {
 
-MetricsCollector::MetricsCollector(SlotTime warmup_slots, int ports)
+MetricsCollector::MetricsCollector(SlotTime warmup_slots)
     : warmup_(warmup_slots)
 {
     AN2_REQUIRE(warmup_slots >= 0, "warmup must be non-negative");
+}
+
+MetricsCollector::MetricsCollector(SlotTime warmup_slots, int ports)
+    : MetricsCollector(warmup_slots)
+{
     AN2_REQUIRE(ports > 0, "metrics need a positive port count, got "
                                << ports);
 }

@@ -21,8 +21,11 @@ class MetricsCollector
     /**
      * @param warmup_slots Cells injected before this slot are ignored,
      *        eliminating the initial transient (paper §3.5 does the same).
-     * @param ports Switch size N (must be positive).
      */
+    explicit MetricsCollector(SlotTime warmup_slots);
+
+    /** The older form: also checks that the switch size N is positive,
+        which nothing else reads. Kept for the benchmark harness. */
     MetricsCollector(SlotTime warmup_slots, int ports);
 
     /** Record a cell injected into the switch. */

@@ -95,7 +95,7 @@ runSimulation(SwitchModel& sw, TrafficGenerator& traffic,
                            << config.slots
                            << " slots); no slots would be measured");
 
-    MetricsCollector metrics(config.warmup, sw.size());
+    MetricsCollector metrics(config.warmup);
 
     // Loss baselines, so a reused switch/injector accounts only this run.
     const int64_t sw_dropped0 = sw.droppedCells();

@@ -4,8 +4,31 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "an2/base/rng.h"
+#include "an2/cbr/slepian_duguid.h"
+
 namespace an2 {
 namespace {
+
+// Recomputes every slot's scheduled-input set from outputAt() and
+// compares it with the set the schedule keeps.
+void
+expectScheduledInputsMatch(const FrameSchedule& s)
+{
+    for (int slot = 0; slot < s.frameSlots(); ++slot) {
+        std::vector<uint64_t> want(static_cast<size_t>(s.inputWords()), 0);
+        for (PortId i = 0; i < s.size(); ++i)
+            if (s.outputAt(slot, i) != kNoPort)
+                wordset::setBit(want.data(), i);
+        const uint64_t* got = s.scheduledInputs(slot);
+        for (int w = 0; w < s.inputWords(); ++w)
+            ASSERT_EQ(got[w], want[static_cast<size_t>(w)])
+                << "slot " << slot << " word " << w;
+    }
+}
 
 TEST(FrameScheduleTest, StartsEmpty)
 {
@@ -112,6 +135,56 @@ TEST(FrameScheduleTest, ResetClearsEverything)
     // Fully reusable after reset.
     s.assign(0, 0, 1);
     EXPECT_EQ(s.totalAssignments(), 1);
+}
+
+TEST(FrameScheduleTest, ScheduledInputsTrackRandomEdits)
+{
+    for (int n : {3, 16, 70}) {
+        FrameSchedule s(n, 5);
+        Xoshiro256 rng(static_cast<uint64_t>(n));
+        for (int op = 0; op < 3000; ++op) {
+            const int slot = static_cast<int>(rng.nextBelow(5));
+            const auto i = static_cast<PortId>(
+                rng.nextBelow(static_cast<uint64_t>(n)));
+            const auto j = static_cast<PortId>(
+                rng.nextBelow(static_cast<uint64_t>(n)));
+            const uint64_t kind = rng.nextBelow(100);
+            if (kind == 0) {
+                s.reset();
+            } else if (s.outputAt(slot, i) != kNoPort) {
+                s.clear(slot, i, s.outputAt(slot, i));
+            } else if (s.inputAt(slot, j) == kNoPort) {
+                s.assign(slot, i, j);
+            }
+            expectScheduledInputsMatch(s);
+        }
+    }
+}
+
+TEST(FrameScheduleTest, ScheduledInputsTrackSlepianDuguidChurn)
+{
+    // Adds move existing pairings between slots (the swap chains), so the
+    // sets must follow assign and clear through every rearrangement.
+    constexpr int kN = 70;
+    constexpr int kFrame = 12;
+    SlepianDuguidScheduler sd(kN, kFrame);
+    Xoshiro256 rng(7);
+    std::vector<std::pair<PortId, PortId>> booked;
+    for (int op = 0; op < 2000; ++op) {
+        if (!booked.empty() && rng.nextBelow(3) == 0) {
+            const size_t k = rng.nextBelow(booked.size());
+            sd.removeReservation(booked[k].first, booked[k].second, 1);
+            booked[k] = booked.back();
+            booked.pop_back();
+        } else {
+            const auto i = static_cast<PortId>(rng.nextBelow(kN));
+            const auto j = static_cast<PortId>(rng.nextBelow(kN));
+            if (sd.addReservation(i, j, 1))
+                booked.emplace_back(i, j);
+        }
+        expectScheduledInputsMatch(sd.schedule());
+    }
+    EXPECT_GT(sd.totalSwaps(), 0);
 }
 
 TEST(FrameScheduleTest, BoundsChecked)

@@ -115,6 +115,35 @@ TEST(IslipTest, SizeChangeWithoutResetFails)
 TEST(IslipTest, InvalidIterationsRejected)
 {
     EXPECT_THROW(IslipMatcher(0), UsageError);
+    EXPECT_THROW(IslipMatcher(0, WarmStart::On), UsageError);
+}
+
+TEST(IslipTest, WarmFormMatchesBackendForm)
+{
+    // IslipMatcher(iterations, warm) is the word-parallel core, as is
+    // the three-argument form with MatcherBackend::Auto.
+    for (WarmStart warm : {WarmStart::Off, WarmStart::On}) {
+        IslipMatcher with_backend(4, MatcherBackend::Auto, warm);
+        IslipMatcher plain(4, warm);
+        EXPECT_EQ(plain.name(), with_backend.name());
+        // One matrix patched in place, so the warm path sees real edge
+        // changes and unchanged epochs alike.
+        RequestMatrix req(24);
+        Xoshiro256 rng(17);
+        for (int slot = 0; slot < 400; ++slot) {
+            for (int k = 0; k < 6; ++k) {
+                const auto i = static_cast<PortId>(rng.nextBelow(24));
+                const auto j = static_cast<PortId>(rng.nextBelow(24));
+                if (req.count(i, j) > 0 && rng.nextBelow(2) == 0)
+                    req.decrement(i, j);
+                else if (slot % 7 != 0)
+                    req.increment(i, j);
+            }
+            EXPECT_EQ(plain.match(req).pairs(),
+                      with_backend.match(req).pairs())
+                << "slot " << slot;
+        }
+    }
 }
 
 }  // namespace

@@ -285,7 +285,7 @@ TEST(MatcherBackendEquivalence, Islip)
 {
     for (int n : {3, 16, 64, 65, 100, 256}) {
         IslipMatcher ref(4, MatcherBackend::Reference);
-        IslipMatcher fast(4, MatcherBackend::Auto);
+        IslipMatcher fast(4);
         expectBackendsAgree(ref, fast, n, n > 64 ? 40 : 150,
                             static_cast<uint64_t>(4000 + n));
     }

@@ -25,7 +25,7 @@ cellAt(FlowId flow, PortId in, PortId out, SlotTime inject)
 
 TEST(MetricsTest, WarmupCellsExcluded)
 {
-    MetricsCollector m(100, 4);
+    MetricsCollector m(100);
     Cell early = cellAt(0, 0, 1, 50);
     Cell late = cellAt(0, 0, 1, 150);
     m.noteInjected(early);
@@ -39,7 +39,7 @@ TEST(MetricsTest, WarmupCellsExcluded)
 
 TEST(MetricsTest, DelayStatsAndQuantiles)
 {
-    MetricsCollector m(0, 4);
+    MetricsCollector m(0);
     for (int d = 0; d < 100; ++d) {
         Cell c = cellAt(0, 0, 0, 0);
         m.noteInjected(c);
@@ -58,7 +58,7 @@ TEST(MetricsTest, DelayQuantilesMatchSortedSamples)
     // below it above. Most delays sit under 64 so the median exercises
     // the exact range; the rest spread up to 100 000 slots.
     const int n = 10'007;  // q * n is never within rounding of an integer
-    MetricsCollector m(0, 4);
+    MetricsCollector m(0);
     Xoshiro256 rng(42);
     std::vector<SlotTime> delays;
     for (int k = 0; k < n; ++k) {
@@ -89,7 +89,7 @@ TEST(MetricsTest, TailQuantilesDoNotSaturate)
 {
     // Every delay past 16 384 slots: the quantiles have no fixed ceiling
     // there, and stay within one bin of the order statistic.
-    MetricsCollector m(0, 4);
+    MetricsCollector m(0);
     for (SlotTime d = 30'000; d < 31'000; ++d) {
         Cell c = cellAt(0, 0, 0, 0);
         m.noteInjected(c);
@@ -103,13 +103,13 @@ TEST(MetricsTest, TailQuantilesDoNotSaturate)
 
 TEST(MetricsTest, EmptyQuantileIsZero)
 {
-    MetricsCollector m(0, 4);
+    MetricsCollector m(0);
     EXPECT_EQ(m.delayQuantile(0.99), 0.0);
 }
 
 TEST(MetricsTest, OccupancyPeakSticky)
 {
-    MetricsCollector m(0, 4);
+    MetricsCollector m(0);
     m.noteOccupancy(3);
     m.noteOccupancy(10);
     m.noteOccupancy(4);
@@ -118,13 +118,14 @@ TEST(MetricsTest, OccupancyPeakSticky)
 
 TEST(MetricsTest, NegativeDelayPanics)
 {
-    MetricsCollector m(0, 4);
+    MetricsCollector m(0);
     Cell c = cellAt(0, 0, 0, 10);
     EXPECT_THROW(m.noteDelivered(c, 5), InternalError);
 }
 
 TEST(MetricsTest, NegativeWarmupRejected)
 {
+    EXPECT_THROW(MetricsCollector(-1), UsageError);
     EXPECT_THROW(MetricsCollector(-1, 4), UsageError);
 }
 
@@ -132,6 +133,34 @@ TEST(MetricsTest, NonPositivePortCountRejected)
 {
     EXPECT_THROW(MetricsCollector(0, 0), UsageError);
     EXPECT_THROW(MetricsCollector(0, -3), UsageError);
+}
+
+TEST(MetricsTest, PortCountFormMatchesWarmupForm)
+{
+    // The (warmup, ports) form only checks the port count, so the two
+    // forms record the same stream identically.
+    MetricsCollector plain(50);
+    MetricsCollector with_ports(50, 16);
+    Xoshiro256 rng(3);
+    for (int k = 0; k < 5000; ++k) {
+        Cell c = cellAt(k, static_cast<PortId>(rng.nextBelow(16)),
+                        static_cast<PortId>(rng.nextBelow(16)),
+                        rng.nextInRange(0, 1000));
+        const SlotTime at = c.inject_slot + rng.nextInRange(0, 5000);
+        for (MetricsCollector* m : {&plain, &with_ports}) {
+            m->noteInjected(c);
+            m->noteDelivered(c, at);
+            m->noteOccupancy(k % 97);
+        }
+    }
+    EXPECT_EQ(plain.injected(), with_ports.injected());
+    EXPECT_EQ(plain.delivered(), with_ports.delivered());
+    EXPECT_EQ(plain.meanDelay(), with_ports.meanDelay());
+    EXPECT_EQ(plain.delayStats().variance(),
+              with_ports.delayStats().variance());
+    for (double q : {0.5, 0.9, 0.99})
+        EXPECT_EQ(plain.delayQuantile(q), with_ports.delayQuantile(q));
+    EXPECT_EQ(plain.maxOccupancy(), with_ports.maxOccupancy());
 }
 
 }  // namespace

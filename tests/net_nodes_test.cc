@@ -97,6 +97,39 @@ TEST(NetLinkUnitTest, WatchedSlotTracksNextDue)
     link.send(cellOfFlow(8), 900);
     EXPECT_EQ(slot, 1000);
     EXPECT_EQ(slot, link.nextDue());
+
+    // deliverEach hands the due cells over in order and leaves the slot
+    // on the first cell not yet due.
+    link.send(cellOfFlow(9), 950);
+    link.send(cellOfFlow(10), 1000);
+    std::vector<FlowId> seen;
+    link.deliverEach(1050, [&](const Cell& c) { seen.push_back(c.flow); });
+    EXPECT_EQ(seen, (std::vector<FlowId>{8, 9}));
+    EXPECT_EQ(slot, 1100);
+    EXPECT_EQ(slot, link.nextDue());
+    link.deliverEach(1099, [&](const Cell&) { ADD_FAILURE(); });  // none due
+    EXPECT_EQ(slot, 1100);
+
+    // A callback that throws: the cells before it are gone, the one it
+    // threw on stays in flight, and the slot still mirrors nextDue().
+    link.send(cellOfFlow(11), 1010);
+    link.send(cellOfFlow(12), 1020);
+    seen.clear();
+    EXPECT_THROW(link.deliverEach(1200,
+                                  [&](const Cell& c) {
+                                      if (c.flow == 11)
+                                          throw UsageError("bad cell");
+                                      seen.push_back(c.flow);
+                                  }),
+                 UsageError);
+    EXPECT_EQ(seen, (std::vector<FlowId>{10}));
+    EXPECT_EQ(link.inFlight(), 2);
+    EXPECT_EQ(slot, 1110);
+    EXPECT_EQ(slot, link.nextDue());
+    link.deliverInto(1200, out);
+    EXPECT_EQ(out.back().flow, 12);
+    EXPECT_EQ(slot, NetLink::kNever);
+    EXPECT_EQ(slot, link.nextDue());
 }
 
 TEST(NetLinkUnitTest, LinkFeedsOneNode)

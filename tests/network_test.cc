@@ -35,6 +35,22 @@ TEST(LocalClockTest, SlotTimesScaleWithRateError)
     EXPECT_EQ(nominal.nextSlot(), 1);
 }
 
+TEST(LocalClockTest, NextTickIsSlotStartOfNextSlot)
+{
+    // nextTick() is kept by advance(); it must equal the rounded slot
+    // start computed from the slot index, at any rate error and phase.
+    for (double err : {0.0, 1e-4, -1e-4, 3.7e-5})
+        for (PicoTime phase : {PicoTime{0}, PicoTime{1}, PicoTime{12'345}}) {
+            LocalClock clock(12'800, err, phase);
+            EXPECT_EQ(clock.nextTick(), phase);
+            for (int k = 0; k < 50'000; ++k) {
+                ASSERT_EQ(clock.advance(), k);
+                ASSERT_EQ(clock.nextTick(), clock.slotStart(clock.nextSlot()))
+                    << "err " << err << " phase " << phase << " slot " << k;
+            }
+        }
+}
+
 TEST(NetLinkTest, DeliversAfterLatency)
 {
     NetLink link(500);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace an2 {
 namespace {
 
@@ -126,6 +129,74 @@ TEST(RequestMatrixTest, MasksMatchCountsOnRandomPatterns)
             }
         }
         EXPECT_EQ(req.numEdges(), edges);
+    }
+}
+
+// Recomputes the requested outputs from the column masks and compares
+// them with the set the matrix keeps.
+void
+expectRequestedOutputsMatch(const RequestMatrix& req)
+{
+    std::vector<uint64_t> want(static_cast<size_t>(req.rowWords()), 0);
+    for (PortId j = 0; j < req.numOutputs(); ++j)
+        if (wordset::anySet(req.colMask(j), req.colWords()))
+            wordset::setBit(want.data(), j);
+    for (int w = 0; w < req.rowWords(); ++w)
+        ASSERT_EQ(req.requestedOutputs()[w], want[static_cast<size_t>(w)])
+            << "word " << w;
+}
+
+// One random mutation of `req`; `other` is the source of copies.
+void
+mutateRandomly(RequestMatrix& req, const RequestMatrix& other, Rng& rng)
+{
+    const int n_in = req.numInputs();
+    const int n_out = req.numOutputs();
+    const auto i = static_cast<PortId>(
+        rng.nextBelow(static_cast<uint64_t>(n_in)));
+    const auto j = static_cast<PortId>(
+        rng.nextBelow(static_cast<uint64_t>(n_out)));
+    const uint64_t op = rng.nextBelow(100);
+    if (op < 30) {
+        req.increment(i, j);
+    } else if (op < 55) {
+        if (req.count(i, j) > 0)
+            req.decrement(i, j);
+    } else if (op < 70) {
+        req.set(i, j, static_cast<int>(rng.nextBelow(3)));
+    } else if (op < 75) {
+        req.clearRow(i);
+    } else if (op < 80) {
+        req.clearColumn(j);
+    } else if (op < 88) {
+        req.setInputLive(i, rng.nextBelow(2) == 0);
+    } else if (op < 96) {
+        req.setOutputLive(j, rng.nextBelow(2) == 0);
+    } else if (op < 97) {
+        req.clear();
+    } else if (op < 99) {
+        req = other;
+    } else {
+        RequestMatrix copy(other);
+        expectRequestedOutputsMatch(copy);
+        req = std::move(copy);
+    }
+}
+
+TEST(RequestMatrixTest, RequestedOutputsTrackRandomStreams)
+{
+    // The last shape spans several words per row and per column.
+    const std::pair<int, int> shapes[] = {{3, 5}, {16, 16}, {70, 130}};
+    for (auto [n_in, n_out] : shapes) {
+        RequestMatrix a(n_in, n_out);
+        RequestMatrix b(n_in, n_out);
+        Xoshiro256 rng(static_cast<uint64_t>(n_in * 1000 + n_out));
+        for (int step = 0; step < 20'000; ++step) {
+            mutateRandomly(a, b, rng);
+            mutateRandomly(b, a, rng);
+            expectRequestedOutputsMatch(a);
+            expectRequestedOutputsMatch(b);
+        }
     }
 }
 

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -60,6 +62,50 @@ TEST(RngTest, NextBelowRejectsZeroBound)
 {
     Xoshiro256 rng(5);
     EXPECT_THROW(rng.nextBelow(0), InternalError);
+}
+
+// The plain Lemire rejection loop: the threshold is computed on every
+// call. nextBelow skips the division when no rejection is possible, and
+// must return the same values from the same number of draws.
+uint64_t
+plainNextBelow(Rng& rng, uint64_t bound)
+{
+    uint64_t threshold = (-bound) % bound;
+    while (true) {
+        __uint128_t m = static_cast<__uint128_t>(rng.next64()) * bound;
+        if (static_cast<uint64_t>(m) >= threshold)
+            return static_cast<uint64_t>(m >> 64);
+    }
+}
+
+TEST(RngTest, NextBelowMatchesPlainRejectionLoop)
+{
+    const uint64_t bounds[] = {1,
+                               2,
+                               3,
+                               7,
+                               16,
+                               1000,
+                               (uint64_t{1} << 32) + 1,
+                               (uint64_t{1} << 63) + 1,
+                               UINT64_MAX};
+    std::vector<std::unique_ptr<Rng>> engines;
+    engines.push_back(std::make_unique<Xoshiro256>(61));
+    engines.push_back(std::make_unique<WeakLcg>(61));
+    for (const auto& engine : engines) {
+        for (uint64_t bound : bounds) {
+            auto fast = engine->clone();
+            auto plain = engine->clone();
+            for (int k = 0; k < 2000; ++k)
+                ASSERT_EQ(fast->nextBelow(bound),
+                          plainNextBelow(*plain, bound))
+                    << "bound " << bound << " draw " << k;
+            // Equal streams afterwards: both consumed the same draws.
+            for (int k = 0; k < 4; ++k)
+                ASSERT_EQ(fast->next64(), plain->next64())
+                    << "bound " << bound;
+        }
+    }
 }
 
 TEST(RngTest, NextBelowUniformChiSquare)

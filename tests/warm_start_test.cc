@@ -75,8 +75,7 @@ warmConfigs()
                        }});
     configs.push_back({"islip-word",
                        [](WarmStart w) -> std::unique_ptr<Matcher> {
-                           return std::make_unique<IslipMatcher>(
-                               4, MatcherBackend::Auto, w);
+                           return std::make_unique<IslipMatcher>(4, w);
                        }});
     configs.push_back({"greedy-reference",
                        [](WarmStart w) -> std::unique_ptr<Matcher> {
@@ -162,7 +161,7 @@ TEST(WarmStartProperty, FullReuseCounterFires)
     rc.ports = kN;
     auto rec = std::make_unique<obs::Recorder>(rc);
     obs::attach(rec.get());
-    IslipMatcher matcher(4, MatcherBackend::Auto, WarmStart::On);
+    IslipMatcher matcher(4, WarmStart::On);
     Xoshiro256 rng(5);
     RequestMatrix req = RequestMatrix::bernoulli(kN, 0.5, rng);
     Matching m(kN);
@@ -209,8 +208,7 @@ TEST(WarmStartRegression, OffMatchesSeedBehavior)
         std::unique_ptr<Matcher> legacy;
     };
     std::vector<Pair> pairs;
-    pairs.push_back({std::make_unique<IslipMatcher>(
-                         4, MatcherBackend::Auto, WarmStart::Off),
+    pairs.push_back({std::make_unique<IslipMatcher>(4, WarmStart::Off),
                      std::make_unique<IslipMatcher>(4)});
     pairs.push_back({std::make_unique<SerialGreedyMatcher>(
                          true, 3, MatcherBackend::Auto, WarmStart::Off),

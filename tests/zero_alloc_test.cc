@@ -157,8 +157,7 @@ TEST(ZeroAllocTest, WarmIslipRunSlotSteadyStateIsAllocationFree)
     // vector sized on the first slot; steady state must stay off the
     // heap on both the full-reuse and repair tiers.
     InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<IslipMatcher>(
-                             4, MatcherBackend::Auto, WarmStart::On));
+                         std::make_unique<IslipMatcher>(4, WarmStart::On));
     EXPECT_EQ(allocationsDuringSteadyState(sw, 2000, 2000), 0u);
 }
 
@@ -282,8 +281,7 @@ TEST(ZeroAllocTest, BatchedRunSlotsSteadyStateIsAllocationFree)
     // per-cell accepts now inside the switch's runSlots() — must be
     // allocation-free after warmup, with and without a recorder.
     InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<IslipMatcher>(
-                             4, MatcherBackend::Auto, WarmStart::On));
+                         std::make_unique<IslipMatcher>(4, WarmStart::On));
     PermutationDriver driver(16, 100);
     sw.runSlots(0, 2000, driver);
     EXPECT_EQ(driver.counted(), 0u);
@@ -296,8 +294,7 @@ TEST(ZeroAllocTest, BatchedRunSlotsWithRecorderIsAllocationFree)
         obs::RecorderConfig{.trace_capacity = 512, .ports = 16});
     obs::attach(&rec);
     InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<IslipMatcher>(
-                             4, MatcherBackend::Auto, WarmStart::On));
+                         std::make_unique<IslipMatcher>(4, WarmStart::On));
     PermutationDriver driver(16, 100);
     sw.runSlots(0, 2000, driver);
     obs::detach();
@@ -541,7 +538,7 @@ TEST(ZeroAllocTest, MetricsDeliverySteadyStateIsAllocationFree)
     // Delivery bookkeeping (delay moments + delay histogram + counts)
     // must not allocate once the collector is built: the histogram's
     // bins are all allocated by its constructor.
-    MetricsCollector m(0, 16);
+    MetricsCollector m(0);
     Cell c;
     size_t before = g_allocations.load(std::memory_order_relaxed);
     for (int round = 0; round < 3; ++round) {
