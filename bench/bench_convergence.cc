@@ -12,12 +12,13 @@
  * is why PIM(4) tracks PIM(run-to-completion) so closely at N=16.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "an2/base/parse.h"
+#include "an2/harness/cli.h"
 #include "an2/harness/json_writer.h"
 #include "an2/obs/recorder.h"
 #include "an2/sim/simulator.h"
@@ -80,46 +81,53 @@ parseCli(int argc, char** argv, Cli& cli, std::string& err)
         } else if (!std::strcmp(a, "--slots")) {
             if (!(v = need(i)))
                 return false;
-            cli.slots = std::atoll(v);
+            int64_t slots = 0;
+            if (!parseInt64(v, slots) || slots <= 0) {
+                err = badValue("--slots", v, "a positive integer");
+                return false;
+            }
+            cli.slots = slots;
         } else if (!std::strcmp(a, "--warmup")) {
             if (!(v = need(i)))
                 return false;
-            cli.warmup = std::atoll(v);
+            int64_t warmup = 0;
+            if (!parseInt64(v, warmup) || warmup < 0) {
+                err = badValue("--warmup", v, "an integer >= 0");
+                return false;
+            }
+            cli.warmup = warmup;
         } else if (!std::strcmp(a, "--size")) {
             if (!(v = need(i)))
                 return false;
-            cli.size = std::atoi(v);
+            if (!parseInt(v, cli.size) || cli.size <= 0) {
+                err = badValue("--size", v, "a positive integer");
+                return false;
+            }
         } else if (!std::strcmp(a, "--iterations")) {
             if (!(v = need(i)))
                 return false;
-            cli.iterations = std::atoi(v);
+            if (!parseInt(v, cli.iterations) || cli.iterations < 0) {
+                err = badValue("--iterations", v, "an integer >= 0");
+                return false;
+            }
         } else if (!std::strcmp(a, "--seed")) {
             if (!(v = need(i)))
                 return false;
-            cli.seed = std::strtoull(v, nullptr, 0);
+            if (!parseUint64(v, cli.seed)) {
+                err = badValue("--seed", v, "an unsigned 64-bit integer");
+                return false;
+            }
         } else if (!std::strcmp(a, "--loads")) {
             if (!(v = need(i)))
                 return false;
-            cli.loads.clear();
-            for (const char* p = v; *p != '\0';) {
-                char* end = nullptr;
-                cli.loads.push_back(std::strtod(p, &end));
-                if (end == p) {
-                    err = std::string("bad load list: ") + v;
-                    return false;
-                }
-                p = (*end == ',') ? end + 1 : end;
+            if (!harness::parseLoadList(v, cli.loads, err)) {
+                err = "--loads: " + err;
+                return false;
             }
         } else {
             err = std::string("unknown option: ") + a;
             return false;
         }
-    }
-    if (cli.slots <= 0 || cli.warmup < 0 || cli.size <= 0 ||
-        cli.iterations < 0 || cli.loads.empty()) {
-        err = "slots/size must be positive, warmup/iterations >= 0, and "
-              "at least one load given";
-        return false;
     }
     return true;
 }

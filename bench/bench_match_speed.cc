@@ -171,8 +171,8 @@ void
 BM_GreedyWarm(benchmark::State& state)
 {
     runChurnBench(state, [](int) {
-        return std::make_unique<SerialGreedyMatcher>(
-            true, 7, MatcherBackend::Auto, WarmStart::On);
+        return std::make_unique<SerialGreedyMatcher>(true, 7,
+                                                     WarmStart::On);
     });
 }
 

@@ -17,12 +17,12 @@
  */
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "an2/base/parse.h"
 #include "an2/base/stats.h"
 #include "an2/harness/aggregate.h"
 #include "an2/harness/json_writer.h"
@@ -91,47 +91,50 @@ parseCli(int argc, char** argv, Cli& cli, std::string& err)
         } else if (!std::strcmp(a, "--slots")) {
             if (!(v = need(i)))
                 return false;
-            cli.slots = std::atoll(v);
-            if (cli.slots <= 0) {
-                err = "--slots must be positive";
+            int64_t slots = 0;
+            if (!parseInt64(v, slots) || slots <= 0) {
+                err = badValue("--slots", v, "a positive integer");
                 return false;
             }
+            cli.slots = slots;
         } else if (!std::strcmp(a, "--warmup")) {
             if (!(v = need(i)))
                 return false;
-            cli.warmup = std::atoll(v);
-            if (cli.warmup < 0) {
-                err = "--warmup must be non-negative";
+            int64_t warmup = 0;
+            if (!parseInt64(v, warmup) || warmup < 0) {
+                err = badValue("--warmup", v, "an integer >= 0");
                 return false;
             }
+            cli.warmup = warmup;
         } else if (!std::strcmp(a, "--reps")) {
             if (!(v = need(i)))
                 return false;
-            cli.reps = std::atoi(v);
-            if (cli.reps <= 0) {
-                err = "--reps must be positive";
+            if (!parseInt(v, cli.reps) || cli.reps <= 0) {
+                err = badValue("--reps", v, "a positive integer");
                 return false;
             }
         } else if (!std::strcmp(a, "--size")) {
             if (!(v = need(i)))
                 return false;
-            cli.size = std::atoi(v);
-            if (cli.size <= 0) {
-                err = "--size must be positive";
+            if (!parseInt(v, cli.size) || cli.size <= 0) {
+                err = badValue("--size", v, "a positive integer");
                 return false;
             }
         } else if (!std::strcmp(a, "--load")) {
             if (!(v = need(i)))
                 return false;
-            cli.load = std::atof(v);
-            if (cli.load <= 0.0 || cli.load > 1.0) {
-                err = "--load must be in (0, 1]";
+            if (!parseDouble(v, cli.load) || cli.load <= 0.0 ||
+                cli.load > 1.0) {
+                err = badValue("--load", v, "a number in (0, 1]");
                 return false;
             }
         } else if (!std::strcmp(a, "--seed")) {
             if (!(v = need(i)))
                 return false;
-            cli.seed = std::strtoull(v, nullptr, 0);
+            if (!parseUint64(v, cli.seed)) {
+                err = badValue("--seed", v, "an unsigned 64-bit integer");
+                return false;
+            }
         } else if (!std::strcmp(a, "--arch")) {
             if (!(v = need(i)))
                 return false;
@@ -216,8 +219,7 @@ archsUnderTest()
                          return std::make_unique<InputQueuedSwitch>(
                              IqSwitchConfig{.n = n},
                              std::make_unique<SerialGreedyMatcher>(
-                                 true, seed, MatcherBackend::Auto,
-                                 WarmStart::On));
+                                 true, seed, WarmStart::On));
                      }});
     archs.push_back({"iSLIP(4)+warm+obs-counters",
                      [](int n, uint64_t) {

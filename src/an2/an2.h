@@ -26,7 +26,6 @@
 #include "an2/base/types.h"
 
 #include "an2/cell/cell.h"
-#include "an2/cell/flow.h"
 
 #include "an2/matching/fill_in.h"
 #include "an2/matching/hopcroft_karp.h"

@@ -19,6 +19,14 @@ fatalAt(const char* file, int line, const std::string& msg)
     throw UsageError(detail::formatLocation(file, line, msg));
 }
 
+int
+requirePositive(int n, const char* what)
+{
+    if (n <= 0)
+        AN2_FATAL(what << " must be positive, got " << n);
+    return n;
+}
+
 namespace {
 
 thread_local PanicHook tls_panic_hook = nullptr;

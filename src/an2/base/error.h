@@ -40,6 +40,14 @@ std::string formatLocation(const char* file, int line, const std::string& msg);
 [[noreturn]] void panicAt(const char* file, int line, const std::string& msg);
 
 /**
+ * Return `n`, or throw a UsageError ("<what> must be positive") when it
+ * is not. For member initializer lists: it checks a size before the
+ * size reaches a container, whose constructor would throw
+ * std::length_error on a negative value instead.
+ */
+int requirePositive(int n, const char* what);
+
+/**
  * Observer invoked with the formatted message just before panicAt()
  * throws — the flight-recorder hook: a black box installs one to dump a
  * post-mortem while the failing state is still intact. Thread-local,

@@ -76,6 +76,15 @@ parseDouble(const std::string& text, double& out)
     return true;
 }
 
+/** The error text for a flag value the helpers above rejected:
+    "--flag: malformed value 'v' (expected ...)". */
+inline std::string
+badValue(const char* flag, const char* v, const char* expected)
+{
+    return std::string(flag) + ": malformed value '" + v + "' (expected " +
+           expected + ")";
+}
+
 }  // namespace an2
 
 #endif  // AN2_BASE_PARSE_H

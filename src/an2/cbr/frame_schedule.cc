@@ -7,7 +7,8 @@
 namespace an2 {
 
 FrameSchedule::FrameSchedule(int n, int frame_slots)
-    : n_(n), frame_slots_(frame_slots),
+    : n_(requirePositive(n, "switch size")),
+      frame_slots_(requirePositive(frame_slots, "frame slot count")),
       in2out_(static_cast<size_t>(frame_slots),
               std::vector<PortId>(static_cast<size_t>(n), kNoPort)),
       out2in_(static_cast<size_t>(frame_slots),
@@ -17,8 +18,6 @@ FrameSchedule::FrameSchedule(int n, int frame_slots)
                      static_cast<size_t>(in_words_),
                  0)
 {
-    AN2_REQUIRE(n > 0, "switch size must be positive");
-    AN2_REQUIRE(frame_slots > 0, "frame must have at least one slot");
 }
 
 void

@@ -5,11 +5,10 @@
 namespace an2 {
 
 Crossbar::Crossbar(int n_inputs, int n_outputs)
-    : n_inputs_(n_inputs), n_outputs_(n_outputs),
+    : n_inputs_(requirePositive(n_inputs, "crossbar input count")),
+      n_outputs_(requirePositive(n_outputs, "crossbar output count")),
       route_(static_cast<size_t>(n_inputs), kNoPort)
 {
-    AN2_REQUIRE(n_inputs > 0 && n_outputs > 0,
-                "crossbar must have positive dimensions");
 }
 
 void

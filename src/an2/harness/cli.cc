@@ -120,18 +120,6 @@ parseLoadList(const char* arg, std::vector<double>& out, std::string& err)
     return true;
 }
 
-namespace {
-
-/** Format "--flag: malformed value 'v' (expected ...)" into err. */
-std::string
-badValue(const char* flag, const char* v, const char* expected)
-{
-    return std::string(flag) + ": malformed value '" + v + "' (expected " +
-           expected + ")";
-}
-
-}  // namespace
-
 bool
 parseSweepCli(int argc, char** argv, SweepCli& cli, std::string& err)
 {

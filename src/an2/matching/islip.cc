@@ -6,9 +6,8 @@
 
 namespace an2 {
 
-IslipMatcher::IslipMatcher(int iterations, MatcherBackend backend,
-                           WarmStart warm)
-    : iterations_(iterations), backend_(backend), warm_(warm)
+IslipMatcher::IslipMatcher(int iterations, WarmStart warm)
+    : iterations_(iterations), warm_(warm)
 {
     AN2_REQUIRE(iterations >= 1, "iSLIP needs at least one iteration");
 }
@@ -53,34 +52,27 @@ IslipMatcher::matchInto(const RequestMatrix& req, Matching& out)
                 "request matrix size changed without reset()");
     out.reset(n_in, n_out);
 
-    const bool fast = backend_ != MatcherBackend::Reference;
     if (warm_ == WarmStart::On) {
-        matchWarm(req, out, fast);
+        matchWarm(req, out);
         return;
     }
-    if (fast) {
-        col_words_ = req.colWords();
-        row_words_ = req.rowWords();
-        free_in_.resize(static_cast<size_t>(col_words_));
-        free_out_.resize(static_cast<size_t>(row_words_));
-        granted_.resize(static_cast<size_t>(col_words_));
-        requesters_.resize(static_cast<size_t>(col_words_));
-        grant_rows_.resize(static_cast<size_t>(n_in) *
-                           static_cast<size_t>(row_words_));
-        wordset::fillFirst(free_in_.data(), col_words_, n_in);
-        wordset::fillFirst(free_out_.data(), row_words_, n_out);
-        for (int it = 0; it < iterations_; ++it)
-            if (runIterationFast(req, out, it) == 0)
-                break;
-    } else {
-        for (int it = 0; it < iterations_; ++it)
-            if (runIteration(req, out, it) == 0)
-                break;
-    }
+    col_words_ = req.colWords();
+    row_words_ = req.rowWords();
+    free_in_.resize(static_cast<size_t>(col_words_));
+    free_out_.resize(static_cast<size_t>(row_words_));
+    granted_.resize(static_cast<size_t>(col_words_));
+    requesters_.resize(static_cast<size_t>(col_words_));
+    grant_rows_.resize(static_cast<size_t>(n_in) *
+                       static_cast<size_t>(row_words_));
+    wordset::fillFirst(free_in_.data(), col_words_, n_in);
+    wordset::fillFirst(free_out_.data(), row_words_, n_out);
+    for (int it = 0; it < iterations_; ++it)
+        if (runWordIteration(req, out, it) == 0)
+            break;
 }
 
 void
-IslipMatcher::matchWarm(const RequestMatrix& req, Matching& out, bool fast)
+IslipMatcher::matchWarm(const RequestMatrix& req, Matching& out)
 {
     using namespace wordset;
     const int n_in = req.numInputs();
@@ -105,74 +97,45 @@ IslipMatcher::matchWarm(const RequestMatrix& req, Matching& out, bool fast)
     // Tier 2: seed with the previous edges that survive validation, then
     // one repair pass over the remaining free outputs in ascending
     // order. Each free output grants-and-matches the free requesting
-    // input nearest at-or-after its grant pointer — the same decision in
-    // both cores — and both pointers rotate past a repaired pair. The
-    // result is maximal: an input left free at the end was free when any
-    // output j was visited, so a leftover requested (i, j) pair with j
-    // free would have produced a repair at j. The word core visits only
-    // requested outputs; an unrequested one has nothing to repair.
-    int reused = 0;
+    // input nearest at-or-after its grant pointer, and both pointers
+    // rotate past a repaired pair. The result is maximal: an input left
+    // free at the end was free when any output j was visited, so a
+    // leftover requested (i, j) pair with j free would have produced a
+    // repair at j. Only requested outputs are visited; an unrequested
+    // one has nothing to repair.
+    col_words_ = req.colWords();
+    row_words_ = req.rowWords();
+    free_in_.resize(static_cast<size_t>(col_words_));
+    free_out_.resize(static_cast<size_t>(row_words_));
+    requesters_.resize(static_cast<size_t>(col_words_));
+    fillFirst(free_in_.data(), col_words_, n_in);
+    fillFirst(free_out_.data(), row_words_, n_out);
+    const int reused =
+        warm_state_.seed(req, out, free_in_.data(), free_out_.data());
     int repaired = 0;
     int requests_seen = 0;
-    if (fast) {
-        col_words_ = req.colWords();
-        row_words_ = req.rowWords();
-        free_in_.resize(static_cast<size_t>(col_words_));
-        free_out_.resize(static_cast<size_t>(row_words_));
-        requesters_.resize(static_cast<size_t>(col_words_));
-        fillFirst(free_in_.data(), col_words_, n_in);
-        fillFirst(free_out_.data(), row_words_, n_out);
-        reused =
-            warm_state_.seed(req, out, free_in_.data(), free_out_.data());
-        const int cw = col_words_;
-        uint64_t* reqsters = requesters_.data();
-        const uint64_t* requested = req.requestedOutputs();
-        forEachSetInBoth(free_out_.data(), requested, row_words_, [&](int j) {
-            const uint64_t* col = req.colMask(j);
-            uint64_t any = 0;
-            for (int w = 0; w < cw; ++w) {
-                reqsters[w] = col[w] & free_in_[static_cast<size_t>(w)];
-                any |= reqsters[w];
-            }
-            if (any == 0)
-                return;
-            if (rec)
-                requests_seen += popcountAll(reqsters, cw);
-            int pick = firstSetAtOrAfter(reqsters, cw, n_in,
-                                         grant_ptr_[static_cast<size_t>(j)]);
-            out.add(pick, j);
-            ++repaired;
-            grant_ptr_[static_cast<size_t>(j)] = (pick + 1) % n_in;
-            accept_ptr_[static_cast<size_t>(pick)] = (j + 1) % n_out;
-            clearBit(free_in_.data(), pick);
-        });
-    } else {
-        reused = warm_state_.seed(req, out);
-        for (PortId j = 0; j < n_out; ++j) {
-            if (out.isOutputSaturated(j))
-                continue;
-            int best_dist = n_in;
-            PortId pick = kNoPort;
-            for (PortId i = 0; i < n_in; ++i) {
-                if (out.isInputMatched(i) || !req.has(i, j))
-                    continue;
-                if (rec)
-                    ++requests_seen;
-                int dist = (i - grant_ptr_[static_cast<size_t>(j)] + n_in) %
-                           n_in;
-                if (dist < best_dist) {
-                    best_dist = dist;
-                    pick = i;
-                }
-            }
-            if (pick != kNoPort) {
-                out.add(pick, j);
-                ++repaired;
-                grant_ptr_[static_cast<size_t>(j)] = (pick + 1) % n_in;
-                accept_ptr_[static_cast<size_t>(pick)] = (j + 1) % n_out;
-            }
+    const int cw = col_words_;
+    uint64_t* reqsters = requesters_.data();
+    const uint64_t* requested = req.requestedOutputs();
+    forEachSetInBoth(free_out_.data(), requested, row_words_, [&](int j) {
+        const uint64_t* col = req.colMask(j);
+        uint64_t any = 0;
+        for (int w = 0; w < cw; ++w) {
+            reqsters[w] = col[w] & free_in_[static_cast<size_t>(w)];
+            any |= reqsters[w];
         }
-    }
+        if (any == 0)
+            return;
+        if (rec)
+            requests_seen += popcountAll(reqsters, cw);
+        int pick = firstSetAtOrAfter(reqsters, cw, n_in,
+                                     grant_ptr_[static_cast<size_t>(j)]);
+        out.add(pick, j);
+        ++repaired;
+        grant_ptr_[static_cast<size_t>(j)] = (pick + 1) % n_in;
+        accept_ptr_[static_cast<size_t>(pick)] = (j + 1) % n_out;
+        clearBit(free_in_.data(), pick);
+    });
     warm_state_.remember(req, out);
     if (rec) {
         rec->add(obs::Counter::MatchEdgesReused, reused);
@@ -183,75 +146,8 @@ IslipMatcher::matchWarm(const RequestMatrix& req, Matching& out, bool fast)
 }
 
 int
-IslipMatcher::runIteration(const RequestMatrix& req, Matching& m, int it)
-{
-    const int n_in = req.numInputs();
-    const int n_out = req.numOutputs();
-    obs::Recorder* const rec = obs::current();
-    int requests_seen = 0;
-    int grants_issued = 0;
-
-    // Grant phase: each unmatched output grants to the requesting
-    // unmatched input nearest at-or-after its pointer.
-    std::vector<std::vector<PortId>> grants_to(static_cast<size_t>(n_in));
-    for (PortId j = 0; j < n_out; ++j) {
-        if (m.isOutputSaturated(j))
-            continue;
-        int best_dist = n_in;
-        PortId pick = kNoPort;
-        for (PortId i = 0; i < n_in; ++i) {
-            if (m.isInputMatched(i) || !req.has(i, j))
-                continue;
-            if (rec)
-                ++requests_seen;
-            int dist = (i - grant_ptr_[static_cast<size_t>(j)] + n_in) %
-                       n_in;
-            if (dist < best_dist) {
-                best_dist = dist;
-                pick = i;
-            }
-        }
-        if (pick != kNoPort) {
-            grants_to[static_cast<size_t>(pick)].push_back(j);
-            if (rec)
-                ++grants_issued;
-        }
-    }
-
-    // Accept phase: each input accepts the granting output nearest
-    // at-or-after its pointer. Pointers move only for matches made in
-    // the first iteration (the standard iSLIP rule, which guarantees
-    // that the most recently served connection has lowest priority).
-    int added = 0;
-    for (PortId i = 0; i < n_in; ++i) {
-        const auto& grants = grants_to[static_cast<size_t>(i)];
-        if (grants.empty())
-            continue;
-        int best_dist = n_out;
-        PortId chosen = grants.front();
-        for (PortId j : grants) {
-            int dist = (j - accept_ptr_[static_cast<size_t>(i)] + n_out) %
-                       n_out;
-            if (dist < best_dist) {
-                best_dist = dist;
-                chosen = j;
-            }
-        }
-        m.add(i, chosen);
-        ++added;
-        if (it == 0) {
-            accept_ptr_[static_cast<size_t>(i)] = (chosen + 1) % n_out;
-            grant_ptr_[static_cast<size_t>(chosen)] = (i + 1) % n_in;
-        }
-    }
-    if (rec)
-        rec->matchIteration(obs::MatchAlg::Islip, it, requests_seen,
-                            grants_issued, added, m.size());
-    return added;
-}
-
-int
-IslipMatcher::runIterationFast(const RequestMatrix& req, Matching& m, int it)
+IslipMatcher::runWordIteration(const RequestMatrix& req, Matching& m,
+                               int it)
 {
     using namespace wordset;
     const int n_in = req.numInputs();
@@ -298,7 +194,9 @@ IslipMatcher::runIterationFast(const RequestMatrix& req, Matching& m, int it)
         return 0;
     }
 
-    // Accept phase; pointer-update rule identical to the scalar core.
+    // Accept phase. Pointers move only for matches made in the first
+    // iteration (the standard iSLIP rule, which guarantees that the most
+    // recently served connection has lowest priority).
     int added = 0;
     forEachSet(granted, cw, [&](int i) {
         uint64_t* row = grant_rows_.data() +

@@ -9,6 +9,10 @@
  * §3.3 discussion of implementing random selection in hardware is exactly
  * the problem iSLIP was later designed to avoid, making it the natural
  * design-alternative ablation.
+ *
+ * Each round runs over 64-bit words of the request matrix's bitmasks;
+ * the per-port scalar form (ScalarIslipMatcher, in the tests) is the
+ * oracle it must match decision for decision, warm start included.
  */
 #ifndef AN2_MATCHING_ISLIP_H
 #define AN2_MATCHING_ISLIP_H
@@ -21,27 +25,34 @@
 
 namespace an2 {
 
+/**
+ * Kept only because the benchmark (an2bench/switch_workloads.cc) names
+ * IslipMatcher(4, MatcherBackend::Auto, WarmStart::On). ROADMAP's
+ * "Benchmark refresh" switches it to IslipMatcher(4, WarmStart::On), so
+ * that a follow-up can delete this enum and the overload that takes it.
+ */
+enum class MatcherBackend {
+    /** The word-parallel core, the only one there is. */
+    Auto,
+};
+
 /** The iSLIP scheduler with a configurable iteration count. */
 class IslipMatcher final : public Matcher
 {
   public:
     /**
      * @param iterations Grant/accept rounds per slot (>= 1).
-     * @param backend Implementation core; Auto runs the word-parallel
-     *                core, Reference the scalar one (identical matchings —
-     *                the algorithm is deterministic given the pointers).
      * @param warm WarmStart::On seeds each slot from the previous slot's
      *             surviving edges and repairs only the free ports (a
-     *             different policy from cold iSLIP; see matcher.h). Both
-     *             backends make identical warm decisions.
+     *             different policy from cold iSLIP; see matcher.h).
      */
     explicit IslipMatcher(int iterations = 4,
-                          MatcherBackend backend = MatcherBackend::Auto,
                           WarmStart warm = WarmStart::Off);
 
-    /** The word-parallel core with the given warm-start policy. */
-    IslipMatcher(int iterations, WarmStart warm)
-        : IslipMatcher(iterations, MatcherBackend::Auto, warm)
+    /** The same matcher; the benchmark names this form (see
+        MatcherBackend). */
+    IslipMatcher(int iterations, MatcherBackend, WarmStart warm)
+        : IslipMatcher(iterations, warm)
     {
     }
 
@@ -51,17 +62,14 @@ class IslipMatcher final : public Matcher
     void reset() override;
 
   private:
-    /** One scalar grant/accept round; returns matches added. */
-    int runIteration(const RequestMatrix& req, Matching& m, int it);
-
-    /** One word-parallel round; identical decisions to runIteration. */
-    int runIterationFast(const RequestMatrix& req, Matching& m, int it);
+    /** One grant/accept round over the port bitmasks; returns matches
+        added. */
+    int runWordIteration(const RequestMatrix& req, Matching& m, int it);
 
     /** The WarmStart::On slot: replay, or seed + one repair pass. */
-    void matchWarm(const RequestMatrix& req, Matching& out, bool fast);
+    void matchWarm(const RequestMatrix& req, Matching& out);
 
     int iterations_;
-    MatcherBackend backend_;
     WarmStart warm_;
     WarmStartState warm_state_;
     std::vector<int> grant_ptr_;   ///< per-output rotating grant pointer

@@ -15,20 +15,6 @@
 namespace an2 {
 
 /**
- * Which implementation core a matcher runs on. The word-parallel cores
- * cover every size and configuration and produce bit-identical matchings
- * to the scalar reference cores — they consume PRNG draws and rotate
- * pointers in exactly the same order. Reference exists only as the
- * oracle the differential tests compare against.
- */
-enum class MatcherBackend {
-    /** The word-parallel core. */
-    Auto,
-    /** The scalar reference core. */
-    Reference,
-};
-
-/**
  * Cross-slot warm starting (temporal locality). At steady load the
  * request matrix changes by O(N) edges per slot; with WarmStart::On a
  * matcher seeds each slot's matching with the previous slot's surviving
@@ -40,9 +26,9 @@ enum class MatcherBackend {
  * Off and every existing sweep/golden stays byte-identical.
  *
  * Supported by IslipMatcher and SerialGreedyMatcher. PimMatcher
- * deliberately has no warm mode: its word-parallel core's contract is
- * exact RNG-draw replay of the reference core, and a warm seed would
- * change which draws are consumed.
+ * deliberately has no warm mode: its contract is the cold algorithm's
+ * exact RNG-draw sequence (held to the scalar oracle in the tests), and
+ * a warm seed would change which draws are consumed.
  */
 enum class WarmStart {
     Off,

@@ -5,12 +5,14 @@
 namespace an2 {
 
 Matching::Matching(int n_inputs, int n_outputs, int output_capacity)
-    : in2out_(static_cast<size_t>(n_inputs), kNoPort),
-      out_degree_(static_cast<size_t>(n_outputs), 0),
+    : in2out_(static_cast<size_t>(
+                  requirePositive(n_inputs, "matching input count")),
+              kNoPort),
+      out_degree_(static_cast<size_t>(
+                      requirePositive(n_outputs, "matching output count")),
+                  0),
       output_capacity_(output_capacity)
 {
-    AN2_REQUIRE(n_inputs > 0 && n_outputs > 0,
-                "matching must have positive dimensions");
     AN2_REQUIRE(output_capacity >= 1, "output capacity must be >= 1");
 }
 

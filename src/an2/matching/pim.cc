@@ -50,7 +50,7 @@ PimMatcher::ensureAcceptPtrs(const RequestMatrix& req)
 }
 
 void
-PimMatcher::prepareFastState(const RequestMatrix& req)
+PimMatcher::prepareWordState(const RequestMatrix& req)
 {
     const int n_in = req.numInputs();
     const int n_out = req.numOutputs();
@@ -98,15 +98,12 @@ PimMatcher::runIterations(const RequestMatrix& req, Matching& m,
                           int max_iterations, PimRunStats* stats)
 {
     ensureAcceptPtrs(req);
-    const bool fast = config_.backend != MatcherBackend::Reference;
-    if (fast)
-        prepareFastState(req);
+    prepareWordState(req);
     // An iteration with unresolved requests always adds at least one match
     // (some output grants, some input accepts), so "no progress" implies
     // maximality and the loop terminates for max_iterations == 0.
     for (int it = 0; max_iterations == 0 || it < max_iterations; ++it) {
-        const int added = fast ? runIterationFast(req, m, it)
-                               : runIteration(req, m, it);
+        const int added = runWordIteration(req, m, it);
         if (stats) {
             ++stats->iterations_run;
             stats->matches_after_iteration.push_back(m.size());
@@ -117,88 +114,7 @@ PimMatcher::runIterations(const RequestMatrix& req, Matching& m,
 }
 
 int
-PimMatcher::runIteration(const RequestMatrix& req, Matching& m, int it)
-{
-    const int n_in = req.numInputs();
-    const int n_out = req.numOutputs();
-    obs::Recorder* const rec = obs::current();
-    int requests_seen = 0;
-    int grants_issued = 0;
-
-    // Phase 1+2 (request + grant). Conceptually each unmatched input
-    // broadcasts requests and each output chooses among them; we evaluate
-    // the grant decision at the output, which sees exactly the requests
-    // from currently-unmatched inputs.
-    //
-    // grants_to[i] lists the outputs granting to input i this iteration.
-    std::vector<std::vector<PortId>> grants_to(static_cast<size_t>(n_in));
-    std::vector<PortId> requesters;
-    requesters.reserve(static_cast<size_t>(n_in));
-    for (PortId j = 0; j < n_out; ++j) {
-        int capacity_left = m.outputCapacity() - m.outputDegree(j);
-        if (capacity_left <= 0)
-            continue;
-        requesters.clear();
-        for (PortId i = 0; i < n_in; ++i)
-            if (!m.isInputMatched(i) && req.has(i, j))
-                requesters.push_back(i);
-        if (requesters.empty())
-            continue;
-        if (rec)
-            requests_seen += static_cast<int>(requesters.size());
-        if (capacity_left == 1) {
-            PortId pick = requesters[rng_->nextBelow(requesters.size())];
-            grants_to[static_cast<size_t>(pick)].push_back(j);
-            if (rec)
-                ++grants_issued;
-        } else {
-            // Replicated-fabric generalization: grant up to k distinct
-            // requesters, chosen uniformly without replacement.
-            rng_->shuffle(requesters);
-            int grants = std::min<int>(capacity_left,
-                                       static_cast<int>(requesters.size()));
-            for (int g = 0; g < grants; ++g)
-                grants_to[static_cast<size_t>(requesters[static_cast<size_t>(g)])]
-                    .push_back(j);
-            if (rec)
-                grants_issued += grants;
-        }
-    }
-
-    // Phase 3 (accept): each input that received grants accepts one.
-    int added = 0;
-    for (PortId i = 0; i < n_in; ++i) {
-        auto& grants = grants_to[static_cast<size_t>(i)];
-        if (grants.empty())
-            continue;
-        PortId chosen;
-        if (config_.accept == AcceptPolicy::Random) {
-            chosen = grants[rng_->nextBelow(grants.size())];
-        } else {
-            // Round-robin: first granting output at or after the pointer.
-            int ptr = accept_ptr_[static_cast<size_t>(i)];
-            chosen = grants.front();
-            int best_dist = n_out;
-            for (PortId j : grants) {
-                int dist = (j - ptr + n_out) % n_out;
-                if (dist < best_dist) {
-                    best_dist = dist;
-                    chosen = j;
-                }
-            }
-            accept_ptr_[static_cast<size_t>(i)] = (chosen + 1) % n_out;
-        }
-        m.add(i, chosen);
-        ++added;
-    }
-    if (rec)
-        rec->matchIteration(obs::MatchAlg::Pim, it, requests_seen,
-                            grants_issued, added, m.size());
-    return added;
-}
-
-int
-PimMatcher::runIterationFast(const RequestMatrix& req, Matching& m, int it)
+PimMatcher::runWordIteration(const RequestMatrix& req, Matching& m, int it)
 {
     using namespace wordset;
     const int n_out = req.numOutputs();
@@ -211,10 +127,10 @@ PimMatcher::runIterationFast(const RequestMatrix& req, Matching& m, int it)
     int grants_issued = 0;
 
     // Grant phase: every free output with free requesters grants up to
-    // its remaining capacity. The draw sequence matches the scalar core
-    // exactly: outputs visited in ascending order, one
-    // nextBelow(#requesters) draw when one grant is left, otherwise the
-    // scalar core's shuffle over the requesters in ascending order. Only
+    // its remaining capacity. The draw sequence is the scalar algorithm's
+    // (the test oracle ScalarPimMatcher): outputs visited in ascending
+    // order, one nextBelow(#requesters) draw when one grant is left,
+    // otherwise a shuffle of the requesters in ascending order. Only
     // requested outputs are visited: an output with an empty column has
     // no requester, so it would draw and count nothing.
     auto grant = [&](int i, int j) {

@@ -19,6 +19,11 @@
  *
  * The output-capacity generalization of §3.1 (replicated banyan: up to k
  * grants per output) is supported via PimConfig::output_capacity.
+ *
+ * Each phase runs over 64-bit words of the request matrix's row and
+ * column bitmasks. The per-port scalar form of the algorithm lives in
+ * the tests (ScalarPimMatcher), which hold this core to it draw for
+ * draw.
  */
 #ifndef AN2_MATCHING_PIM_H
 #define AN2_MATCHING_PIM_H
@@ -61,13 +66,6 @@ struct PimConfig
 
     /** PRNG seed for the default xoshiro256** engine. */
     uint64_t seed = 1;
-
-    /**
-     * Implementation core. Auto runs the word-parallel core at every
-     * size and output capacity; Reference runs the scalar core it
-     * replays draw for draw (bit-identical matchings).
-     */
-    MatcherBackend backend = MatcherBackend::Auto;
 };
 
 /** Per-call diagnostics from PimMatcher::matchDetailed. */
@@ -122,15 +120,12 @@ class PimMatcher final : public Matcher
                        int max_iterations, PimRunStats* stats);
 
     /** Size and initialize the word-parallel scratch for `req`. */
-    void prepareFastState(const RequestMatrix& req);
+    void prepareWordState(const RequestMatrix& req);
 
-    /** One scalar request/grant/accept round; returns matches added.
-        `it` is the iteration index reported to the obs probe layer. */
-    int runIteration(const RequestMatrix& req, Matching& m, int it);
-
-    /** One word-parallel round; bit-identical to runIteration, including
-        the per-iteration obs counters. */
-    int runIterationFast(const RequestMatrix& req, Matching& m, int it);
+    /** One request/grant/accept round over the port bitmasks; returns
+        matches added. `it` is the iteration index reported to the obs
+        probe layer. */
+    int runWordIteration(const RequestMatrix& req, Matching& m, int it);
 
     PimConfig config_;
     std::unique_ptr<Rng> rng_;

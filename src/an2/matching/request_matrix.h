@@ -9,7 +9,7 @@
  * counts are kept for diagnostics and weighted policies.
  *
  * Alongside the dense counts the matrix maintains, incrementally on every
- * mutation, the bit-parallel view the fast matcher backends consume: a
+ * mutation, the bit-parallel view the word-parallel matchers consume: a
  * row mask per input (bit j set when input i requests output j), a column
  * mask per output (bit i set when input i requests output j), the set of
  * requested outputs (bit j set when column j is non-empty), and the edge
@@ -23,9 +23,9 @@
  * Port liveness (fault injection): setInputLive/setOutputLive mark ports
  * dead, which *hides* their requests — has() returns false, the row and
  * column masks exclude them, and numEdges() counts only visible edges —
- * without discarding the underlying counts. Both matcher backend styles
- * consume only has()/rowMask()/colMask(), so a dead port can never be
- * granted by any matcher. Reviving a port re-exposes its surviving
+ * without discarding the underlying counts. Matchers consume only
+ * has()/rowMask()/colMask()/requestedOutputs(), so a dead port can never
+ * be granted by any matcher. Reviving a port re-exposes its surviving
  * queued requests. Liveness survives clear() and copy assignment.
  *
  * Change tracking (temporal locality): every mutation that changes the

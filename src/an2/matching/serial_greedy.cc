@@ -9,11 +9,8 @@
 namespace an2 {
 
 SerialGreedyMatcher::SerialGreedyMatcher(bool randomize, uint64_t seed,
-                                         MatcherBackend backend,
                                          WarmStart warm)
-    : randomize_(randomize),
-      backend_(backend),
-      warm_(warm),
+    : randomize_(randomize), warm_(warm),
       rng_(std::make_unique<Xoshiro256>(seed))
 {
 }
@@ -72,92 +69,54 @@ SerialGreedyMatcher::matchInto(const RequestMatrix& req, Matching& out)
 
     // The single greedy pass reports as iteration 0 of the obs probe
     // layer; requests are counted at the moment each input is visited
-    // (serial semantics), identically in both cores. Warm tier 2 seeds
-    // the matching before the pass; seeded inputs are already matched
-    // when visited and consume no draw — the residual pass is the cold
-    // algorithm restricted to the free ports, so the result stays
-    // maximal.
+    // (serial semantics). Warm tier 2 seeds the matching before the
+    // pass; seeded inputs are already matched when visited and consume
+    // no draw — the residual pass is the cold algorithm restricted to
+    // the free ports, so the result stays maximal.
+    using namespace wordset;
     int reused = 0;
     int requests_seen = 0;
     int grants_issued = 0;
-
-    if (backend_ != MatcherBackend::Reference) {
-        using namespace wordset;
-        const int rw = req.rowWords();
-        free_out_.resize(static_cast<size_t>(rw));
-        candidates_.resize(static_cast<size_t>(rw));
-        fillFirst(free_out_.data(), rw, n_out);
-        if (warm) {
-            reused = warm_state_.seed(req, out);
-            for (PortId i = 0; i < n_in; ++i)
-                if (PortId j = out.outputOf(i); j != kNoPort)
-                    clearBit(free_out_.data(), j);
-        }
-        for (PortId i : input_order_) {
-            if (out.isInputMatched(i))
-                continue;  // warm-seeded (never taken on the cold path)
-            const uint64_t* row = req.rowMask(i);
-            uint64_t any = 0;
-            for (int w = 0; w < rw; ++w) {
-                candidates_[static_cast<size_t>(w)] =
-                    row[w] & free_out_[static_cast<size_t>(w)];
-                any |= candidates_[static_cast<size_t>(w)];
-            }
-            if (any == 0)
-                continue;
-            if (rec) {
-                requests_seen += popcountAll(candidates_.data(), rw);
-                ++grants_issued;
-            }
-            // Same choice as the scalar core: the k-th candidate in
-            // ascending output order, with one PRNG draw per matched
-            // input (or the lowest index when not randomizing).
-            int j;
-            if (randomize_) {
-                int cnt = popcountAll(candidates_.data(), rw);
-                j = selectBit(candidates_.data(), rw,
-                              static_cast<int>(rng_->nextBelow(
-                                  static_cast<uint64_t>(cnt))));
-            } else {
-                j = firstSet(candidates_.data(), rw);
-            }
-            out.add(i, j);
-            clearBit(free_out_.data(), j);
-        }
-        if (warm)
-            warm_state_.remember(req, out);
-        if (rec) {
-            if (warm) {
-                rec->add(obs::Counter::MatchEdgesReused, reused);
-                rec->add(obs::Counter::MatchEdgesRepaired,
-                         out.size() - reused);
-            }
-            rec->matchIteration(obs::MatchAlg::Greedy, 0, requests_seen,
-                                grants_issued, out.size() - reused,
-                                out.size());
-        }
-        return;
-    }
-
-    if (warm)
+    const int rw = req.rowWords();
+    free_out_.resize(static_cast<size_t>(rw));
+    candidates_.resize(static_cast<size_t>(rw));
+    fillFirst(free_out_.data(), rw, n_out);
+    if (warm) {
         reused = warm_state_.seed(req, out);
-    std::vector<PortId> candidates;
+        for (PortId i = 0; i < n_in; ++i)
+            if (PortId j = out.outputOf(i); j != kNoPort)
+                clearBit(free_out_.data(), j);
+    }
     for (PortId i : input_order_) {
         if (out.isInputMatched(i))
             continue;  // warm-seeded (never taken on the cold path)
-        candidates.clear();
-        for (PortId j = 0; j < n_out; ++j)
-            if (req.has(i, j) && !out.isOutputSaturated(j))
-                candidates.push_back(j);
-        if (candidates.empty())
+        const uint64_t* row = req.rowMask(i);
+        uint64_t any = 0;
+        for (int w = 0; w < rw; ++w) {
+            candidates_[static_cast<size_t>(w)] =
+                row[w] & free_out_[static_cast<size_t>(w)];
+            any |= candidates_[static_cast<size_t>(w)];
+        }
+        if (any == 0)
             continue;
         if (rec) {
-            requests_seen += static_cast<int>(candidates.size());
+            requests_seen += popcountAll(candidates_.data(), rw);
             ++grants_issued;
         }
-        PortId j = randomize_ ? candidates[rng_->nextBelow(candidates.size())]
-                              : candidates.front();
+        // The k-th candidate in ascending output order, with one PRNG
+        // draw per matched input (or the lowest index when not
+        // randomizing).
+        int j;
+        if (randomize_) {
+            int cnt = popcountAll(candidates_.data(), rw);
+            j = selectBit(candidates_.data(), rw,
+                          static_cast<int>(rng_->nextBelow(
+                              static_cast<uint64_t>(cnt))));
+        } else {
+            j = firstSet(candidates_.data(), rw);
+        }
         out.add(i, j);
+        clearBit(free_out_.data(), j);
     }
     if (warm)
         warm_state_.remember(req, out);

@@ -6,6 +6,10 @@
  * but the algorithm is inherently serial — O(N^2) sequential work per
  * slot — which is why the paper dismisses centralized schedulers as a
  * bottleneck (§2.2). It serves as a match-quality reference.
+ *
+ * The pass intersects each visited input's request row with a bitmask
+ * of the free outputs; the per-port scalar form (ScalarGreedyMatcher, in
+ * the tests) is the oracle it must match draw for draw.
  */
 #ifndef AN2_MATCHING_SERIAL_GREEDY_H
 #define AN2_MATCHING_SERIAL_GREEDY_H
@@ -28,16 +32,11 @@ class SerialGreedyMatcher final : public Matcher
      * @param randomize Visit inputs and outputs in random order (fairer);
      *                  when false, lowest index wins every tie.
      * @param seed PRNG seed used when randomizing.
-     * @param backend Implementation core; Auto runs the word-parallel
-     *                core, Reference the scalar one (bit-identical
-     *                matchings — same shuffle and same PRNG draw per input).
      * @param warm WarmStart::On seeds each slot from the previous slot's
      *             surviving edges; seeded inputs skip their visit (and
      *             their PRNG draw). See matcher.h.
      */
     explicit SerialGreedyMatcher(bool randomize = true, uint64_t seed = 1,
-                                 MatcherBackend backend =
-                                     MatcherBackend::Auto,
                                  WarmStart warm = WarmStart::Off);
 
     Matching match(const RequestMatrix& req) override;
@@ -47,7 +46,6 @@ class SerialGreedyMatcher final : public Matcher
 
   private:
     bool randomize_;
-    MatcherBackend backend_;
     WarmStart warm_;
     WarmStartState warm_state_;
     std::unique_ptr<Rng> rng_;

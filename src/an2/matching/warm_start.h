@@ -70,9 +70,9 @@ class WarmStartState
     int seed(const RequestMatrix& req, Matching& out, uint64_t* free_in,
              uint64_t* free_out) const;
 
-    /** Mask-free seed for the scalar cores: same validation and the same
-        reused edge set; callers track free ports through `out` itself
-        (isInputMatched / isOutputSaturated). */
+    /** Mask-free seed, used by greedy's core: same validation and the
+        same reused edge set; callers derive free ports from `out` itself
+        (outputOf / isInputMatched). */
     int seed(const RequestMatrix& req, Matching& out) const;
 
     /** Snapshot `out` as the previous matching and capture the

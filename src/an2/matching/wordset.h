@@ -1,7 +1,7 @@
 /**
  * @file
- * Word-parallel bit-set primitives shared by the fast matcher backends
- * and the incremental request bookkeeping.
+ * Word-parallel bit-set primitives shared by the matcher cores and the
+ * incremental request bookkeeping.
  *
  * A port set over `bits` ports is stored as `numWords(bits)` uint64
  * words, least-significant word first. The helpers keep the word loops

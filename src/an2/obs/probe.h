@@ -34,8 +34,9 @@ namespace an2::obs {
 /**
  * Monotonic counters, one slot each in the attached Recorder. The
  * match-phase counters (RequestsSeen .. KeepGrantRetained) are defined
- * identically for the Reference and word-parallel matcher backends; the
- * obs conformance test pins the two to byte-identical values.
+ * by the scalar form of each algorithm; the obs conformance test pins
+ * the library's word-parallel matchers to the values their scalar test
+ * oracles report.
  */
 enum class Counter : int {
     /** runSlot() completions. */

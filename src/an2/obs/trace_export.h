@@ -28,9 +28,7 @@
  *                      {input, output, flow, seq}.
  *
  * The export is fully deterministic: two identically-seeded runs produce
- * byte-identical documents (pinned by the golden-trace test), which is
- * also what lets the conformance suite diff the Reference and
- * word-parallel backends at the trace level.
+ * byte-identical documents (pinned by the golden-trace test).
  */
 #ifndef AN2_OBS_TRACE_EXPORT_H
 #define AN2_OBS_TRACE_EXPORT_H

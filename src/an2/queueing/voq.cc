@@ -15,9 +15,9 @@ constexpr size_t kMinSlabCells = 8;
 }  // namespace
 
 InputBuffer::InputBuffer(int n_outputs)
-    : n_outputs_(n_outputs), per_output_(static_cast<size_t>(n_outputs))
+    : n_outputs_(requirePositive(n_outputs, "input buffer output count")),
+      per_output_(static_cast<size_t>(n_outputs))
 {
-    AN2_REQUIRE(n_outputs > 0, "input buffer needs at least one output");
 }
 
 int32_t

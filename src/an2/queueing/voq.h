@@ -33,7 +33,6 @@
 
 #include "an2/base/flat_map.h"
 #include "an2/cell/cell.h"
-#include "an2/cell/flow.h"
 
 namespace an2 {
 

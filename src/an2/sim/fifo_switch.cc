@@ -10,12 +10,12 @@
 namespace an2 {
 
 FifoSwitch::FifoSwitch(int n, uint64_t seed, int window, int rounds)
-    : n_(n), window_(window), rounds_(rounds),
+    : n_(requirePositive(n, "switch size")), window_(window),
+      rounds_(rounds),
       queues_(static_cast<size_t>(n)), crossbar_(n), rng_(seed),
       dead_in_(static_cast<size_t>(wordset::numWords(n)), 0),
       dead_out_(static_cast<size_t>(wordset::numWords(n)), 0)
 {
-    AN2_REQUIRE(n > 0, "switch size must be positive");
     AN2_REQUIRE(window >= 1, "window must be >= 1");
     AN2_REQUIRE(rounds >= 1, "rounds must be >= 1");
 }

@@ -13,7 +13,10 @@ InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config,
                                      std::unique_ptr<Matcher> matcher,
                                      const FrameSchedule* cbr_schedule)
     : config_(config), matcher_(std::move(matcher)),
-      cbr_schedule_(cbr_schedule), crossbar_(config.n), vbr_req_(config.n),
+      cbr_schedule_(cbr_schedule),
+      // The first member sized from n, so it checks n for the rest.
+      crossbar_(requirePositive(config.n, "switch size")),
+      vbr_req_(config.n),
       masked_req_(config.n), busy_words_(wordset::numWords(config.n)),
       in_busy_(static_cast<size_t>(busy_words_), 0),
       out_busy_(static_cast<size_t>(busy_words_), 0),
@@ -24,7 +27,6 @@ InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config,
       dead_in_(static_cast<size_t>(busy_words_), 0),
       dead_out_(static_cast<size_t>(busy_words_), 0)
 {
-    AN2_REQUIRE(config_.n > 0, "switch size must be positive");
     AN2_REQUIRE(config_.speedup >= 1 && config_.speedup <= 4,
                 "speedup must be in 1..4, got " << config_.speedup);
     AN2_REQUIRE(matcher_ != nullptr, "a matcher is required");

@@ -8,10 +8,9 @@
 namespace an2 {
 
 OutputQueuedSwitch::OutputQueuedSwitch(int n)
-    : n_(n), queues_(static_cast<size_t>(n)),
+    : n_(requirePositive(n, "switch size")), queues_(static_cast<size_t>(n)),
       in_live_(static_cast<size_t>(n), 1), out_live_(static_cast<size_t>(n), 1)
 {
-    AN2_REQUIRE(n > 0, "switch size must be positive");
 }
 
 void

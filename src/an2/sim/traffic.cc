@@ -26,7 +26,7 @@ TrafficGenerator::makeCell(PortId i, PortId j, SlotTime slot,
 {
     ConnState& cs = conn_.at(i, j);
     if (cs.flow == kNoFlow)
-        cs.flow = flows_.addFlow(i, j, cls);
+        cs.flow = next_flow_++;
     Cell c;
     c.flow = cs.flow;
     c.input = i;

@@ -4,9 +4,9 @@
  *
  * Each generator produces at most one cell per input per slot (cells
  * arrive at link speed). Offered load is the probability that a cell
- * arrives on a given link in a given slot. Generators register one VBR
- * flow per (input, output) connection they use, so per-flow FIFO order
- * and per-connection throughput are measurable.
+ * arrives on a given link in a given slot. Generators number one flow
+ * per (input, output) connection they use, in order of first use, so
+ * per-flow FIFO order is measurable.
  */
 #ifndef AN2_SIM_TRAFFIC_H
 #define AN2_SIM_TRAFFIC_H
@@ -19,7 +19,6 @@
 #include "an2/base/matrix.h"
 #include "an2/base/rng.h"
 #include "an2/cell/cell.h"
-#include "an2/cell/flow.h"
 
 namespace an2 {
 
@@ -38,9 +37,6 @@ class TrafficGenerator
     /** Workload name for reports. */
     virtual std::string name() const = 0;
 
-    /** Flows this generator injects on. */
-    const FlowTable& flows() const { return flows_; }
-
     /** Cells injected so far. */
     int64_t cellsInjected() const { return cells_injected_; }
 
@@ -52,9 +48,8 @@ class TrafficGenerator
 
     /**
      * Build and account a cell of class `cls` on the (i,j) connection
-     * flow. A connection's class is fixed by its first cell (the flow
-     * registers with that class); callers must pass a class that is a
-     * pure function of (i,j).
+     * flow. Callers must pass a class that is a pure function of (i,j),
+     * so that every cell of a flow has one class.
      */
     Cell makeCell(PortId i, PortId j, SlotTime slot, TrafficClass cls);
 
@@ -73,8 +68,8 @@ class TrafficGenerator
         int64_t seq = 0;
     };
 
-    FlowTable flows_;
     Matrix<ConnState> conn_;
+    FlowId next_flow_ = 0;
     int64_t cells_injected_ = 0;
 };
 

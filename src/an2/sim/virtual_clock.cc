@@ -7,9 +7,8 @@
 namespace an2 {
 
 VirtualClockSwitch::VirtualClockSwitch(int n)
-    : n_(n), queues_(static_cast<size_t>(n))
+    : n_(requirePositive(n, "switch size")), queues_(static_cast<size_t>(n))
 {
-    AN2_REQUIRE(n > 0, "switch size must be positive");
 }
 
 void

@@ -77,6 +77,14 @@ TEST(CrossbarTest, MismatchedMatchingRejected)
     EXPECT_THROW(xb.configure(m), UsageError);
 }
 
+TEST(CrossbarTest, RejectsBadDimensions)
+{
+    EXPECT_THROW(Crossbar(-1), UsageError);
+    EXPECT_THROW(Crossbar(0), UsageError);
+    EXPECT_THROW(Crossbar(4, -1), UsageError);
+    EXPECT_THROW(Crossbar(-1, 4), UsageError);
+}
+
 TEST(CrossbarTest, RectangularSupported)
 {
     Crossbar xb(2, 5);

@@ -193,6 +193,9 @@ TEST(FrameScheduleTest, BoundsChecked)
     EXPECT_THROW(s.outputAt(2, 0), UsageError);
     EXPECT_THROW(s.outputAt(0, 2), UsageError);
     EXPECT_THROW(s.assign(0, -1, 0), UsageError);
+    // Sizes are checked before any table is sized from them.
+    EXPECT_THROW(FrameSchedule(4, -1), UsageError);
+    EXPECT_THROW(FrameSchedule(-1, 4), UsageError);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "an2/matching/pim.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/matching/statistical.h"
+#include "scalar_matchers.h"
 
 namespace an2 {
 namespace {
@@ -200,11 +201,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Backend equivalence: the word-parallel cores must be byte-identical to
-// the scalar reference cores — same matchings from the same seeds — for
-// every deterministic-given-the-draws algorithm (PIM consumes one PRNG
-// draw per decision in the same order; iSLIP and fixed-order greedy draw
-// nothing).
+// Backend equivalence: the library's word-parallel matchers must be
+// byte-identical to the scalar oracles of scalar_matchers.h — same
+// matchings from the same seeds — for every deterministic-given-the-draws
+// algorithm (PIM consumes one PRNG draw per decision in the same order;
+// iSLIP and fixed-order greedy draw nothing).
 // ---------------------------------------------------------------------------
 
 void
@@ -246,10 +247,8 @@ expectBackendsAgree(Matcher& reference, Matcher& fast, int n, int trials,
 TEST(MatcherBackendEquivalence, PimRandomAccept)
 {
     for (int n : {3, 16, 64, 65, 100, 256}) {
-        PimMatcher ref(PimConfig{.iterations = 4, .seed = 11,
-                                 .backend = MatcherBackend::Reference});
-        PimMatcher fast(PimConfig{.iterations = 4, .seed = 11,
-                                  .backend = MatcherBackend::Auto});
+        ScalarPimMatcher ref(PimConfig{.iterations = 4, .seed = 11});
+        PimMatcher fast(PimConfig{.iterations = 4, .seed = 11});
         expectBackendsAgree(ref, fast, n, n > 64 ? 40 : 150,
                             static_cast<uint64_t>(1000 + n));
     }
@@ -260,9 +259,7 @@ TEST(MatcherBackendEquivalence, PimRoundRobinAccept)
     for (int n : {5, 16, 64, 100}) {
         PimConfig cfg{.iterations = 4, .seed = 21};
         cfg.accept = AcceptPolicy::RoundRobin;
-        cfg.backend = MatcherBackend::Reference;
-        PimMatcher ref(cfg);
-        cfg.backend = MatcherBackend::Auto;
+        ScalarPimMatcher ref(cfg);
         PimMatcher fast(cfg);
         expectBackendsAgree(ref, fast, n, 100,
                             static_cast<uint64_t>(2000 + n));
@@ -272,10 +269,8 @@ TEST(MatcherBackendEquivalence, PimRoundRobinAccept)
 TEST(MatcherBackendEquivalence, PimToCompletion)
 {
     for (int n : {8, 64, 128}) {
-        PimMatcher ref(PimConfig{.iterations = 0, .seed = 31,
-                                 .backend = MatcherBackend::Reference});
-        PimMatcher fast(PimConfig{.iterations = 0, .seed = 31,
-                                  .backend = MatcherBackend::Auto});
+        ScalarPimMatcher ref(PimConfig{.iterations = 0, .seed = 31});
+        PimMatcher fast(PimConfig{.iterations = 0, .seed = 31});
         expectBackendsAgree(ref, fast, n, 60,
                             static_cast<uint64_t>(3000 + n));
     }
@@ -284,7 +279,7 @@ TEST(MatcherBackendEquivalence, PimToCompletion)
 TEST(MatcherBackendEquivalence, Islip)
 {
     for (int n : {3, 16, 64, 65, 100, 256}) {
-        IslipMatcher ref(4, MatcherBackend::Reference);
+        ScalarIslipMatcher ref(4);
         IslipMatcher fast(4);
         expectBackendsAgree(ref, fast, n, n > 64 ? 40 : 150,
                             static_cast<uint64_t>(4000 + n));
@@ -294,8 +289,8 @@ TEST(MatcherBackendEquivalence, Islip)
 TEST(MatcherBackendEquivalence, GreedyRandomized)
 {
     for (int n : {3, 16, 64, 100, 256}) {
-        SerialGreedyMatcher ref(true, 41, MatcherBackend::Reference);
-        SerialGreedyMatcher fast(true, 41, MatcherBackend::Auto);
+        ScalarGreedyMatcher ref(true, 41);
+        SerialGreedyMatcher fast(true, 41);
         expectBackendsAgree(ref, fast, n, n > 64 ? 40 : 150,
                             static_cast<uint64_t>(5000 + n));
     }
@@ -304,8 +299,8 @@ TEST(MatcherBackendEquivalence, GreedyRandomized)
 TEST(MatcherBackendEquivalence, GreedyFixedOrder)
 {
     for (int n : {3, 16, 64, 100}) {
-        SerialGreedyMatcher ref(false, 1, MatcherBackend::Reference);
-        SerialGreedyMatcher fast(false, 1, MatcherBackend::Auto);
+        ScalarGreedyMatcher ref(false, 1);
+        SerialGreedyMatcher fast(false, 1);
         expectBackendsAgree(ref, fast, n, 100,
                             static_cast<uint64_t>(6000 + n));
     }
@@ -337,9 +332,7 @@ TEST(MatcherBackendEquivalence, PimOutputCapacity)
                                   .accept = accept,
                                   .output_capacity = k,
                                   .seed = static_cast<uint64_t>(50 + k)};
-                    cfg.backend = MatcherBackend::Reference;
-                    PimMatcher ref(cfg);
-                    cfg.backend = MatcherBackend::Auto;
+                    ScalarPimMatcher ref(cfg);
                     PimMatcher fast(cfg);
                     Xoshiro256 rng(static_cast<uint64_t>(
                         8000 + 97 * n + 13 * k + iterations));
@@ -372,21 +365,20 @@ TEST(MatcherBackendEquivalence, BeyondOneThousandTwentyFourPorts)
 {
     // The word-parallel cores have no port limit: at 1100 ports (18
     // mask words, the last one partial) they still agree with the
-    // reference cores.
+    // scalar oracles.
     constexpr int kN = 1100;
     {
-        PimMatcher ref(PimConfig{.iterations = 4, .seed = 61,
-                                 .backend = MatcherBackend::Reference});
+        ScalarPimMatcher ref(PimConfig{.iterations = 4, .seed = 61});
         PimMatcher fast(PimConfig{.iterations = 4, .seed = 61});
         expectBackendsAgree(ref, fast, kN, 2, 9100);
     }
     {
-        IslipMatcher ref(4, MatcherBackend::Reference);
+        ScalarIslipMatcher ref(4);
         IslipMatcher fast(4);
         expectBackendsAgree(ref, fast, kN, 2, 9200);
     }
     {
-        SerialGreedyMatcher ref(true, 63, MatcherBackend::Reference);
+        ScalarGreedyMatcher ref(true, 63);
         SerialGreedyMatcher fast(true, 63);
         expectBackendsAgree(ref, fast, kN, 2, 9300);
     }
@@ -394,29 +386,46 @@ TEST(MatcherBackendEquivalence, BeyondOneThousandTwentyFourPorts)
 
 // ---------------------------------------------------------------------------
 // Degenerate request matrices under port-liveness masks. RequestMatrix
-// hides requests touching dead ports from both backend views (has() and
-// the row/column bitmasks), so every matcher x backend combination must
-// behave identically: never grant a dead port, and recover the hidden
-// requests when the port revives. Exercised for the three core
-// algorithms (PIM, iSLIP, serial greedy) on both cores.
+// hides requests touching dead ports from both views (has() and the
+// row/column bitmasks), so every matcher, scalar oracle or library core,
+// must behave identically: never grant a dead port, and recover the
+// hidden requests when the port revives. Exercised for the three core
+// algorithms (PIM, iSLIP, serial greedy) in both forms.
 // ---------------------------------------------------------------------------
 
+/** The scalar oracles ("_ref"), built from the same seeds as
+    wordParallelFactories(). */
 std::vector<NamedFactory>
-backendFactories(MatcherBackend backend)
+oracleFactories()
 {
-    std::string tag =
-        backend == MatcherBackend::Reference ? "_ref" : "_wp";
     std::vector<NamedFactory> fs;
-    fs.push_back({"pim" + tag, [backend](int) {
-                      return std::make_unique<PimMatcher>(PimConfig{
-                          .iterations = 4, .seed = 17, .backend = backend});
+    fs.push_back({"pim_ref", [](int) {
+                      return std::make_unique<ScalarPimMatcher>(
+                          PimConfig{.iterations = 4, .seed = 17});
                   }});
-    fs.push_back({"islip" + tag, [backend](int) {
-                      return std::make_unique<IslipMatcher>(4, backend);
+    fs.push_back({"islip_ref", [](int) {
+                      return std::make_unique<ScalarIslipMatcher>(4);
                   }});
-    fs.push_back({"greedy" + tag, [backend](int) {
-                      return std::make_unique<SerialGreedyMatcher>(true, 23,
-                                                                   backend);
+    fs.push_back({"greedy_ref", [](int) {
+                      return std::make_unique<ScalarGreedyMatcher>(true, 23);
+                  }});
+    return fs;
+}
+
+/** The library's word-parallel matchers ("_wp"). */
+std::vector<NamedFactory>
+wordParallelFactories()
+{
+    std::vector<NamedFactory> fs;
+    fs.push_back({"pim_wp", [](int) {
+                      return std::make_unique<PimMatcher>(
+                          PimConfig{.iterations = 4, .seed = 17});
+                  }});
+    fs.push_back({"islip_wp", [](int) {
+                      return std::make_unique<IslipMatcher>(4);
+                  }});
+    fs.push_back({"greedy_wp", [](int) {
+                      return std::make_unique<SerialGreedyMatcher>(true, 23);
                   }});
     return fs;
 }
@@ -424,8 +433,8 @@ backendFactories(MatcherBackend backend)
 std::vector<NamedFactory>
 allBackendFactories()
 {
-    auto fs = backendFactories(MatcherBackend::Reference);
-    auto wp = backendFactories(MatcherBackend::Auto);
+    auto fs = oracleFactories();
+    auto wp = wordParallelFactories();
     fs.insert(fs.end(), wp.begin(), wp.end());
     return fs;
 }
@@ -524,12 +533,12 @@ TEST(MaskedMatcherConformance, MaskFlipMidSlotNeverGrantsDeadPorts)
 TEST(MaskedMatcherConformance, BackendsAgreeUnderRandomMasks)
 {
     // The word-parallel cores consume the masked row/column bitmasks;
-    // the reference cores consume masked has(). Same draws, same masks
+    // the scalar oracles consume masked has(). Same draws, same masks
     // -> byte-identical matchings, exactly as in the unmasked
     // equivalence suite.
     for (int n : {16, 100}) {
-        auto refs = backendFactories(MatcherBackend::Reference);
-        auto wps = backendFactories(MatcherBackend::Auto);
+        auto refs = oracleFactories();
+        auto wps = wordParallelFactories();
         ASSERT_EQ(refs.size(), wps.size());
         for (size_t k = 0; k < refs.size(); ++k) {
             auto ref = refs[k].make(n);

@@ -159,6 +159,8 @@ TEST(MatchingTest, RejectsBadConstruction)
 {
     EXPECT_THROW(Matching(0), UsageError);
     EXPECT_THROW(Matching(2, 2, 0), UsageError);
+    EXPECT_THROW(Matching(-1, 4), UsageError);
+    EXPECT_THROW(Matching(4, -1), UsageError);
 }
 
 TEST(MatchingTest, RangeChecksOnAdd)

@@ -1,8 +1,9 @@
-// Backend conformance for the obs probe layer: the Reference and
-// word-parallel matcher cores must report byte-identical per-iteration
-// counters and MatchIter event sequences on seeded runs. (The matchings
-// themselves are already pinned identical by matcher_conformance_test;
-// this suite pins the *instrumentation*.)
+// Backend conformance for the obs probe layer: the library's
+// word-parallel matchers must report byte-identical per-iteration
+// counters and MatchIter event sequences to their scalar oracles
+// (scalar_matchers.h) on seeded runs. (The matchings themselves are
+// already pinned identical by matcher_conformance_test; this suite pins
+// the *instrumentation*.)
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -17,6 +18,7 @@
 #include "an2/matching/request_matrix.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/obs/recorder.h"
+#include "scalar_matchers.h"
 
 // With the obs layer compiled out there is nothing to observe.
 #ifdef AN2_OBS_DISABLED
@@ -29,8 +31,21 @@
 namespace an2::obs {
 namespace {
 
-using MatcherFactory =
-    std::function<std::unique_ptr<Matcher>(MatcherBackend)>;
+/** Which form of a matcher to build. */
+enum class Form {
+    Oracle,   ///< the scalar oracle
+    Library,  ///< the library's word-parallel matcher
+};
+
+using MatcherFactory = std::function<std::unique_ptr<Matcher>(Form)>;
+
+std::unique_ptr<Matcher>
+makePim(Form form, const PimConfig& cfg)
+{
+    if (form == Form::Oracle)
+        return std::make_unique<ScalarPimMatcher>(cfg);
+    return std::make_unique<PimMatcher>(cfg);
+}
 
 struct NamedFactory
 {
@@ -42,48 +57,52 @@ std::vector<NamedFactory>
 factories()
 {
     std::vector<NamedFactory> fs;
-    fs.push_back({"pim_random", [](MatcherBackend b) {
+    fs.push_back({"pim_random", [](Form form) {
                       PimConfig cfg;
                       cfg.iterations = 4;
                       cfg.seed = 21;
-                      cfg.backend = b;
-                      return std::make_unique<PimMatcher>(cfg);
+                      return makePim(form, cfg);
                   }});
-    fs.push_back({"pim_complete_rr", [](MatcherBackend b) {
+    fs.push_back({"pim_complete_rr", [](Form form) {
                       PimConfig cfg;
                       cfg.iterations = 0;
                       cfg.accept = AcceptPolicy::RoundRobin;
                       cfg.seed = 22;
-                      cfg.backend = b;
-                      return std::make_unique<PimMatcher>(cfg);
+                      return makePim(form, cfg);
                   }});
-    fs.push_back({"pim_k2", [](MatcherBackend b) {
+    fs.push_back({"pim_k2", [](Form form) {
                       PimConfig cfg;
                       cfg.iterations = 4;
                       cfg.output_capacity = 2;
                       cfg.seed = 24;
-                      cfg.backend = b;
-                      return std::make_unique<PimMatcher>(cfg);
+                      return makePim(form, cfg);
                   }});
-    fs.push_back({"pim_complete_k3_rr", [](MatcherBackend b) {
+    fs.push_back({"pim_complete_k3_rr", [](Form form) {
                       PimConfig cfg;
                       cfg.iterations = 0;
                       cfg.accept = AcceptPolicy::RoundRobin;
                       cfg.output_capacity = 3;
                       cfg.seed = 25;
-                      cfg.backend = b;
-                      return std::make_unique<PimMatcher>(cfg);
+                      return makePim(form, cfg);
                   }});
-    fs.push_back({"islip", [](MatcherBackend b) {
-                      return std::make_unique<IslipMatcher>(4, b);
+    fs.push_back({"islip", [](Form form) -> std::unique_ptr<Matcher> {
+                      if (form == Form::Oracle)
+                          return std::make_unique<ScalarIslipMatcher>(4);
+                      return std::make_unique<IslipMatcher>(4);
                   }});
-    fs.push_back({"greedy_random", [](MatcherBackend b) {
-                      return std::make_unique<SerialGreedyMatcher>(true, 23,
-                                                                   b);
+    fs.push_back({"greedy_random",
+                  [](Form form) -> std::unique_ptr<Matcher> {
+                      if (form == Form::Oracle)
+                          return std::make_unique<ScalarGreedyMatcher>(true,
+                                                                       23);
+                      return std::make_unique<SerialGreedyMatcher>(true, 23);
                   }});
-    fs.push_back({"greedy_fixed", [](MatcherBackend b) {
-                      return std::make_unique<SerialGreedyMatcher>(false, 0,
-                                                                   b);
+    fs.push_back({"greedy_fixed",
+                  [](Form form) -> std::unique_ptr<Matcher> {
+                      if (form == Form::Oracle)
+                          return std::make_unique<ScalarGreedyMatcher>(false,
+                                                                       0);
+                      return std::make_unique<SerialGreedyMatcher>(false, 0);
                   }});
     return fs;
 }
@@ -94,14 +113,14 @@ struct ObservedRun
     std::vector<int64_t> counters;
 };
 
-/** Run `make(backend)` over a seeded request-matrix sweep with a fresh
+/** Run `make(form)` over a seeded request-matrix sweep with a fresh
     recorder attached; return everything it observed. */
 ObservedRun
-observe(const MatcherFactory& make, MatcherBackend backend, int n)
+observe(const MatcherFactory& make, Form form, int n)
 {
     Recorder rec(RecorderConfig{.trace_capacity = 1u << 16});
     attach(&rec);
-    auto matcher = make(backend);
+    auto matcher = make(form);
     Matching out(n, n);
     Xoshiro256 rng(static_cast<uint64_t>(1000 + n));
     for (double p : {0.05, 0.3, 0.7, 1.0}) {
@@ -154,8 +173,8 @@ TEST_P(ObsBackendConformanceTest, ReferenceAndWordParallelCountersMatch)
     int n = ::testing::get<1>(GetParam());
     const std::vector<NamedFactory> fs = factories();
     const NamedFactory& f = fs[static_cast<size_t>(fi)];
-    ObservedRun ref = observe(f.make, MatcherBackend::Reference, n);
-    ObservedRun fast = observe(f.make, MatcherBackend::Auto, n);
+    ObservedRun ref = observe(f.make, Form::Oracle, n);
+    ObservedRun fast = observe(f.make, Form::Library, n);
     ASSERT_GT(ref.events.size(), 0u) << f.label;
     expectIdenticalObservations(ref, fast);
 }

@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "an2/matching/hopcroft_karp.h"
+#include "scalar_matchers.h"
 
 namespace an2 {
 namespace {
@@ -306,22 +307,22 @@ TEST(PimTest, SizeChangeWithoutResetFails)
 TEST(PimTest, OutputCountChangeWithoutResetFails)
 {
     // The round-robin accept pointers range over the outputs, so fewer
-    // outputs with the same inputs is the same misuse as above, on both
-    // cores.
-    for (MatcherBackend backend :
-         {MatcherBackend::Auto, MatcherBackend::Reference}) {
-        PimConfig cfg;
-        cfg.accept = AcceptPolicy::RoundRobin;
-        cfg.backend = backend;
-        PimMatcher pim(cfg);
+    // outputs with the same inputs is the same misuse as above, for the
+    // library matcher and its scalar oracle alike.
+    PimConfig cfg;
+    cfg.accept = AcceptPolicy::RoundRobin;
+    PimMatcher library(cfg);
+    ScalarPimMatcher oracle(cfg);
+    for (Matcher* pim : {static_cast<Matcher*>(&library),
+                         static_cast<Matcher*>(&oracle)}) {
         RequestMatrix wide(4, 8);
         wide.set(0, 6, 1);  // input 0's pointer moves to output 7
-        EXPECT_EQ(pim.match(wide).outputOf(0), 6);
+        EXPECT_EQ(pim->match(wide).outputOf(0), 6);
         RequestMatrix square(4);
         square.set(0, 0, 1);
-        EXPECT_THROW(pim.match(square), UsageError);
-        pim.reset();
-        EXPECT_EQ(pim.match(square).outputOf(0), 0);
+        EXPECT_THROW(pim->match(square), UsageError);
+        pim->reset();
+        EXPECT_EQ(pim->match(square).outputOf(0), 0);
     }
 }
 

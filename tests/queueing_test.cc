@@ -77,6 +77,12 @@ TEST(InputBufferTest, EligibleFlowCount)
     EXPECT_EQ(buf.eligibleFlowsFor(1), 2);
 }
 
+TEST(InputBufferTest, RejectsBadOutputCount)
+{
+    EXPECT_THROW(InputBuffer(0), UsageError);
+    EXPECT_THROW(InputBuffer(-1), UsageError);
+}
+
 TEST(InputBufferTest, DequeueEmptyOutputRejected)
 {
     InputBuffer buf(4);

@@ -178,6 +178,15 @@ TEST_P(SwitchConformanceTest, DrainsCompletelyAfterArrivalsStop)
     EXPECT_EQ(sw->bufferedCells(), 0) << "switch failed to drain";
 }
 
+TEST(SwitchConstructionTest, NegativeSizeRejected)
+{
+    // A bad size is a UsageError from every architecture, raised before
+    // any table is sized from it (n = 0 is left out: the iq_stat_fillin
+    // factory divides by n).
+    for (const NamedSwitch& f : allSwitches())
+        EXPECT_THROW(f.make(-1), UsageError) << f.label;
+}
+
 TEST_P(SwitchConformanceTest, IdleSwitchStaysIdle)
 {
     auto sw = makeSwitch(4);

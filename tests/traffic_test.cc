@@ -5,6 +5,7 @@
 
 #include <map>
 #include <sstream>
+#include <utility>
 
 namespace an2 {
 namespace {
@@ -69,14 +70,31 @@ TEST(UniformTrafficTest, PerFlowSequenceNumbersIncrement)
 
 TEST(UniformTrafficTest, FlowsMatchConnections)
 {
+    // One flow id per (input, output) connection, numbered 0, 1, 2, ...
+    // in the order of each connection's first cell.
     UniformTraffic gen(4, 1.0, 5);
     auto cells = collect(gen, 500);
+    using Connection = std::pair<PortId, PortId>;
+    std::map<FlowId, Connection> connection_of;
+    std::map<Connection, FlowId> flow_of;
+    FlowId next_new = 0;
     for (const Cell& c : cells) {
-        const Flow& f = gen.flows().flow(c.flow);
-        EXPECT_EQ(f.input, c.input);
-        EXPECT_EQ(f.output, c.output);
-        EXPECT_EQ(f.cls, TrafficClass::VBR);
+        EXPECT_EQ(c.cls, TrafficClass::VBR);
+        const Connection conn{c.input, c.output};
+        auto [flow, new_connection] = flow_of.try_emplace(conn, c.flow);
+        EXPECT_EQ(flow->second, c.flow)
+            << "connection " << c.input << "->" << c.output
+            << " carries two flow ids";
+        auto owner = connection_of.try_emplace(c.flow, conn).first;
+        EXPECT_EQ(owner->second, conn)
+            << "flow " << c.flow << " spans two connections";
+        if (new_connection) {
+            EXPECT_EQ(c.flow, next_new) << "ids out of first-use order";
+            ++next_new;
+        }
     }
+    // Every one of the 4x4 connections carried traffic.
+    EXPECT_EQ(next_new, 16);
 }
 
 TEST(UniformTrafficTest, ZeroLoadGeneratesNothing)

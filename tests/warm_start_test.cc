@@ -16,6 +16,7 @@
 #include "an2/matching/request_matrix.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/obs/recorder.h"
+#include "scalar_matchers.h"
 
 namespace an2 {
 namespace {
@@ -70,8 +71,7 @@ warmConfigs()
     std::vector<WarmConfig> configs;
     configs.push_back({"islip-reference",
                        [](WarmStart w) -> std::unique_ptr<Matcher> {
-                           return std::make_unique<IslipMatcher>(
-                               4, MatcherBackend::Reference, w);
+                           return std::make_unique<ScalarIslipMatcher>(4, w);
                        }});
     configs.push_back({"islip-word",
                        [](WarmStart w) -> std::unique_ptr<Matcher> {
@@ -79,15 +79,44 @@ warmConfigs()
                        }});
     configs.push_back({"greedy-reference",
                        [](WarmStart w) -> std::unique_ptr<Matcher> {
-                           return std::make_unique<SerialGreedyMatcher>(
-                               true, 7, MatcherBackend::Reference, w);
+                           return std::make_unique<ScalarGreedyMatcher>(
+                               true, 7, w);
                        }});
     configs.push_back({"greedy-word",
                        [](WarmStart w) -> std::unique_ptr<Matcher> {
                            return std::make_unique<SerialGreedyMatcher>(
-                               true, 7, MatcherBackend::Auto, w);
+                               true, 7, w);
                        }});
     return configs;
+}
+
+// The churn-and-faults stream's size and length: more ports than one
+// mask word, so the multi-word paths run.
+constexpr int kChurnPorts = 70;
+constexpr int kChurnRounds = 160;
+
+/** One round of the churn-and-faults stream: about one request per port
+    changes, removals included; output 13 dies at round 40 (with edges
+    being reused), input 5 at round 70, and both revive at round 100. */
+void
+churnAndFaults(RequestMatrix& req, Xoshiro256& rng, int round)
+{
+    for (int t = 0; t < kChurnPorts; ++t) {
+        auto i = static_cast<PortId>(rng.nextBelow(kChurnPorts));
+        auto j = static_cast<PortId>(rng.nextBelow(kChurnPorts));
+        if (rng.nextBernoulli(0.7))
+            req.increment(i, j);
+        else if (req.count(i, j) > 0)
+            req.decrement(i, j);
+    }
+    if (round == 40)
+        req.setOutputLive(13, false);
+    if (round == 70)
+        req.setInputLive(5, false);
+    if (round == 100) {
+        req.setOutputLive(13, true);
+        req.setInputLive(5, true);
+    }
 }
 
 // Random request churn with mid-run port death and revival: every warm
@@ -96,31 +125,13 @@ warmConfigs()
 // would surface.
 TEST(WarmStartProperty, LegalAndMaximalUnderChurnAndFaults)
 {
-    constexpr int kN = 70;  // > one mask word, exercises multi-word paths
-    constexpr int kRounds = 160;
     for (const WarmConfig& cfg : warmConfigs()) {
         auto matcher = cfg.make(WarmStart::On);
-        RequestMatrix req(kN);
-        Matching m(kN);
+        RequestMatrix req(kChurnPorts);
+        Matching m(kChurnPorts);
         Xoshiro256 rng(2026);
-        for (int round = 0; round < kRounds; ++round) {
-            // Churn ~one request per port per round, removals included.
-            for (int t = 0; t < kN; ++t) {
-                auto i = static_cast<PortId>(rng.nextBelow(kN));
-                auto j = static_cast<PortId>(rng.nextBelow(kN));
-                if (rng.nextBernoulli(0.7))
-                    req.increment(i, j);
-                else if (req.count(i, j) > 0)
-                    req.decrement(i, j);
-            }
-            if (round == 40)
-                req.setOutputLive(13, false);  // dies with edges reused
-            if (round == 70)
-                req.setInputLive(5, false);
-            if (round == 100) {
-                req.setOutputLive(13, true);
-                req.setInputLive(5, true);
-            }
+        for (int round = 0; round < kChurnRounds; ++round) {
+            churnAndFaults(req, rng, round);
             matcher->matchInto(req, m);
             const std::string ctx =
                 cfg.name + " round " + std::to_string(round);
@@ -128,6 +139,66 @@ TEST(WarmStartProperty, LegalAndMaximalUnderChurnAndFaults)
             expectAvoidsDeadPorts(req, m, ctx);
             expectMaximal(req, m, ctx);
         }
+    }
+}
+
+// The library's warm cores make the scalar oracles' warm decisions pair
+// for pair: the same matching every round of the churn-and-faults
+// stream, and the same reuse, repair and full-reuse counts. Every tenth
+// round is matched twice, the second time on the unchanged matrix, so
+// the wholesale-replay tier is compared too.
+TEST(WarmStartEquivalence, OracleAndLibraryAgreeUnderChurnAndFaults)
+{
+    struct Pair
+    {
+        std::string name;
+        std::unique_ptr<Matcher> oracle;
+        std::unique_ptr<Matcher> library;
+    };
+    std::vector<Pair> pairs;
+    pairs.push_back({"islip",
+                     std::make_unique<ScalarIslipMatcher>(4, WarmStart::On),
+                     std::make_unique<IslipMatcher>(4, WarmStart::On)});
+    pairs.push_back(
+        {"greedy",
+         std::make_unique<ScalarGreedyMatcher>(true, 7, WarmStart::On),
+         std::make_unique<SerialGreedyMatcher>(true, 7, WarmStart::On)});
+    for (Pair& p : pairs) {
+        RequestMatrix req(kChurnPorts);
+        Matching a(kChurnPorts);
+        Matching b(kChurnPorts);
+        obs::Recorder rec_oracle;
+        obs::Recorder rec_library;
+        Xoshiro256 rng(2026);
+        for (int round = 0; round < kChurnRounds; ++round) {
+            churnAndFaults(req, rng, round);
+            const int passes = round % 10 == 9 ? 2 : 1;
+            for (int pass = 0; pass < passes; ++pass) {
+                obs::attach(&rec_oracle);
+                p.oracle->matchInto(req, a);
+                obs::attach(&rec_library);
+                p.library->matchInto(req, b);
+                obs::detach();
+                const std::string ctx = p.name + " round " +
+                                        std::to_string(round) + " pass " +
+                                        std::to_string(pass);
+                ASSERT_EQ(a.pairs(), b.pairs()) << ctx;
+#ifndef AN2_OBS_DISABLED
+                for (obs::Counter c : {obs::Counter::MatchEdgesReused,
+                                       obs::Counter::MatchEdgesRepaired,
+                                       obs::Counter::WarmStartFullReuses})
+                    ASSERT_EQ(rec_oracle.counter(c), rec_library.counter(c))
+                        << ctx << " " << obs::counterName(c);
+#endif
+            }
+        }
+#ifndef AN2_OBS_DISABLED
+        // The stream reaches both warm tiers.
+        EXPECT_GT(rec_library.counter(obs::Counter::MatchEdgesReused), 0)
+            << p.name;
+        EXPECT_GT(rec_library.counter(obs::Counter::WarmStartFullReuses), 0)
+            << p.name;
+#endif
     }
 }
 
@@ -211,7 +282,7 @@ TEST(WarmStartRegression, OffMatchesSeedBehavior)
     pairs.push_back({std::make_unique<IslipMatcher>(4, WarmStart::Off),
                      std::make_unique<IslipMatcher>(4)});
     pairs.push_back({std::make_unique<SerialGreedyMatcher>(
-                         true, 3, MatcherBackend::Auto, WarmStart::Off),
+                         true, 3, WarmStart::Off),
                      std::make_unique<SerialGreedyMatcher>(true, 3)});
     for (Pair& p : pairs) {
         RequestMatrix req(kN);

@@ -165,7 +165,7 @@ TEST(ZeroAllocTest, WarmGreedyRunSlotSteadyStateIsAllocationFree)
 {
     InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
                          std::make_unique<SerialGreedyMatcher>(
-                             true, 3, MatcherBackend::Auto, WarmStart::On));
+                             true, 3, WarmStart::On));
     EXPECT_EQ(allocationsDuringSteadyState(sw, 2000, 2000), 0u);
 }
 
