@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "an2/sim/fifo_switch.h"
-#include "an2/sim/oq_switch.h"
 #include "an2/sim/traffic.h"
 #include "bench_common.h"
 
@@ -68,7 +67,7 @@ main()
     }
     std::printf("\n  %-26s", "OutputQueued");
     for (int b : bursts) {
-        OutputQueuedSwitch oq(kN);
+        InputQueuedSwitch oq({.n = kN, .service = ServiceDiscipline::Fifo});
         std::printf("  %7.2f", aggregateLinks(oq, b, 14));
     }
     std::printf("\n\n  Paper: under stationary blocking FIFO degrades"

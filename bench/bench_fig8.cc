@@ -16,7 +16,6 @@
 #include "an2/base/stats.h"
 #include "an2/matching/fill_in.h"
 #include "an2/matching/statistical.h"
-#include "an2/sim/virtual_clock.h"
 #include "bench_common.h"
 
 namespace {
@@ -69,7 +68,8 @@ runSaturated(InputQueuedSwitch& sw)
 Matrix<int64_t>
 runVirtualClock()
 {
-    VirtualClockSwitch sw(kN);
+    InputQueuedSwitch sw(
+        {.n = kN, .service = ServiceDiscipline::VirtualClock});
     for (PortId i = 0; i < 3; ++i)
         sw.setFlowRate(i * kN + 0, 0.25);
     for (PortId j = 0; j < kN; ++j)

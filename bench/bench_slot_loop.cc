@@ -30,7 +30,6 @@
 #include "an2/matching/serial_greedy.h"
 #include "an2/obs/recorder.h"
 #include "an2/sim/fifo_switch.h"
-#include "an2/sim/oq_switch.h"
 #include "an2/sim/simulator.h"
 #include "bench_common.h"
 
@@ -229,7 +228,9 @@ archsUnderTest()
                      },
                      /*obs_mode=*/1});
     archs.push_back({"OutputQueued", [](int n, uint64_t) {
-                         return std::make_unique<OutputQueuedSwitch>(n);
+                         return std::make_unique<InputQueuedSwitch>(
+                             IqSwitchConfig{
+                                 .n = n, .service = ServiceDiscipline::Fifo});
                      }});
     // CIOQ hot path: S greedy matching phases per slot plus the
     // per-class output service stage. check_bench skips rows with no

@@ -29,7 +29,6 @@
 #include "an2/obs/timeseries.h"
 #include "an2/obs/trace_export.h"
 #include "an2/sim/fifo_switch.h"
-#include "an2/sim/oq_switch.h"
 #include "bench_common.h"
 
 namespace an2::bench {
@@ -64,7 +63,8 @@ oqArch()
 {
     return {"OutputQueued",
             [](int n, uint64_t) -> std::unique_ptr<SwitchModel> {
-                return std::make_unique<OutputQueuedSwitch>(n);
+                return std::make_unique<InputQueuedSwitch>(IqSwitchConfig{
+                    .n = n, .service = ServiceDiscipline::Fifo});
             }};
 }
 
@@ -415,11 +415,14 @@ writeTextFile(const std::string& path, const std::string& doc,
  * serial run is what `--trace` / `--snapshot` pay for.
  *
  * Point selection: the architecture named by `--trace-arch` (default:
- * the first arch with probes, i.e. whose name starts with PIM/iSLIP/
- * Greedy; else the first arch), at the first size, the highest load,
- * replicate 0 — narrow with `--size` / `--loads` to steer it. Seeds
- * come from the same expandGrid() derivation as the sweep, so the
- * observed run is bit-identical to the corresponding sweep run.
+ * the first arch with a matcher, i.e. whose name starts with PIM/iSLIP/
+ * Greedy/CIOQ; else the first arch), at the first size, the highest
+ * load, replicate 0 — narrow with `--size` / `--loads` to steer it.
+ * Every arch built on InputQueuedSwitch carries the probes, so
+ * `--trace-arch OutputQueued` observes perfect output queueing; FIFO
+ * counts only its fault drops. Seeds come from the same expandGrid()
+ * derivation as the sweep, so the observed run is bit-identical to the
+ * corresponding sweep run.
  */
 inline bool
 runObservedPoint(const harness::SweepSpec& spec, const SweepCli& cli)

@@ -14,7 +14,6 @@
 #include "an2/matching/pim.h"
 #include "an2/sim/fifo_switch.h"
 #include "an2/sim/iq_switch.h"
-#include "an2/sim/oq_switch.h"
 #include "an2/sim/simulator.h"
 #include "an2/sim/traffic.h"
 
@@ -56,7 +55,7 @@ main()
                                  std::make_unique<PimMatcher>(
                                      PimConfig{.iterations = 4, .seed = 5}));
         SimResult rp = evaluate(pim_sw, load, 33);
-        OutputQueuedSwitch oq(kN);
+        InputQueuedSwitch oq({.n = kN, .service = ServiceDiscipline::Fifo});
         SimResult ro = evaluate(oq, load, 33);
         std::printf("  %5.2f    | %8.2f   %8.2f   %8.2f    |  %5.3f    %5.3f\n",
                     load, rf.mean_delay, rp.mean_delay, ro.mean_delay,

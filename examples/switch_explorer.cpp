@@ -9,13 +9,15 @@
  *   $ ./switch_explorer --switch fifo --workload clientserver
  *   $ ./switch_explorer --help
  */
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "an2/an2.h"
+#include "an2/base/parse.h"
+#include "an2/harness/cli.h"
 
 using namespace an2;
 
@@ -35,6 +37,7 @@ struct Options
     std::vector<double> loads = {0.5, 0.7, 0.9, 0.95, 0.99};
     SlotTime slots = 100'000;
     uint64_t seed = 1;
+    bool help = false;
 };
 
 void
@@ -45,7 +48,8 @@ usage()
         "  --switch pim|islip|fifo|oq|maximum   architecture (default pim)\n"
         "  --workload uniform|clientserver|bursty|hotspot\n"
         "  --n N            ports (default 16)\n"
-        "  --iterations K   PIM/iSLIP iterations (default 4)\n"
+        "  --iterations K   PIM/iSLIP iterations (default 4; 0 runs PIM to\n"
+        "                   completion)\n"
         "  --window W       FIFO lookahead window (default 1)\n"
         "  --speedup S      output speedup for pim (default 1)\n"
         "  --servers S      servers for clientserver (default 4)\n"
@@ -54,55 +58,71 @@ usage()
         "  --seed S         PRNG seed (default 1)\n");
 }
 
-std::vector<double>
-parseLoads(const std::string& arg)
-{
-    std::vector<double> loads;
-    size_t pos = 0;
-    while (pos < arg.size()) {
-        size_t comma = arg.find(',', pos);
-        if (comma == std::string::npos)
-            comma = arg.size();
-        loads.push_back(std::stod(arg.substr(pos, comma - pos)));
-        pos = comma + 1;
-    }
-    return loads;
-}
-
+/**
+ * Parse argv into `opt`. Every value must parse whole and lie in its
+ * range; otherwise returns false with `err` naming the flag.
+ */
 bool
-parse(int argc, char** argv, Options& opt)
+parse(int argc, char** argv, Options& opt, std::string& err)
 {
+    static const std::vector<std::string> kSwitches = {"pim", "islip", "fifo",
+                                                       "oq", "maximum"};
+    static const std::vector<std::string> kWorkloads = {
+        "uniform", "clientserver", "bursty", "hotspot"};
+    auto oneOf = [](const std::string& v, const std::vector<std::string>& in) {
+        return std::find(in.begin(), in.end(), v) != in.end();
+    };
     for (int a = 1; a < argc; ++a) {
-        std::string key = argv[a];
-        if (key == "--help" || key == "-h")
-            return false;
+        const std::string key = argv[a];
+        if (key == "--help" || key == "-h") {
+            opt.help = true;
+            continue;
+        }
         if (a + 1 >= argc) {
-            std::fprintf(stderr, "missing value for %s\n", key.c_str());
+            err = key + " needs an argument";
             return false;
         }
-        std::string val = argv[++a];
+        const char* v = argv[++a];
+        auto fail = [&](const char* expected) {
+            err = badValue(key.c_str(), v, expected);
+            return false;
+        };
         if (key == "--switch") {
-            opt.switch_kind = val;
+            if (!oneOf(v, kSwitches))
+                return fail("pim, islip, fifo, oq or maximum");
+            opt.switch_kind = v;
         } else if (key == "--workload") {
-            opt.workload = val;
+            if (!oneOf(v, kWorkloads))
+                return fail("uniform, clientserver, bursty or hotspot");
+            opt.workload = v;
         } else if (key == "--n") {
-            opt.n = std::stoi(val);
+            if (!parseInt(v, opt.n) || opt.n <= 0)
+                return fail("a positive integer");
         } else if (key == "--iterations") {
-            opt.iterations = std::stoi(val);
+            if (!parseInt(v, opt.iterations) || opt.iterations < 0)
+                return fail("an integer >= 0");
         } else if (key == "--window") {
-            opt.window = std::stoi(val);
+            if (!parseInt(v, opt.window) || opt.window <= 0)
+                return fail("a positive integer");
         } else if (key == "--speedup") {
-            opt.speedup = std::stoi(val);
+            if (!parseInt(v, opt.speedup) || opt.speedup <= 0)
+                return fail("a positive integer");
         } else if (key == "--servers") {
-            opt.servers = std::stoi(val);
+            if (!parseInt(v, opt.servers) || opt.servers <= 0)
+                return fail("a positive integer");
         } else if (key == "--loads") {
-            opt.loads = parseLoads(val);
+            if (!harness::parseLoadList(v, opt.loads, err)) {
+                err = "--loads: " + err;
+                return false;
+            }
         } else if (key == "--slots") {
-            opt.slots = std::stoll(val);
+            if (!parseInt64(v, opt.slots) || opt.slots <= 0)
+                return fail("a positive integer");
         } else if (key == "--seed") {
-            opt.seed = std::stoull(val);
+            if (!parseUint64(v, opt.seed))
+                return fail("an unsigned 64-bit integer");
         } else {
-            std::fprintf(stderr, "unknown option %s\n", key.c_str());
+            err = "unknown option: " + key;
             return false;
         }
     }
@@ -139,7 +159,8 @@ makeSwitch(const Options& opt)
                                             opt.window);
     }
     if (opt.switch_kind == "oq") {
-        return std::make_unique<OutputQueuedSwitch>(opt.n);
+        return std::make_unique<InputQueuedSwitch>(IqSwitchConfig{
+            .n = opt.n, .service = ServiceDiscipline::Fifo});
     }
     AN2_FATAL("unknown switch kind '" << opt.switch_kind << "'");
 }
@@ -168,9 +189,28 @@ int
 main(int argc, char** argv)
 {
     Options opt;
-    if (!parse(argc, argv, opt)) {
+    std::string err;
+    if (!parse(argc, argv, opt, err)) {
+        std::fprintf(stderr, "error: %s\n", err.c_str());
         usage();
-        return 1;
+        return 2;
+    }
+    if (opt.help) {
+        usage();
+        return 0;
+    }
+
+    // Build the switch and every load's workload once before printing,
+    // so a combination the constructors reject (say, --servers >= --n)
+    // fails before the table starts.
+    std::string switch_name;
+    try {
+        switch_name = makeSwitch(opt)->name();
+        for (double load : opt.loads)
+            makeWorkload(opt, load);
+    } catch (const UsageError& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
     }
 
     try {
@@ -187,9 +227,8 @@ main(int argc, char** argv)
                         load, r.mean_delay, r.p99_delay, r.throughput,
                         r.offered, r.max_occupancy);
         }
-        auto sw = makeSwitch(opt);
         std::printf("\n  switch: %s, workload: %s, %lld slots/point\n",
-                    sw->name().c_str(), opt.workload.c_str(),
+                    switch_name.c_str(), opt.workload.c_str(),
                     static_cast<long long>(opt.slots));
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());

@@ -55,11 +55,9 @@
 #include "an2/sim/fifo_switch.h"
 #include "an2/sim/iq_switch.h"
 #include "an2/sim/metrics.h"
-#include "an2/sim/oq_switch.h"
 #include "an2/sim/simulator.h"
 #include "an2/sim/switch.h"
 #include "an2/sim/traffic.h"
-#include "an2/sim/virtual_clock.h"
 
 #include "an2/harness/aggregate.h"
 #include "an2/harness/json_writer.h"

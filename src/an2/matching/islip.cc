@@ -97,12 +97,13 @@ IslipMatcher::matchWarm(const RequestMatrix& req, Matching& out)
     // Tier 2: seed with the previous edges that survive validation, then
     // one repair pass over the remaining free outputs in ascending
     // order. Each free output grants-and-matches the free requesting
-    // input nearest at-or-after its grant pointer, and both pointers
-    // rotate past a repaired pair. The result is maximal: an input left
-    // free at the end was free when any output j was visited, so a
-    // leftover requested (i, j) pair with j free would have produced a
-    // repair at j. Only requested outputs are visited; an unrequested
-    // one has nothing to repair.
+    // input nearest at-or-after its grant pointer, and the grant pointer
+    // rotates past the repaired pair (a warm matcher never runs the
+    // accept phase, so no accept pointer moves). The result is maximal:
+    // an input left free at the end was free when any output j was
+    // visited, so a leftover requested (i, j) pair with j free would
+    // have produced a repair at j. Only requested outputs are visited;
+    // an unrequested one has nothing to repair.
     col_words_ = req.colWords();
     row_words_ = req.rowWords();
     free_in_.resize(static_cast<size_t>(col_words_));
@@ -133,7 +134,6 @@ IslipMatcher::matchWarm(const RequestMatrix& req, Matching& out)
         out.add(pick, j);
         ++repaired;
         grant_ptr_[static_cast<size_t>(j)] = (pick + 1) % n_in;
-        accept_ptr_[static_cast<size_t>(pick)] = (j + 1) % n_out;
         clearBit(free_in_.data(), pick);
     });
     warm_state_.remember(req, out);

@@ -1,6 +1,7 @@
 #include "an2/sim/iq_switch.h"
 
 #include <algorithm>
+#include <functional>
 #include <sstream>
 
 #include "an2/base/error.h"
@@ -8,6 +9,11 @@
 #include "an2/obs/recorder.h"
 
 namespace an2 {
+
+InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config)
+    : InputQueuedSwitch(config, nullptr)
+{
+}
 
 InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config,
                                      std::unique_ptr<Matcher> matcher,
@@ -29,45 +35,63 @@ InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config,
 {
     AN2_REQUIRE(config_.speedup >= 1 && config_.speedup <= 4,
                 "speedup must be in 1..4, got " << config_.speedup);
-    AN2_REQUIRE(matcher_ != nullptr, "a matcher is required");
+    AN2_REQUIRE(matcher_ != nullptr ||
+                    (hasOutputQueues() && config_.speedup == 1),
+                "the perfect fabric (no matcher) needs an output stage and "
+                "speedup 1");
     AN2_REQUIRE(config_.speedup == 1 || hasOutputQueues(),
-                "speedup > 1 needs the output stage (strict or wrr)");
+                "speedup > 1 needs the output stage");
     AN2_REQUIRE(!hasOutputQueues() || cbr_schedule_ == nullptr,
                 "the output stage cannot be combined with a CBR schedule");
     AN2_REQUIRE(!hasOutputQueues() || !config_.pipelined,
                 "the output stage cannot be combined with pipelining");
     for (int w : config_.wrr_weights)
         AN2_REQUIRE(w > 0, "WRR weights must be positive");
-    vbr_bufs_.reserve(static_cast<size_t>(config_.n));
-    for (int i = 0; i < config_.n; ++i)
-        vbr_bufs_.emplace_back(config_.n);
+    const auto n = static_cast<size_t>(config_.n);
+    if (matcher_ != nullptr) {
+        vbr_bufs_.reserve(n);
+        for (int i = 0; i < config_.n; ++i)
+            vbr_bufs_.emplace_back(config_.n);
+    }
     if (cbr_schedule_ != nullptr) {
         AN2_REQUIRE(cbr_schedule_->size() == config_.n,
                     "frame schedule size does not match switch");
-        cbr_bufs_.reserve(static_cast<size_t>(config_.n));
+        cbr_bufs_.reserve(n);
         for (int i = 0; i < config_.n; ++i)
             cbr_bufs_.emplace_back(config_.n);
     }
-    if (hasOutputQueues()) {
-        out_q_.resize(static_cast<size_t>(config_.n) * kNumTrafficClasses);
-        wrr_cls_.assign(static_cast<size_t>(config_.n), 0);
-        wrr_credit_.assign(static_cast<size_t>(config_.n),
-                           config_.wrr_weights[0]);
-        departed_.reserve(static_cast<size_t>(config_.n));
+    if (config_.service == ServiceDiscipline::VirtualClock) {
+        vc_ = std::make_unique<VirtualClockStage>();
+        vc_->heaps.resize(n);
+    } else if (config_.service == ServiceDiscipline::Fifo) {
+        out_q_.resize(n);
+    } else if (hasOutputQueues()) {
+        out_q_.resize(n * kNumTrafficClasses);
+        wrr_cls_.assign(n, 0);
+        wrr_credit_.assign(n, config_.wrr_weights[0]);
     }
-    forwarded_.reserve(static_cast<size_t>(config_.n) *
-                       static_cast<size_t>(config_.speedup));
+    if (hasOutputQueues())
+        departed_.reserve(n);
+    forwarded_.reserve(n * static_cast<size_t>(config_.speedup));
 }
 
 std::string
 InputQueuedSwitch::name() const
 {
+    // ServiceDiscipline names, in declaration order.
+    static const char* const kServices[] = {"none", "strict", "wrr", "fifo",
+                                            "vclock"};
+    const char* service = kServices[static_cast<int>(config_.service)];
     std::ostringstream oss;
+    if (matcher_ == nullptr) {
+        oss << "OutputQueued";
+        if (config_.service != ServiceDiscipline::Fifo)
+            oss << "[" << service << "]";
+        return oss.str();
+    }
     if (hasOutputQueues()) {
         oss << "CIOQ[" << matcher_->name() << ",S=" << config_.speedup << ","
-            << (config_.service == ServiceDiscipline::Strict ? "strict"
-                                                             : "wrr")
-            << "]";
+            << service << "]";
         return oss.str();
     }
     oss << "IQ[" << matcher_->name();
@@ -109,6 +133,22 @@ InputQueuedSwitch::setOutputPortLive(PortId j, bool live)
                 0;
 }
 
+void
+InputQueuedSwitch::setFlowRate(FlowId flow, double rate)
+{
+    AN2_REQUIRE(vc_ != nullptr, "flow rates need the virtual-clock service");
+    AN2_REQUIRE(rate > 0.0 && rate <= 1.0, "rate must be in (0,1]");
+    vc_->rates[flow] = rate;
+}
+
+void
+InputQueuedSwitch::setDefaultRate(double rate)
+{
+    AN2_REQUIRE(vc_ != nullptr, "flow rates need the virtual-clock service");
+    AN2_REQUIRE(rate > 0.0 && rate <= 1.0, "rate must be in (0,1]");
+    vc_->default_rate = rate;
+}
+
 bool
 InputQueuedSwitch::inputPortLive(PortId i) const
 {
@@ -137,9 +177,13 @@ InputQueuedSwitch::acceptCellAs(FlowId queue_key, const Cell& cell)
         obs::count(obs::Counter::CellsDroppedByFaults);
         return;
     }
-    // A CBR cell waits for the frame schedule; with the output stage it
-    // is matched like VBR and its class sets its priority at the output.
-    if (cell.cls == TrafficClass::CBR && !hasOutputQueues()) {
+    // The perfect fabric delivers the cell to its output's queue at once.
+    // Otherwise a CBR cell waits for the frame schedule; with the output
+    // stage it is matched like VBR and its class sets its priority at
+    // the output.
+    if (matcher_ == nullptr) {
+        fileCell(cell);
+    } else if (cell.cls == TrafficClass::CBR && !hasOutputQueues()) {
         AN2_REQUIRE(cbr_schedule_ != nullptr,
                     "CBR cell arrived at a switch with no frame schedule");
         cbr_bufs_[static_cast<size_t>(cell.input)].enqueueAs(queue_key, cell);
@@ -167,6 +211,8 @@ InputQueuedSwitch::rebindFlow(PortId i, TrafficClass cls, FlowId flow,
             cbr_bufs_[static_cast<size_t>(i)].rebindFlow(flow, new_output);
         return;
     }
+    if (vbr_bufs_.empty())
+        return;  // the perfect fabric holds no cell at its inputs
     InputBuffer& buf = vbr_bufs_[static_cast<size_t>(i)];
     if (buf.rebindFlow(flow, new_output) == 0)
         return;
@@ -285,12 +331,47 @@ InputQueuedSwitch::forwardVbr(int fs, PortId i, PortId j)
 }
 
 void
+InputQueuedSwitch::VirtualClockStage::push(const Cell& cell)
+{
+    // Zhang's update, VC <- max(VC, now) + 1/rate: taking the max with
+    // the arrival slot keeps an idle flow from hoarding credit.
+    const double* rate = rates.get(cell.flow);
+    double& clock = clocks[cell.flow];
+    clock = std::max(clock, static_cast<double>(cell.arrival_slot)) +
+            1.0 / (rate != nullptr ? *rate : default_rate);
+    auto& heap = heaps[static_cast<size_t>(cell.output)];
+    heap.push_back({cell, clock, arrivals++});
+    std::push_heap(heap.begin(), heap.end(), std::greater<>());
+}
+
+inline void
+InputQueuedSwitch::fileCell(const Cell& cell)
+{
+    if (vc_ != nullptr)
+        vc_->push(cell);
+    else if (config_.service == ServiceDiscipline::Fifo)
+        out_q_[static_cast<size_t>(cell.output)].push_back(cell);
+    else
+        classQueue(cell.output, cell.cls).push_back(cell);
+}
+
+void
 InputQueuedSwitch::serveOutput(PortId j)
 {
+    auto sj = static_cast<size_t>(j);
+    if (vc_ != nullptr) {
+        auto& heap = vc_->heaps[sj];
+        if (heap.empty())
+            return;
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>());
+        departed_.push_back(heap.back().cell);
+        heap.pop_back();
+        return;
+    }
     if (config_.service == ServiceDiscipline::Strict) {
         for (int cls = 0; cls < kNumTrafficClasses; ++cls) {
             RingQueue<Cell>& q =
-                outQueue(j, static_cast<TrafficClass>(cls));
+                classQueue(j, static_cast<TrafficClass>(cls));
             if (q.empty())
                 continue;
             departed_.push_back(q.front());
@@ -304,10 +385,9 @@ InputQueuedSwitch::serveOutput(PortId j)
     // the pointer on with a fresh grant of that class's weight. At most
     // kNumTrafficClasses + 1 probes reach a cell whenever one exists, so
     // the discipline stays work-conserving.
-    auto sj = static_cast<size_t>(j);
     for (int probes = 0; probes <= kNumTrafficClasses; ++probes) {
         int cls = wrr_cls_[sj];
-        RingQueue<Cell>& q = outQueue(j, static_cast<TrafficClass>(cls));
+        RingQueue<Cell>& q = classQueue(j, static_cast<TrafficClass>(cls));
         if (wrr_credit_[sj] > 0 && !q.empty()) {
             --wrr_credit_[sj];
             departed_.push_back(q.front());
@@ -323,11 +403,45 @@ InputQueuedSwitch::serveOutput(PortId j)
 int
 InputQueuedSwitch::outputBacklog(PortId j) const
 {
+    auto sj = static_cast<size_t>(j);
+    if (vc_ != nullptr)
+        return static_cast<int>(vc_->heaps[sj].size());
+    if (config_.service == ServiceDiscipline::Fifo)
+        return static_cast<int>(out_q_[sj].size());
+    const RingQueue<Cell>* rings = &out_q_[sj * kNumTrafficClasses];
     int queued = 0;
     for (int cls = 0; cls < kNumTrafficClasses; ++cls)
-        queued += static_cast<int>(
-            outQueue(j, static_cast<TrafficClass>(cls)).size());
+        queued += static_cast<int>(rings[cls].size());
     return queued;
+}
+
+void
+InputQueuedSwitch::serveOutputs()
+{
+    departed_.clear();
+    const int n = config_.n;
+    auto live = [this](PortId j) {
+        return !any_dead_ || !wordset::testBit(dead_out_.data(), j);
+    };
+    if (config_.service == ServiceDiscipline::Fifo) {
+        // One ring per output, served in a loop free of per-output
+        // dispatch: perfect output queueing's common case.
+        for (PortId j = 0; j < n; ++j) {
+            RingQueue<Cell>& q = out_q_[static_cast<size_t>(j)];
+            if (!q.empty() && live(j)) {
+                departed_.push_back(q.front());
+                q.pop_front();
+            }
+            out_hwm_ = std::max<int64_t>(out_hwm_,
+                                         static_cast<int64_t>(q.size()));
+        }
+        return;
+    }
+    for (PortId j = 0; j < n; ++j) {
+        if (live(j))
+            serveOutput(j);
+        out_hwm_ = std::max<int64_t>(out_hwm_, outputBacklog(j));
+    }
 }
 
 const std::vector<Cell>&
@@ -437,25 +551,22 @@ InputQueuedSwitch::runSlot(SlotTime slot)
     }
 
     // Departures: crossed cells leave at once, or join their output's
-    // class queue in crossing order, and then every live output sends
-    // one cell (a dead output holds its queues until revival).
+    // queue in crossing order, and then every live output sends one cell
+    // (a dead output holds its queue until revival).
     const std::vector<Cell>* result = &forwarded_;
     int cbr_crossed = static_cast<int>(n_cbr);
     if (hasOutputQueues()) {
         for (const Cell& c : forwarded_) {
-            outQueue(c.output, c.cls).push_back(c);
+            fileCell(c);
             if (c.cls == TrafficClass::CBR)
                 ++cbr_crossed;
         }
-        departed_.clear();
-        for (PortId j = 0; j < n; ++j) {
-            if (any_dead_ && wordset::testBit(dead_out_.data(), j))
-                continue;
-            serveOutput(j);
-        }
-        // Backlog high-water mark across all outputs (post-departure).
-        for (PortId j = 0; j < n; ++j)
-            out_hwm_ = std::max<int64_t>(out_hwm_, outputBacklog(j));
+        serveOutputs();
+        // The perfect fabric's cells leave their only queue here.
+        if (matcher_ == nullptr)
+            if (obs::Recorder* rec = obs::current())
+                for (const Cell& c : departed_)
+                    rec->cellDequeued(c);
         result = &departed_;
     }
 
@@ -495,19 +606,18 @@ InputQueuedSwitch::runSlots(SlotTime first, SlotTime count,
 void
 InputQueuedSwitch::fillOccupancy(int32_t* voq, int32_t* backlog) const
 {
-    const int n = config_.n;
-    for (PortId j = 0; j < n; ++j)
-        backlog[j] = out_q_.empty() ? 0 : outputBacklog(j);
-    for (PortId i = 0; i < n; ++i) {
-        for (PortId j = 0; j < n; ++j) {
-            int32_t cells = vbr_bufs_[static_cast<size_t>(i)].cellCountFor(j);
-            if (!cbr_bufs_.empty())
-                cells += cbr_bufs_[static_cast<size_t>(i)].cellCountFor(j);
-            voq[static_cast<size_t>(i) * static_cast<size_t>(n) +
-                static_cast<size_t>(j)] = cells;
-            backlog[j] += cells;
-        }
-    }
+    const auto n = static_cast<size_t>(config_.n);
+    for (PortId j = 0; j < config_.n; ++j)
+        backlog[j] = hasOutputQueues() ? outputBacklog(j) : 0;
+    std::fill(voq, voq + n * n, 0);
+    // The VBR and CBR input buffers, whichever this form builds.
+    for (const auto* bufs : {&vbr_bufs_, &cbr_bufs_})
+        for (size_t i = 0; i < bufs->size(); ++i)
+            for (PortId j = 0; j < config_.n; ++j) {
+                const int32_t cells = (*bufs)[i].cellCountFor(j);
+                voq[i * n + static_cast<size_t>(j)] += cells;
+                backlog[j] += cells;
+            }
 }
 
 void
@@ -529,6 +639,9 @@ InputQueuedSwitch::bufferedCells() const
         total += b.totalCells();
     for (const auto& q : out_q_)
         total += static_cast<int>(q.size());
+    if (vc_ != nullptr)
+        for (const auto& heap : vc_->heaps)
+            total += static_cast<int>(heap.size());
     return total;
 }
 

@@ -13,16 +13,24 @@
  *  3. Forwarding across the crossbar; departures leave on output links.
  *
  * An optional output stage turns the switch into a combined input-output
- * queued (CIOQ) switch. Cells that cross the fabric join per-output,
- * per-class queues (CBR > VBR > best-effort), and every live output sends
- * one cell per slot, chosen by strict priority or weighted round-robin.
- * Two things may then put more than one cell into an output per slot:
- * a matcher with output capacity k > 1 (the replicated fabric of §3.1),
- * and up to S matching phases per slot (crossbar speedup S, Cogill &
- * Lall). With a maximal matcher, S = 2 tracks the ideal output-queued
- * switch. The output stage excludes a frame schedule and pipelining; a
- * CBR-class cell is then matched like VBR and takes its priority at the
- * output.
+ * queued (CIOQ) switch. Cells that cross the fabric join their output's
+ * queue, and every live output sends one cell per slot, chosen by the
+ * service discipline: one FIFO, per-class queues (CBR > VBR >
+ * best-effort) served by strict priority or weighted round-robin, or
+ * Zhang's virtual clock. Two things may then put more than one cell into
+ * an output per slot: a matcher with output capacity k > 1 (the
+ * replicated fabric of §3.1), and up to S matching phases per slot
+ * (crossbar speedup S, Cogill & Lall). With a maximal matcher, S = 2
+ * tracks the ideal output-queued switch. The output stage excludes a
+ * frame schedule and pipelining; a CBR-class cell is then matched like
+ * VBR and takes its priority at the output.
+ *
+ * Built without a matcher, the switch is that ideal: perfect output
+ * queueing (§2.4), the envelope every scheduler is measured against in
+ * Figures 1, 3 and 4. Its fabric delivers any number of simultaneous
+ * arrivals, so each accepted cell joins its output's queue at once and
+ * never touches a VOQ, the request matrix or a matcher. With the
+ * virtual-clock discipline it is §5.1's fairness baseline (Figure 8).
  *
  * The scheduling input is a persistent RequestMatrix patched as cells
  * arrive and depart (one increment per enqueue, one decrement per
@@ -40,8 +48,10 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <tuple>
 #include <vector>
 
+#include "an2/base/flat_map.h"
 #include "an2/base/ring.h"
 #include "an2/cbr/frame_schedule.h"
 #include "an2/fabric/crossbar.h"
@@ -56,11 +66,13 @@ namespace obs {
 class Recorder;
 }  // namespace obs
 
-/** How the output stage picks among an output's class queues each slot. */
+/** How the output stage picks the cell an output sends each slot. */
 enum class ServiceDiscipline : uint8_t {
-    None,    ///< no output stage: crossed cells leave at once
-    Strict,  ///< CBR before VBR before best-effort, always
-    Wrr,     ///< weighted round-robin over non-empty classes
+    None,          ///< no output stage: crossed cells leave at once
+    Strict,        ///< CBR before VBR before best-effort, always
+    Wrr,           ///< weighted round-robin over non-empty classes
+    Fifo,          ///< one queue per output, every class in crossing order
+    VirtualClock,  ///< earliest virtual-clock stamp first (Zhang 1991)
 };
 
 /** Configuration for an InputQueuedSwitch. */
@@ -85,7 +97,9 @@ struct IqSwitchConfig
     int speedup = 1;
 
     /** The output stage: None (default) sends crossed cells at once;
-        Strict or Wrr queues them per output and class. */
+        Fifo queues them per output in crossing order, Strict or Wrr per
+        output and class, and VirtualClock per output by the stamp of
+        their flow's clock (setFlowRate). Required without a matcher. */
     ServiceDiscipline service = ServiceDiscipline::None;
 
     /** WRR weights per TrafficClass (cells served before the pointer
@@ -94,13 +108,15 @@ struct IqSwitchConfig
 };
 
 /** The AN2 switch: VOQ input buffers + pluggable matcher + CBR schedule,
-    with an optional per-class output stage. */
+    with an optional output stage; without a matcher, perfect output
+    queueing. */
 class InputQueuedSwitch final : public SwitchModel
 {
   public:
     /**
      * @param config Switch parameters.
-     * @param matcher VBR scheduling algorithm (owned).
+     * @param matcher VBR scheduling algorithm (owned). Null builds the
+     *        perfect fabric, which needs an output stage and speedup 1.
      * @param cbr_schedule Optional frame schedule for CBR traffic; not
      *        owned, may be updated externally between slots (reservation
      *        changes). Must outlive the switch. The output stage cannot
@@ -109,6 +125,10 @@ class InputQueuedSwitch final : public SwitchModel
     InputQueuedSwitch(const IqSwitchConfig& config,
                       std::unique_ptr<Matcher> matcher,
                       const FrameSchedule* cbr_schedule = nullptr);
+
+    /** The perfect fabric: every accepted cell joins its output's queue
+        at once (`config.service` must name an output stage). */
+    explicit InputQueuedSwitch(const IqSwitchConfig& config);
 
     void acceptCell(const Cell& cell) override
     {
@@ -154,17 +174,24 @@ class InputQueuedSwitch final : public SwitchModel
     /** The crossbar fabric (utilization statistics). */
     const Crossbar& crossbar() const { return crossbar_; }
 
-    /** The VBR scheduler. */
-    Matcher& matcher() { return *matcher_; }
-
     /** The persistent VBR request matrix (patched incrementally). */
     const RequestMatrix& vbrRequests() const { return vbr_req_; }
 
-    /** VBR cells buffered at input i. */
+    /** VBR cells buffered at input i (0 in the perfect fabric). */
     int vbrCellsAt(PortId i) const
     {
-        return vbr_bufs_[static_cast<size_t>(i)].totalCells();
+        return vbr_bufs_.empty()
+                   ? 0
+                   : vbr_bufs_[static_cast<size_t>(i)].totalCells();
     }
+
+    /** Assign a flow's virtual-clock rate in cells/slot (0 < rate <= 1):
+        each of its cells is stamped max(clock, arrival slot) + 1/rate.
+        Needs the VirtualClock service. */
+    void setFlowRate(FlowId flow, double rate);
+
+    /** Virtual-clock rate of unregistered flows (default 0.01). */
+    void setDefaultRate(double rate);
 
     /**
      * Repoint a flow queued at input i at a new output (rerouting): its
@@ -195,38 +222,33 @@ class InputQueuedSwitch final : public SwitchModel
         boundary. */
     int64_t outputQueueHighWaterMark() const { return out_hwm_; }
 
-    /** Cells currently queued at output j in class `cls` (0 without
-        the output stage). */
-    int outputQueueDepth(PortId j, TrafficClass cls) const
-    {
-        return out_q_.empty() ? 0
-                              : static_cast<int>(outQueue(j, cls).size());
-    }
-
   private:
-    /** True when crossed cells wait in per-output class queues. */
+    /** True when crossed cells wait in per-output queues. */
     bool hasOutputQueues() const
     {
         return config_.service != ServiceDiscipline::None;
     }
 
-    RingQueue<Cell>& outQueue(PortId j, TrafficClass cls)
+    /** Output j's ring for class `cls` under Strict or Wrr. */
+    RingQueue<Cell>& classQueue(PortId j, TrafficClass cls)
     {
         return out_q_[static_cast<size_t>(j) * kNumTrafficClasses +
                       static_cast<size_t>(cls)];
     }
 
-    const RingQueue<Cell>& outQueue(PortId j, TrafficClass cls) const
-    {
-        return out_q_[static_cast<size_t>(j) * kNumTrafficClasses +
-                      static_cast<size_t>(cls)];
-    }
+    /** File a cell in its output's queue: at accept in the perfect
+        fabric, as it crosses the crossbar otherwise. */
+    void fileCell(const Cell& cell);
 
-    /** Send at most one cell from output j's class queues, chosen by
-        the service discipline, into departed_. */
+    /** Every live output sends at most one cell into departed_; then
+        the backlog high-water mark is updated. */
+    void serveOutputs();
+
+    /** Send at most one cell from output j's queues under Strict, Wrr
+        or VirtualClock (Fifo is served inline by serveOutputs). */
     void serveOutput(PortId j);
 
-    /** Cells queued at output j across its class queues. */
+    /** Cells queued at output j. */
     int outputBacklog(PortId j) const;
 
     /** Serve the frame schedule's pairings for frame slot `fs` into
@@ -253,16 +275,45 @@ class InputQueuedSwitch final : public SwitchModel
         state and commit one snapshot line for `slot`. */
     void takeSnapshot(obs::Recorder& rec, SlotTime slot) const;
 
+    /** The virtual-clock stage, built only for that service: per output a
+        PIFO (Sivaraman et al.), here a binary heap over a vector that
+        keeps its capacity, plus per-flow rates and clocks. */
+    struct VirtualClockStage
+    {
+        struct Ranked
+        {
+            Cell cell;
+            double stamp;
+            int64_t order;  ///< arrival order: FIFO among equal stamps
+
+            /** Ranks later; with std::greater the heap top is first. */
+            bool operator>(const Ranked& o) const
+            {
+                return std::tie(stamp, order) > std::tie(o.stamp, o.order);
+            }
+        };
+        std::vector<std::vector<Ranked>> heaps;
+        FlatMap<double> rates;   ///< registered flows only
+        FlatMap<double> clocks;  ///< every flow seen
+        double default_rate = 0.01;
+        int64_t arrivals = 0;
+
+        /** Stamp a cell from its flow's clock and queue it. */
+        void push(const Cell& cell);
+    };
+
     IqSwitchConfig config_;
-    std::unique_ptr<Matcher> matcher_;
+    std::unique_ptr<Matcher> matcher_;  ///< null: the perfect fabric
     const FrameSchedule* cbr_schedule_;
-    std::vector<InputBuffer> vbr_bufs_;
+    std::vector<InputBuffer> vbr_bufs_;  ///< built only with a matcher
     std::vector<InputBuffer> cbr_bufs_;  ///< built only with a schedule
     Crossbar crossbar_;
 
-    /** The output stage's per-output, per-class FIFO rings, class-major
-        within an output; empty without the output stage. */
+    /** The output stage's FIFO rings: one per output under Fifo, one per
+        output and class (class-major within an output) under Strict and
+        Wrr; empty otherwise. */
     std::vector<RingQueue<Cell>> out_q_;
+    std::unique_ptr<VirtualClockStage> vc_;
 
     // WRR state per output: the class the pointer rests on and the
     // credit it has left there.

@@ -93,38 +93,18 @@ class SwitchModel
     // A dead port carries nothing: arrivals at a dead input or bound for
     // a dead output are dropped and counted in droppedCells(); cells
     // already queued toward a dead output stay buffered until it
-    // revives. The base defaults model a fault-oblivious switch (all
-    // ports permanently live, nothing dropped), so existing models work
-    // unchanged; models that participate override all five.
+    // revives. Every model keeps port liveness and the conservation
+    // ledger (fault/invariants.h).
 
-    /** Mark input port `i` live or dead. */
-    virtual void setInputPortLive(PortId i, bool live)
-    {
-        (void)i;
-        (void)live;
-    }
+    /** Mark input port `i` (output port `j`) live or dead. */
+    virtual void setInputPortLive(PortId i, bool live) = 0;
+    virtual void setOutputPortLive(PortId j, bool live) = 0;
 
-    /** Mark output port `j` live or dead. */
-    virtual void setOutputPortLive(PortId j, bool live)
-    {
-        (void)j;
-        (void)live;
-    }
-
-    virtual bool inputPortLive(PortId i) const
-    {
-        (void)i;
-        return true;
-    }
-
-    virtual bool outputPortLive(PortId j) const
-    {
-        (void)j;
-        return true;
-    }
+    virtual bool inputPortLive(PortId i) const = 0;
+    virtual bool outputPortLive(PortId j) const = 0;
 
     /** Cells discarded by the switch (dead ports, buffer policy). */
-    virtual int64_t droppedCells() const { return 0; }
+    virtual int64_t droppedCells() const = 0;
 
     // ---- diagnostics ---------------------------------------------------
 

@@ -13,7 +13,6 @@
 #include "an2/base/error.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/obs/recorder.h"
-#include "an2/sim/oq_switch.h"
 #include "an2/sim/simulator.h"
 #include "an2/sim/traffic.h"
 
@@ -224,7 +223,7 @@ TEST(CioqTest, SpeedupTwoTracksOutputQueueing)
     cfg.slots = 40'000;
     cfg.warmup = 5'000;
 
-    OutputQueuedSwitch oq(n);
+    InputQueuedSwitch oq({.n = n, .service = ServiceDiscipline::Fifo});
     UniformTraffic t0(n, 0.9, 77);
     const double oq_delay = runSimulation(oq, t0, cfg).mean_delay;
 

@@ -19,7 +19,6 @@
 #include "an2/network/link.h"
 #include "an2/sim/fifo_switch.h"
 #include "an2/sim/iq_switch.h"
-#include "an2/sim/oq_switch.h"
 #include "an2/sim/simulator.h"
 #include "an2/sim/traffic.h"
 
@@ -304,7 +303,7 @@ TEST(FifoSwitchFaultTest, DeadInputDropsAndCounts)
 
 TEST(OqSwitchFaultTest, DeadOutputHoldsQueueUntilRevival)
 {
-    OutputQueuedSwitch sw(4);
+    InputQueuedSwitch sw({.n = 4, .service = ServiceDiscipline::Fifo});
     sw.acceptCell(vbrCell(0, 2, 0, 0));
     sw.setOutputPortLive(2, false);
     sw.acceptCell(vbrCell(1, 2, 1, 0));  // dropped: dead output
@@ -314,6 +313,45 @@ TEST(OqSwitchFaultTest, DeadOutputHoldsQueueUntilRevival)
     sw.setOutputPortLive(2, true);
     EXPECT_EQ(sw.runSlot(1).size(), 1u);
     EXPECT_EQ(sw.bufferedCells(), 0);
+}
+
+TEST(VirtualClockFaultTest, DeadInputDropsAndCounts)
+{
+    InputQueuedSwitch sw({.n = 4, .service = ServiceDiscipline::VirtualClock});
+    sw.setInputPortLive(0, false);
+    EXPECT_FALSE(sw.inputPortLive(0));
+    sw.acceptCell(vbrCell(0, 1));
+    EXPECT_EQ(sw.droppedCells(), 1);
+    EXPECT_EQ(sw.invariants().dropped(), 1);
+    EXPECT_EQ(sw.bufferedCells(), 0);
+    // The live inputs still reach the same output.
+    sw.acceptCell(vbrCell(2, 1, 1, 0));
+    const std::vector<Cell>& departed = sw.runSlot(0);
+    ASSERT_EQ(departed.size(), 1u);
+    EXPECT_EQ(departed[0].input, 2);
+}
+
+TEST(VirtualClockFaultTest, DeadOutputHoldsQueueUntilRevival)
+{
+    InputQueuedSwitch sw({.n = 4, .service = ServiceDiscipline::VirtualClock});
+    sw.acceptCell(vbrCell(0, 2, 0, 0));
+    sw.acceptCell(vbrCell(1, 3, 1, 0));
+    sw.setOutputPortLive(2, false);
+    EXPECT_FALSE(sw.outputPortLive(2));
+    sw.acceptCell(vbrCell(1, 2, 1, 1));  // dropped: dead output
+    EXPECT_EQ(sw.droppedCells(), 1);
+    // Output 3 still sends; output 2 holds its queue.
+    const std::vector<Cell>& first = sw.runSlot(0);
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(first[0].output, 3);
+    EXPECT_EQ(sw.runSlot(1).size(), 0u);
+    EXPECT_EQ(sw.bufferedCells(), 1);
+    sw.setOutputPortLive(2, true);
+    const std::vector<Cell>& revived = sw.runSlot(2);
+    ASSERT_EQ(revived.size(), 1u);
+    EXPECT_EQ(revived[0].output, 2);
+    EXPECT_EQ(sw.bufferedCells(), 0);
+    EXPECT_EQ(sw.invariants().departed(), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@
 #include "an2/harness/sweep.h"
 #include "an2/matching/pim.h"
 #include "an2/sim/iq_switch.h"
-#include "an2/sim/oq_switch.h"
 #include "an2/sim/traffic.h"
 
 namespace an2::harness {
@@ -34,7 +33,8 @@ smallSpec()
     spec.archs = {
         {"OutputQueued",
          [](int n, uint64_t) -> std::unique_ptr<SwitchModel> {
-             return std::make_unique<OutputQueuedSwitch>(n);
+             return std::make_unique<InputQueuedSwitch>(IqSwitchConfig{
+                 .n = n, .service = ServiceDiscipline::Fifo});
          }},
         {"PIM(2)",
          [](int n, uint64_t seed) -> std::unique_ptr<SwitchModel> {
@@ -100,7 +100,8 @@ TEST(SweepTest, CommonRandomNumbersPairArchitectures)
     // arrivals. This is what makes cross-architecture deltas paired.
     SweepSpec spec = smallSpec();
     auto oq = [](int n, uint64_t) -> std::unique_ptr<SwitchModel> {
-        return std::make_unique<OutputQueuedSwitch>(n);
+        return std::make_unique<InputQueuedSwitch>(
+            IqSwitchConfig{.n = n, .service = ServiceDiscipline::Fifo});
     };
     spec.archs = {{"A", oq}, {"B", oq}};
     spec.replicates = 1;

@@ -11,7 +11,6 @@
 #include "an2/matching/statistical.h"
 #include "an2/sim/fifo_switch.h"
 #include "an2/sim/iq_switch.h"
-#include "an2/sim/oq_switch.h"
 #include "an2/sim/simulator.h"
 #include "an2/sim/traffic.h"
 
@@ -46,7 +45,7 @@ TEST(IntegrationTest, Figure3OrderingAtHighLoad)
     constexpr double kLoad = 0.90;
     FifoSwitch fifo(16, 1);
     InputQueuedSwitch pim_sw({.n = 16}, pim(4, 2));
-    OutputQueuedSwitch oq(16);
+    InputQueuedSwitch oq({.n = 16, .service = ServiceDiscipline::Fifo});
 
     SimResult r_fifo = runUniform(fifo, kLoad, 77);
     SimResult r_pim = runUniform(pim_sw, kLoad, 77);
@@ -200,7 +199,7 @@ TEST(IntegrationTest, ClientServerWorkloadPimTracksOq)
     // comes even closer to output queueing than under uniform traffic.
     constexpr double kServerLoad = 0.9;
     InputQueuedSwitch pim_sw({.n = 16}, pim(4, 9));
-    OutputQueuedSwitch oq(16);
+    InputQueuedSwitch oq({.n = 16, .service = ServiceDiscipline::Fifo});
     ClientServerTraffic t1(16, 4, kServerLoad, 10);
     ClientServerTraffic t2(16, 4, kServerLoad, 10);
     SimConfig cfg;

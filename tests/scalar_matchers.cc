@@ -197,7 +197,8 @@ ScalarIslipMatcher::matchWarm(const RequestMatrix& req, Matching& out)
     // Tier 2: seed with the surviving previous edges, then one repair
     // pass over the free outputs in ascending order. Each free output
     // grants-and-matches the free requesting input nearest at-or-after
-    // its grant pointer, and both pointers rotate past a repaired pair.
+    // its grant pointer, and the grant pointer rotates past the repaired
+    // pair (a warm matcher never runs the accept phase).
     int reused = warm_state_.seed(req, out);
     int repaired = 0;
     int requests_seen = 0;
@@ -222,7 +223,6 @@ ScalarIslipMatcher::matchWarm(const RequestMatrix& req, Matching& out)
             out.add(pick, j);
             ++repaired;
             grant_ptr_[static_cast<size_t>(j)] = (pick + 1) % n_in;
-            accept_ptr_[static_cast<size_t>(pick)] = (j + 1) % n_out;
         }
     }
     warm_state_.remember(req, out);

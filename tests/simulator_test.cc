@@ -7,7 +7,6 @@
 
 #include "an2/matching/pim.h"
 #include "an2/sim/iq_switch.h"
-#include "an2/sim/oq_switch.h"
 #include "an2/sim/traffic.h"
 
 namespace an2 {
@@ -15,7 +14,7 @@ namespace {
 
 TEST(SimulatorTest, OfferedLoadTracksGenerator)
 {
-    OutputQueuedSwitch sw(8);
+    InputQueuedSwitch sw({.n = 8, .service = ServiceDiscipline::Fifo});
     UniformTraffic traffic(8, 0.4, 1);
     SimConfig cfg;
     cfg.slots = 20'000;
@@ -27,7 +26,7 @@ TEST(SimulatorTest, OfferedLoadTracksGenerator)
 
 TEST(SimulatorTest, ThroughputMatchesOfferedUnderLowLoad)
 {
-    OutputQueuedSwitch sw(8);
+    InputQueuedSwitch sw({.n = 8, .service = ServiceDiscipline::Fifo});
     UniformTraffic traffic(8, 0.3, 2);
     SimConfig cfg;
     cfg.slots = 20'000;
@@ -52,7 +51,7 @@ TEST(SimulatorTest, CallbackSeesEveryDeliveredCell)
 
 TEST(SimulatorTest, MaxOccupancyTracked)
 {
-    OutputQueuedSwitch sw(4);
+    InputQueuedSwitch sw({.n = 4, .service = ServiceDiscipline::Fifo});
     PeriodicBurstTraffic traffic(4, 1.0, 5);  // 4 cells/slot to one output
     SimConfig cfg;
     cfg.slots = 100;
@@ -63,7 +62,7 @@ TEST(SimulatorTest, MaxOccupancyTracked)
 
 TEST(SimulatorTest, InvalidConfigRejected)
 {
-    OutputQueuedSwitch sw(4);
+    InputQueuedSwitch sw({.n = 4, .service = ServiceDiscipline::Fifo});
     UniformTraffic traffic(4, 0.5, 6);
     SimConfig bad;
     bad.slots = 0;
@@ -80,7 +79,7 @@ TEST(SimulatorTest, WarmupCoveringWholeRunRejected)
     // warmup >= slots would leave zero measured slots (and divide the
     // throughput by a non-positive denominator); it must be refused
     // with a clear configuration error, not produce garbage.
-    OutputQueuedSwitch sw(4);
+    InputQueuedSwitch sw({.n = 4, .service = ServiceDiscipline::Fifo});
     UniformTraffic traffic(4, 0.5, 7);
     SimConfig bad;
     bad.slots = 10;

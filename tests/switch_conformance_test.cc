@@ -35,7 +35,9 @@ allSwitches()
                       return std::make_unique<FifoSwitch>(n, 12, 4, 4);
                   }});
     fs.push_back({"oq", [](int n) {
-                      return std::make_unique<OutputQueuedSwitch>(n);
+                      return std::make_unique<InputQueuedSwitch>(
+                          IqSwitchConfig{
+                              .n = n, .service = ServiceDiscipline::Fifo});
                   }});
     fs.push_back({"iq_pim", [](int n) {
                       return std::make_unique<InputQueuedSwitch>(
@@ -85,7 +87,10 @@ allSwitches()
                               std::make_unique<PimMatcher>(pcfg)));
                   }});
     fs.push_back({"virtual_clock", [](int n) {
-                      auto sw = std::make_unique<VirtualClockSwitch>(n);
+                      auto sw = std::make_unique<InputQueuedSwitch>(
+                          IqSwitchConfig{
+                              .n = n,
+                              .service = ServiceDiscipline::VirtualClock});
                       sw->setDefaultRate(0.1);
                       return sw;
                   }});

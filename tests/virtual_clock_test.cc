@@ -1,14 +1,22 @@
-// Tests for the virtual clock baseline (an2/sim/virtual_clock.h).
-#include "an2/sim/virtual_clock.h"
-
+// Tests for the virtual clock baseline: the perfect-fabric
+// InputQueuedSwitch with the VirtualClock output discipline
+// (an2/sim/iq_switch.h).
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "an2/base/error.h"
+#include "an2/sim/iq_switch.h"
 
 namespace an2 {
 namespace {
+
+InputQueuedSwitch
+virtualClock(int n)
+{
+    return InputQueuedSwitch(
+        {.n = n, .service = ServiceDiscipline::VirtualClock});
+}
 
 Cell
 cellFor(FlowId flow, PortId in, PortId out, SlotTime slot, int64_t seq = 0)
@@ -25,7 +33,7 @@ cellFor(FlowId flow, PortId in, PortId out, SlotTime slot, int64_t seq = 0)
 
 TEST(VirtualClockTest, SingleCellForwarded)
 {
-    VirtualClockSwitch sw(4);
+    InputQueuedSwitch sw = virtualClock(4);
     sw.acceptCell(cellFor(1, 0, 2, 0));
     auto departed = sw.runSlot(0);
     ASSERT_EQ(departed.size(), 1u);
@@ -37,7 +45,7 @@ TEST(VirtualClockTest, RatesDivideContendedLink)
 {
     // Two backlogged flows into output 0, rates 0.75 and 0.25: over time
     // the link divides ~3:1.
-    VirtualClockSwitch sw(2);
+    InputQueuedSwitch sw = virtualClock(2);
     sw.setFlowRate(10, 0.75);
     sw.setFlowRate(20, 0.25);
     std::map<FlowId, int> served;
@@ -57,7 +65,7 @@ TEST(VirtualClockTest, RatesDivideContendedLink)
 
 TEST(VirtualClockTest, EqualRatesShareEqually)
 {
-    VirtualClockSwitch sw(2);
+    InputQueuedSwitch sw = virtualClock(2);
     sw.setFlowRate(1, 0.5);
     sw.setFlowRate(2, 0.5);
     std::map<FlowId, int> served;
@@ -77,7 +85,7 @@ TEST(VirtualClockTest, BurstCannotStarveAtRateFlow)
     // the burst spends its priority quickly and flow 1 keeps receiving
     // its entitled half of the link (Zhang 1991; the paper's Section 5.1
     // comparison point).
-    VirtualClockSwitch sw(2);
+    InputQueuedSwitch sw = virtualClock(2);
     sw.setFlowRate(1, 0.5);
     sw.setFlowRate(2, 0.5);
     for (SlotTime slot = 0; slot < 1000; ++slot) {
@@ -107,7 +115,7 @@ TEST(VirtualClockTest, OverRateFlowAccumulatesDebt)
     // once a competitor appears -- the rate-monitoring property Section
     // 5.3 credits the virtual clock approach with (and notes statistical
     // matching lacks).
-    VirtualClockSwitch sw(2);
+    InputQueuedSwitch sw = virtualClock(2);
     sw.setFlowRate(1, 0.5);
     sw.setFlowRate(2, 0.5);
     for (SlotTime slot = 0; slot < 500; ++slot) {
@@ -126,7 +134,7 @@ TEST(VirtualClockTest, OverRateFlowAccumulatesDebt)
 
 TEST(VirtualClockTest, WorkConservingAcrossOutputs)
 {
-    VirtualClockSwitch sw(4);
+    InputQueuedSwitch sw = virtualClock(4);
     for (PortId j = 0; j < 4; ++j)
         sw.acceptCell(cellFor(j, 0, j, 0));
     EXPECT_EQ(sw.runSlot(0).size(), 4u);
@@ -134,7 +142,7 @@ TEST(VirtualClockTest, WorkConservingAcrossOutputs)
 
 TEST(VirtualClockTest, FifoWithinFlow)
 {
-    VirtualClockSwitch sw(2);
+    InputQueuedSwitch sw = virtualClock(2);
     sw.setFlowRate(5, 0.5);
     for (int s = 0; s < 6; ++s)
         sw.acceptCell(cellFor(5, 0, 0, 0, s));
@@ -147,10 +155,14 @@ TEST(VirtualClockTest, FifoWithinFlow)
 
 TEST(VirtualClockTest, InvalidRatesRejected)
 {
-    VirtualClockSwitch sw(2);
+    InputQueuedSwitch sw = virtualClock(2);
     EXPECT_THROW(sw.setFlowRate(1, 0.0), UsageError);
     EXPECT_THROW(sw.setFlowRate(1, 1.5), UsageError);
     EXPECT_THROW(sw.setDefaultRate(-1.0), UsageError);
+    // Rates belong to the virtual clock; no other discipline takes them.
+    InputQueuedSwitch fifo({.n = 2, .service = ServiceDiscipline::Fifo});
+    EXPECT_THROW(fifo.setFlowRate(1, 0.5), UsageError);
+    EXPECT_THROW(fifo.setDefaultRate(0.5), UsageError);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "an2/queueing/voq.h"
 #include "an2/sim/iq_switch.h"
 #include "an2/sim/metrics.h"
-#include "an2/sim/oq_switch.h"
 #include "an2/sim/traffic.h"
 #include "an2/topo/lan.h"
 #include "an2/topo/topology.h"
@@ -348,14 +347,30 @@ TEST(ZeroAllocTest, ReplicatedFabricPimRunSlotsSteadyStateIsAllocationFree)
 
 TEST(ZeroAllocTest, OutputQueuedSteadyStateIsAllocationFree)
 {
-    // The ideal output-queued switch buffers on arrival, so the accepts
-    // are measured with runSlot (the base runSlots loop). Under the
-    // stationary permutation load each output ring reaches its depth
+    // The perfect fabric files each cell in its output's ring at accept.
+    // Under the stationary permutation load each ring reaches its depth
     // during warmup and never grows again.
-    OutputQueuedSwitch sw(16);
+    InputQueuedSwitch sw(
+        IqSwitchConfig{.n = 16, .service = ServiceDiscipline::Fifo});
     PermutationDriver driver(16, 100);
     sw.runSlots(0, 2000, driver);
     EXPECT_EQ(driver.counted(), 0u);
+}
+
+TEST(ZeroAllocTest, VirtualClockSteadyStateIsAllocationFree)
+{
+    // The virtual clock stamps each accepted cell from its flow's clock
+    // (a flat-map probe) and pushes it onto its output's heap. Every
+    // flow is touched in the first slot, and under the stationary
+    // permutation load each heap keeps the capacity it reached then.
+    InputQueuedSwitch sw(
+        IqSwitchConfig{.n = 16, .service = ServiceDiscipline::VirtualClock});
+    for (PortId i = 0; i < 16; i += 2)
+        sw.setFlowRate(i * 16 + (i + 3) % 16, 0.5);
+    PermutationDriver driver(16, 100);
+    sw.runSlots(0, 2000, driver);
+    EXPECT_EQ(driver.counted(), 0u);
+    EXPECT_EQ(sw.outputQueueHighWaterMark(), 1);
 }
 
 TEST(ZeroAllocTest, MultiWordSwitchSteadyStateIsAllocationFree)
