@@ -88,7 +88,8 @@ main(int argc, char** argv)
         if (table)
             printDelayTable(spec, cells);
         if (!cli.json_path.empty() &&
-            !writeSweepJson(cli.json_path, spec, cells))
+            !writeTextFile(cli.json_path, harness::sweepToJson(spec, cells),
+                           "an2.sweep.v1"))
             return 1;
         if ((!cli.trace_path.empty() || !cli.snapshot_path.empty() ||
              !cli.metrics_path.empty() || !cli.metrics_prom_path.empty() ||

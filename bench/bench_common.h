@@ -1,8 +1,9 @@
 /**
  * @file
  * Shared helpers for the experiment harnesses: fixed-width table
- * printing and canonical simulation wrappers. Every bench binary prints
- * the rows/series of the paper artifact it reproduces.
+ * printing, the result-file writer and canonical simulation wrappers.
+ * Every bench binary prints the rows/series of the paper artifact it
+ * reproduces.
  */
 #ifndef AN2_BENCH_BENCH_COMMON_H
 #define AN2_BENCH_BENCH_COMMON_H
@@ -27,6 +28,35 @@ banner(const std::string& title, const std::string& paper_ref)
     std::printf("Reproduces: %s\n", paper_ref.c_str());
     std::printf("--------------------------------------------------------------"
                 "------------------\n");
+}
+
+/**
+ * Write `doc` to `path`, or to stdout for "-"; `what` names the document
+ * in the stderr report. Returns false, with an error line on stderr,
+ * when the file cannot be written.
+ */
+inline bool
+writeTextFile(const std::string& path, const std::string& doc,
+              const char* what)
+{
+    if (path == "-") {
+        std::fwrite(doc.data(), 1, doc.size(), stdout);
+        return true;
+    }
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    if (!f) {
+        std::fprintf(stderr, "error: cannot open %s for writing\n",
+                     path.c_str());
+        return false;
+    }
+    size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
+    bool ok = (n == doc.size()) && std::fclose(f) == 0;
+    if (ok)
+        std::fprintf(stderr, "  wrote %s %s (%zu bytes)\n", what,
+                     path.c_str(), doc.size());
+    else
+        std::fprintf(stderr, "error: short write to %s\n", path.c_str());
+    return ok;
 }
 
 /** Construct a PIM matcher with the given iteration count and seed. */

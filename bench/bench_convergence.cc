@@ -287,26 +287,9 @@ main(int argc, char** argv)
         results.push_back(std::move(r));
     }
 
-    if (!cli.json_path.empty()) {
-        std::string doc = resultsToJson(cli, results);
-        if (cli.json_path == "-") {
-            std::fwrite(doc.data(), 1, doc.size(), stdout);
-        } else {
-            std::FILE* f = std::fopen(cli.json_path.c_str(), "wb");
-            if (!f) {
-                std::fprintf(stderr, "error: cannot open %s\n",
-                             cli.json_path.c_str());
-                return 1;
-            }
-            size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-            if (n != doc.size() || std::fclose(f) != 0) {
-                std::fprintf(stderr, "error: short write to %s\n",
-                             cli.json_path.c_str());
-                return 1;
-            }
-            std::fprintf(stderr, "  wrote %s (%zu bytes)\n",
-                         cli.json_path.c_str(), doc.size());
-        }
-    }
+    if (!cli.json_path.empty() &&
+        !bench::writeTextFile(cli.json_path, resultsToJson(cli, results),
+                              "an2.convergence.v1"))
+        return 1;
     return 0;
 }

@@ -79,7 +79,9 @@ main(int argc, char** argv)
                         spec.replicates);
     }
 
-    if (!cli.json_path.empty() && !writeSweepJson(cli.json_path, spec, cells))
+    if (!cli.json_path.empty() &&
+        !writeTextFile(cli.json_path, harness::sweepToJson(spec, cells),
+                       "an2.sweep.v1"))
         return 1;
     return 0;
 }

@@ -53,7 +53,9 @@ main(int argc, char** argv)
                     " OutputQ (closer than Fig 3).\n");
     }
 
-    if (!cli.json_path.empty() && !writeSweepJson(cli.json_path, spec, cells))
+    if (!cli.json_path.empty() &&
+        !writeTextFile(cli.json_path, harness::sweepToJson(spec, cells),
+                       "an2.sweep.v1"))
         return 1;
     return 0;
 }

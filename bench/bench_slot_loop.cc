@@ -25,11 +25,9 @@
 #include "an2/base/parse.h"
 #include "an2/base/stats.h"
 #include "an2/harness/aggregate.h"
+#include "an2/harness/arch.h"
 #include "an2/harness/json_writer.h"
-#include "an2/matching/islip.h"
-#include "an2/matching/serial_greedy.h"
 #include "an2/obs/recorder.h"
-#include "an2/sim/fifo_switch.h"
 #include "an2/sim/simulator.h"
 #include "bench_common.h"
 
@@ -146,107 +144,49 @@ parseCli(int argc, char** argv, Cli& cli, std::string& err)
     return true;
 }
 
+/** One row: a registry name (harness/arch.h) and how much of the obs
+    layer is engaged. */
 struct ArchUnderTest
 {
-    std::string name;
-    std::function<std::unique_ptr<SwitchModel>(int n, uint64_t seed)> make;
+    const char* arch;
 
     /** 0 = probes unattached (the production configuration), 1 = a
         Recorder attached with counters/histograms only, 2 = counters
         plus a 64Ki-event trace ring, 3 = counters plus latency
         histograms and a metrics time series sampled every 1000 slots. */
     int obs_mode = 0;
+
+    /** The row's name: the arch, plus the obs mode's suffix. */
+    std::string name() const
+    {
+        static const char* const kObsSuffix[] = {
+            "", "+obs-counters", "+obs-trace", "+obs-latency"};
+        return std::string(arch) + kObsSuffix[obs_mode];
+    }
 };
 
-std::vector<ArchUnderTest>
-archsUnderTest()
-{
-    using bench::makePim;
-    std::vector<ArchUnderTest> archs;
-    archs.push_back({"PIM(4)", [](int n, uint64_t seed) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{.n = n}, makePim(4, seed));
-                     }});
-    // The same switch with the obs layer progressively engaged: the
-    // plain "PIM(4)" row above is the probes-compiled-in-but-unattached
-    // configuration the <3% hot-path budget applies to; these two price
-    // the attached tiers (see EXPERIMENTS.md "Observability").
-    archs.push_back({"PIM(4)+obs-counters",
-                     [](int n, uint64_t seed) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{.n = n}, makePim(4, seed));
-                     },
-                     /*obs_mode=*/1});
-    archs.push_back({"PIM(4)+obs-trace",
-                     [](int n, uint64_t seed) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{.n = n}, makePim(4, seed));
-                     },
-                     /*obs_mode=*/2});
-    archs.push_back({"PIM(4)+obs-latency",
-                     [](int n, uint64_t seed) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{.n = n}, makePim(4, seed));
-                     },
-                     /*obs_mode=*/3});
-    archs.push_back({"PIM(4)-pipelined", [](int n, uint64_t seed) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{.n = n, .pipelined = true},
-                             makePim(4, seed));
-                     }});
-    archs.push_back({"iSLIP(4)", [](int n, uint64_t) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{.n = n},
-                             std::make_unique<IslipMatcher>(4));
-                     }});
-    archs.push_back({"Greedy", [](int n, uint64_t seed) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{.n = n},
-                             std::make_unique<SerialGreedyMatcher>(true,
-                                                                   seed));
-                     }});
-    // Warm-start (temporal locality) variants: WarmStart::On seeds each
-    // slot's matching from the previous slot's surviving edges and
-    // repairs only the changed ports (see matcher.h). The obs-counters
-    // row additionally records the reuse/repair counters into the JSON.
-    archs.push_back({"iSLIP(4)+warm", [](int n, uint64_t) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{.n = n},
-                             std::make_unique<IslipMatcher>(4, WarmStart::On));
-                     }});
-    archs.push_back({"Greedy+warm", [](int n, uint64_t seed) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{.n = n},
-                             std::make_unique<SerialGreedyMatcher>(
-                                 true, seed, WarmStart::On));
-                     }});
-    archs.push_back({"iSLIP(4)+warm+obs-counters",
-                     [](int n, uint64_t) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{.n = n},
-                             std::make_unique<IslipMatcher>(4, WarmStart::On));
-                     },
-                     /*obs_mode=*/1});
-    archs.push_back({"OutputQueued", [](int n, uint64_t) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{
-                                 .n = n, .service = ServiceDiscipline::Fifo});
-                     }});
-    // CIOQ hot path: S greedy matching phases per slot plus the
-    // per-class output service stage. check_bench skips rows with no
-    // committed baseline, so adding this row leaves BENCH_hotpath.json
-    // comparisons untouched.
-    archs.push_back({"CIOQ(S=2,strict)", [](int n, uint64_t seed) {
-                         return std::make_unique<InputQueuedSwitch>(
-                             IqSwitchConfig{
-                                 .n = n,
-                                 .speedup = 2,
-                                 .service = ServiceDiscipline::Strict},
-                             std::make_unique<SerialGreedyMatcher>(true,
-                                                                   seed));
-                     }});
-    return archs;
-}
+// The plain "PIM(4)" row is the probes-compiled-in-but-unattached
+// configuration the <3% hot-path budget applies to; its +obs rows price
+// the attached tiers (see EXPERIMENTS.md "Observability"). The +warm
+// rows seed each slot's matching from the previous slot's surviving
+// edges and repair only the changed ports (see matcher.h); their
+// obs-counters row records the reuse/repair counters into the JSON. The
+// CIOQ row runs S greedy matching phases per slot plus the per-class
+// output stage; check_bench skips rows with no committed baseline.
+const ArchUnderTest kArchsUnderTest[] = {
+    {"PIM(4)", 0},
+    {"PIM(4)", 1},
+    {"PIM(4)", 2},
+    {"PIM(4)", 3},
+    {"PIM(4)-pipelined", 0},
+    {"iSLIP(4)", 0},
+    {"Greedy", 0},
+    {"iSLIP(4)+warm", 0},
+    {"Greedy+warm", 0},
+    {"iSLIP(4)+warm", 1},
+    {"OutputQueued", 0},
+    {"CIOQ(S=2,strict)", 0},
+};
 
 struct ArchTiming
 {
@@ -299,8 +239,9 @@ class BenchDriver final : public SlotDriver
 ArchTiming
 timeArch(const ArchUnderTest& arch, const Cli& cli)
 {
+    const harness::ArchSpec spec = harness::archByName(arch.arch);
     ArchTiming timing;
-    timing.name = arch.name;
+    timing.name = arch.name();
     timing.has_obs_counters = arch.obs_mode > 0;
     for (int rep = 0; rep < cli.reps; ++rep) {
         std::unique_ptr<obs::Recorder> rec;
@@ -316,7 +257,7 @@ timeArch(const ArchUnderTest& arch, const Cli& cli)
             rec = std::make_unique<obs::Recorder>(rc);
             obs::attach(rec.get());
         }
-        auto sw = arch.make(cli.size,
+        auto sw = spec.make(cli.size,
                             cli.seed + static_cast<uint64_t>(rep) * 7919);
         UniformTraffic traffic(cli.size, cli.load,
                                cli.seed + 1 +
@@ -447,9 +388,9 @@ main(int argc, char** argv)
     }
 
     std::vector<ArchTiming> timings;
-    for (const ArchUnderTest& arch : archsUnderTest()) {
+    for (const ArchUnderTest& arch : kArchsUnderTest) {
         if (!cli.arch_filter.empty() &&
-            arch.name.find(cli.arch_filter) == std::string::npos)
+            arch.name().find(cli.arch_filter) == std::string::npos)
             continue;
         ArchTiming t = timeArch(arch, cli);
         if (table)
@@ -459,26 +400,9 @@ main(int argc, char** argv)
         timings.push_back(std::move(t));
     }
 
-    if (!cli.json_path.empty()) {
-        std::string doc = timingsToJson(cli, timings);
-        if (cli.json_path == "-") {
-            std::fwrite(doc.data(), 1, doc.size(), stdout);
-        } else {
-            std::FILE* f = std::fopen(cli.json_path.c_str(), "wb");
-            if (!f) {
-                std::fprintf(stderr, "error: cannot open %s\n",
-                             cli.json_path.c_str());
-                return 1;
-            }
-            size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-            if (n != doc.size() || std::fclose(f) != 0) {
-                std::fprintf(stderr, "error: short write to %s\n",
-                             cli.json_path.c_str());
-                return 1;
-            }
-            std::fprintf(stderr, "  wrote %s (%zu bytes)\n",
-                         cli.json_path.c_str(), doc.size());
-        }
-    }
+    if (!cli.json_path.empty() &&
+        !bench::writeTextFile(cli.json_path, timingsToJson(cli, timings),
+                              "an2.sweep.v1"))
+        return 1;
     return 0;
 }

@@ -20,88 +20,19 @@
 
 #include "an2/fault/injector.h"
 #include "an2/harness/aggregate.h"
+#include "an2/harness/arch.h"
 #include "an2/harness/cli.h"
 #include "an2/harness/sweep.h"
-#include "an2/matching/islip.h"
-#include "an2/matching/serial_greedy.h"
 #include "an2/obs/blackbox.h"
 #include "an2/obs/recorder.h"
 #include "an2/obs/timeseries.h"
 #include "an2/obs/trace_export.h"
-#include "an2/sim/fifo_switch.h"
 #include "bench_common.h"
 
 namespace an2::bench {
 
 // ---------------------------------------------------------------------------
-// Architecture and workload factories
-
-inline harness::ArchSpec
-fifoArch()
-{
-    return {"FIFO", [](int n, uint64_t seed) -> std::unique_ptr<SwitchModel> {
-                return std::make_unique<FifoSwitch>(n, seed);
-            }};
-}
-
-/** PIM input-queued switch; `iterations` 0 means run to completion. */
-inline harness::ArchSpec
-pimArch(int iterations)
-{
-    std::string name = iterations > 0
-                           ? "PIM(" + std::to_string(iterations) + ")"
-                           : "PIM(inf)";
-    return {std::move(name),
-            [iterations](int n, uint64_t seed) -> std::unique_ptr<SwitchModel> {
-                return std::make_unique<InputQueuedSwitch>(
-                    IqSwitchConfig{.n = n}, makePim(iterations, seed));
-            }};
-}
-
-inline harness::ArchSpec
-oqArch()
-{
-    return {"OutputQueued",
-            [](int n, uint64_t) -> std::unique_ptr<SwitchModel> {
-                return std::make_unique<InputQueuedSwitch>(IqSwitchConfig{
-                    .n = n, .service = ServiceDiscipline::Fifo});
-            }};
-}
-
-/** iSLIP input-queued switch with the given iteration count. */
-inline harness::ArchSpec
-islipArch(int iterations)
-{
-    return {"iSLIP(" + std::to_string(iterations) + ")",
-            [iterations](int n, uint64_t) -> std::unique_ptr<SwitchModel> {
-                return std::make_unique<InputQueuedSwitch>(
-                    IqSwitchConfig{.n = n},
-                    std::make_unique<IslipMatcher>(iterations));
-            }};
-}
-
-/**
- * CIOQ switch at crossbar speedup S with the greedy maximal matcher
- * (the Cogill-Lall setting: maximal matching, S = 2). `service` picks
- * the output discipline across the class queues: "strict" or "wrr".
- */
-inline harness::ArchSpec
-cioqArch(int speedup, const std::string& service = "strict")
-{
-    ServiceDiscipline disc = service == "wrr" ? ServiceDiscipline::Wrr
-                                              : ServiceDiscipline::Strict;
-    std::string name =
-        "CIOQ(S=" + std::to_string(speedup) + "," + service + ")";
-    return {std::move(name),
-            [speedup,
-             disc](int n, uint64_t seed) -> std::unique_ptr<SwitchModel> {
-                return std::make_unique<InputQueuedSwitch>(
-                    IqSwitchConfig{
-                        .n = n, .speedup = speedup, .service = disc},
-                    std::make_unique<SerialGreedyMatcher>(
-                        /*randomize=*/true, seed));
-            }};
-}
+// Workload factories (architectures come by name from harness/arch.h)
 
 inline harness::TrafficFactory
 uniformWorkload()
@@ -140,7 +71,7 @@ fig3Spec()
     spec.description =
         "mean queueing delay vs offered load, uniform workload, 16x16";
     spec.workload = "uniform";
-    spec.archs = {fifoArch(), pimArch(4), oqArch()};
+    spec.archs = harness::archsByName({"FIFO", "PIM(4)", "OutputQueued"});
     spec.loads.assign(kLoadSweep, kLoadSweep + kLoadSweepSize);
     spec.base_seed = 1003;
     spec.make_traffic = uniformWorkload();
@@ -156,7 +87,7 @@ fig4Spec()
     spec.description = "delay vs offered server-link load, client-server "
                        "workload, 16x16, 4 servers, 5% client-client ratio";
     spec.workload = "client-server(4)";
-    spec.archs = {fifoArch(), pimArch(4), oqArch()};
+    spec.archs = harness::archsByName({"FIFO", "PIM(4)", "OutputQueued"});
     spec.loads.assign(kLoadSweep, kLoadSweep + kLoadSweepSize);
     spec.base_seed = 1004;
     spec.make_traffic = clientServerWorkload(4);
@@ -172,8 +103,8 @@ fig5Spec()
     spec.description =
         "PIM delay vs offered load for 1..4 iterations, uniform, 16x16";
     spec.workload = "uniform";
-    spec.archs = {pimArch(1), pimArch(2), pimArch(3), pimArch(4), pimArch(0),
-                  fifoArch()};
+    spec.archs = harness::archsByName(
+        {"PIM(1)", "PIM(2)", "PIM(3)", "PIM(4)", "PIM(inf)", "FIFO"});
     spec.loads.assign(kLoadSweep, kLoadSweep + kLoadSweepSize);
     spec.base_seed = 1005;
     spec.make_traffic = uniformWorkload();
@@ -194,7 +125,7 @@ latdistSpec()
     spec.description = "delivery-latency distributions (p50/p99/p999), "
                        "uniform workload, 16x16";
     spec.workload = "uniform";
-    spec.archs = {pimArch(1), pimArch(4), islipArch(4)};
+    spec.archs = harness::archsByName({"PIM(1)", "PIM(4)", "iSLIP(4)"});
     spec.loads = {0.50, 0.90, 0.99};
     spec.base_seed = 1008;
     spec.make_traffic = uniformWorkload();
@@ -216,7 +147,9 @@ speedupSpec()
     spec.description = "CIOQ crossbar speedup 1/2/4 vs output queueing, "
                        "multi-class uniform workload, 16x16";
     spec.workload = "uniform3";
-    spec.archs = {oqArch(), cioqArch(1), cioqArch(2), cioqArch(4)};
+    spec.archs = harness::archsByName({"OutputQueued", "CIOQ(S=1,strict)",
+                                       "CIOQ(S=2,strict)",
+                                       "CIOQ(S=4,strict)"});
     spec.loads.assign(kLoadSweep, kLoadSweep + kLoadSweepSize);
     spec.base_seed = 1010;
     spec.make_traffic = multiClassWorkload();
@@ -267,25 +200,23 @@ using harness::SweepCli;
 using harness::applyCli;
 
 /**
- * Apply the `--arch cioq` override: replace the experiment's
- * architecture axis with a single CIOQ switch at `--speedup` (default
- * 2) and `--service` (default strict), and stamp the gated
- * meta.speedup / meta.service keys into the JSON. The workload, loads,
- * and seeding stay the spec's own, so the CIOQ runs face the same
- * arrivals as the archs they replace. No-op when --arch was not given
- * (parseSweepCli already rejected values other than "cioq").
+ * Apply the `--arch NAME` override: replace the experiment's
+ * architecture axis with the one registry arch the name denotes, and
+ * stamp a CIOQ name's speedup and service into the JSON meta. The
+ * workload, loads and seeding stay the spec's own, so the arch faces the
+ * same arrivals as the archs it replaces. No-op when --arch was not
+ * given (parseSweepCli already rejected names the registry does not
+ * know).
  */
 inline void
 applyArchOverride(const SweepCli& cli, harness::SweepSpec& spec)
 {
     if (cli.arch.empty())
         return;
-    const int speedup = cli.speedup > 0 ? cli.speedup : 2;
-    const std::string service =
-        cli.service.empty() ? "strict" : cli.service;
-    spec.archs = {cioqArch(speedup, service)};
-    spec.speedup = speedup;
-    spec.service = service;
+    harness::ArchSpec arch = harness::archByName(cli.arch);
+    spec.speedup = arch.speedup;
+    spec.service = arch.service;
+    spec.archs = {std::move(arch)};
 }
 
 using harness::parseLoadList;
@@ -354,59 +285,8 @@ printDelayTable(const harness::SweepSpec& spec,
                     spec.replicates);
 }
 
-/** Write sweep JSON to `path` ("-" = stdout); returns false on I/O error. */
-inline bool
-writeSweepJson(const std::string& path, const harness::SweepSpec& spec,
-               const std::vector<harness::CellSummary>& cells)
-{
-    std::string doc = harness::sweepToJson(spec, cells);
-    if (path == "-") {
-        std::fwrite(doc.data(), 1, doc.size(), stdout);
-        return true;
-    }
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        std::fprintf(stderr, "error: cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    bool ok = (n == doc.size()) && std::fclose(f) == 0;
-    if (ok)
-        std::fprintf(stderr, "  wrote %s (%zu bytes)\n", path.c_str(),
-                     doc.size());
-    else
-        std::fprintf(stderr, "error: short write to %s\n", path.c_str());
-    return ok;
-}
-
 // ---------------------------------------------------------------------------
 // Observed single runs (--trace / --snapshot)
-
-/** Write `doc` to `path` ("-" = stdout); returns false on I/O error. */
-inline bool
-writeTextFile(const std::string& path, const std::string& doc,
-              const char* what)
-{
-    if (path == "-") {
-        std::fwrite(doc.data(), 1, doc.size(), stdout);
-        return true;
-    }
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (!f) {
-        std::fprintf(stderr, "error: cannot open %s for writing\n",
-                     path.c_str());
-        return false;
-    }
-    size_t n = std::fwrite(doc.data(), 1, doc.size(), f);
-    bool ok = (n == doc.size()) && std::fclose(f) == 0;
-    if (ok)
-        std::fprintf(stderr, "  wrote %s %s (%zu bytes)\n", what,
-                     path.c_str(), doc.size());
-    else
-        std::fprintf(stderr, "error: short write to %s\n", path.c_str());
-    return ok;
-}
 
 /**
  * Re-run one grid point of `spec` with an obs::Recorder attached and
@@ -418,9 +298,9 @@ writeTextFile(const std::string& path, const std::string& doc,
  * the first arch with a matcher, i.e. whose name starts with PIM/iSLIP/
  * Greedy/CIOQ; else the first arch), at the first size, the highest
  * load, replicate 0 — narrow with `--size` / `--loads` to steer it.
- * Every arch built on InputQueuedSwitch carries the probes, so
- * `--trace-arch OutputQueued` observes perfect output queueing; FIFO
- * counts only its fault drops. Seeds come from the same expandGrid()
+ * Every arch carries the probes, so `--trace-arch OutputQueued`
+ * observes perfect output queueing and `--trace-arch FIFO` the
+ * head-of-line baseline. Seeds come from the same expandGrid()
  * derivation as the sweep, so the observed run is bit-identical to the
  * corresponding sweep run.
  */

@@ -4,9 +4,9 @@
  * Pick a switch architecture, a workload, and a load sweep; get the
  * delay/throughput table. Uses the umbrella header as a user would.
  *
- *   $ ./switch_explorer --switch pim --iterations 4 --n 16 \
+ *   $ ./switch_explorer --arch "PIM(4)" --n 16 \
  *         --workload uniform --loads 0.5,0.8,0.95 --slots 100000
- *   $ ./switch_explorer --switch fifo --workload clientserver
+ *   $ ./switch_explorer --arch FIFO --workload clientserver
  *   $ ./switch_explorer --help
  */
 #include <algorithm>
@@ -25,12 +25,9 @@ namespace {
 
 struct Options
 {
-    std::string switch_kind = "pim";  // pim | islip | fifo | oq | maximum
+    harness::ArchSpec arch = harness::archByName("PIM(4)");
     std::string workload = "uniform";  // uniform|clientserver|bursty|hotspot
     int n = 16;
-    int iterations = 4;
-    int window = 1;
-    int speedup = 1;
     int servers = 4;
     double mean_burst = 16.0;
     double hotspot_fraction = 0.3;
@@ -45,17 +42,15 @@ usage()
 {
     std::printf(
         "switch_explorer -- simulate an AN2-style switch\n"
-        "  --switch pim|islip|fifo|oq|maximum   architecture (default pim)\n"
+        "  --arch NAME      architecture (default PIM(4)), one of\n"
+        "                   %s\n"
         "  --workload uniform|clientserver|bursty|hotspot\n"
         "  --n N            ports (default 16)\n"
-        "  --iterations K   PIM/iSLIP iterations (default 4; 0 runs PIM to\n"
-        "                   completion)\n"
-        "  --window W       FIFO lookahead window (default 1)\n"
-        "  --speedup S      output speedup for pim (default 1)\n"
         "  --servers S      servers for clientserver (default 4)\n"
         "  --loads a,b,c    offered loads (default 0.5,0.7,0.9,0.95,0.99)\n"
         "  --slots S        slots per run (default 100000)\n"
-        "  --seed S         PRNG seed (default 1)\n");
+        "  --seed S         PRNG seed (default 1)\n",
+        harness::kArchGrammar);
 }
 
 /**
@@ -65,8 +60,6 @@ usage()
 bool
 parse(int argc, char** argv, Options& opt, std::string& err)
 {
-    static const std::vector<std::string> kSwitches = {"pim", "islip", "fifo",
-                                                       "oq", "maximum"};
     static const std::vector<std::string> kWorkloads = {
         "uniform", "clientserver", "bursty", "hotspot"};
     auto oneOf = [](const std::string& v, const std::vector<std::string>& in) {
@@ -87,25 +80,18 @@ parse(int argc, char** argv, Options& opt, std::string& err)
             err = badValue(key.c_str(), v, expected);
             return false;
         };
-        if (key == "--switch") {
-            if (!oneOf(v, kSwitches))
-                return fail("pim, islip, fifo, oq or maximum");
-            opt.switch_kind = v;
+        if (key == "--arch") {
+            try {
+                opt.arch = harness::archByName(v);
+            } catch (const UsageError&) {
+                return fail(harness::kArchGrammar);
+            }
         } else if (key == "--workload") {
             if (!oneOf(v, kWorkloads))
                 return fail("uniform, clientserver, bursty or hotspot");
             opt.workload = v;
         } else if (key == "--n") {
             if (!parseInt(v, opt.n) || opt.n <= 0)
-                return fail("a positive integer");
-        } else if (key == "--iterations") {
-            if (!parseInt(v, opt.iterations) || opt.iterations < 0)
-                return fail("an integer >= 0");
-        } else if (key == "--window") {
-            if (!parseInt(v, opt.window) || opt.window <= 0)
-                return fail("a positive integer");
-        } else if (key == "--speedup") {
-            if (!parseInt(v, opt.speedup) || opt.speedup <= 0)
                 return fail("a positive integer");
         } else if (key == "--servers") {
             if (!parseInt(v, opt.servers) || opt.servers <= 0)
@@ -127,42 +113,6 @@ parse(int argc, char** argv, Options& opt, std::string& err)
         }
     }
     return true;
-}
-
-std::unique_ptr<SwitchModel>
-makeSwitch(const Options& opt)
-{
-    if (opt.switch_kind == "pim") {
-        PimConfig cfg;
-        cfg.iterations = opt.iterations;
-        cfg.seed = opt.seed;
-        cfg.output_capacity = opt.speedup;
-        return std::make_unique<InputQueuedSwitch>(
-            IqSwitchConfig{.n = opt.n,
-                           .service = opt.speedup > 1
-                                          ? ServiceDiscipline::Strict
-                                          : ServiceDiscipline::None},
-            std::make_unique<PimMatcher>(cfg));
-    }
-    if (opt.switch_kind == "islip") {
-        return std::make_unique<InputQueuedSwitch>(
-            IqSwitchConfig{.n = opt.n},
-            std::make_unique<IslipMatcher>(opt.iterations));
-    }
-    if (opt.switch_kind == "maximum") {
-        return std::make_unique<InputQueuedSwitch>(
-            IqSwitchConfig{.n = opt.n},
-            std::make_unique<HopcroftKarpMatcher>());
-    }
-    if (opt.switch_kind == "fifo") {
-        return std::make_unique<FifoSwitch>(opt.n, opt.seed, opt.window,
-                                            opt.window);
-    }
-    if (opt.switch_kind == "oq") {
-        return std::make_unique<InputQueuedSwitch>(IqSwitchConfig{
-            .n = opt.n, .service = ServiceDiscipline::Fifo});
-    }
-    AN2_FATAL("unknown switch kind '" << opt.switch_kind << "'");
 }
 
 std::unique_ptr<TrafficGenerator>
@@ -205,7 +155,7 @@ main(int argc, char** argv)
     // fails before the table starts.
     std::string switch_name;
     try {
-        switch_name = makeSwitch(opt)->name();
+        switch_name = opt.arch.make(opt.n, opt.seed)->name();
         for (double load : opt.loads)
             makeWorkload(opt, load);
     } catch (const UsageError& e) {
@@ -217,7 +167,7 @@ main(int argc, char** argv)
         std::printf("  load   mean delay   p99 delay   throughput   "
                     "offered   max buffer\n");
         for (double load : opt.loads) {
-            auto sw = makeSwitch(opt);
+            auto sw = opt.arch.make(opt.n, opt.seed);
             auto traffic = makeWorkload(opt, load);
             SimConfig cfg;
             cfg.slots = opt.slots;

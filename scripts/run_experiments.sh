@@ -44,11 +44,11 @@ python3 scripts/check_bench.py "$BUILD/sweeps/netscale.json"
 # determinism the same way the chaos smoke guards the network engine.
 "$BUILD/bench/an2_sweep" --experiment speedup --threads "$THREADS" \
     --json BENCH_speedup.json
-"$BUILD/bench/an2_sweep" --experiment fig3 --arch cioq --speedup 2 \
-    --service wrr --slots 20000 --warmup 4000 --threads 1 \
+"$BUILD/bench/an2_sweep" --experiment fig3 --arch "CIOQ(S=2,wrr)" \
+    --slots 20000 --warmup 4000 --threads 1 \
     --json "$BUILD/sweeps/cioq_t1.json"
-"$BUILD/bench/an2_sweep" --experiment fig3 --arch cioq --speedup 2 \
-    --service wrr --slots 20000 --warmup 4000 --threads 8 \
+"$BUILD/bench/an2_sweep" --experiment fig3 --arch "CIOQ(S=2,wrr)" \
+    --slots 20000 --warmup 4000 --threads 8 \
     --json "$BUILD/sweeps/cioq_t8.json"
 cmp "$BUILD/sweeps/cioq_t1.json" "$BUILD/sweeps/cioq_t8.json"
 

@@ -60,6 +60,7 @@
 #include "an2/sim/traffic.h"
 
 #include "an2/harness/aggregate.h"
+#include "an2/harness/arch.h"
 #include "an2/harness/json_writer.h"
 #include "an2/harness/sweep.h"
 

@@ -76,19 +76,25 @@ PanicHook setPanicHook(PanicHook hook, void* ctx, void** prev_ctx = nullptr);
         ::an2::panicAt(__FILE__, __LINE__, an2_oss_.str());                  \
     } while (0)
 
-/** Assert an internal invariant; always checked (simulation correctness). */
+/** Assert an internal invariant; always checked (simulation correctness).
+    This check and the next format their message in a cold, never-inlined
+    lambda, so a check costs its caller only the test and a call. */
 #define AN2_ASSERT(cond, msg)                                                \
     do {                                                                     \
-        if (!(cond)) {                                                       \
-            AN2_PANIC("assertion failed: " #cond ": " << msg);               \
+        if (!(cond)) [[unlikely]] {                                          \
+            [&]() __attribute__((cold, noinline, noreturn)) {                \
+                AN2_PANIC("assertion failed: " #cond ": " << msg);           \
+            }();                                                             \
         }                                                                    \
     } while (0)
 
 /** Validate a user-supplied precondition. */
 #define AN2_REQUIRE(cond, msg)                                               \
     do {                                                                     \
-        if (!(cond)) {                                                       \
-            AN2_FATAL("requirement failed: " #cond ": " << msg);             \
+        if (!(cond)) [[unlikely]] {                                          \
+            [&]() __attribute__((cold, noinline, noreturn)) {                \
+                AN2_FATAL("requirement failed: " #cond ": " << msg);         \
+            }();                                                             \
         }                                                                    \
     } while (0)
 

@@ -5,6 +5,7 @@
 
 #include "an2/base/error.h"
 #include "an2/base/parse.h"
+#include "an2/harness/arch.h"
 
 namespace an2::harness {
 
@@ -28,16 +29,10 @@ printSweepCliHelp(const char* prog, bool with_experiment)
                 "seeding\n");
     std::printf("  --loads A,B,...     override the load axis\n");
     std::printf("  --size N            override the switch size\n");
-    std::printf("  --arch A            architecture override: cioq "
-                "(combined\n"
-                "                      input-output queued switch; see "
-                "--speedup)\n");
-    std::printf("  --speedup S         CIOQ crossbar speedup, 1..4 "
-                "(default 2;\n"
-                "                      requires --arch cioq)\n");
-    std::printf("  --service D         CIOQ output scheduling: strict | wrr\n"
-                "                      (default strict; requires --arch "
-                "cioq)\n");
+    std::printf("  --arch NAME         run this architecture instead of "
+                "the experiment's,\n"
+                "                      e.g. PIM(4), FIFO or "
+                "CIOQ(S=2,wrr) (see EXPERIMENTS.md)\n");
     std::printf("  --frames F          switch frames per run (network "
                 "experiments)\n");
     std::printf("  --engine E          network engine: serial | parallel "
@@ -229,27 +224,13 @@ parseSweepCli(int argc, char** argv, SweepCli& cli, std::string& err)
         } else if (!std::strcmp(a, "--arch")) {
             if (!(v = need(i)))
                 return false;
-            if (std::strcmp(v, "cioq")) {
-                err = badValue("--arch", v, "'cioq'");
+            try {
+                archByName(v);
+            } catch (const UsageError&) {
+                err = badValue("--arch", v, kArchGrammar);
                 return false;
             }
             cli.arch = v;
-        } else if (!std::strcmp(a, "--speedup")) {
-            if (!(v = need(i)))
-                return false;
-            if (!parseInt(v, cli.speedup) || cli.speedup < 1 ||
-                cli.speedup > 4) {
-                err = badValue("--speedup", v, "an integer in 1..4");
-                return false;
-            }
-        } else if (!std::strcmp(a, "--service")) {
-            if (!(v = need(i)))
-                return false;
-            if (std::strcmp(v, "strict") && std::strcmp(v, "wrr")) {
-                err = badValue("--service", v, "'strict' or 'wrr'");
-                return false;
-            }
-            cli.service = v;
         } else if (!std::strcmp(a, "--frames")) {
             if (!(v = need(i)))
                 return false;
@@ -350,12 +331,6 @@ parseSweepCli(int argc, char** argv, SweepCli& cli, std::string& err)
             err = std::string("unknown option: ") + a;
             return false;
         }
-    }
-    if ((cli.speedup > 0 || !cli.service.empty()) && cli.arch.empty()) {
-        err = cli.speedup > 0
-                  ? "--speedup requires --arch cioq"
-                  : "--service requires --arch cioq";
-        return false;
     }
     return true;
 }

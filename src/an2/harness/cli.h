@@ -42,11 +42,10 @@ struct SweepCli
     bool list = false;
     bool help = false;
 
-    /** Architecture override (--arch): "" keeps the spec's archs;
-        "cioq" swaps in a CIOQ switch at --speedup / --service. */
+    /** Architecture override (--arch NAME): "" keeps the spec's archs;
+        otherwise a registry name (harness/arch.h), already validated,
+        that replaces the arch axis. */
     std::string arch;
-    int speedup = 0;              ///< 0 = default (2); CIOQ arch only
-    std::string service;          ///< "" = default ("strict") | "wrr"
 
     /**
      * Network engine selection for topology experiments: "serial"

@@ -47,6 +47,12 @@ struct ArchSpec
     std::string name;
 
     SwitchFactory make;
+
+    /** A CIOQ arch's crossbar speedup and output service ("strict" or
+        "wrr"), which an2_sweep's --arch stamps into the JSON meta; 0
+        and "" for every other arch. */
+    int speedup = 0;
+    std::string service{};
 };
 
 /** Declarative description of a full experiment sweep. */
@@ -94,9 +100,10 @@ struct SweepSpec
     fault::FaultPlan faults;
 
     /**
-     * CIOQ annotations for the JSON meta (set by the --arch cioq glue):
-     * speedup 0 / service "" mean "not a CIOQ sweep" and the keys are
-     * omitted entirely, keeping pre-CIOQ documents byte-stable.
+     * CIOQ annotations for the JSON meta (copied from the arch that
+     * `--arch` names): speedup 0 / service "" mean "not a CIOQ sweep"
+     * and the keys are omitted entirely, keeping pre-CIOQ documents
+     * byte-stable.
      */
     int speedup = 0;
     std::string service;

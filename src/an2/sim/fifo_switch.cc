@@ -75,12 +75,14 @@ FifoSwitch::acceptCell(const Cell& cell)
     }
     checker_.noteAccepted();
     queues_[static_cast<size_t>(cell.input)].push_back(cell);
+    obs::cellEnqueued(cell);
 }
 
 const std::vector<Cell>&
-FifoSwitch::runSlot(SlotTime)
+FifoSwitch::runSlot(SlotTime slot)
 {
     departed_.clear();
+    obs::slotBegin(slot);
     // Expose the first `window` destinations of each FIFO. A dead input
     // exposes nothing; a cell bound for a dead output cannot be served
     // and, being a FIFO, blocks everything behind it (the window is
@@ -104,6 +106,7 @@ FifoSwitch::runSlot(SlotTime)
                                                rng_);
     crossbar_.configure(res.matching);
 
+    int cbr_sent = 0;
     for (PortId i = 0; i < n_; ++i) {
         int pos = res.positions[static_cast<size_t>(i)];
         if (pos < 0)
@@ -115,13 +118,40 @@ FifoSwitch::runSlot(SlotTime)
         q.erase(q.begin() + pos);
         crossbar_.forward(c);
         departed_.push_back(c);
+        obs::cellDequeued(c);
+        cbr_sent += c.cls == TrafficClass::CBR;
     }
     if (any_dead_)
         fault::InvariantChecker::checkMatchingAvoidsDead(
             res.matching, dead_in_.data(), dead_out_.data(), "FifoSwitch");
     checker_.noteDeparted(static_cast<int64_t>(departed_.size()));
     checker_.checkConservation(bufferedCells(), "FifoSwitch");
+
+    // Slot-boundary probes; the periodic snapshot samples the post-slot
+    // queue state.
+    if (obs::Recorder* rec = obs::current()) {
+        const int sent = static_cast<int>(departed_.size());
+        rec->endSlot(sent, cbr_sent, sent);
+        if (rec->snapshotDue(slot)) {
+            AN2_REQUIRE(rec->ports() == n_, "snapshot ports != switch size");
+            fillOccupancy(rec->voqMatrix(), rec->outputBacklog());
+            rec->commitSnapshot(slot, bufferedCells());
+        }
+    }
     return departed_;
+}
+
+void
+FifoSwitch::fillOccupancy(int32_t* voq, int32_t* backlog) const
+{
+    const auto n = static_cast<size_t>(n_);
+    std::fill(voq, voq + n * n, 0);
+    std::fill(backlog, backlog + n, 0);
+    for (size_t i = 0; i < n; ++i)
+        for (const Cell& c : queues_[i]) {
+            ++voq[i * n + static_cast<size_t>(c.output)];
+            ++backlog[c.output];
+        }
 }
 
 int

@@ -48,6 +48,9 @@ class FifoSwitch final : public SwitchModel
     bool outputPortLive(PortId j) const override;
     int64_t droppedCells() const override { return checker_.dropped(); }
 
+    /** Occupancy of the FIFOs, by input and destination. */
+    void fillOccupancy(int32_t* voq, int32_t* backlog) const override;
+
     /** The per-slot invariant ledger (conservation totals). */
     const fault::InvariantChecker& invariants() const { return checker_; }
 

@@ -112,18 +112,9 @@ class SwitchModel
      * Fill `voq` (size() x size() entries, row-major by input) with
      * per-(input, output) queue occupancy and `backlog` (size() entries)
      * with per-output queued-cell totals. Diagnostic path only (periodic
-     * snapshots, flight-recorder post-mortems), never the slot loop. The
-     * base zero-fills: architectures without per-connection queues
-     * report an empty matrix.
+     * snapshots, flight-recorder post-mortems), never the slot loop.
      */
-    virtual void fillOccupancy(int32_t* voq, int32_t* backlog) const
-    {
-        const size_t n = static_cast<size_t>(size());
-        for (size_t k = 0; k < n * n; ++k)
-            voq[k] = 0;
-        for (size_t j = 0; j < n; ++j)
-            backlog[j] = 0;
-    }
+    virtual void fillOccupancy(int32_t* voq, int32_t* backlog) const = 0;
 };
 
 }  // namespace an2

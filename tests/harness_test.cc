@@ -1,23 +1,26 @@
 // Tests for the experiment-sweep subsystem (an2/harness/*): grid
 // expansion, deterministic seeding, thread-count invariance of the JSON
-// output, Welford aggregation, and the JSON emitter.
+// output, Welford aggregation, the JSON emitter, the architecture
+// registry, and the command line.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "an2/base/error.h"
 #include "an2/harness/aggregate.h"
+#include "an2/harness/arch.h"
 #include "an2/harness/cli.h"
 #include "an2/harness/json_writer.h"
 #include "an2/harness/sweep.h"
-#include "an2/matching/pim.h"
-#include "an2/sim/iq_switch.h"
 #include "an2/sim/traffic.h"
 
 namespace an2::harness {
@@ -30,21 +33,7 @@ smallSpec()
     spec.name = "test";
     spec.description = "unit-test sweep";
     spec.workload = "uniform";
-    spec.archs = {
-        {"OutputQueued",
-         [](int n, uint64_t) -> std::unique_ptr<SwitchModel> {
-             return std::make_unique<InputQueuedSwitch>(IqSwitchConfig{
-                 .n = n, .service = ServiceDiscipline::Fifo});
-         }},
-        {"PIM(2)",
-         [](int n, uint64_t seed) -> std::unique_ptr<SwitchModel> {
-             PimConfig cfg;
-             cfg.iterations = 2;
-             cfg.seed = seed;
-             return std::make_unique<InputQueuedSwitch>(
-                 IqSwitchConfig{.n = n}, std::make_unique<PimMatcher>(cfg));
-         }},
-    };
+    spec.archs = archsByName({"OutputQueued", "PIM(2)"});
     spec.sizes = {4, 8};
     spec.loads = {0.3, 0.6};
     spec.replicates = 3;
@@ -99,10 +88,7 @@ TEST(SweepTest, CommonRandomNumbersPairArchitectures)
     // byte-identical results at every cell, because they see the same
     // arrivals. This is what makes cross-architecture deltas paired.
     SweepSpec spec = smallSpec();
-    auto oq = [](int n, uint64_t) -> std::unique_ptr<SwitchModel> {
-        return std::make_unique<InputQueuedSwitch>(
-            IqSwitchConfig{.n = n, .service = ServiceDiscipline::Fifo});
-    };
+    const SwitchFactory oq = archByName("OutputQueued").make;
     spec.archs = {{"A", oq}, {"B", oq}};
     spec.replicates = 1;
     SweepResult res = runSweep(spec, 2);
@@ -442,6 +428,80 @@ TEST(JsonWriterTest, NonFiniteValuesEmitNullInDocuments)
                        "}\n");
 }
 
+// --------------------------------------------------------------- registry
+
+TEST(ArchRegistryTest, EveryFormRoundTripsAndBuildsItsSwitch)
+{
+    // (registry name, the built switch's own name()).
+    const std::pair<const char*, const char*> kForms[] = {
+        {"FIFO", "FIFO"},
+        {"FIFO(window=4,rounds=4)", "FIFO(window=4,rounds=4)"},
+        {"OutputQueued", "OutputQueued"},
+        {"PIM(4)", "IQ[PIM(4)]"},
+        {"PIM(inf)", "IQ[PIM(complete)]"},
+        {"PIM(4,k=2)", "CIOQ[PIM(4,k=2),S=1,strict]"},
+        {"PIM(inf,k=3)", "CIOQ[PIM(complete,k=3),S=1,strict]"},
+        {"iSLIP(4)", "IQ[iSLIP(4)]"},
+        {"Greedy+warm", "IQ[Greedy(random-order,warm)]"},
+        {"Maximum", "IQ[HopcroftKarp(maximum)]"},
+        {"PIM(4)-pipelined", "IQ[PIM(4),pipelined]"},
+        {"iSLIP(2)+warm-pipelined", "IQ[iSLIP(2,warm),pipelined]"},
+        {"CIOQ(S=2,wrr)", "CIOQ[Greedy(random-order),S=2,wrr]"},
+    };
+    for (const auto& [name, built] : kForms) {
+        EXPECT_EQ(archByName(name).name, name);
+        EXPECT_EQ(archByName(name).make(8, 1)->name(), built) << name;
+    }
+    // Only a CIOQ name carries a speedup and service for the JSON meta.
+    EXPECT_EQ(archByName("CIOQ(S=4,wrr)").speedup, 4);
+    EXPECT_EQ(archByName("CIOQ(S=4,wrr)").service, "wrr");
+    EXPECT_EQ(archByName("PIM(4,k=2)").speedup, 0);
+    EXPECT_EQ(archByName("PIM(4,k=2)").service, "");
+}
+
+TEST(ArchRegistryTest, MalformedAndNonCanonicalNamesThrowQuotingTheName)
+{
+    for (const char* name :
+         {"", "bogus", "oq", "cioq", "pim(4)", "PIM", "PIM()", "PIM(0)",
+          "PIM(04)", "PIM( 4)", "PIM(+4)", "PIM(4,k=1)", "PIM(4,k=02)",
+          "PIM(99999999999)", "PIM(4) ", "PIM(4)+warm", "PIM(4)+obs-trace",
+          "iSLIP(inf)", "FIFO(window=1,rounds=1)", "FIFO(window=4)",
+          "FIFO-pipelined", "OutputQueued-pipelined", "CIOQ(S=0,strict)",
+          "CIOQ(S=5,strict)", "CIOQ(S=2,fifo)", "CIOQ(S=2)",
+          "CIOQ(S=2,wrr)-pipelined", "PIM(4,k=2)-pipelined",
+          "Greedy-pipelined+warm", "Maximum+warm"}) {
+        try {
+            archByName(name);
+            ADD_FAILURE() << "accepted '" << name << "'";
+        } catch (const UsageError& e) {
+            EXPECT_NE(std::string(e.what()).find("'" + std::string(name) +
+                                                 "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+TEST(ArchRegistryTest, EveryCommittedArchNameParses)
+{
+    const std::string key = "\"arch\": \"";
+    for (const char* file :
+         {"BENCH_sweeps.json", "BENCH_speedup.json", "BENCH_hotpath.json"}) {
+        std::ifstream in(std::string(AN2_SOURCE_DIR) + "/" + file);
+        const std::string doc{std::istreambuf_iterator<char>(in), {}};
+        size_t p = doc.find(key);
+        EXPECT_NE(p, std::string::npos) << file;
+        for (; p != std::string::npos; p = doc.find(key, p)) {
+            p += key.size();
+            // A hot-path row's +obs-* suffix picks the bench's recorder
+            // mode, not a switch.
+            std::string name = doc.substr(p, doc.find('"', p) - p);
+            name = name.substr(0, name.find("+obs-"));
+            EXPECT_EQ(archByName(name).name, name) << file;
+        }
+    }
+}
+
 // -------------------------------------------------------------------- cli
 
 /** Run parseSweepCli over a brace-list of tokens (argv[0] included). */
@@ -544,7 +604,8 @@ TEST(CliTest, RepeatedFlagIsAnErrorNamingTheFlag)
           Case{{"prog", "--json", "a.json", "--json", "b.json"}, "--json"},
           Case{{"prog", "--metrics-every=5", "--metrics-every", "7"},
                "--metrics-every"},
-          Case{{"prog", "--arch", "cioq", "--arch", "cioq"}, "--arch"}}) {
+          Case{{"prog", "--arch", "PIM(4)", "--arch", "PIM(4)"},
+               "--arch"}}) {
         SweepCli cli;
         std::string err;
         EXPECT_FALSE(parseArgs(c.tokens, cli, err)) << c.flag;
@@ -582,36 +643,28 @@ TEST(CliTest, ObservabilityIntervalsRejectZeroAndNegative)
     }
 }
 
-TEST(CliTest, CioqArchFlagsValidated)
+TEST(CliTest, ArchFlagTakesARegistryName)
 {
-    {
-        SweepCli cli;
-        std::string err;
-        ASSERT_TRUE(parseArgs({"prog", "--arch", "cioq", "--speedup", "3",
-                               "--service", "wrr"},
-                              cli, err))
-            << err;
-        EXPECT_EQ(cli.arch, "cioq");
-        EXPECT_EQ(cli.speedup, 3);
-        EXPECT_EQ(cli.service, "wrr");
-    }
-    for (auto tokens :
-         {std::initializer_list<const char*>{"prog", "--arch", "oq"},
-          {"prog", "--arch", "cioq", "--speedup", "0"},
-          {"prog", "--arch", "cioq", "--speedup", "5"},
-          {"prog", "--arch", "cioq", "--service", "fifo"},
-          {"prog", "--speedup", "2"},
-          {"prog", "--service", "wrr"}}) {
-        SweepCli cli;
-        std::string err;
-        EXPECT_FALSE(parseArgs(tokens, cli, err));
-        EXPECT_FALSE(err.empty());
-    }
-    // The dependency errors name the missing flag.
     SweepCli cli;
     std::string err;
-    EXPECT_FALSE(parseArgs({"prog", "--speedup", "2"}, cli, err));
-    EXPECT_NE(err.find("--arch cioq"), std::string::npos) << err;
+    ASSERT_TRUE(parseArgs({"prog", "--arch", "CIOQ(S=3,wrr)"}, cli, err))
+        << err;
+    EXPECT_EQ(cli.arch, "CIOQ(S=3,wrr)");
+    // What the retired `--arch cioq --speedup S --service D` spelling
+    // rejected is still rejected, now as a name: S = 0, S = 5, service
+    // fifo, and the unknown arch oq. The retired flags are unknown.
+    for (const char* name :
+         {"CIOQ(S=0,strict)", "CIOQ(S=5,strict)", "CIOQ(S=2,fifo)", "oq"}) {
+        EXPECT_FALSE(parseArgs({"prog", "--arch", name}, cli, err));
+        EXPECT_NE(err.find("--arch: malformed value '" + std::string(name) +
+                           "'"),
+                  std::string::npos)
+            << err;
+    }
+    for (const char* flag : {"--speedup", "--service"}) {
+        EXPECT_FALSE(parseArgs({"prog", flag, "2"}, cli, err));
+        EXPECT_EQ(err, "unknown option: " + std::string(flag));
+    }
 }
 
 TEST(CliTest, ApplyCliOverlaysOntoSpec)

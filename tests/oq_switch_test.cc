@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "an2/harness/aggregate.h"
+#include "an2/harness/arch.h"
 #include "an2/harness/sweep.h"
 #include "an2/sim/iq_switch.h"
 #include "an2/sim/simulator.h"
@@ -91,12 +92,7 @@ TEST(OqSwitchTest, MeanDelayMatchesKarolHluchyjMorgan)
     harness::SweepSpec spec;
     spec.name = "oq_theory";
     spec.workload = "uniform";
-    spec.archs = {{"OutputQueued",
-                   [](int n, uint64_t) -> std::unique_ptr<SwitchModel> {
-                       return std::make_unique<InputQueuedSwitch>(
-                           IqSwitchConfig{
-                               .n = n, .service = ServiceDiscipline::Fifo});
-                   }}};
+    spec.archs = {harness::archByName("OutputQueued")};
     spec.sizes = {kN};
     spec.loads = {0.5, 0.8};
     spec.replicates = 8;

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "an2/an2.h"
@@ -27,50 +28,26 @@ struct NamedSwitch
 std::vector<NamedSwitch>
 allSwitches()
 {
+    // (label, registry name, seed); iSLIP, Maximum and OutputQueued
+    // draw no random numbers and ignore the seed.
+    const std::tuple<const char*, const char*, uint64_t> kNamed[] = {
+        {"fifo", "FIFO", 11},
+        {"fifo_windowed", "FIFO(window=4,rounds=4)", 12},
+        {"oq", "OutputQueued", 0},
+        {"iq_pim", "PIM(4)", 13},
+        {"iq_pim_speedup2", "PIM(4,k=2)", 14},
+        {"iq_pim_pipelined", "PIM(4)-pipelined", 17},
+        {"iq_islip", "iSLIP(4)", 0},
+        {"iq_maximum", "Maximum", 0},
+        {"cioq_s2_strict", "CIOQ(S=2,strict)", 18},
+        {"cioq_s3_wrr", "CIOQ(S=3,wrr)", 19},
+    };
     std::vector<NamedSwitch> fs;
-    fs.push_back({"fifo", [](int n) {
-                      return std::make_unique<FifoSwitch>(n, 11);
-                  }});
-    fs.push_back({"fifo_windowed", [](int n) {
-                      return std::make_unique<FifoSwitch>(n, 12, 4, 4);
-                  }});
-    fs.push_back({"oq", [](int n) {
-                      return std::make_unique<InputQueuedSwitch>(
-                          IqSwitchConfig{
-                              .n = n, .service = ServiceDiscipline::Fifo});
-                  }});
-    fs.push_back({"iq_pim", [](int n) {
-                      return std::make_unique<InputQueuedSwitch>(
-                          IqSwitchConfig{.n = n},
-                          std::make_unique<PimMatcher>(
-                              PimConfig{.iterations = 4, .seed = 13}));
-                  }});
-    fs.push_back({"iq_pim_speedup2", [](int n) {
-                      PimConfig cfg;
-                      cfg.iterations = 4;
-                      cfg.output_capacity = 2;
-                      cfg.seed = 14;
-                      return std::make_unique<InputQueuedSwitch>(
-                          IqSwitchConfig{
-                              .n = n, .service = ServiceDiscipline::Strict},
-                          std::make_unique<PimMatcher>(cfg));
-                  }});
-    fs.push_back({"iq_pim_pipelined", [](int n) {
-                      return std::make_unique<InputQueuedSwitch>(
-                          IqSwitchConfig{.n = n, .pipelined = true},
-                          std::make_unique<PimMatcher>(
-                              PimConfig{.iterations = 4, .seed = 17}));
-                  }});
-    fs.push_back({"iq_islip", [](int n) {
-                      return std::make_unique<InputQueuedSwitch>(
-                          IqSwitchConfig{.n = n},
-                          std::make_unique<IslipMatcher>(4));
-                  }});
-    fs.push_back({"iq_maximum", [](int n) {
-                      return std::make_unique<InputQueuedSwitch>(
-                          IqSwitchConfig{.n = n},
-                          std::make_unique<HopcroftKarpMatcher>());
-                  }});
+    for (const auto& [label, name, seed] : kNamed)
+        fs.push_back({label, [arch = harness::archByName(name),
+                              s = seed](int n) { return arch.make(n, s); }});
+    // Two forms no name denotes: statistical matching with PIM fill-in,
+    // and the virtual clock, which needs its default rate set.
     fs.push_back({"iq_stat_fillin", [](int n) {
                       Matrix<int> alloc(n, n, 1000 / n);
                       StatisticalConfig scfg;
@@ -93,21 +70,6 @@ allSwitches()
                               .service = ServiceDiscipline::VirtualClock});
                       sw->setDefaultRate(0.1);
                       return sw;
-                  }});
-    fs.push_back({"cioq_s2_strict", [](int n) {
-                      return std::make_unique<InputQueuedSwitch>(
-                          IqSwitchConfig{
-                              .n = n,
-                              .speedup = 2,
-                              .service = ServiceDiscipline::Strict},
-                          std::make_unique<SerialGreedyMatcher>(true, 18));
-                  }});
-    fs.push_back({"cioq_s3_wrr", [](int n) {
-                      return std::make_unique<InputQueuedSwitch>(
-                          IqSwitchConfig{.n = n,
-                                         .speedup = 3,
-                                         .service = ServiceDiscipline::Wrr},
-                          std::make_unique<SerialGreedyMatcher>(true, 19));
                   }});
     return fs;
 }

@@ -10,12 +10,12 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <utility>
 
 #include "an2/fault/fault_plan.h"
 #include "an2/fault/injector.h"
-#include "an2/matching/islip.h"
+#include "an2/harness/arch.h"
 #include "an2/matching/pim.h"
-#include "an2/matching/serial_greedy.h"
 #include "an2/obs/recorder.h"
 #include "an2/queueing/voq.h"
 #include "an2/sim/iq_switch.h"
@@ -120,52 +120,20 @@ allocationsDuringSteadyState(SwitchModel& sw, int warmup, int measured)
     return counted;
 }
 
-TEST(ZeroAllocTest, PimRunSlotSteadyStateIsAllocationFree)
+TEST(ZeroAllocTest, SingleMatcherRunSlotSteadyStateIsAllocationFree)
 {
-    InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<PimMatcher>(
-                             PimConfig{.iterations = 4, .seed = 1}));
-    EXPECT_EQ(allocationsDuringSteadyState(sw, 2000, 2000), 0u);
-}
-
-TEST(ZeroAllocTest, PipelinedPimRunSlotSteadyStateIsAllocationFree)
-{
-    InputQueuedSwitch sw(IqSwitchConfig{.n = 16, .pipelined = true},
-                         std::make_unique<PimMatcher>(
-                             PimConfig{.iterations = 4, .seed = 2}));
-    EXPECT_EQ(allocationsDuringSteadyState(sw, 2000, 2000), 0u);
-}
-
-TEST(ZeroAllocTest, IslipRunSlotSteadyStateIsAllocationFree)
-{
-    InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<IslipMatcher>(4));
-    EXPECT_EQ(allocationsDuringSteadyState(sw, 2000, 2000), 0u);
-}
-
-TEST(ZeroAllocTest, GreedyRunSlotSteadyStateIsAllocationFree)
-{
-    InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<SerialGreedyMatcher>(true, 3));
-    EXPECT_EQ(allocationsDuringSteadyState(sw, 2000, 2000), 0u);
-}
-
-TEST(ZeroAllocTest, WarmIslipRunSlotSteadyStateIsAllocationFree)
-{
-    // The warm-start path (seed + repair + remember) reuses the state
-    // vector sized on the first slot; steady state must stay off the
-    // heap on both the full-reuse and repair tiers.
-    InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<IslipMatcher>(4, WarmStart::On));
-    EXPECT_EQ(allocationsDuringSteadyState(sw, 2000, 2000), 0u);
-}
-
-TEST(ZeroAllocTest, WarmGreedyRunSlotSteadyStateIsAllocationFree)
-{
-    InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<SerialGreedyMatcher>(
-                             true, 3, WarmStart::On));
-    EXPECT_EQ(allocationsDuringSteadyState(sw, 2000, 2000), 0u);
+    // (registry name, seed); iSLIP draws no random numbers. The +warm
+    // path (seed + repair + remember) reuses the state vector sized on
+    // the first slot, so steady state must stay off the heap on both the
+    // full-reuse and repair tiers.
+    const std::pair<const char*, uint64_t> kArchs[] = {
+        {"PIM(4)", 1},        {"PIM(4)-pipelined", 2}, {"iSLIP(4)", 0},
+        {"Greedy", 3},        {"iSLIP(4)+warm", 0},    {"Greedy+warm", 3},
+    };
+    for (const auto& [name, seed] : kArchs) {
+        auto sw = harness::archByName(name).make(16, seed);
+        EXPECT_EQ(allocationsDuringSteadyState(*sw, 2000, 2000), 0u) << name;
+    }
 }
 
 namespace {
@@ -279,10 +247,9 @@ TEST(ZeroAllocTest, BatchedRunSlotsSteadyStateIsAllocationFree)
     // The batched driver loop — including the warm matcher and the
     // per-cell accepts now inside the switch's runSlots() — must be
     // allocation-free after warmup, with and without a recorder.
-    InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<IslipMatcher>(4, WarmStart::On));
+    auto sw = harness::archByName("iSLIP(4)+warm").make(16, 0);
     PermutationDriver driver(16, 100);
-    sw.runSlots(0, 2000, driver);
+    sw->runSlots(0, 2000, driver);
     EXPECT_EQ(driver.counted(), 0u);
 }
 
@@ -292,10 +259,9 @@ TEST(ZeroAllocTest, BatchedRunSlotsWithRecorderIsAllocationFree)
     obs::Recorder rec(
         obs::RecorderConfig{.trace_capacity = 512, .ports = 16});
     obs::attach(&rec);
-    InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<IslipMatcher>(4, WarmStart::On));
+    auto sw = harness::archByName("iSLIP(4)+warm").make(16, 0);
     PermutationDriver driver(16, 100);
-    sw.runSlots(0, 2000, driver);
+    sw->runSlots(0, 2000, driver);
     obs::detach();
     EXPECT_EQ(driver.counted(), 0u);
     EXPECT_EQ(rec.counter(obs::Counter::SlotsRun), 2000);
@@ -310,23 +276,17 @@ TEST(ZeroAllocTest, CioqRunSlotsSteadyStateIsAllocationFree)
     // high-water capacity during warmup and must never grow again.
     // (Bernoulli workloads are unsuitable here: their rare backlog
     // excursions legitimately grow the output rings inside runSlot.)
-    InputQueuedSwitch sw(
-        IqSwitchConfig{
-            .n = 16, .speedup = 2, .service = ServiceDiscipline::Strict},
-        std::make_unique<SerialGreedyMatcher>(true, 5));
+    auto sw = harness::archByName("CIOQ(S=2,strict)").make(16, 5);
     PermutationDriver driver(16, 100);
-    sw.runSlots(0, 2000, driver);
+    sw->runSlots(0, 2000, driver);
     EXPECT_EQ(driver.counted(), 0u);
 }
 
 TEST(ZeroAllocTest, CioqWrrRunSlotsSteadyStateIsAllocationFree)
 {
-    InputQueuedSwitch sw(
-        IqSwitchConfig{
-            .n = 16, .speedup = 3, .service = ServiceDiscipline::Wrr},
-        std::make_unique<SerialGreedyMatcher>(true, 6));
+    auto sw = harness::archByName("CIOQ(S=3,wrr)").make(16, 6);
     PermutationDriver driver(16, 100);
-    sw.runSlots(0, 2000, driver);
+    sw->runSlots(0, 2000, driver);
     EXPECT_EQ(driver.counted(), 0u);
 }
 
@@ -350,10 +310,9 @@ TEST(ZeroAllocTest, OutputQueuedSteadyStateIsAllocationFree)
     // The perfect fabric files each cell in its output's ring at accept.
     // Under the stationary permutation load each ring reaches its depth
     // during warmup and never grows again.
-    InputQueuedSwitch sw(
-        IqSwitchConfig{.n = 16, .service = ServiceDiscipline::Fifo});
+    auto sw = harness::archByName("OutputQueued").make(16, 0);
     PermutationDriver driver(16, 100);
-    sw.runSlots(0, 2000, driver);
+    sw->runSlots(0, 2000, driver);
     EXPECT_EQ(driver.counted(), 0u);
 }
 
@@ -376,10 +335,8 @@ TEST(ZeroAllocTest, VirtualClockSteadyStateIsAllocationFree)
 TEST(ZeroAllocTest, MultiWordSwitchSteadyStateIsAllocationFree)
 {
     // 80 ports: the busy masks and request rows span two words.
-    InputQueuedSwitch sw(IqSwitchConfig{.n = 80},
-                         std::make_unique<PimMatcher>(
-                             PimConfig{.iterations = 4, .seed = 4}));
-    EXPECT_EQ(allocationsDuringSteadyState(sw, 2000, 1000), 0u);
+    auto sw = harness::archByName("PIM(4)").make(80, 4);
+    EXPECT_EQ(allocationsDuringSteadyState(*sw, 2000, 1000), 0u);
 }
 
 TEST(ZeroAllocTest, AttachedRecorderSteadyStateIsAllocationFree)
@@ -391,10 +348,8 @@ TEST(ZeroAllocTest, AttachedRecorderSteadyStateIsAllocationFree)
     obs::Recorder rec(
         obs::RecorderConfig{.trace_capacity = 512, .ports = 16});
     obs::attach(&rec);
-    InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<PimMatcher>(
-                             PimConfig{.iterations = 4, .seed = 5}));
-    size_t allocs = allocationsDuringSteadyState(sw, 2000, 2000);
+    auto sw = harness::archByName("PIM(4)").make(16, 5);
+    size_t allocs = allocationsDuringSteadyState(*sw, 2000, 2000);
     obs::detach();
     EXPECT_EQ(allocs, 0u);
     EXPECT_EQ(rec.counter(obs::Counter::SlotsRun), 4000);
@@ -416,9 +371,7 @@ TEST(ZeroAllocTest, LatencyAndTimeSeriesSteadyStateIsAllocationFree)
                                           .metrics_every = 500,
                                           .metrics_capacity = 64});
     obs::attach(&rec);
-    InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<PimMatcher>(
-                             PimConfig{.iterations = 4, .seed = 7}));
+    auto sw = harness::archByName("PIM(4)").make(16, 7);
     UniformTraffic traffic(16, 0.9, 2029);
     std::vector<Cell> arrivals;
     constexpr int kWarmup = 2000, kMeasured = 4000;
@@ -427,11 +380,11 @@ TEST(ZeroAllocTest, LatencyAndTimeSeriesSteadyStateIsAllocationFree)
         arrivals.clear();
         traffic.generate(slot, arrivals);
         for (const Cell& c : arrivals)
-            sw.acceptCell(c);
+            sw->acceptCell(c);
         // The delivery probe (as fired by the production SimDriver) is
         // part of the measured region alongside runSlot.
         size_t before = g_allocations.load(std::memory_order_relaxed);
-        const std::vector<Cell>& departed = sw.runSlot(slot);
+        const std::vector<Cell>& departed = sw->runSlot(slot);
         for (const Cell& c : departed)
             rec.cellDelivered(c, slot);
         size_t after = g_allocations.load(std::memory_order_relaxed);
@@ -454,9 +407,8 @@ TEST(ZeroAllocTest, AttachedRecorderIslipCountersAllocationFree)
     // must stay allocation-free too.
     obs::Recorder rec(obs::RecorderConfig{.trace_capacity = 256});
     obs::attach(&rec);
-    InputQueuedSwitch sw(IqSwitchConfig{.n = 16},
-                         std::make_unique<IslipMatcher>(4));
-    size_t allocs = allocationsDuringSteadyState(sw, 2000, 2000);
+    auto sw = harness::archByName("iSLIP(4)").make(16, 0);
+    size_t allocs = allocationsDuringSteadyState(*sw, 2000, 2000);
     obs::detach();
     EXPECT_EQ(allocs, 0u);
     EXPECT_GT(rec.counter(obs::Counter::RequestsSeen), 0);
