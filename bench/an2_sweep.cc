@@ -68,6 +68,8 @@ main(int argc, char** argv)
         return 2;
     }
 
+    if (!acceptsSwitchSweepFlags(cli))
+        return 2;
     harness::SweepSpec spec = exp->make();
     applyCli(cli, spec);
     applyArchOverride(cli, spec);
@@ -91,10 +93,7 @@ main(int argc, char** argv)
             !writeTextFile(cli.json_path, harness::sweepToJson(spec, cells),
                            "an2.sweep.v1"))
             return 1;
-        if ((!cli.trace_path.empty() || !cli.snapshot_path.empty() ||
-             !cli.metrics_path.empty() || !cli.metrics_prom_path.empty() ||
-             !cli.blackbox_path.empty()) &&
-            !runObservedPoint(spec, cli))
+        if (wantsObservedRun(cli) && !runObservedPoint(spec, cli))
             return 1;
     } catch (const UsageError& e) {
         std::fprintf(stderr, "error: %s\n", e.what());

@@ -245,7 +245,7 @@ runLanRestoration()
     for (double rate : kRates) {
         topo::LanConfig config;
         config.seed = harness::runSeed(kBaseSeed, run_index, 0);
-        config.matcher = [](int n_ports, uint64_t seed) {
+        config.matcher = [](int /*n_ports*/, uint64_t seed) {
             PimConfig cfg;
             cfg.iterations = 4;
             cfg.seed = seed;

@@ -33,8 +33,11 @@ main(int argc, char** argv)
         return 0;
     }
 
+    if (!acceptsFixedExperimentFlags(cli) || !acceptsSwitchSweepFlags(cli))
+        return 2;
     harness::SweepSpec spec = fig4Spec();
     applyCli(cli, spec);
+    applyArchOverride(cli, spec);
 
     // With --json - the document owns stdout; keep the table off it.
     const bool table = cli.json_path != "-";
@@ -45,17 +48,25 @@ main(int argc, char** argv)
                     " slots\n\n");
     }
 
-    harness::SweepResult res = runSweepWithProgress(spec, cli.threads);
-    auto cells = harness::aggregate(spec, res);
-    if (table) {
-        printDelayTable(spec, cells);
-        std::printf("\n  Expected: FIFO head-of-line limited; PIM close to"
-                    " OutputQ (closer than Fig 3).\n");
-    }
+    try {
+        harness::SweepResult res = runSweepWithProgress(spec, cli.threads);
+        auto cells = harness::aggregate(spec, res);
+        if (table) {
+            printDelayTable(spec, cells);
+            if (cli.arch.empty())
+                std::printf("\n  Expected: FIFO head-of-line limited; PIM "
+                            "close to OutputQ (closer than Fig 3).\n");
+        }
 
-    if (!cli.json_path.empty() &&
-        !writeTextFile(cli.json_path, harness::sweepToJson(spec, cells),
-                       "an2.sweep.v1"))
-        return 1;
+        if (!cli.json_path.empty() &&
+            !writeTextFile(cli.json_path, harness::sweepToJson(spec, cells),
+                           "an2.sweep.v1"))
+            return 1;
+        if (wantsObservedRun(cli) && !runObservedPoint(spec, cli))
+            return 1;
+    } catch (const UsageError& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
     return 0;
 }

@@ -31,8 +31,11 @@ main(int argc, char** argv)
         return 0;
     }
 
+    if (!acceptsFixedExperimentFlags(cli) || !acceptsSwitchSweepFlags(cli))
+        return 2;
     harness::SweepSpec spec = fig5Spec();
     applyCli(cli, spec);
+    applyArchOverride(cli, spec);
 
     // With --json - the document owns stdout; keep the table off it.
     const bool table = cli.json_path != "-";
@@ -42,21 +45,30 @@ main(int argc, char** argv)
         std::printf("  delay in cell slots; 'inf' = run to completion\n\n");
     }
 
-    harness::SweepResult res = runSweepWithProgress(spec, cli.threads);
-    auto cells = harness::aggregate(spec, res);
-    if (table) {
-        printDelayTable(spec, cells);
-        const harness::CellSummary* pim4 = findCell(cells, "PIM(4)", 0.99);
-        const harness::CellSummary* piminf = findCell(cells, "PIM(inf)", 0.99);
-        if (pim4 && piminf)
-            std::printf("\n  PIM(4) vs PIM(complete) at 99%% load: %.2f vs"
-                        " %.2f slots (paper: within 0.5%%)\n",
-                        pim4->mean_delay.mean, piminf->mean_delay.mean);
-    }
+    try {
+        harness::SweepResult res = runSweepWithProgress(spec, cli.threads);
+        auto cells = harness::aggregate(spec, res);
+        if (table) {
+            printDelayTable(spec, cells);
+            const harness::CellSummary* pim4 =
+                findCell(cells, "PIM(4)", 0.99);
+            const harness::CellSummary* piminf =
+                findCell(cells, "PIM(inf)", 0.99);
+            if (pim4 && piminf)
+                std::printf("\n  PIM(4) vs PIM(complete) at 99%% load: "
+                            "%.2f vs %.2f slots (paper: within 0.5%%)\n",
+                            pim4->mean_delay.mean, piminf->mean_delay.mean);
+        }
 
-    if (!cli.json_path.empty() &&
-        !writeTextFile(cli.json_path, harness::sweepToJson(spec, cells),
-                       "an2.sweep.v1"))
-        return 1;
+        if (!cli.json_path.empty() &&
+            !writeTextFile(cli.json_path, harness::sweepToJson(spec, cells),
+                           "an2.sweep.v1"))
+            return 1;
+        if (wantsObservedRun(cli) && !runObservedPoint(spec, cli))
+            return 1;
+    } catch (const UsageError& e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
     return 0;
 }

@@ -34,6 +34,8 @@ main(int argc, char** argv)
         return 0;
     }
 
+    if (!acceptsFixedExperimentFlags(cli))
+        return 2;
     NetExperiment exp = {"netscale", "", netScaleSpec};
     try {
         return runNetExperiment(exp, cli);

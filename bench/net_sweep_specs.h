@@ -143,10 +143,24 @@ findNetExperiment(const std::string& name)
 // ---------------------------------------------------------------------------
 // CLI glue
 
-/** Overlay the shared CLI's overrides onto a net sweep spec. */
+/**
+ * Overlay the shared CLI's overrides onto a net sweep spec. Throws
+ * UsageError naming a flag the network experiments cannot honour: the
+ * switch sweeps' own (a network's switches come from its topologies),
+ * and --blackbox without --chaos, which alone arms the flight recorder.
+ */
 inline void
 applyNetCli(const SweepCli& cli, topo::NetSweepSpec& spec)
 {
+    if (const char* flag = firstGiven(
+            cli, {"--arch", "--size", "--slots", "--warmup", "--trace",
+                  "--trace-arch", "--trace-capacity", "--snapshot",
+                  "--snapshot-every"}))
+        throw UsageError(std::string(flag) +
+                         ": applies to switch experiments only");
+    if (!cli.blackbox_path.empty() && !cli.chaos.enabled())
+        throw UsageError("--blackbox: a network experiment arms the flight "
+                         "recorder only under --chaos");
     if (cli.replicates > 0)
         spec.replicates = cli.replicates;
     if (cli.frames > 0)

@@ -219,9 +219,51 @@ applyArchOverride(const SweepCli& cli, harness::SweepSpec& spec)
     spec.archs = {std::move(arch)};
 }
 
+using harness::firstGiven;
 using harness::parseLoadList;
 using harness::parseSweepCli;
 using harness::printSweepCliHelp;
+
+/**
+ * Each front end honours every flag it parses or rejects it, printing
+ * an error that names the flag; these return false when the caller
+ * should exit 2. A switch sweep rejects the network experiments'
+ * --frames, --engine and --chaos.
+ */
+inline bool
+acceptsSwitchSweepFlags(const SweepCli& cli)
+{
+    const char* flag = firstGiven(cli, {"--frames", "--engine", "--chaos"});
+    if (flag)
+        std::fprintf(stderr,
+                     "error: %s: applies to network experiments only\n",
+                     flag);
+    return flag == nullptr;
+}
+
+/** A binary that runs one fixed experiment rejects --experiment and
+    --list. */
+inline bool
+acceptsFixedExperimentFlags(const SweepCli& cli)
+{
+    const char* flag = firstGiven(cli, {"--experiment", "--list"});
+    if (flag)
+        std::fprintf(stderr,
+                     "error: %s: this binary runs one experiment; an2_sweep "
+                     "runs any\n",
+                     flag);
+    return flag == nullptr;
+}
+
+/** True when an observation flag asks for runObservedPoint after the
+    sweep. */
+inline bool
+wantsObservedRun(const SweepCli& cli)
+{
+    return !cli.trace_path.empty() || !cli.snapshot_path.empty() ||
+           !cli.metrics_path.empty() || !cli.metrics_prom_path.empty() ||
+           !cli.blackbox_path.empty();
+}
 
 // ---------------------------------------------------------------------------
 // Execution and reporting helpers
@@ -249,6 +291,16 @@ runSweepWithProgress(const harness::SweepSpec& spec, int threads,
     std::fprintf(stderr, "  %zu runs in %.2f s on %d thread(s)\n",
                  res.grid.size(), secs, res.threads_used);
     return res;
+}
+
+/** True when the spec's architecture axis holds `arch`. */
+inline bool
+hasArch(const harness::SweepSpec& spec, const std::string& arch)
+{
+    for (const harness::ArchSpec& a : spec.archs)
+        if (a.name == arch)
+            return true;
+    return false;
 }
 
 /** Cell lookup by (arch name, load); size defaults to the spec's first. */

@@ -55,7 +55,8 @@ usage()
 
 /**
  * Parse argv into `opt`. Every value must parse whole and lie in its
- * range; otherwise returns false with `err` naming the flag.
+ * range, and no flag may be given twice; otherwise returns false with
+ * `err` naming the flag.
  */
 bool
 parse(int argc, char** argv, Options& opt, std::string& err)
@@ -65,12 +66,18 @@ parse(int argc, char** argv, Options& opt, std::string& err)
     auto oneOf = [](const std::string& v, const std::vector<std::string>& in) {
         return std::find(in.begin(), in.end(), v) != in.end();
     };
+    std::vector<std::string> seen;
     for (int a = 1; a < argc; ++a) {
         const std::string key = argv[a];
         if (key == "--help" || key == "-h") {
             opt.help = true;
             continue;
         }
+        if (oneOf(key, seen)) {
+            err = "duplicate option: " + key + " was given more than once";
+            return false;
+        }
+        seen.push_back(key);
         if (a + 1 >= argc) {
             err = key + " needs an argument";
             return false;

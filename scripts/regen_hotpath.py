@@ -3,9 +3,9 @@
 
 Usage:
     scripts/regen_hotpath.py --before-bin PATH --after-bin PATH \
-        [--out BENCH_hotpath.json]
+        --change TEXT [--out BENCH_hotpath.json]
 
-Runs both bench_slot_loop binaries (one built from the commit *before*
+Runs two bench_slot_loop binaries (one built from the commit *before*
 the change being documented, one from *after*) over a fixed
 size x load grid and assembles the an2.bench_hotpath.v1 document:
 
@@ -17,6 +17,14 @@ size x load grid and assembles the an2.bench_hotpath.v1 document:
             the +suffixes stripped, so "iSLIP(4)+warm 1024x1024@0.9"
             reads as warm-vs-seed on the same workload.
 
+`--change` names the change the document records; it lands in
+meta.change. Each grid row runs on both binaries in turn, the first
+alternating row by row, so a host that slows or speeds up during the
+script weighs on both sides alike. A cell both binaries report must
+have delivered the same number of cells on both, or the script fails
+and writes nothing: a speed change that moves the simulation is not a
+speed change.
+
 Large sizes get a reduced slot budget: the point of the 1024-port rows
 is the cache-resident-vs-not regime change, not tight CIs. Rates are
 wall-clock and machine-dependent by design; compare ratios.
@@ -24,7 +32,6 @@ wall-clock and machine-dependent by design; compare ratios.
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import tempfile
@@ -40,29 +47,57 @@ GRID = [
 ]
 
 
-def run_grid(binary):
-    cells = []
+class HotpathError(Exception):
+    """A run that cannot be recorded."""
+
+
+def run_row(binary, size, load, slots, warmup, reps, arch):
+    """One grid row on one binary; returns its cells."""
+    cmd = [binary, "--size", str(size), "--load", str(load),
+           "--slots", str(slots), "--warmup", str(warmup),
+           "--reps", str(reps)]
+    if arch:
+        cmd += ["--arch", arch]
+    with tempfile.NamedTemporaryFile(suffix=".json") as tmp:
+        cmd += ["--json", tmp.name]
+        print(f"  {binary}: {size}x{size}@{load:g}"
+              f"{' arch=' + arch if arch else ''}", flush=True)
+        proc = subprocess.run(cmd, stdout=subprocess.DEVNULL)
+        if proc.returncode != 0:
+            raise HotpathError(f"{' '.join(cmd)} exited with code "
+                               f"{proc.returncode}")
+        with open(tmp.name) as f:
+            return json.load(f)["cells"]
+
+
+def key(cell):
+    return (cell["arch"], cell["size"], cell["load"])
+
+
+def measure(before_bin, after_bin):
+    """Cells for both binaries; rows interleave, alternating the first."""
+    sides = [("before", before_bin), ("after", after_bin)]
+    cells = {"before": [], "after": []}
+    row = 0
     for size, load, slots, warmup, reps, filters in GRID:
         for arch in filters:
-            cmd = [binary, "--size", str(size), "--load", str(load),
-                   "--slots", str(slots), "--warmup", str(warmup),
-                   "--reps", str(reps)]
-            if arch:
-                cmd += ["--arch", arch]
-            with tempfile.NamedTemporaryFile(suffix=".json") as tmp:
-                cmd += ["--json", tmp.name]
-                print(f"  {os.path.basename(binary)}: "
-                      f"{size}x{size}@{load:g}"
-                      f"{' arch=' + arch if arch else ''}", flush=True)
-                subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
-                with open(tmp.name) as f:
-                    doc = json.load(f)
-            for c in doc["cells"]:
-                key = (c["arch"], c["size"], c["load"])
-                if key not in {(x["arch"], x["size"], x["load"])
-                               for x in cells}:
-                    cells.append(c)
-    return cells
+            got = {}
+            for side, binary in (sides if row % 2 == 0 else sides[::-1]):
+                got[side] = run_row(binary, size, load, slots, warmup,
+                                    reps, arch)
+            row += 1
+            delivered = {key(c): c["delivered"] for c in got["before"]}
+            for c in got["after"]:
+                if key(c) in delivered and \
+                        delivered[key(c)] != c["delivered"]:
+                    raise HotpathError(
+                        "%s %dx%d@%g: before delivered %d cells, after %d"
+                        % (c["arch"], c["size"], c["size"], c["load"],
+                           delivered[key(c)], c["delivered"]))
+            for side in cells:
+                seen = {key(x) for x in cells[side]}
+                cells[side] += [c for c in got[side] if key(c) not in seen]
+    return cells["before"], cells["after"]
 
 
 def base_arch(arch):
@@ -70,12 +105,10 @@ def base_arch(arch):
 
 
 def speedups(before, after):
-    bmap = {(c["arch"], c["size"], c["load"]):
-            c["slots_per_sec"]["mean"] for c in before}
+    bmap = {key(c): c["slots_per_sec"]["mean"] for c in before}
     out = {}
     for c in after:
-        key = (c["arch"], c["size"], c["load"])
-        ref = bmap.get(key)
+        ref = bmap.get(key(c))
         if ref is None:
             ref = bmap.get((base_arch(c["arch"]), c["size"], c["load"]))
         if ref is None:
@@ -93,25 +126,31 @@ def main():
                         help="bench_slot_loop built before the change")
     parser.add_argument("--after-bin", required=True,
                         help="bench_slot_loop built after the change")
+    parser.add_argument("--change", required=True,
+                        help="one line naming the change documented")
     parser.add_argument("--out", default="BENCH_hotpath.json")
     args = parser.parse_args()
 
-    print("before rows:")
-    before = run_grid(args.before_bin)
-    print("after rows:")
-    after = run_grid(args.after_bin)
+    try:
+        before, after = measure(args.before_bin, args.after_bin)
+    except HotpathError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
     doc = {
         "meta": {
             "schema": "an2.bench_hotpath.v1",
             "description": (
-                "Committed hot-path baseline: whole-switch slots/sec on "
-                "the uniform Bernoulli workload over a size x load grid, "
-                "before and after the warm-start incremental matching + "
-                "batched slot driver work. Warm rows are compared "
-                "against the cold base architecture on the same "
-                "workload. Wall-clock rates; machine-dependent -- "
-                "compare ratios, not absolutes."),
+                "Hot-path record: whole-switch slots/sec on the uniform "
+                "Bernoulli workload over a size x load grid, for "
+                "bench_slot_loop built before and after the change in "
+                "meta.change. The two binaries ran each grid row in "
+                "turn, alternating which went first, and every cell "
+                "both report delivered the same number of cells. Warm "
+                "rows are compared against the cold base architecture "
+                "on the same workload. Wall-clock rates; "
+                "machine-dependent -- compare ratios, not absolutes."),
+            "change": args.change,
             "produced_by": "scripts/regen_hotpath.py",
             "workload": {
                 "schema": "an2.sweep.v1",

@@ -11,35 +11,11 @@ splitmix64(uint64_t& state)
     return z ^ (z >> 31);
 }
 
-namespace {
-
-inline uint64_t
-rotl(uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Xoshiro256::Xoshiro256(uint64_t seed)
 {
     uint64_t sm = seed;
     for (auto& word : s_)
         word = splitmix64(sm);
-}
-
-uint64_t
-Xoshiro256::next64()
-{
-    const uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
 }
 
 std::unique_ptr<Rng>

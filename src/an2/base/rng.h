@@ -12,6 +12,7 @@
 #ifndef AN2_BASE_RNG_H
 #define AN2_BASE_RNG_H
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -148,7 +149,22 @@ class Xoshiro256 final : public Rng
     /** Seed deterministically; distinct seeds give independent streams. */
     explicit Xoshiro256(uint64_t seed);
 
-    uint64_t next64() override;
+    /** Defined here so that a caller holding the engine by value (the
+        traffic generators) inlines its draws. */
+    uint64_t
+    next64() override
+    {
+        const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
+
     std::unique_ptr<Rng> clone() const override;
 
   private:

@@ -16,6 +16,7 @@
 #define AN2_HARNESS_CLI_H
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -84,7 +85,16 @@ struct SweepCli
     std::string metrics_prom_path;   ///< write Prometheus text exposition
     int metrics_every = 0;           ///< 0 = default (1000 slots / 1 frame)
     std::string blackbox_path;       ///< arm flight recorder, dump here
+
+    /** Every flag given, as `--name` without its `=value`. Each front
+        end parses the whole vocabulary, so it names and rejects the
+        flags it cannot honour (firstGiven) instead of ignoring them. */
+    std::vector<std::string> given;
 };
+
+/** The first of `flags` that `cli` was given, or nullptr. */
+const char* firstGiven(const SweepCli& cli,
+                       std::initializer_list<const char*> flags);
 
 /** Print the option summary for `prog` to stdout. */
 void printSweepCliHelp(const char* prog, bool with_experiment);

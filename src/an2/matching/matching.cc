@@ -29,19 +29,6 @@ Matching::reset(int n_inputs, int n_outputs, int output_capacity)
 }
 
 void
-Matching::add(PortId i, PortId j)
-{
-    AN2_REQUIRE(i >= 0 && i < numInputs(), "input " << i << " out of range");
-    AN2_REQUIRE(j >= 0 && j < numOutputs(),
-                "output " << j << " out of range");
-    AN2_ASSERT(!isInputMatched(i), "input " << i << " already matched");
-    AN2_ASSERT(!isOutputSaturated(j), "output " << j << " saturated");
-    in2out_[static_cast<size_t>(i)] = j;
-    ++out_degree_[static_cast<size_t>(j)];
-    ++size_;
-}
-
-void
 Matching::removeInput(PortId i)
 {
     AN2_REQUIRE(i >= 0 && i < numInputs(), "input " << i << " out of range");

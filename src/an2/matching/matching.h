@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "an2/base/error.h"
 #include "an2/base/types.h"
 #include "an2/matching/request_matrix.h"
 
@@ -50,9 +51,22 @@ class Matching
 
     /**
      * Pair input i with output j. The input must be unmatched and the
-     * output must have remaining capacity.
+     * output must have remaining capacity. Defined here: the matchers
+     * call it once per accepted grant.
      */
-    void add(PortId i, PortId j);
+    void
+    add(PortId i, PortId j)
+    {
+        AN2_REQUIRE(i >= 0 && i < numInputs(),
+                    "input " << i << " out of range");
+        AN2_REQUIRE(j >= 0 && j < numOutputs(),
+                    "output " << j << " out of range");
+        AN2_ASSERT(!isInputMatched(i), "input " << i << " already matched");
+        AN2_ASSERT(!isOutputSaturated(j), "output " << j << " saturated");
+        in2out_[static_cast<size_t>(i)] = j;
+        ++out_degree_[static_cast<size_t>(j)];
+        ++size_;
+    }
 
     /** Remove the pairing of input i (which must be matched). */
     void removeInput(PortId i);

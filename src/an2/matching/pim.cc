@@ -1,6 +1,7 @@
 #include "an2/matching/pim.h"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "an2/matching/wordset.h"
 #include "an2/obs/recorder.h"
@@ -102,26 +103,45 @@ PimMatcher::runIterations(const RequestMatrix& req, Matching& m,
     // An iteration with unresolved requests always adds at least one match
     // (some output grants, some input accepts), so "no progress" implies
     // maximality and the loop terminates for max_iterations == 0.
-    for (int it = 0; max_iterations == 0 || it < max_iterations; ++it) {
-        const int added = runWordIteration(req, m, it);
-        if (stats) {
-            ++stats->iterations_run;
-            stats->matches_after_iteration.push_back(m.size());
+    auto iterate = [&](auto words) {
+        for (int it = 0; max_iterations == 0 || it < max_iterations; ++it) {
+            const int added =
+                runWordIteration<decltype(words)::value>(req, m, it);
+            if (stats) {
+                ++stats->iterations_run;
+                stats->matches_after_iteration.push_back(m.size());
+            }
+            if (added == 0)
+                break;
         }
-        if (added == 0)
-            break;
-    }
+    };
+    // Up to 64 ports every port set is one word, so the one-word
+    // instance runs each phase without a loop over words.
+    if (col_words_ == 1 && row_words_ == 1)
+        iterate(std::integral_constant<int, 1>{});
+    else
+        iterate(std::integral_constant<int, 0>{});
 }
 
+template <int kWords>
 int
 PimMatcher::runWordIteration(const RequestMatrix& req, Matching& m, int it)
 {
     using namespace wordset;
     const int n_out = req.numOutputs();
-    const int cw = col_words_;
-    const int rw = row_words_;
-    uint64_t* granted = granted_.data();
-    uint64_t* reqsters = requesters_.data();
+    const int cw = kWords != 0 ? kWords : col_words_;
+    const int rw = kWords != 0 ? kWords : row_words_;
+    // Local pointers: the engine's draws are virtual calls, across which
+    // the compiler would otherwise reload every member vector's data.
+    uint64_t* const free_in = free_in_.data();
+    uint64_t* const free_out = free_out_.data();
+    uint64_t* const granted = granted_.data();
+    uint64_t* const reqsters = requesters_.data();
+    uint64_t* const grant_rows = grant_rows_.data();
+    Rng& rng = *rng_;
+    // At capacity 1 every output still in free_out has exactly one grant
+    // left, so no output's degree needs reading.
+    const bool unit_capacity = m.outputCapacity() == 1;
     obs::Recorder* const rec = obs::current();
     int requests_seen = 0;
     int grants_issued = 0;
@@ -133,33 +153,37 @@ PimMatcher::runWordIteration(const RequestMatrix& req, Matching& m, int it)
     // otherwise a shuffle of the requesters in ascending order. Only
     // requested outputs are visited: an output with an empty column has
     // no requester, so it would draw and count nothing.
+    //
+    // An input's grant row is cleared by its first grant of the round:
+    // the row keeps its words only when the input's granted bit is
+    // already set, a mask instead of a branch.
     auto grant = [&](int i, int j) {
-        uint64_t* row = grant_rows_.data() +
-                        static_cast<size_t>(i) * static_cast<size_t>(rw);
-        if (!testBit(granted, i)) {
-            setBit(granted, i);
-            clearAll(row, rw);
-        }
+        uint64_t* row = grant_rows + static_cast<size_t>(i) *
+                                         static_cast<size_t>(rw);
+        uint64_t& word = granted[i / kWordBits];
+        const uint64_t keep = uint64_t{0} - ((word >> (i % kWordBits)) & 1);
+        word |= uint64_t{1} << (i % kWordBits);
+        for (int w = 0; w < rw; ++w)
+            row[w] &= keep;
         setBit(row, j);
     };
     clearAll(granted, cw);
-    const uint64_t* requested = req.requestedOutputs();
-    forEachSetInBoth(free_out_.data(), requested, rw, [&](int j) {
+    forEachSetInBoth(free_out, req.requestedOutputs(), rw, [&](int j) {
         const uint64_t* col = req.colMask(j);
-        uint64_t any = 0;
+        int cnt = 0;
         for (int w = 0; w < cw; ++w) {
-            reqsters[w] = col[w] & free_in_[static_cast<size_t>(w)];
-            any |= reqsters[w];
+            reqsters[w] = col[w] & free_in[w];
+            cnt += popcount64(reqsters[w]);
         }
-        if (any == 0)
+        if (cnt == 0)
             return;
-        const int cnt = popcountAll(reqsters, cw);
         if (rec)
             requests_seen += cnt;
-        const int capacity_left = m.outputCapacity() - m.outputDegree(j);
+        const int capacity_left =
+            unit_capacity ? 1 : m.outputCapacity() - m.outputDegree(j);
         if (capacity_left == 1) {
             grant(selectBit(reqsters, cw,
-                            static_cast<int>(rng_->nextBelow(
+                            static_cast<int>(rng.nextBelow(
                                 static_cast<uint64_t>(cnt)))),
                   j);
             if (rec)
@@ -168,7 +192,7 @@ PimMatcher::runWordIteration(const RequestMatrix& req, Matching& m, int it)
         }
         grant_order_.clear();
         forEachSet(reqsters, cw, [&](int i) { grant_order_.push_back(i); });
-        rng_->shuffle(grant_order_);
+        rng.shuffle(grant_order_);
         const int grants = std::min(capacity_left, cnt);
         for (int g = 0; g < grants; ++g)
             grant(grant_order_[static_cast<size_t>(g)], j);
@@ -184,26 +208,32 @@ PimMatcher::runWordIteration(const RequestMatrix& req, Matching& m, int it)
     // Accept phase: every granted input accepts one grant — uniformly at
     // random, or the first at/after its round-robin pointer.
     int added = 0;
-    forEachSet(granted, cw, [&](int i) {
-        uint64_t* row = grant_rows_.data() +
-                        static_cast<size_t>(i) * static_cast<size_t>(rw);
-        int chosen;
-        if (config_.accept == AcceptPolicy::Random) {
-            int cnt = popcountAll(row, rw);
-            chosen = selectBit(row, rw,
-                               static_cast<int>(rng_->nextBelow(
-                                   static_cast<uint64_t>(cnt))));
-        } else {
-            chosen = firstSetAtOrAfter(row, rw, n_out,
-                                       accept_ptr_[static_cast<size_t>(i)]);
-            accept_ptr_[static_cast<size_t>(i)] = (chosen + 1) % n_out;
-        }
+    auto accept = [&](int i, int chosen) {
         m.add(i, chosen);
-        clearBit(free_in_.data(), i);
-        if (m.isOutputSaturated(chosen))
-            clearBit(free_out_.data(), chosen);
+        clearBit(free_in, i);
+        if (unit_capacity || m.isOutputSaturated(chosen))
+            clearBit(free_out, chosen);
         ++added;
-    });
+    };
+    if (config_.accept == AcceptPolicy::Random) {
+        forEachSet(granted, cw, [&](int i) {
+            const uint64_t* row = grant_rows + static_cast<size_t>(i) *
+                                                   static_cast<size_t>(rw);
+            const int cnt = popcountAll(row, rw);
+            accept(i, selectBit(row, rw,
+                                static_cast<int>(rng.nextBelow(
+                                    static_cast<uint64_t>(cnt)))));
+        });
+    } else {
+        forEachSet(granted, cw, [&](int i) {
+            const uint64_t* row = grant_rows + static_cast<size_t>(i) *
+                                                   static_cast<size_t>(rw);
+            int& ptr = accept_ptr_[static_cast<size_t>(i)];
+            const int chosen = firstSetAtOrAfter(row, rw, n_out, ptr);
+            ptr = (chosen + 1) % n_out;
+            accept(i, chosen);
+        });
+    }
     if (rec)
         rec->matchIteration(obs::MatchAlg::Pim, it, requests_seen,
                             grants_issued, added, m.size());

@@ -21,9 +21,16 @@
  * grants per output) is supported via PimConfig::output_capacity.
  *
  * Each phase runs over 64-bit words of the request matrix's row and
- * column bitmasks. The per-port scalar form of the algorithm lives in
- * the tests (ScalarPimMatcher), which hold this core to it draw for
- * draw.
+ * column bitmasks, and a grant or an accept costs straight-line work:
+ * one AND and inline count of the requesters (wordset::popcount64), one
+ * draw, and a branch-free pick of the drawn requester
+ * (wordset::selectBit64). The round is one template body with two
+ * instances. Up to 64 ports both port sets are one word, and that
+ * instance runs every phase without a loop over words; it covers every
+ * switch of the paper's experiments and of the LAN. The other reads
+ * the word counts at run time and serves larger switches. The
+ * per-port scalar form of the algorithm lives in the tests
+ * (ScalarPimMatcher), which hold both instances to it draw for draw.
  */
 #ifndef AN2_MATCHING_PIM_H
 #define AN2_MATCHING_PIM_H
@@ -124,7 +131,10 @@ class PimMatcher final : public Matcher
 
     /** One request/grant/accept round over the port bitmasks; returns
         matches added. `it` is the iteration index reported to the obs
-        probe layer. */
+        probe layer. kWords is the words per port set when both sets
+        fit in that many (1: up to 64 ports), or 0 to read the word
+        counts at run time. */
+    template <int kWords>
     int runWordIteration(const RequestMatrix& req, Matching& m, int it);
 
     PimConfig config_;

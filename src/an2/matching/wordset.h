@@ -6,14 +6,22 @@
  * A port set over `bits` ports is stored as `numWords(bits)` uint64
  * words, least-significant word first. The helpers keep the word loops
  * in one place so the PIM/iSLIP/greedy cores and the RequestMatrix row
- * and column masks all agree on layout, and so the one
- * architecture-sensitive operation — selecting the k-th set bit — has a
- * single implementation (BMI2 `_pdep_u64` when available, portable
- * popcount loop otherwise).
+ * and column masks all agree on layout. Called with a word count the
+ * compiler can see (PIM's one-word core passes 1), each loop folds to
+ * straight-line code.
+ *
+ * The two architecture-sensitive operations are inline on every target
+ * and never reach a libgcc helper: counting the set bits of a word
+ * (popcount64: the popcnt instruction when the target has it, a SWAR
+ * count otherwise) and selecting its k-th set bit (selectBit64: BMI2
+ * `_pdep_u64` when available, otherwise Vigna's branch-free broadword
+ * select). The portable bodies have names of their own so the tests
+ * check them in every build.
  */
 #ifndef AN2_MATCHING_WORDSET_H
 #define AN2_MATCHING_WORDSET_H
 
+#include <array>
 #include <bit>
 #include <cstdint>
 
@@ -34,11 +42,95 @@ numWords(int bits)
     return (bits + kWordBits - 1) / kWordBits;
 }
 
+namespace detail {
+
+inline constexpr uint64_t kOnesStep8 = 0x0101010101010101ULL;
+
+/** Byte b of the result holds the set bits of byte b of x: counts of
+    bit pairs, then nibbles, then bytes (SWAR). */
+inline constexpr uint64_t
+byteCounts(uint64_t x)
+{
+    x = x - ((x >> 1) & 0x5555555555555555ULL);
+    x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+    return (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+}
+
+/** Entry (r << 8) | v: index of the r-th (0-based) set bit of byte v,
+    or 8 when v has r or fewer bits set. */
+inline constexpr std::array<uint8_t, 8 * 256> kSelectInByte = [] {
+    std::array<uint8_t, 8 * 256> table{};
+    for (int v = 0; v < 256; ++v) {
+        for (int r = 0; r < 8; ++r) {
+            int rank = r;
+            int bit = 0;
+            for (; bit < 8; ++bit)
+                if (((v >> bit) & 1) && rank-- == 0)
+                    break;
+            table[static_cast<size_t>(r << 8 | v)] =
+                static_cast<uint8_t>(bit);
+        }
+    }
+    return table;
+}();
+
+}  // namespace detail
+
+/** Set bits of a word by a SWAR count: one multiply sums the byte
+    counts into the top byte. */
+inline constexpr int
+popcount64Swar(uint64_t x)
+{
+    return static_cast<int>((detail::byteCounts(x) * detail::kOnesStep8) >>
+                            56);
+}
+
+/** Set bits of a word. std::popcount is a libgcc call on a target
+    without popcnt, so that target takes the inline SWAR count. */
+inline int
+popcount64(uint64_t x)
+{
+#ifdef __POPCNT__
+    return std::popcount(x);
+#else
+    return popcount64Swar(x);
+#endif
+}
+
+/**
+ * Index of the k-th (0-based) set bit of a word with more than k bits
+ * set, without a branch or a loop (Vigna, "Broadword implementation of
+ * rank/select queries", 2008). The SWAR count leaves each byte's count
+ * in that byte, and a multiply turns them into prefix counts (byte b
+ * holds the set bits of bytes 0..b). A SWAR compare of every prefix
+ * against k finds the byte holding the k-th bit, and a table gives the
+ * bit inside that byte.
+ */
+inline constexpr int
+selectBit64Broadword(uint64_t x, int k)
+{
+    using detail::kOnesStep8;
+    constexpr uint64_t kMsbsStep8 = 0x80 * kOnesStep8;
+    const uint64_t sums = detail::byteCounts(x) * kOnesStep8;
+    // A byte keeps its high bit when its prefix count is <= k; the
+    // prefixes never exceed 64, so no byte borrows from the next.
+    const uint64_t k_step8 = static_cast<uint64_t>(k) * kOnesStep8;
+    const uint64_t at_most_k = ((k_step8 | kMsbsStep8) - sums) & kMsbsStep8;
+    // Eight times the number of such bytes: the bit offset of the byte
+    // that holds the k-th set bit.
+    const int place = static_cast<int>(
+        ((at_most_k >> 7) * kOnesStep8 >> 53) & ~uint64_t{7});
+    const int byte_rank = k - static_cast<int>(((sums << 8) >> place) & 0xff);
+    const int byte = static_cast<int>((x >> place) & 0xff);
+    return place +
+           detail::kSelectInByte[static_cast<size_t>(byte_rank << 8 | byte)];
+}
+
 /**
  * Index of the k-th (0-based) set bit of a single word; the word must
  * have more than k bits set. With BMI2, depositing the k-th unit bit
- * through the mask lands it on the k-th set position — one instruction
- * instead of an O(popcount) clear-lowest loop.
+ * through the mask lands it on the k-th set position in one
+ * instruction; otherwise the broadword select does it branch-free.
  */
 inline int
 selectBit64(uint64_t mask, int k)
@@ -46,9 +138,7 @@ selectBit64(uint64_t mask, int k)
 #ifdef __BMI2__
     return std::countr_zero(_pdep_u64(uint64_t{1} << k, mask));
 #else
-    while (k-- > 0)
-        mask &= mask - 1;  // clear lowest set bit
-    return std::countr_zero(mask);
+    return selectBit64Broadword(mask, k);
 #endif
 }
 
@@ -103,7 +193,7 @@ popcountAll(const uint64_t* w, int n_words)
 {
     int total = 0;
     for (int i = 0; i < n_words; ++i)
-        total += std::popcount(w[i]);
+        total += popcount64(w[i]);
     return total;
 }
 
@@ -117,17 +207,25 @@ firstSet(const uint64_t* w, int n_words)
     return -1;
 }
 
+/** Cold, out-of-line report of a selectBit rank beyond the set's size
+    (a library bug), so that selectBit itself inlines. */
+[[noreturn, gnu::cold, gnu::noinline]] inline void
+selectBitOutOfRange()
+{
+    AN2_PANIC("selectBit: fewer set bits than requested rank");
+}
+
 /** Index of the k-th (0-based) set bit; the set must have > k bits. */
 inline int
 selectBit(const uint64_t* w, int n_words, int k)
 {
     for (int i = 0; i < n_words; ++i) {
-        int pc = std::popcount(w[i]);
+        const int pc = popcount64(w[i]);
         if (k < pc)
             return i * kWordBits + selectBit64(w[i], k);
         k -= pc;
     }
-    AN2_PANIC("selectBit: fewer set bits than requested rank");
+    selectBitOutOfRange();
 }
 
 /**

@@ -619,6 +619,23 @@ TEST(CliTest, RepeatedFlagIsAnErrorNamingTheFlag)
     EXPECT_TRUE(cli.help);
 }
 
+TEST(CliTest, RecordsGivenFlagsForFrontEndsToReject)
+{
+    // A front end rejects the shared flags it cannot honour by name, so
+    // the parser records each flag given, `=value` stripped, in order.
+    SweepCli cli;
+    std::string err;
+    ASSERT_TRUE(parseArgs({"prog", "--trace=t.json", "--slots", "500",
+                           "--list"},
+                          cli, err))
+        << err;
+    EXPECT_EQ(cli.given,
+              (std::vector<std::string>{"--trace", "--slots", "--list"}));
+    EXPECT_STREQ(firstGiven(cli, {"--slots", "--trace"}), "--trace");
+    EXPECT_STREQ(firstGiven(cli, {"--list"}), "--list");
+    EXPECT_EQ(firstGiven(cli, {"--arch", "--frames"}), nullptr);
+}
+
 TEST(CliTest, ObservabilityIntervalsRejectZeroAndNegative)
 {
     // A zero or negative cadence/capacity would fall through to "never

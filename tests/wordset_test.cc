@@ -1,6 +1,8 @@
 // Unit tests for the word-parallel port-set primitives
 // (an2/matching/wordset.h), including randomized equivalence between
 // selectBit64 (BMI2 _pdep_u64 when available) and a reference scan.
+// The portable bodies (popcount64Swar, selectBit64Broadword) are checked
+// by name, so a BMI2 or popcnt build still tests them.
 #include "an2/matching/wordset.h"
 
 #include <gtest/gtest.h>
@@ -27,6 +29,35 @@ selectBitNaive(uint64_t mask, int k)
         }
     }
     return -1;
+}
+
+/** Reference popcount: test every bit. */
+int
+popcountNaive(uint64_t mask)
+{
+    int n = 0;
+    for (int b = 0; b < 64; ++b)
+        n += static_cast<int>((mask >> b) & 1);
+    return n;
+}
+
+/** Check both portable bodies and the dispatching forms on one word,
+    at every rank. */
+void
+expectWordMatchesNaive(uint64_t mask)
+{
+    const int bits = popcountNaive(mask);
+    ASSERT_EQ(popcount64Swar(mask), bits) << "mask=" << mask;
+    ASSERT_EQ(popcount64(mask), bits) << "mask=" << mask;
+    for (int k = 0; k < bits; ++k) {
+        const int want = selectBitNaive(mask, k);
+        ASSERT_EQ(selectBit64Broadword(mask, k), want)
+            << "mask=" << mask << " k=" << k;
+        ASSERT_EQ(selectBit64(mask, k), want)
+            << "mask=" << mask << " k=" << k;
+        ASSERT_EQ(selectBit(&mask, 1, k), want)
+            << "mask=" << mask << " k=" << k;
+    }
 }
 
 TEST(WordsetTest, NumWords)
@@ -62,6 +93,48 @@ TEST(WordsetTest, SelectBit64MatchesNaiveRandomized)
         EXPECT_EQ(selectBit64(mask, k), selectBitNaive(mask, k))
             << "mask=" << mask << " k=" << k;
     }
+}
+
+TEST(WordsetTest, PortableBodiesMatchNaiveOnEverySixteenBitMask)
+{
+    // Every rank of every 16-bit mask, placed in each of the four
+    // 16-bit lanes so the broadword select's byte search crosses every
+    // byte boundary.
+    for (uint64_t mask = 0; mask < (uint64_t{1} << 16); ++mask)
+        for (int lane = 0; lane < 64; lane += 16)
+            expectWordMatchesNaive(mask << lane);
+}
+
+TEST(WordsetTest, PortableBodiesMatchNaiveOnEdgeWords)
+{
+    const uint64_t kEdges[] = {
+        0, 1, uint64_t{1} << 63, ~uint64_t{0}, 0x5555555555555555ULL,
+        0xaaaaaaaaaaaaaaaaULL, 0x8000000000000001ULL, 0xff000000000000ffULL,
+        0x0101010101010101ULL, 0x8080808080808080ULL, ~uint64_t{0} >> 1,
+        ~uint64_t{0} << 1};
+    for (uint64_t mask : kEdges)
+        expectWordMatchesNaive(mask);
+}
+
+TEST(WordsetTest, PortableBodiesMatchNaiveRandomized)
+{
+    // Dense, sparse and very sparse words: AND-ing draws thins them.
+    Xoshiro256 rng(2008);
+    for (int t = 0; t < 30'000; ++t) {
+        uint64_t mask = rng.next64();
+        for (int thin = t % 4; thin > 0; --thin)
+            mask &= rng.next64();
+        expectWordMatchesNaive(mask);
+    }
+}
+
+TEST(WordsetTest, SelectBitOutOfRangePanics)
+{
+    std::vector<uint64_t> w(2, 0);
+    setBit(w.data(), 3);
+    setBit(w.data(), 70);
+    EXPECT_EQ(selectBit(w.data(), 2, 1), 70);
+    EXPECT_THROW(selectBit(w.data(), 2, 2), InternalError);
 }
 
 TEST(WordsetTest, SingleBitOps)
