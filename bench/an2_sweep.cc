@@ -17,9 +17,29 @@
  *               --json BENCH_netscale.json
  */
 #include <cstdio>
+#include <string>
 
 #include "net_sweep_specs.h"
 #include "sweep_specs.h"
+
+namespace {
+
+/** The option summary, each kind's own flags headed by the names of the
+    experiments that take them. */
+void
+printHelp(const char* prog)
+{
+    using namespace an2::bench;
+    std::string switch_names, net_names;
+    for (const Experiment& e : experiments())
+        switch_names += (switch_names.empty() ? "" : ", ") +
+                        std::string(e.name);
+    for (const NetExperiment& e : netExperiments())
+        net_names += (net_names.empty() ? "" : ", ") + std::string(e.name);
+    printSweepCliHelp(prog, switch_names.c_str(), net_names.c_str());
+}
+
+}  // namespace
 
 int
 main(int argc, char** argv)
@@ -31,11 +51,11 @@ main(int argc, char** argv)
     std::string err;
     if (!parseSweepCli(argc, argv, cli, err)) {
         std::fprintf(stderr, "error: %s\n", err.c_str());
-        printSweepCliHelp(argv[0], /*with_experiment=*/true);
+        printHelp(argv[0]);
         return 2;
     }
     if (cli.help) {
-        printSweepCliHelp(argv[0], /*with_experiment=*/true);
+        printHelp(argv[0]);
         return 0;
     }
     if (cli.list) {

@@ -11,7 +11,6 @@
  */
 #include <cstdio>
 
-#include "an2/sim/fifo_switch.h"
 #include "an2/sim/traffic.h"
 #include "bench_common.h"
 
@@ -23,7 +22,7 @@ using an2::bench::makePim;
 constexpr int kN = 16;
 
 double
-aggregateLinks(SwitchModel& sw, int burst, uint64_t seed)
+aggregateLinks(InputQueuedSwitch& sw, int burst, uint64_t seed)
 {
     PeriodicBurstTraffic traffic(kN, 1.0, seed, burst);
     SimConfig cfg;
@@ -52,12 +51,12 @@ main()
 
     std::printf("  %-26s", "FIFO");
     for (int b : bursts) {
-        FifoSwitch fifo(kN, 1);
+        InputQueuedSwitch fifo(kN, 1);
         std::printf("  %7.2f", aggregateLinks(fifo, b, 11));
     }
     std::printf("\n  %-26s", "FIFO(window=4,rounds=4)");
     for (int b : bursts) {
-        FifoSwitch windowed(kN, 2, /*window=*/4, /*rounds=*/4);
+        InputQueuedSwitch windowed(kN, 2, /*window=*/4, /*rounds=*/4);
         std::printf("  %7.2f", aggregateLinks(windowed, b, 12));
     }
     std::printf("\n  %-26s", "IQ[PIM(4)]");

@@ -26,11 +26,11 @@ main(int argc, char** argv)
     std::string err;
     if (!parseSweepCli(argc, argv, cli, err)) {
         std::fprintf(stderr, "error: %s\n", err.c_str());
-        printSweepCliHelp(argv[0], /*with_experiment=*/false);
+        printSweepCliHelp(argv[0], nullptr, "netscale");
         return 2;
     }
     if (cli.help) {
-        printSweepCliHelp(argv[0], /*with_experiment=*/false);
+        printSweepCliHelp(argv[0], nullptr, "netscale");
         return 0;
     }
 

@@ -12,7 +12,6 @@
 #include <memory>
 
 #include "an2/matching/pim.h"
-#include "an2/sim/fifo_switch.h"
 #include "an2/sim/iq_switch.h"
 #include "an2/sim/simulator.h"
 #include "an2/sim/traffic.h"
@@ -25,7 +24,7 @@ constexpr int kN = 16;
 constexpr int kServers = 4;
 
 SimResult
-evaluate(SwitchModel& sw, double server_load, uint64_t seed)
+evaluate(InputQueuedSwitch& sw, double server_load, uint64_t seed)
 {
     ClientServerTraffic traffic(kN, kServers, server_load, seed);
     SimConfig cfg;
@@ -49,7 +48,7 @@ main()
     std::printf("  ---------+-------------------------------------+"
                 "------------------\n");
     for (double load : {0.5, 0.7, 0.9, 0.98}) {
-        FifoSwitch fifo(kN, 21);
+        InputQueuedSwitch fifo(kN, 21);
         SimResult rf = evaluate(fifo, load, 33);
         InputQueuedSwitch pim_sw({.n = kN},
                                  std::make_unique<PimMatcher>(

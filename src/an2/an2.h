@@ -37,7 +37,6 @@
 #include "an2/matching/request_matrix.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/matching/statistical.h"
-#include "an2/matching/windowed_fifo.h"
 
 #include "an2/queueing/voq.h"
 
@@ -52,11 +51,9 @@
 #include "an2/cbr/subframes.h"
 #include "an2/cbr/timing.h"
 
-#include "an2/sim/fifo_switch.h"
 #include "an2/sim/iq_switch.h"
 #include "an2/sim/metrics.h"
 #include "an2/sim/simulator.h"
-#include "an2/sim/switch.h"
 #include "an2/sim/traffic.h"
 
 #include "an2/harness/aggregate.h"

@@ -70,6 +70,17 @@ class RingQueue
         return buf_[(head_ + i) & (buf_.size() - 1)];
     }
 
+    /** Remove element i positions after the front (i < size()); the rest
+        keep their order. O(i): the elements ahead of it move back one. */
+    void erase(size_t i)
+    {
+        AN2_ASSERT(i < size_, "RingQueue index " << i << " out of range");
+        const size_t mask = buf_.size() - 1;
+        for (; i > 0; --i)
+            buf_[(head_ + i) & mask] = std::move(buf_[(head_ + i - 1) & mask]);
+        pop_front();
+    }
+
   private:
     void grow()
     {

@@ -2,7 +2,7 @@
 
 #include "an2/base/error.h"
 #include "an2/obs/recorder.h"
-#include "an2/sim/switch.h"
+#include "an2/sim/iq_switch.h"
 
 namespace an2::fault {
 
@@ -32,7 +32,7 @@ FaultInjector::linkUp(int link) const
 }
 
 void
-FaultInjector::apply(const FaultEvent& e, SlotTime slot, SwitchModel* sw)
+FaultInjector::apply(const FaultEvent& e, SlotTime slot, InputQueuedSwitch* sw)
 {
     ++applied_;
     obs::faultEvent(static_cast<int>(e.kind), e.target);
@@ -95,7 +95,7 @@ FaultInjector::apply(const FaultEvent& e, SlotTime slot, SwitchModel* sw)
 }
 
 void
-FaultInjector::beginSlot(SlotTime slot, SwitchModel* sw)
+FaultInjector::beginSlot(SlotTime slot, InputQueuedSwitch* sw)
 {
     while (cursor_ < plan_.events.size() &&
            plan_.events[cursor_].slot <= slot) {

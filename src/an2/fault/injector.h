@@ -31,7 +31,7 @@
 
 namespace an2 {
 
-class SwitchModel;
+class InputQueuedSwitch;
 
 namespace fault {
 
@@ -102,7 +102,7 @@ class FaultInjector
      * running each listener's slotWork budget. Call once per slot,
      * before the slot's arrivals.
      */
-    void beginSlot(SlotTime slot, SwitchModel* sw = nullptr);
+    void beginSlot(SlotTime slot, InputQueuedSwitch* sw = nullptr);
 
     /**
      * Decide the fate of a cell arriving this slot. Draw order is fixed
@@ -140,7 +140,7 @@ class FaultInjector
     int size() const { return n_; }
 
   private:
-    void apply(const FaultEvent& e, SlotTime slot, SwitchModel* sw);
+    void apply(const FaultEvent& e, SlotTime slot, InputQueuedSwitch* sw);
 
     int n_;
     FaultPlan plan_;

@@ -9,7 +9,6 @@
 #include "an2/matching/islip.h"
 #include "an2/matching/pim.h"
 #include "an2/matching/serial_greedy.h"
-#include "an2/sim/fifo_switch.h"
 #include "an2/sim/iq_switch.h"
 
 namespace an2::harness {
@@ -113,7 +112,7 @@ parseArch(const std::string& name)
     return p;
 }
 
-std::unique_ptr<SwitchModel>
+std::unique_ptr<InputQueuedSwitch>
 build(const ArchParams& p, int n, uint64_t seed)
 {
     const IqSwitchConfig cfg{.n = n,
@@ -123,7 +122,8 @@ build(const ArchParams& p, int n, uint64_t seed)
     std::unique_ptr<Matcher> matcher;
     switch (p.kind) {
     case Kind::Fifo:
-        return std::make_unique<FifoSwitch>(n, seed, p.window, p.rounds);
+        return std::make_unique<InputQueuedSwitch>(n, seed, p.window,
+                                                   p.rounds);
     case Kind::OutputQueued:
         return std::make_unique<InputQueuedSwitch>(cfg);
     case Kind::Pim:

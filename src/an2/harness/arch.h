@@ -6,15 +6,16 @@
  * sweep specs, both `--arch` flags, the hot-path bench and the tests
  * build their switches here, so each architecture has one spelling.
  *
- * FIFO(window=W,rounds=R) is FifoSwitch with lookahead W >= 2;
- * OutputQueued is the perfect fabric with Fifo service. PIM(inf) runs
- * PIM to completion, and PIM(K,k=C) grants C >= 2 cells per output
- * behind the Strict output stage (the replicated fabric). Greedy is the
- * random-order greedy maximal matcher, Maximum is Hopcroft-Karp, and
- * CIOQ(S=s,strict|wrr) runs Greedy at crossbar speedup s. The suffixes
- * follow in this order: `+warm` (iSLIP, Greedy) and `-pipelined` (no
- * output stage). Only canonical spellings parse: a number has no sign,
- * space or leading zero. FIFO, PIM, Greedy and CIOQ draw on the seed.
+ * FIFO is the switch core's FIFO input form, FIFO(window=W,rounds=R) the
+ * same with lookahead W >= 2, and OutputQueued the perfect fabric with
+ * Fifo service. PIM(inf) runs PIM to completion, and PIM(K,k=C) grants
+ * C >= 2 cells per output behind the Strict output stage (the
+ * replicated fabric). Greedy is the random-order greedy maximal
+ * matcher, Maximum is Hopcroft-Karp, and CIOQ(S=s,strict|wrr) runs
+ * Greedy at crossbar speedup s. The suffixes follow in this order:
+ * `+warm` (iSLIP, Greedy) and `-pipelined` (no output stage). Only
+ * canonical spellings parse: a number has no sign, space or leading
+ * zero. FIFO, PIM, Greedy and CIOQ draw on the seed.
  */
 #ifndef AN2_HARNESS_ARCH_H
 #define AN2_HARNESS_ARCH_H

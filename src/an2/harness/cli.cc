@@ -10,35 +10,25 @@
 namespace an2::harness {
 
 void
-printSweepCliHelp(const char* prog, bool with_experiment)
+printSweepCliHelp(const char* prog, const char* switch_experiments,
+                  const char* network_experiments)
 {
+    const bool both = switch_experiments && network_experiments;
     std::printf("usage: %s [options]\n", prog);
-    if (with_experiment) {
+    if (both) {
         std::printf("  --experiment NAME   experiment to run "
                     "(--list shows them)\n");
         std::printf("  --list              list available experiments\n");
     }
-    std::printf("  --json PATH         write results as an2.sweep.v1 JSON\n");
+    std::printf("  --json PATH         write the results document "
+                "('-' for stdout)\n");
     std::printf("  --threads N         worker threads "
                 "(default: hardware concurrency;\n"
                 "                      results are identical for any N)\n");
     std::printf("  --replicates R      independent replicates per cell\n");
-    std::printf("  --slots S           slots per run\n");
-    std::printf("  --warmup W          warmup slots excluded from metrics\n");
     std::printf("  --seed X            base seed for deterministic "
                 "seeding\n");
     std::printf("  --loads A,B,...     override the load axis\n");
-    std::printf("  --size N            override the switch size\n");
-    std::printf("  --arch NAME         run this architecture instead of "
-                "the experiment's,\n"
-                "                      e.g. PIM(4), FIFO or "
-                "CIOQ(S=2,wrr) (see EXPERIMENTS.md)\n");
-    std::printf("  --frames F          switch frames per run (network "
-                "experiments)\n");
-    std::printf("  --engine E          network engine: serial | parallel "
-                "(network\n"
-                "                      experiments; results are identical "
-                "either way)\n");
     std::printf("  --faults SPEC       fault scenario applied to every run, "
                 "e.g.\n"
                 "                      "
@@ -47,29 +37,6 @@ printSweepCliHelp(const char* prog, bool with_experiment)
                 "link_down\n"
                 "                      link_up (port/link)@slot; modes: "
                 "drop(p) corrupt(p)\n");
-    std::printf("  --chaos SPEC        seeded random churn for network "
-                "experiments, e.g.\n"
-                "                      chaos(7,2.5,link+switch+storm) — "
-                "SEED, expected\n"
-                "                      episodes per 1000 slots, '+'-joined "
-                "kinds from\n"
-                "                      port link switch storm; expands to a "
-                "concrete\n"
-                "                      fault plan and enables CBR path "
-                "restoration\n");
-    std::printf("  --trace FILE        after the sweep, re-run one grid "
-                "point with probes\n"
-                "                      attached and write an an2.trace.v1 "
-                "Chrome trace\n");
-    std::printf("  --trace-arch NAME   architecture to observe (default: "
-                "first PIM arch)\n");
-    std::printf("  --trace-capacity N  event-ring capacity "
-                "(default 65536, drop-oldest)\n");
-    std::printf("  --snapshot FILE     write an2.snapshot.v1 JSON-lines "
-                "(VOQ heatmap,\n"
-                "                      backlog, match-size histogram)\n");
-    std::printf("  --snapshot-every K  slots between snapshots "
-                "(default 1000)\n");
     std::printf("  --metrics FILE      write an an2.metrics.v1 JSON-lines "
                 "time series\n"
                 "                      for the observed run (counters, "
@@ -87,6 +54,50 @@ printSweepCliHelp(const char* prog, bool with_experiment)
                 "                      post-mortem on invariant failure "
                 "or scripted\n"
                 "                      port/link death\n");
+    if (switch_experiments) {
+        if (both)
+            std::printf("switch experiments (%s) only:\n",
+                        switch_experiments);
+        std::printf("  --slots S           slots per run\n");
+        std::printf("  --warmup W          warmup slots excluded from "
+                    "metrics\n");
+        std::printf("  --size N            override the switch size\n");
+        std::printf("  --arch NAME         run this architecture instead of "
+                    "the experiment's,\n"
+                    "                      e.g. PIM(4), FIFO or "
+                    "CIOQ(S=2,wrr) (see EXPERIMENTS.md)\n");
+        std::printf("  --trace FILE        after the sweep, re-run one grid "
+                    "point with probes\n"
+                    "                      attached and write an "
+                    "an2.trace.v1 Chrome trace\n");
+        std::printf("  --trace-arch NAME   architecture to observe (default: "
+                    "first PIM arch)\n");
+        std::printf("  --trace-capacity N  event-ring capacity "
+                    "(default 65536, drop-oldest)\n");
+        std::printf("  --snapshot FILE     write an2.snapshot.v1 JSON-lines "
+                    "(VOQ heatmap,\n"
+                    "                      backlog, match-size histogram)\n");
+        std::printf("  --snapshot-every K  slots between snapshots "
+                    "(default 1000)\n");
+    }
+    if (network_experiments) {
+        if (both)
+            std::printf("network experiments (%s) only:\n",
+                        network_experiments);
+        std::printf("  --frames F          switch frames per run\n");
+        std::printf("  --engine E          network engine: serial | "
+                    "parallel (results are\n"
+                    "                      identical either way)\n");
+        std::printf("  --chaos SPEC        seeded random churn, e.g.\n"
+                    "                      chaos(7,2.5,link+switch+storm) — "
+                    "SEED, expected\n"
+                    "                      episodes per 1000 slots, "
+                    "'+'-joined kinds from\n"
+                    "                      port link switch storm; expands "
+                    "to a concrete\n"
+                    "                      fault plan and enables CBR path "
+                    "restoration\n");
+    }
     std::printf("  --help              this message\n");
 }
 

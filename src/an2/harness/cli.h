@@ -96,8 +96,15 @@ struct SweepCli
 const char* firstGiven(const SweepCli& cli,
                        std::initializer_list<const char*> flags);
 
-/** Print the option summary for `prog` to stdout. */
-void printSweepCliHelp(const char* prog, bool with_experiment);
+/**
+ * Print the option summary for `prog` to stdout: the flags every sweep
+ * takes, then the switch sweeps' own if `switch_experiments` names them
+ * and the network experiments' own if `network_experiments` does. A
+ * front end that runs both kinds (an2_sweep) also lists --experiment
+ * and --list, and heads each group with its experiments' names.
+ */
+void printSweepCliHelp(const char* prog, const char* switch_experiments,
+                       const char* network_experiments);
 
 /**
  * Parse a comma-separated load list (each in (0, 1]) into `out`.

@@ -26,15 +26,15 @@
 
 #include "an2/base/types.h"
 #include "an2/fault/fault_plan.h"
+#include "an2/sim/iq_switch.h"
 #include "an2/sim/simulator.h"
-#include "an2/sim/switch.h"
 #include "an2/sim/traffic.h"
 
 namespace an2::harness {
 
 /** Builds the switch under test for one run. */
 using SwitchFactory =
-    std::function<std::unique_ptr<SwitchModel>(int n, uint64_t seed)>;
+    std::function<std::unique_ptr<InputQueuedSwitch>(int n, uint64_t seed)>;
 
 /** Builds the workload for one run. */
 using TrafficFactory = std::function<std::unique_ptr<TrafficGenerator>(

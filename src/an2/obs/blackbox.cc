@@ -5,7 +5,7 @@
 
 #include "an2/harness/json_writer.h"
 #include "an2/obs/recorder.h"
-#include "an2/sim/switch.h"
+#include "an2/sim/iq_switch.h"
 
 namespace an2::obs {
 
@@ -43,7 +43,7 @@ writeLatency(JsonWriter& w, const char* key, const LogHistogram& h)
 
 }  // namespace
 
-Blackbox::Blackbox(Recorder& recorder, const SwitchModel* sw,
+Blackbox::Blackbox(Recorder& recorder, const InputQueuedSwitch* sw,
                    BlackboxConfig config)
     : rec_(recorder), sw_(sw), cfg_(std::move(config))
 {

@@ -17,8 +17,8 @@
  * A dump holds the failure reason, all counters plus their deltas since
  * the baseline (construction or the last rebaseline()), gauges, the
  * live-port masks and VOQ occupancy heatmap pulled from the switch via
- * SwitchModel::fillOccupancy, latency quantiles when tracked, and the
- * most recent trace events, newest window last. When a dump path is
+ * InputQueuedSwitch::fillOccupancy, latency quantiles when tracked, and
+ * the most recent trace events, newest window last. When a dump path is
  * configured each dump (best-effort) overwrites that file, so the file
  * always holds the latest post-mortem.
  *
@@ -41,7 +41,7 @@
 
 namespace an2 {
 
-class SwitchModel;
+class InputQueuedSwitch;
 
 namespace obs {
 
@@ -74,7 +74,8 @@ class Blackbox final : public fault::FaultListener
      *        null (those sections are omitted).
      * @param config Triggers and output path.
      */
-    explicit Blackbox(Recorder& recorder, const SwitchModel* sw = nullptr,
+    explicit Blackbox(Recorder& recorder,
+                      const InputQueuedSwitch* sw = nullptr,
                       BlackboxConfig config = {});
 
     /** Restores the previously installed panic hook. */
@@ -107,7 +108,7 @@ class Blackbox final : public fault::FaultListener
     static void panicTrampoline(void* ctx, const std::string& msg);
 
     Recorder& rec_;
-    const SwitchModel* sw_;
+    const InputQueuedSwitch* sw_;
     BlackboxConfig cfg_;
     std::array<int64_t, kNumCounters> baseline_{};
     std::vector<int32_t> voq_;

@@ -173,8 +173,10 @@ class Recorder;
 
 #ifdef AN2_OBS_DISABLED
 
-/** Compiled out: probes fold to `if (nullptr)` and vanish. */
-constexpr Recorder*
+/** Compiled out: probes fold to `if (nullptr)` and vanish once inlined.
+    Not constexpr, so a `Recorder* const` holding it is no constant and
+    the guarded `rec->` calls raise no -Wnonnull. */
+inline Recorder*
 current()
 {
     return nullptr;

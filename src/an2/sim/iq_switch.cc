@@ -18,7 +18,35 @@ InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config)
 InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config,
                                      std::unique_ptr<Matcher> matcher,
                                      const FrameSchedule* cbr_schedule)
-    : config_(config), matcher_(std::move(matcher)),
+    : InputQueuedSwitch(config, std::move(matcher), cbr_schedule, nullptr)
+{
+}
+
+InputQueuedSwitch::InputQueuedSwitch(int n, uint64_t seed, int window,
+                                     int rounds)
+    : InputQueuedSwitch(IqSwitchConfig{.n = n}, nullptr, nullptr,
+                        std::make_unique<FifoInputStage>(n, seed, window,
+                                                         rounds))
+{
+}
+
+InputQueuedSwitch::FifoInputStage::FifoInputStage(int n, uint64_t seed,
+                                                  int window, int rounds)
+    : window(window), rounds(rounds), rng(seed),
+      queues(static_cast<size_t>(requirePositive(n, "switch size"))),
+      cursor(static_cast<size_t>(n)), bidders(static_cast<size_t>(n)),
+      last(static_cast<size_t>(n)), lower(static_cast<size_t>(n)),
+      contended(static_cast<size_t>(wordset::numWords(n)))
+{
+    AN2_REQUIRE(window >= 1, "window must be >= 1");
+    AN2_REQUIRE(rounds >= 1, "rounds must be >= 1");
+}
+
+InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config,
+                                     std::unique_ptr<Matcher> matcher,
+                                     const FrameSchedule* cbr_schedule,
+                                     std::unique_ptr<FifoInputStage> fifo)
+    : config_(config), matcher_(std::move(matcher)), fifo_(std::move(fifo)),
       cbr_schedule_(cbr_schedule),
       // The first member sized from n, so it checks n for the rest.
       crossbar_(requirePositive(config.n, "switch size")),
@@ -35,7 +63,7 @@ InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config,
 {
     AN2_REQUIRE(config_.speedup >= 1 && config_.speedup <= 4,
                 "speedup must be in 1..4, got " << config_.speedup);
-    AN2_REQUIRE(matcher_ != nullptr ||
+    AN2_REQUIRE(matcher_ != nullptr || fifo_ != nullptr ||
                     (hasOutputQueues() && config_.speedup == 1),
                 "the perfect fabric (no matcher) needs an output stage and "
                 "speedup 1");
@@ -83,6 +111,13 @@ InputQueuedSwitch::name() const
                                             "vclock"};
     const char* service = kServices[static_cast<int>(config_.service)];
     std::ostringstream oss;
+    if (fifo_ != nullptr) {
+        oss << "FIFO";
+        if (fifo_->window > 1)
+            oss << "(window=" << fifo_->window << ",rounds=" << fifo_->rounds
+                << ")";
+        return oss.str();
+    }
     if (matcher_ == nullptr) {
         oss << "OutputQueued";
         if (config_.service != ServiceDiscipline::Fifo)
@@ -177,12 +212,16 @@ InputQueuedSwitch::acceptCellAs(FlowId queue_key, const Cell& cell)
         obs::count(obs::Counter::CellsDroppedByFaults);
         return;
     }
-    // The perfect fabric delivers the cell to its output's queue at once.
+    // The FIFO form queues every class in its input's ring, and the
+    // perfect fabric delivers the cell to its output's queue at once.
     // Otherwise a CBR cell waits for the frame schedule; with the output
     // stage it is matched like VBR and its class sets its priority at
     // the output.
     if (matcher_ == nullptr) {
-        fileCell(cell);
+        if (fifo_ != nullptr)
+            fifo_->queues[static_cast<size_t>(cell.input)].push_back(cell);
+        else
+            fileCell(cell);
     } else if (cell.cls == TrafficClass::CBR && !hasOutputQueues()) {
         AN2_REQUIRE(cbr_schedule_ != nullptr,
                     "CBR cell arrived at a switch with no frame schedule");
@@ -444,12 +483,105 @@ InputQueuedSwitch::serveOutputs()
     }
 }
 
+void
+InputQueuedSwitch::crossFabric(const Matching& setting, size_t first)
+{
+    // Always-on invariant: the crossbar setting never touches a dead
+    // port.
+    if (any_dead_)
+        fault::InvariantChecker::checkMatchingAvoidsDead(
+            setting, dead_in_.data(), dead_out_.data(), "InputQueuedSwitch");
+    crossbar_.configure(setting);
+    for (size_t k = first; k < forwarded_.size(); ++k)
+        crossbar_.forward(forwarded_[k]);
+}
+
+int
+InputQueuedSwitch::crossFifo()
+{
+    FifoInputStage& f = *fifo_;
+    const int n = config_.n;
+    const int words = busy_words_;
+    vbr_match_.reset(n, n);
+    std::fill(f.cursor.begin(), f.cursor.end(), 0);
+    for (int round = 0; round < f.rounds; ++round) {
+        // Every unmatched live input bids the output of the cell at its
+        // cursor. The window ends at the W-th cell, and at the first cell
+        // for a dead output: that cell blocks the ones behind it.
+        bool any = false;
+        for (PortId i = 0; i < n; ++i) {
+            const auto si = static_cast<size_t>(i);
+            const RingQueue<Cell>& q = f.queues[si];
+            const auto pos = static_cast<size_t>(f.cursor[si]);
+            if (pos >= q.size() || f.cursor[si] >= f.window ||
+                vbr_match_.isInputMatched(i))
+                continue;
+            const PortId j = q.at(pos).output;
+            if (any_dead_ && (wordset::testBit(dead_in_.data(), i) ||
+                              wordset::testBit(dead_out_.data(), j)))
+                continue;
+            if (vbr_match_.isOutputSaturated(j)) {
+                // Claimed in an earlier round: the input steps to its
+                // next cell without bidding.
+                ++f.cursor[si];
+                continue;
+            }
+            const auto sj = static_cast<size_t>(j);
+            if (f.bidders[sj]++ == 0)
+                wordset::setBit(f.contended.data(), j);
+            else
+                f.lower[si] = f.last[sj];
+            f.last[sj] = i;
+            any = true;
+        }
+        if (!any)
+            break;
+        // Each bid-for output, in ascending order, draws its winner among
+        // its bidders in ascending input order; the losers step to their
+        // next cell. The list runs from the highest bidder down.
+        wordset::forEachSet(f.contended.data(), words, [&](int j) {
+            const auto sj = static_cast<size_t>(j);
+            const int count = f.bidders[sj];
+            const int win = count - 1 -
+                            static_cast<int>(f.rng.nextBelow(
+                                static_cast<uint64_t>(count)));
+            PortId i = f.last[sj];
+            for (int k = 0; k < count; ++k) {
+                const PortId below = f.lower[static_cast<size_t>(i)];
+                if (k == win)
+                    vbr_match_.add(i, j);
+                else
+                    ++f.cursor[static_cast<size_t>(i)];
+                i = below;
+            }
+            f.bidders[sj] = 0;
+        });
+        wordset::clearAll(f.contended.data(), words);
+    }
+
+    int cbr_sent = 0;
+    for (PortId i = 0; i < n; ++i) {
+        if (!vbr_match_.isInputMatched(i))
+            continue;
+        const auto si = static_cast<size_t>(i);
+        const auto pos = static_cast<size_t>(f.cursor[si]);
+        forwarded_.push_back(f.queues[si].at(pos));
+        f.queues[si].erase(pos);
+        obs::cellDequeued(forwarded_.back());
+        cbr_sent += forwarded_.back().cls == TrafficClass::CBR;
+    }
+    crossFabric(vbr_match_, 0);
+    return cbr_sent;
+}
+
 const std::vector<Cell>&
 InputQueuedSwitch::runSlot(SlotTime slot)
 {
     const int n = config_.n;
     forwarded_.clear();
     obs::slotBegin(slot);
+    if (fifo_ != nullptr)
+        return closeSlot(slot, forwarded_, crossFifo(), 0);
 
     // Phase 1: CBR service from the frame schedule.
     bool cbr_busy = false;
@@ -522,16 +654,7 @@ InputQueuedSwitch::runSlot(SlotTime slot)
             }
         }
 
-        // Always-on invariant: the crossbar setting never touches a dead
-        // port.
-        const Matching& setting = merged ? combined_ : vbr_match_;
-        if (any_dead_)
-            fault::InvariantChecker::checkMatchingAvoidsDead(
-                setting, dead_in_.data(), dead_out_.data(),
-                "InputQueuedSwitch");
-        crossbar_.configure(setting);
-        for (size_t k = phase_first; k < forwarded_.size(); ++k)
-            crossbar_.forward(forwarded_[k]);
+        crossFabric(merged ? combined_ : vbr_match_, phase_first);
         phase_first = forwarded_.size();
     }
 
@@ -569,9 +692,15 @@ InputQueuedSwitch::runSlot(SlotTime slot)
                     rec->cellDequeued(c);
         result = &departed_;
     }
+    return closeSlot(slot, *result, cbr_crossed, n_cbr);
+}
 
+const std::vector<Cell>&
+InputQueuedSwitch::closeSlot(SlotTime slot, const std::vector<Cell>& departed,
+                             int cbr_crossed, size_t n_cbr)
+{
     // Always-on invariant: the conservation ledger balances every slot.
-    checker_.noteDeparted(static_cast<int64_t>(result->size()));
+    checker_.noteDeparted(static_cast<int64_t>(departed.size()));
     checker_.checkConservation(bufferedCells(), "InputQueuedSwitch");
 
     // Slot-boundary probes; the periodic snapshot samples the post-slot
@@ -584,17 +713,13 @@ InputQueuedSwitch::runSlot(SlotTime slot)
         if (rec->snapshotDue(slot))
             takeSnapshot(*rec, slot);
     }
-    return *result;
+    return departed;
 }
 
 void
 InputQueuedSwitch::runSlots(SlotTime first, SlotTime count,
                             SlotDriver& driver)
 {
-    // Identical to the base loop, but compiled against the final class:
-    // the per-cell acceptCell calls and the runSlot body are direct
-    // (inlinable) calls here, so a k-slot batch pays one virtual
-    // dispatch instead of ~arrivals+1 per slot.
     for (SlotTime s = first; s < first + count; ++s) {
         const std::vector<Cell>& arrivals = driver.beginSlot(s);
         for (const Cell& c : arrivals)
@@ -618,6 +743,14 @@ InputQueuedSwitch::fillOccupancy(int32_t* voq, int32_t* backlog) const
                 voq[i * n + static_cast<size_t>(j)] += cells;
                 backlog[j] += cells;
             }
+    if (fifo_ != nullptr)
+        for (size_t i = 0; i < n; ++i) {
+            const RingQueue<Cell>& q = fifo_->queues[i];
+            for (size_t k = 0; k < q.size(); ++k) {
+                ++voq[i * n + static_cast<size_t>(q.at(k).output)];
+                ++backlog[q.at(k).output];
+            }
+        }
 }
 
 void
@@ -642,6 +775,9 @@ InputQueuedSwitch::bufferedCells() const
     if (vc_ != nullptr)
         for (const auto& heap : vc_->heaps)
             total += static_cast<int>(heap.size());
+    if (fifo_ != nullptr)
+        for (const auto& q : fifo_->queues)
+            total += static_cast<int>(q.size());
     return total;
 }
 

@@ -25,12 +25,22 @@
  * frame schedule and pipelining; a CBR-class cell is then matched like
  * VBR and takes its priority at the output.
  *
- * Built without a matcher, the switch is that ideal: perfect output
- * queueing (§2.4), the envelope every scheduler is measured against in
- * Figures 1, 3 and 4. Its fabric delivers any number of simultaneous
- * arrivals, so each accepted cell joins its output's queue at once and
- * never touches a VOQ, the request matrix or a matcher. With the
- * virtual-clock discipline it is §5.1's fairness baseline (Figure 8).
+ * Built with an output stage but no matcher, the switch is that ideal:
+ * perfect output queueing (§2.4), the envelope every scheduler is
+ * measured against in Figures 1, 3 and 4. Its fabric delivers any
+ * number of simultaneous arrivals, so each accepted cell joins its
+ * output's queue at once and never touches a VOQ, the request matrix or
+ * a matcher. With the virtual-clock discipline it is §5.1's fairness
+ * baseline (Figure 8).
+ *
+ * The third form, built with neither, is FIFO input queueing: the
+ * head-of-line baseline of Figures 1, 3, 4 and 5 (§2.4). Each input
+ * keeps one FIFO ring, and only its first W cells may bid (W = 1 by
+ * default). Each slot runs up to R contention rounds, the iterative
+ * scheme of Hui & Arthurs as extended by Karol et al.: every unmatched
+ * input bids the output of its current cell, each contended output picks
+ * one bidder uniformly at random, and a loser moves on to its next cell.
+ * It uses no VOQ, request matrix or matcher either.
  *
  * The scheduling input is a persistent RequestMatrix patched as cells
  * arrive and depart (one increment per enqueue, one decrement per
@@ -48,17 +58,18 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "an2/base/flat_map.h"
 #include "an2/base/ring.h"
+#include "an2/base/rng.h"
 #include "an2/cbr/frame_schedule.h"
 #include "an2/fabric/crossbar.h"
 #include "an2/fault/invariants.h"
 #include "an2/matching/matcher.h"
 #include "an2/queueing/voq.h"
-#include "an2/sim/switch.h"
 
 namespace an2 {
 
@@ -107,10 +118,40 @@ struct IqSwitchConfig
     std::array<int, kNumTrafficClasses> wrr_weights = {4, 2, 1};
 };
 
-/** The AN2 switch: VOQ input buffers + pluggable matcher + CBR schedule,
-    with an optional output stage; without a matcher, perfect output
-    queueing. */
-class InputQueuedSwitch final : public SwitchModel
+/**
+ * Per-slot callbacks for the batched slot loop
+ * (InputQueuedSwitch::runSlots). The driver supplies each slot's
+ * arrivals and consumes its departures.
+ */
+class SlotDriver
+{
+  public:
+    virtual ~SlotDriver() = default;
+
+    /**
+     * Arrivals for `slot` (cells already past any admission/fault
+     * filtering — every returned cell is fed to the switch). The buffer
+     * must stay valid until the same slot's endSlot() returns; drivers
+     * reuse one buffer so steady-state slots perform no allocation.
+     */
+    virtual const std::vector<Cell>& beginSlot(SlotTime slot) = 0;
+
+    /** Departures of `slot` (the switch's runSlot() return buffer). */
+    virtual void endSlot(SlotTime slot,
+                         const std::vector<Cell>& departed) = 0;
+};
+
+/**
+ * The AN2 switch: VOQ input buffers + pluggable matcher + CBR schedule,
+ * with an optional output stage; without a matcher, perfect output
+ * queueing or FIFO input queueing. A cell's delay is its departure slot
+ * minus its injection slot.
+ *
+ * A dead port carries nothing: arrivals at a dead input or bound for a
+ * dead output are dropped and counted in droppedCells(); cells already
+ * queued toward a dead output stay buffered until it revives.
+ */
+class InputQueuedSwitch
 {
   public:
     /**
@@ -130,10 +171,17 @@ class InputQueuedSwitch final : public SwitchModel
         at once (`config.service` must name an output stage). */
     explicit InputQueuedSwitch(const IqSwitchConfig& config);
 
-    void acceptCell(const Cell& cell) override
-    {
-        acceptCellAs(cell.flow, cell);
-    }
+    /**
+     * The FIFO input form, with n ports.
+     * @param seed PRNG seed for contention resolution.
+     * @param window Queue positions eligible per slot (1 = strict FIFO).
+     * @param rounds Contention rounds per slot (>= 1; ignored beyond the
+     *        window since a loser needs a next cell to bid).
+     */
+    InputQueuedSwitch(int n, uint64_t seed, int window = 1, int rounds = 1);
+
+    /** Accept a cell arriving at the start of the current slot. */
+    void acceptCell(const Cell& cell) { acceptCellAs(cell.flow, cell); }
 
     /**
      * Buffer a cell under an explicit queue key instead of its flow id
@@ -142,18 +190,35 @@ class InputQueuedSwitch final : public SwitchModel
      */
     void acceptCellAs(FlowId queue_key, const Cell& cell);
 
-    const std::vector<Cell>& runSlot(SlotTime slot) override;
-    void runSlots(SlotTime first, SlotTime count,
-                  SlotDriver& driver) override;
-    int bufferedCells() const override;
-    std::string name() const override;
-    int size() const override { return config_.n; }
+    /** Schedule and forward slot `slot`, after all of its arrivals;
+        returns the departing cells in a buffer the switch reuses at the
+        next runSlot() call. */
+    const std::vector<Cell>& runSlot(SlotTime slot);
 
-    void setInputPortLive(PortId i, bool live) override;
-    void setOutputPortLive(PortId j, bool live) override;
-    bool inputPortLive(PortId i) const override;
-    bool outputPortLive(PortId j) const override;
-    int64_t droppedCells() const override { return checker_.dropped(); }
+    /**
+     * Run `count` consecutive slots from `first`: each slot's arrivals
+     * come from `driver`, go through acceptCell(), and runSlot()'s
+     * departures go back to it.
+     */
+    void runSlots(SlotTime first, SlotTime count, SlotDriver& driver);
+
+    /** Cells currently buffered anywhere in the switch. */
+    int bufferedCells() const;
+
+    /** Architecture name for reports. */
+    std::string name() const;
+
+    /** Number of ports. */
+    int size() const { return config_.n; }
+
+    /** Mark input port `i` (output port `j`) live or dead. */
+    void setInputPortLive(PortId i, bool live);
+    void setOutputPortLive(PortId j, bool live);
+    bool inputPortLive(PortId i) const;
+    bool outputPortLive(PortId j) const;
+
+    /** Cells discarded at dead ports. */
+    int64_t droppedCells() const { return checker_.dropped(); }
 
     /** CBR cells among droppedCells() (lost reserved traffic). */
     int64_t cbrCellsLost() const { return cbr_cells_lost_; }
@@ -210,9 +275,14 @@ class InputQueuedSwitch final : public SwitchModel
      */
     int purgeCbrFlow(PortId i, FlowId flow);
 
-    /** Real VOQ occupancy (VBR + CBR buffers, plus the output queues
-        in the backlog). */
-    void fillOccupancy(int32_t* voq, int32_t* backlog) const override;
+    /**
+     * Fill `voq` (size() x size() entries, row-major by input) with the
+     * cells queued per (input, output) pair, in the VBR and CBR buffers
+     * or the FIFO rings, and `backlog` (size() entries) with the cells
+     * queued per output, the output queues included. Diagnostic path
+     * only (snapshots, flight-recorder post-mortems).
+     */
+    void fillOccupancy(int32_t* voq, int32_t* backlog) const;
 
     /** Matching phases executed so far by the output-queued switch
         (<= speedup per slot). */
@@ -271,6 +341,22 @@ class InputQueuedSwitch final : public SwitchModel
     void computeVbrMatch(const uint64_t* in_busy, const uint64_t* out_busy,
                          bool any_busy, Matching& out);
 
+    /** Check `setting` against the dead ports, set the crossbar to it
+        and send forwarded_[first..] across. */
+    void crossFabric(const Matching& setting, size_t first);
+
+    /** The FIFO input form's slot: run the contention rounds into
+        vbr_match_, move each winner from its ring into forwarded_ in
+        ascending input order, and cross the fabric. Returns the count
+        of CBR-class cells among them. */
+    int crossFifo();
+
+    /** The slot's shared tail: the ledger over `departed`, then the
+        slot-boundary probes; returns `departed`. */
+    const std::vector<Cell>& closeSlot(SlotTime slot,
+                                       const std::vector<Cell>& departed,
+                                       int cbr_crossed, size_t n_cbr);
+
     /** Fill the recorder's VOQ/backlog scratch with the current queue
         state and commit one snapshot line for `slot`. */
     void takeSnapshot(obs::Recorder& rec, SlotTime slot) const;
@@ -302,8 +388,31 @@ class InputQueuedSwitch final : public SwitchModel
         void push(const Cell& cell);
     };
 
+    /** The FIFO input form: one ring per input, the contention engine,
+        and each slot's scratch, all sized at construction. */
+    struct FifoInputStage
+    {
+        FifoInputStage(int n, uint64_t seed, int window, int rounds);
+
+        int window;
+        int rounds;
+        Xoshiro256 rng;
+        std::vector<RingQueue<Cell>> queues;  ///< per input, FIFO order
+        std::vector<int> cursor;     ///< queue position input i bids next
+        std::vector<int> bidders;    ///< bids per output this round
+        std::vector<PortId> last;    ///< output j's highest bidder
+        std::vector<PortId> lower;   ///< bidder i's next-lower co-bidder
+        std::vector<uint64_t> contended;  ///< outputs bid for this round
+    };
+
+    InputQueuedSwitch(const IqSwitchConfig& config,
+                      std::unique_ptr<Matcher> matcher,
+                      const FrameSchedule* cbr_schedule,
+                      std::unique_ptr<FifoInputStage> fifo);
+
     IqSwitchConfig config_;
-    std::unique_ptr<Matcher> matcher_;  ///< null: the perfect fabric
+    std::unique_ptr<Matcher> matcher_;  ///< null: perfect fabric or FIFO
+    std::unique_ptr<FifoInputStage> fifo_;  ///< the FIFO input form only
     const FrameSchedule* cbr_schedule_;
     std::vector<InputBuffer> vbr_bufs_;  ///< built only with a matcher
     std::vector<InputBuffer> cbr_bufs_;  ///< built only with a schedule
@@ -336,7 +445,7 @@ class InputQueuedSwitch final : public SwitchModel
     std::vector<uint64_t> out_busy_;   ///< outputs claimed by CBR
     std::vector<uint64_t> next_in_;    ///< predicted busy, next slot
     std::vector<uint64_t> next_out_;   ///< predicted busy, next slot
-    Matching vbr_match_;               ///< matcher output buffer
+    Matching vbr_match_;               ///< matcher or FIFO contention output
     Matching combined_;                ///< merged CBR + VBR setting
     std::vector<Cell> forwarded_;      ///< cells crossing this slot
     std::vector<Cell> departed_;       ///< runSlot return (output stage)

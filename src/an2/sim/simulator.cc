@@ -18,7 +18,7 @@ namespace {
 class SimDriver final : public SlotDriver
 {
   public:
-    SimDriver(SwitchModel& sw, TrafficGenerator& traffic,
+    SimDriver(InputQueuedSwitch& sw, TrafficGenerator& traffic,
               const SimConfig& config, MetricsCollector& metrics)
         : sw_(sw), traffic_(traffic), config_(config), metrics_(metrics)
     {
@@ -69,7 +69,7 @@ class SimDriver final : public SlotDriver
     int64_t delivered() const { return delivered_; }
 
   private:
-    SwitchModel& sw_;
+    InputQueuedSwitch& sw_;
     TrafficGenerator& traffic_;
     const SimConfig& config_;
     MetricsCollector& metrics_;
@@ -82,7 +82,7 @@ class SimDriver final : public SlotDriver
 }  // namespace
 
 SimResult
-runSimulation(SwitchModel& sw, TrafficGenerator& traffic,
+runSimulation(InputQueuedSwitch& sw, TrafficGenerator& traffic,
               const SimConfig& config)
 {
     AN2_REQUIRE(config.slots > 0, "simulation needs at least one slot, got "

@@ -12,7 +12,7 @@
 #include "an2/base/types.h"
 #include "an2/fault/injector.h"
 #include "an2/sim/metrics.h"
-#include "an2/sim/switch.h"
+#include "an2/sim/iq_switch.h"
 #include "an2/sim/traffic.h"
 
 namespace an2 {
@@ -32,10 +32,11 @@ struct SimConfig
     /**
      * Optional fault injector (not owned). When set, its scripted events
      * are applied at each slot boundary (dead ports propagate into the
-     * switch via SwitchModel::set*PortLive) and every generated cell is
-     * classified before reaching the switch: cells touching a dead port
-     * or losing the drop/corrupt draw never arrive. Conservation then
-     * reads injected = delivered + buffered + dropped (all causes).
+     * switch via InputQueuedSwitch::set*PortLive) and every generated
+     * cell is classified before reaching the switch: cells touching a
+     * dead port or losing the drop/corrupt draw never arrive.
+     * Conservation then reads injected = delivered + buffered + dropped
+     * (all causes).
      */
     fault::FaultInjector* faults = nullptr;
 };
@@ -83,7 +84,7 @@ struct SimResult
  * Verifies cell conservation (injected = delivered + still buffered) and
  * returns the collected metrics.
  */
-SimResult runSimulation(SwitchModel& sw, TrafficGenerator& traffic,
+SimResult runSimulation(InputQueuedSwitch& sw, TrafficGenerator& traffic,
                         const SimConfig& config);
 
 }  // namespace an2

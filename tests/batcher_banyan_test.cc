@@ -131,8 +131,9 @@ TEST(BatcherTest, SortsByDestination)
     ASSERT_EQ(sorted.size(), 5u);
     for (size_t k = 0; k < sorted.size(); ++k) {
         EXPECT_EQ(sorted[k].input, static_cast<PortId>(k));  // concentrated
-        if (k > 0)
+        if (k > 0) {
             EXPECT_LE(sorted[k - 1].output, sorted[k].output);
+        }
     }
 }
 

@@ -17,7 +17,6 @@
 #include "an2/matching/pim.h"
 #include "an2/matching/request_matrix.h"
 #include "an2/network/link.h"
-#include "an2/sim/fifo_switch.h"
 #include "an2/sim/iq_switch.h"
 #include "an2/sim/simulator.h"
 #include "an2/sim/traffic.h"
@@ -275,7 +274,7 @@ TEST(IqSwitchFaultTest, PipelinedMatchingSkipsPortsKilledMidPipeline)
 
 TEST(FifoSwitchFaultTest, DeadOutputBlocksHeadOfLine)
 {
-    FifoSwitch sw(4, /*seed=*/9, /*window=*/2);
+    InputQueuedSwitch sw(4, /*seed=*/9, /*window=*/2);
     // Queue both cells, then kill the head's output: the head cannot be
     // served and blocks the cell behind it (FIFO HOL semantics extend to
     // failures — even with window 2 the exposure stops at the dead cell).
@@ -293,7 +292,7 @@ TEST(FifoSwitchFaultTest, DeadOutputBlocksHeadOfLine)
 
 TEST(FifoSwitchFaultTest, DeadInputDropsAndCounts)
 {
-    FifoSwitch sw(4, 9);
+    InputQueuedSwitch sw(4, 9);
     sw.setInputPortLive(0, false);
     sw.acceptCell(vbrCell(0, 1));
     EXPECT_EQ(sw.droppedCells(), 1);

@@ -1,6 +1,6 @@
-// Tests for the FIFO-input-queued switch (an2/sim/fifo_switch.h),
+// Tests for the switch core's FIFO input form (an2/sim/iq_switch.h),
 // including the Karol 58% head-of-line saturation bound.
-#include "an2/sim/fifo_switch.h"
+#include "an2/sim/iq_switch.h"
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,7 @@ namespace {
 
 TEST(FifoSwitchTest, ForwardsSingleCell)
 {
-    FifoSwitch sw(4, 1);
+    InputQueuedSwitch sw(4, 1);
     Cell c;
     c.flow = 0;
     c.input = 2;
@@ -28,7 +28,7 @@ TEST(FifoSwitchTest, ForwardsSingleCell)
 
 TEST(FifoSwitchTest, HeadOfLineBlocksSecondCell)
 {
-    FifoSwitch sw(2, 1);
+    InputQueuedSwitch sw(2, 1);
     // Input 0 queue: [->0, ->1]. Input 1 queue: [->0]. Whatever wins
     // output 0, input 0's cell for output 1 cannot move unless its head
     // already departed.
@@ -56,7 +56,7 @@ TEST(FifoSwitchTest, HeadOfLineBlocksSecondCell)
 
 TEST(FifoSwitchTest, WindowTwoRelievesThatBlocking)
 {
-    FifoSwitch sw(2, 1, /*window=*/2, /*rounds=*/2);
+    InputQueuedSwitch sw(2, 1, /*window=*/2, /*rounds=*/2);
     Cell a0;
     a0.flow = 0;
     a0.input = 0;
@@ -84,7 +84,7 @@ TEST(FifoSwitchTest, SaturationThroughputNearKarolBound)
     // Karol et al. (1987): FIFO input queueing saturates at ~58.6% per
     // link under uniform traffic, for large N; at N=16 the finite-size
     // value is a bit above 0.6.
-    FifoSwitch sw(16, 42);
+    InputQueuedSwitch sw(16, 42);
     UniformTraffic traffic(16, 1.0, 43);
     SimConfig cfg;
     cfg.slots = 30'000;
@@ -96,7 +96,7 @@ TEST(FifoSwitchTest, SaturationThroughputNearKarolBound)
 
 TEST(FifoSwitchTest, LowLoadDelayIsSmall)
 {
-    FifoSwitch sw(16, 44);
+    InputQueuedSwitch sw(16, 44);
     UniformTraffic traffic(16, 0.1, 45);
     SimConfig cfg;
     cfg.slots = 20'000;
@@ -111,7 +111,7 @@ TEST(FifoSwitchTest, PerInputFifoOrderPreserved)
 {
     // Cells from one input to one output must depart in order (they share
     // a FIFO), even with windowing disabled.
-    FifoSwitch sw(4, 46);
+    InputQueuedSwitch sw(4, 46);
     UniformTraffic traffic(4, 0.5, 47);
     std::map<std::pair<PortId, PortId>, int64_t> next_seq;
     SimConfig cfg;
@@ -128,7 +128,7 @@ TEST(FifoSwitchTest, PerInputFifoOrderPreserved)
 
 TEST(FifoSwitchTest, InvalidCellsRejected)
 {
-    FifoSwitch sw(2, 1);
+    InputQueuedSwitch sw(2, 1);
     Cell bad;
     bad.input = 5;
     bad.output = 0;
@@ -140,8 +140,8 @@ TEST(FifoSwitchTest, InvalidCellsRejected)
 
 TEST(FifoSwitchTest, NameEncodesWindow)
 {
-    EXPECT_EQ(FifoSwitch(4, 1).name(), "FIFO");
-    EXPECT_EQ(FifoSwitch(4, 1, 4, 2).name(), "FIFO(window=4,rounds=2)");
+    EXPECT_EQ(InputQueuedSwitch(4, 1).name(), "FIFO");
+    EXPECT_EQ(InputQueuedSwitch(4, 1, 4, 2).name(), "FIFO(window=4,rounds=2)");
 }
 
 }  // namespace

@@ -12,7 +12,7 @@ namespace an2 {
 namespace {
 
 std::unique_ptr<FillInMatcher>
-statisticalPlusPim(int n, const Matrix<int>& alloc, uint64_t seed)
+statisticalPlusPim(const Matrix<int>& alloc, uint64_t seed)
 {
     StatisticalConfig scfg;
     scfg.units = 1000;
@@ -35,7 +35,7 @@ TEST(FillInTest, RequiresBothSchedulers)
 TEST(FillInTest, ResultIsLegalAndConflictFree)
 {
     Matrix<int> alloc(8, 8, 100);
-    auto matcher = statisticalPlusPim(8, alloc, 5);
+    auto matcher = statisticalPlusPim(alloc, 5);
     Xoshiro256 rng(6);
     for (int t = 0; t < 200; ++t) {
         auto req = RequestMatrix::bernoulli(8, 0.6, rng);
@@ -53,7 +53,7 @@ TEST(FillInTest, FillInRestoresWorkConservation)
     // switch moves N cells every slot.
     constexpr int kN = 8;
     Matrix<int> alloc(kN, kN, 1000 / kN);
-    auto matcher = statisticalPlusPim(kN, alloc, 7);
+    auto matcher = statisticalPlusPim(alloc, 7);
     RequestMatrix req(kN);
     for (PortId i = 0; i < kN; ++i)
         for (PortId j = 0; j < kN; ++j)
@@ -81,7 +81,7 @@ TEST(FillInTest, AllocationsStillHonoredUnderFillIn)
         alloc(3, j) = 250;
     for (PortId i = 0; i < 3; ++i)
         alloc(i, 0) = 250;
-    auto matcher = statisticalPlusPim(kN, alloc, 8);
+    auto matcher = statisticalPlusPim(alloc, 8);
     RequestMatrix req(kN);
     for (PortId i = 0; i < 3; ++i)
         req.set(i, 0, 1);
@@ -103,7 +103,7 @@ TEST(FillInTest, NameAndCountersCompose)
 {
     Matrix<int> alloc(4, 4, 0);
     alloc(0, 0) = 500;
-    auto matcher = statisticalPlusPim(4, alloc, 9);
+    auto matcher = statisticalPlusPim(alloc, 9);
     EXPECT_NE(matcher->name().find("Statistical"), std::string::npos);
     EXPECT_NE(matcher->name().find("PIM"), std::string::npos);
     RequestMatrix req(4);

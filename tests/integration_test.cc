@@ -9,7 +9,6 @@
 #include "an2/matching/islip.h"
 #include "an2/matching/pim.h"
 #include "an2/matching/statistical.h"
-#include "an2/sim/fifo_switch.h"
 #include "an2/sim/iq_switch.h"
 #include "an2/sim/simulator.h"
 #include "an2/sim/traffic.h"
@@ -27,7 +26,7 @@ pim(int iterations, uint64_t seed)
 }
 
 SimResult
-runUniform(SwitchModel& sw, double load, uint64_t seed,
+runUniform(InputQueuedSwitch& sw, double load, uint64_t seed,
            SlotTime slots = 30'000)
 {
     UniformTraffic traffic(sw.size(), load, seed);
@@ -43,7 +42,7 @@ TEST(IntegrationTest, Figure3OrderingAtHighLoad)
     // capped near 0.6); PIM(4) delivers the load with delay between OQ
     // and FIFO.
     constexpr double kLoad = 0.90;
-    FifoSwitch fifo(16, 1);
+    InputQueuedSwitch fifo(16, 1);
     InputQueuedSwitch pim_sw({.n = 16}, pim(4, 2));
     InputQueuedSwitch oq({.n = 16, .service = ServiceDiscipline::Fifo});
 

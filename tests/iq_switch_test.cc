@@ -50,9 +50,10 @@ TEST(IqSwitchTest, ForwardsWithoutContention)
 
 TEST(IqSwitchTest, NoHolBlockingAcrossVoqs)
 {
-    // The FifoSwitch HOL scenario: input 0 holds cells for outputs 0 and
-    // 1, input 1 holds a cell for output 0. A VOQ switch must move two
-    // cells in the first slot regardless of who wins output 0.
+    // The FIFO form's HOL scenario (FifoSwitchTest): input 0 holds cells
+    // for outputs 0 and 1, input 1 holds a cell for output 0. A VOQ
+    // switch must move two cells in the first slot regardless of who
+    // wins output 0.
     InputQueuedSwitch sw({.n = 2}, pim(4));
     sw.acceptCell(vbrCell(0, 0, 0));
     sw.acceptCell(vbrCell(1, 0, 1));
@@ -333,7 +334,7 @@ TEST(IqSwitchTest, ReplicatedFabricHoldsCellsForADeadOutput)
 {
     // Three cells for output 1 on a k = 2 fabric: two cross in slot 0
     // and one leaves. Once output 1 dies, the queued cell must stay put
-    // (SwitchModel's fault contract) and leave only after revival.
+    // (the switch's fault contract) and leave only after revival.
     PimConfig mcfg;
     mcfg.iterations = 4;
     mcfg.output_capacity = 2;

@@ -143,8 +143,9 @@ TEST_P(MatcherConformanceTest, PermutationPatternHandled)
     // statistical matcher intentionally idles ~28% of slots.
     std::string label = allFactories()[static_cast<size_t>(factoryIndex())]
                             .label;
-    if (label != "statistical")
+    if (label != "statistical") {
         EXPECT_EQ(m.size(), size());
+    }
 }
 
 TEST_P(MatcherConformanceTest, SingleColumnContention)

@@ -116,7 +116,8 @@ TEST(PimTest, AverageIterationsWithinAppendixABound)
     // empirical mean over many dense patterns and allow a small slack for
     // sampling noise (the bound itself is loose in practice).
     for (int n : {4, 8, 16, 32}) {
-        PimMatcher pim(PimConfig{.iterations = 0, .seed = 100 + n});
+        PimMatcher pim(PimConfig{.iterations = 0,
+                                 .seed = static_cast<uint64_t>(100 + n)});
         Xoshiro256 rng(static_cast<uint64_t>(n));
         double total_iters = 0.0;
         constexpr int kTrials = 300;
@@ -365,8 +366,9 @@ TEST_P(PimSweepTest, ProducesLegalMatchings)
         auto req = RequestMatrix::bernoulli(n, p, rng);
         Matching m = pim.match(req);
         EXPECT_TRUE(m.isLegalFor(req));
-        if (iterations == 0)
+        if (iterations == 0) {
             EXPECT_TRUE(m.isMaximalFor(req));
+        }
         // Each output matched at most once (capacity 1).
         for (PortId j = 0; j < n; ++j)
             EXPECT_LE(m.outputDegree(j), 1);

@@ -17,7 +17,8 @@
 namespace an2 {
 namespace {
 
-using SwitchFactory = std::function<std::unique_ptr<SwitchModel>(int n)>;
+using SwitchFactory =
+    std::function<std::unique_ptr<InputQueuedSwitch>(int n)>;
 
 struct NamedSwitch
 {
@@ -92,7 +93,7 @@ using Param = ::testing::tuple<int, std::string>;
 class SwitchConformanceTest : public ::testing::TestWithParam<Param>
 {
   protected:
-    std::unique_ptr<SwitchModel>
+    std::unique_ptr<InputQueuedSwitch>
     makeSwitch(int n)
     {
         return allSwitches()[static_cast<size_t>(

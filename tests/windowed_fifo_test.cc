@@ -1,6 +1,6 @@
-// Tests for windowed FIFO contention resolution
-// (an2/matching/windowed_fifo.h).
-#include "an2/matching/windowed_fifo.h"
+// Tests for windowed FIFO contention resolution (windowed_fifo.h), the
+// oracle of the switch core's FIFO input form.
+#include "windowed_fifo.h"
 
 #include <gtest/gtest.h>
 
