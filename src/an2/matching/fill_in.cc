@@ -25,41 +25,34 @@ FillInMatcher::reset()
     secondary_->reset();
 }
 
-Matching
-FillInMatcher::match(const RequestMatrix& req)
+void
+FillInMatcher::matchInto(const RequestMatrix& req, Matching& out)
 {
-    Matching m = primary_->match(req);
-    AN2_ASSERT(m.isLegalFor(req), "primary returned an illegal matching");
-    primary_pairs_ += m.size();
+    primary_->matchInto(req, out);
+    AN2_ASSERT(out.isLegalFor(req), "primary returned an illegal matching");
+    primary_pairs_ += out.size();
 
     // Hand the secondary scheduler only the requests between ports the
     // primary left idle.
-    RequestMatrix residual(req.numInputs(), req.numOutputs());
-    bool any = false;
+    residual_ = req;
+    for (PortId i = 0; i < req.numInputs(); ++i)
+        if (out.isInputMatched(i))
+            residual_.clearRow(i);
+    for (PortId j = 0; j < req.numOutputs(); ++j)
+        if (out.isOutputSaturated(j))
+            residual_.clearColumn(j);
+    if (residual_.numEdges() == 0)
+        return;
+
+    secondary_->matchInto(residual_, fill_);
+    AN2_ASSERT(fill_.isLegalFor(residual_),
+               "fill-in returned an illegal matching");
     for (PortId i = 0; i < req.numInputs(); ++i) {
-        if (m.isInputMatched(i))
-            continue;
-        for (PortId j = 0; j < req.numOutputs(); ++j) {
-            if (m.isOutputSaturated(j))
-                continue;
-            int count = req.count(i, j);
-            if (count > 0) {
-                residual.set(i, j, count);
-                any = true;
-            }
+        if (fill_.isInputMatched(i)) {
+            out.add(i, fill_.outputOf(i));
+            ++fill_in_pairs_;
         }
     }
-    if (!any)
-        return m;
-
-    Matching fill = secondary_->match(residual);
-    AN2_ASSERT(fill.isLegalFor(residual),
-               "fill-in returned an illegal matching");
-    for (auto [i, j] : fill.pairs()) {
-        m.add(i, j);
-        ++fill_in_pairs_;
-    }
-    return m;
 }
 
 }  // namespace an2

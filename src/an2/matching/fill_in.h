@@ -7,6 +7,12 @@
  * allocated capacity) and hands the leftover ports to a secondary
  * scheduler (typically PIM) in the same slot, so reserved shares are
  * honored *and* the switch stays work-conserving.
+ *
+ * The secondary sees a residual request matrix: a copy of the slot's
+ * requests, port liveness included, with the rows of the inputs and the
+ * columns of the outputs the primary claimed cleared. A dead port's
+ * requests stay hidden in it, and each copy advances its epoch, so a
+ * warm-starting secondary never replays a stale matching.
  */
 #ifndef AN2_MATCHING_FILL_IN_H
 #define AN2_MATCHING_FILL_IN_H
@@ -28,7 +34,7 @@ class FillInMatcher final : public Matcher
     FillInMatcher(std::unique_ptr<Matcher> primary,
                   std::unique_ptr<Matcher> secondary);
 
-    Matching match(const RequestMatrix& req) override;
+    void matchInto(const RequestMatrix& req, Matching& out) override;
     std::string name() const override;
     void reset() override;
 
@@ -46,6 +52,11 @@ class FillInMatcher final : public Matcher
     std::unique_ptr<Matcher> secondary_;
     int64_t primary_pairs_ = 0;
     int64_t fill_in_pairs_ = 0;
+
+    // Reused across slots: copy-assignment keeps their storage when the
+    // dimensions do not change.
+    RequestMatrix residual_{1};  ///< requests between idle ports
+    Matching fill_{1};           ///< the secondary's matching
 };
 
 }  // namespace an2

@@ -1,8 +1,9 @@
 #include "an2/matching/hopcroft_karp.h"
 
+#include <bit>
 #include <limits>
-#include <queue>
-#include <vector>
+
+#include "an2/matching/wordset.h"
 
 namespace an2 {
 
@@ -10,103 +11,78 @@ namespace {
 
 constexpr int kInf = std::numeric_limits<int>::max();
 
-/** Internal solver state for one run. */
-struct Solver
+}  // namespace
+
+bool
+HopcroftKarpMatcher::layer(const RequestMatrix& req)
 {
-    const RequestMatrix& req;
-    int n_in;
-    int n_out;
-    std::vector<std::vector<PortId>> adj;  // input -> requested outputs
-    std::vector<PortId> match_in;          // input -> output or kNoPort
-    std::vector<PortId> match_out;         // output -> input or kNoPort
-    std::vector<int> dist;
-
-    explicit Solver(const RequestMatrix& r)
-        : req(r), n_in(r.numInputs()), n_out(r.numOutputs()),
-          adj(static_cast<size_t>(n_in)),
-          match_in(static_cast<size_t>(n_in), kNoPort),
-          match_out(static_cast<size_t>(n_out), kNoPort),
-          dist(static_cast<size_t>(n_in), 0)
-    {
-        for (PortId i = 0; i < n_in; ++i)
-            for (PortId j = 0; j < n_out; ++j)
-                if (req.has(i, j))
-                    adj[static_cast<size_t>(i)].push_back(j);
-    }
-
-    /** BFS layering from free inputs; true if an augmenting path exists. */
-    bool
-    bfs()
-    {
-        std::queue<PortId> q;
-        bool found = false;
-        for (PortId i = 0; i < n_in; ++i) {
-            if (match_in[static_cast<size_t>(i)] == kNoPort) {
-                dist[static_cast<size_t>(i)] = 0;
-                q.push(i);
-            } else {
-                dist[static_cast<size_t>(i)] = kInf;
-            }
+    queue_.clear();
+    for (PortId i = 0; i < req.numInputs(); ++i) {
+        if (match_in_[static_cast<size_t>(i)] == kNoPort) {
+            dist_[static_cast<size_t>(i)] = 0;
+            queue_.push_back(i);
+        } else {
+            dist_[static_cast<size_t>(i)] = kInf;
         }
-        while (!q.empty()) {
-            PortId i = q.front();
-            q.pop();
-            for (PortId j : adj[static_cast<size_t>(i)]) {
-                PortId next = match_out[static_cast<size_t>(j)];
-                if (next == kNoPort) {
-                    found = true;
-                } else if (dist[static_cast<size_t>(next)] == kInf) {
-                    dist[static_cast<size_t>(next)] =
-                        dist[static_cast<size_t>(i)] + 1;
-                    q.push(next);
-                }
-            }
-        }
-        return found;
     }
+    bool found = false;
+    // An input is queued only when its layer is first set, so the queue
+    // never holds more than numInputs() entries.
+    for (size_t head = 0; head < queue_.size(); ++head) {
+        const PortId i = queue_[head];
+        wordset::forEachSet(req.rowMask(i), req.rowWords(), [&](int j) {
+            PortId next = match_out_[static_cast<size_t>(j)];
+            if (next == kNoPort) {
+                found = true;
+            } else if (dist_[static_cast<size_t>(next)] == kInf) {
+                dist_[static_cast<size_t>(next)] =
+                    dist_[static_cast<size_t>(i)] + 1;
+                queue_.push_back(next);
+            }
+        });
+    }
+    return found;
+}
 
-    /** DFS along the BFS layering, augmenting where possible. */
-    bool
-    dfs(PortId i)
-    {
-        for (PortId j : adj[static_cast<size_t>(i)]) {
-            PortId next = match_out[static_cast<size_t>(j)];
+bool
+HopcroftKarpMatcher::augment(const RequestMatrix& req, PortId i)
+{
+    const uint64_t* row = req.rowMask(i);
+    for (int w = 0; w < req.rowWords(); ++w) {
+        for (uint64_t word = row[w]; word != 0; word &= word - 1) {
+            const PortId j = w * wordset::kWordBits + std::countr_zero(word);
+            PortId next = match_out_[static_cast<size_t>(j)];
             if (next == kNoPort ||
-                (dist[static_cast<size_t>(next)] ==
-                     dist[static_cast<size_t>(i)] + 1 &&
-                 dfs(next))) {
-                match_in[static_cast<size_t>(i)] = j;
-                match_out[static_cast<size_t>(j)] = i;
+                (dist_[static_cast<size_t>(next)] ==
+                     dist_[static_cast<size_t>(i)] + 1 &&
+                 augment(req, next))) {
+                match_in_[static_cast<size_t>(i)] = j;
+                match_out_[static_cast<size_t>(j)] = i;
                 return true;
             }
         }
-        dist[static_cast<size_t>(i)] = kInf;
-        return false;
     }
+    dist_[static_cast<size_t>(i)] = kInf;
+    return false;
+}
 
-    void
-    solve()
-    {
-        while (bfs()) {
-            for (PortId i = 0; i < n_in; ++i)
-                if (match_in[static_cast<size_t>(i)] == kNoPort)
-                    dfs(i);
-        }
-    }
-};
-
-}  // namespace
-
-Matching
-HopcroftKarpMatcher::match(const RequestMatrix& req)
+void
+HopcroftKarpMatcher::matchInto(const RequestMatrix& req, Matching& out)
 {
-    Solver solver(req);
-    solver.solve();
-    Matching m(req.numInputs(), req.numOutputs());
+    const auto n_in = static_cast<size_t>(req.numInputs());
+    match_in_.assign(n_in, kNoPort);
+    match_out_.assign(static_cast<size_t>(req.numOutputs()), kNoPort);
+    dist_.resize(n_in);
+    queue_.reserve(n_in);
+    while (layer(req)) {
+        for (PortId i = 0; i < req.numInputs(); ++i)
+            if (match_in_[static_cast<size_t>(i)] == kNoPort)
+                augment(req, i);
+    }
+    out.reset(req.numInputs(), req.numOutputs());
     for (PortId i = 0; i < req.numInputs(); ++i)
-        if (solver.match_in[static_cast<size_t>(i)] != kNoPort)
-            m.add(i, solver.match_in[static_cast<size_t>(i)]);
-    return m;
+        if (match_in_[static_cast<size_t>(i)] != kNoPort)
+            out.add(i, match_in_[static_cast<size_t>(i)]);
 }
 
 int

@@ -30,14 +30,6 @@ IslipMatcher::reset()
     warm_state_.invalidate();
 }
 
-Matching
-IslipMatcher::match(const RequestMatrix& req)
-{
-    Matching m(req.numInputs(), req.numOutputs());
-    matchInto(req, m);
-    return m;
-}
-
 void
 IslipMatcher::matchInto(const RequestMatrix& req, Matching& out)
 {

@@ -56,7 +56,6 @@ class IslipMatcher final : public Matcher
     {
     }
 
-    Matching match(const RequestMatrix& req) override;
     void matchInto(const RequestMatrix& req, Matching& out) override;
     std::string name() const override;
     void reset() override;

@@ -42,21 +42,26 @@ class Matcher
     virtual ~Matcher() = default;
 
     /**
-     * Compute a matching for one time slot. Must return a matching that is
-     * legal for `req`. Implementations may keep internal state across
-     * calls (round-robin pointers, PRNG state).
+     * Compute the matching for one slot into `out`, re-dimensioning it
+     * to `req`. The one entry point every algorithm implements: the
+     * result must be legal for `req`. In steady state (the same
+     * dimensions every call) the library's matchers do not allocate.
+     * Matchers may keep state across calls (round-robin pointers, PRNG
+     * state).
      */
-    virtual Matching match(const RequestMatrix& req) = 0;
+    virtual void matchInto(const RequestMatrix& req, Matching& out) = 0;
 
     /**
-     * Compute the matching for one slot into `out` (re-dimensioned as
-     * needed). The hot-path entry point: implementations that override it
-     * perform no heap allocation in steady state; the default simply
-     * wraps match().
+     * matchInto() into a fresh Matching, for callers outside the slot
+     * loop. Virtual only so that a decorator can forward it; the
+     * library's matchers implement matchInto() alone.
      */
-    virtual void matchInto(const RequestMatrix& req, Matching& out)
+    virtual Matching
+    match(const RequestMatrix& req)
     {
-        out = match(req);
+        Matching m(req.numInputs(), req.numOutputs());
+        matchInto(req, m);
+        return m;
     }
 
     /** Human-readable algorithm name for reports. */

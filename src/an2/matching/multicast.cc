@@ -8,7 +8,7 @@ namespace an2 {
 
 MulticastPim::MulticastPim(int n, const MulticastPimConfig& config)
     : n_(n), config_(config),
-      rng_(std::make_unique<Xoshiro256>(config.seed))
+      rng_(config.seed)
 {
     AN2_REQUIRE(n > 0, "switch size must be positive");
     AN2_REQUIRE(config.iterations >= 1, "need at least one iteration");
@@ -62,7 +62,7 @@ MulticastPim::match(const std::vector<MulticastRequest>& requests)
                     requesters.push_back(static_cast<int>(r));
             if (requesters.empty())
                 continue;
-            int pick = requesters[rng_->nextBelow(requesters.size())];
+            int pick = requesters[rng_.nextBelow(requesters.size())];
             result.won[static_cast<size_t>(pick)].push_back(j);
         }
     } else {
@@ -88,7 +88,7 @@ MulticastPim::match(const std::vector<MulticastRequest>& requests)
                 if (requesters.empty())
                     continue;
                 tentative_owner[static_cast<size_t>(j)] =
-                    requesters[rng_->nextBelow(requesters.size())];
+                    requesters[rng_.nextBelow(requesters.size())];
             }
             // Lock complete winners; everyone else releases.
             for (size_t r = 0; r < requests.size(); ++r) {

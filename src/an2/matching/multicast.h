@@ -24,7 +24,6 @@
 #ifndef AN2_MATCHING_MULTICAST_H
 #define AN2_MATCHING_MULTICAST_H
 
-#include <memory>
 #include <vector>
 
 #include "an2/base/rng.h"
@@ -89,7 +88,7 @@ class MulticastPim
   private:
     int n_;
     MulticastPimConfig config_;
-    std::unique_ptr<Rng> rng_;
+    Xoshiro256 rng_;
 };
 
 }  // namespace an2

@@ -68,14 +68,6 @@ PimMatcher::prepareWordState(const RequestMatrix& req)
     wordset::fillFirst(free_out_.data(), row_words_, n_out);
 }
 
-Matching
-PimMatcher::match(const RequestMatrix& req)
-{
-    Matching m(req.numInputs(), req.numOutputs(), config_.output_capacity);
-    matchInto(req, m);
-    return m;
-}
-
 void
 PimMatcher::matchInto(const RequestMatrix& req, Matching& out)
 {

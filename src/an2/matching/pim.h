@@ -101,7 +101,6 @@ class PimMatcher final : public Matcher
     explicit PimMatcher(const PimConfig& config = PimConfig{},
                         std::unique_ptr<Rng> rng = nullptr);
 
-    Matching match(const RequestMatrix& req) override;
     void matchInto(const RequestMatrix& req, Matching& out) override;
     std::string name() const override;
     void reset() override;

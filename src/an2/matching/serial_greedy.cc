@@ -11,7 +11,7 @@ namespace an2 {
 SerialGreedyMatcher::SerialGreedyMatcher(bool randomize, uint64_t seed,
                                          WarmStart warm)
     : randomize_(randomize), warm_(warm),
-      rng_(std::make_unique<Xoshiro256>(seed))
+      rng_(seed)
 {
 }
 
@@ -29,14 +29,6 @@ void
 SerialGreedyMatcher::reset()
 {
     warm_state_.invalidate();
-}
-
-Matching
-SerialGreedyMatcher::match(const RequestMatrix& req)
-{
-    Matching m(req.numInputs(), req.numOutputs());
-    matchInto(req, m);
-    return m;
 }
 
 void
@@ -65,7 +57,7 @@ SerialGreedyMatcher::matchInto(const RequestMatrix& req, Matching& out)
     input_order_.resize(static_cast<size_t>(n_in));
     std::iota(input_order_.begin(), input_order_.end(), 0);
     if (randomize_)
-        rng_->shuffle(input_order_);
+        rng_.shuffle(input_order_);
 
     // The single greedy pass reports as iteration 0 of the obs probe
     // layer; requests are counted at the moment each input is visited
@@ -110,7 +102,7 @@ SerialGreedyMatcher::matchInto(const RequestMatrix& req, Matching& out)
         if (randomize_) {
             int cnt = popcountAll(candidates_.data(), rw);
             j = selectBit(candidates_.data(), rw,
-                          static_cast<int>(rng_->nextBelow(
+                          static_cast<int>(rng_.nextBelow(
                               static_cast<uint64_t>(cnt))));
         } else {
             j = firstSet(candidates_.data(), rw);

@@ -15,7 +15,6 @@
 #define AN2_MATCHING_SERIAL_GREEDY_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "an2/base/rng.h"
@@ -39,7 +38,6 @@ class SerialGreedyMatcher final : public Matcher
     explicit SerialGreedyMatcher(bool randomize = true, uint64_t seed = 1,
                                  WarmStart warm = WarmStart::Off);
 
-    Matching match(const RequestMatrix& req) override;
     void matchInto(const RequestMatrix& req, Matching& out) override;
     std::string name() const override;
     void reset() override;
@@ -48,7 +46,7 @@ class SerialGreedyMatcher final : public Matcher
     bool randomize_;
     WarmStart warm_;
     WarmStartState warm_state_;
-    std::unique_ptr<Rng> rng_;
+    Xoshiro256 rng_;
 
     // Reused scratch (no steady-state heap traffic).
     std::vector<PortId> input_order_;

@@ -20,10 +20,8 @@ statisticalTwoRoundFraction(int units)
 }
 
 StatisticalMatcher::StatisticalMatcher(Matrix<int> allocation,
-                                       const StatisticalConfig& config,
-                                       std::unique_ptr<Rng> rng)
-    : alloc_(std::move(allocation)), config_(config),
-      rng_(rng ? std::move(rng) : std::make_unique<Xoshiro256>(config.seed))
+                                       const StatisticalConfig& config)
+    : alloc_(std::move(allocation)), config_(config), rng_(config.seed)
 {
     AN2_REQUIRE(config_.units >= 2, "need at least two bandwidth units");
     AN2_REQUIRE(config_.rounds >= 1 && config_.rounds <= 2,
@@ -31,6 +29,13 @@ StatisticalMatcher::StatisticalMatcher(Matrix<int> allocation,
     AN2_REQUIRE(alloc_.rows() > 0 && alloc_.rows() == alloc_.cols(),
                 "allocation matrix must be square and non-empty");
     rebuildTables();
+    // Each output grants at most once per round, so no input holds more
+    // than n grants and the weights never exceed n + 1 entries.
+    const auto n = static_cast<size_t>(alloc_.rows());
+    grants_to_.resize(n);
+    for (auto& grants : grants_to_)
+        grants.reserve(n);
+    weights_.reserve(n + 1);
 }
 
 std::string
@@ -158,116 +163,99 @@ sampleCdf(const std::vector<double>& cdf, double u)
 }  // namespace
 
 int
-StatisticalMatcher::sampleVirtualGrants(PortId i, PortId j) const
+StatisticalMatcher::sampleVirtualGrants(PortId i, PortId j)
 {
     const auto& cdf =
         cond_cdf_[static_cast<size_t>(i) * static_cast<size_t>(alloc_.rows()) +
                   static_cast<size_t>(j)];
     AN2_ASSERT(!cdf.empty(), "virtual-grant table missing for allocated pair");
-    return sampleCdf(cdf, rng_->nextDouble());
+    return sampleCdf(cdf, rng_.nextDouble());
 }
 
 int
-StatisticalMatcher::sampleImaginaryGrants(PortId i) const
+StatisticalMatcher::sampleImaginaryGrants(PortId i)
 {
-    return sampleCdf(imag_cdf_[static_cast<size_t>(i)], rng_->nextDouble());
+    return sampleCdf(imag_cdf_[static_cast<size_t>(i)], rng_.nextDouble());
 }
 
 void
-StatisticalMatcher::runRound(std::vector<PortId>& in2out) const
+StatisticalMatcher::runRound(Matching& out)
 {
     const int n = alloc_.rows();
     const int X = config_.units;
-    in2out.assign(static_cast<size_t>(n), kNoPort);
 
     // Grant phase: each output picks input i with probability X[i][j]/X;
     // residual probability is a grant to the imaginary input (no grant).
-    std::vector<std::vector<PortId>> grants_to(static_cast<size_t>(n));
+    for (auto& grants : grants_to_)
+        grants.clear();
     for (PortId j = 0; j < n; ++j) {
         const auto& cum = col_cum_[static_cast<size_t>(j)];
         int total = cum.back();
         if (total == 0)
             continue;
-        auto ticket = static_cast<int>(rng_->nextBelow(
+        auto ticket = static_cast<int>(rng_.nextBelow(
             static_cast<uint64_t>(X)));
         if (ticket >= total)
             continue;  // imaginary input
         auto it = std::upper_bound(cum.begin(), cum.end(), ticket);
-        auto i = static_cast<PortId>(it - cum.begin());
-        grants_to[static_cast<size_t>(i)].push_back(j);
+        grants_to_[static_cast<size_t>(it - cum.begin())].push_back(j);
     }
 
     // Accept phase: weight each granting output by its virtual-grant
     // count; unreserved input bandwidth competes as an imaginary output.
-    std::vector<int> weights;
+    // Every draw is taken whether or not the accepted pair conflicts.
     for (PortId i = 0; i < n; ++i) {
-        const auto& grants = grants_to[static_cast<size_t>(i)];
+        const auto& grants = grants_to_[static_cast<size_t>(i)];
         int imag = sampleImaginaryGrants(i);
         if (grants.empty() && imag == 0)
             continue;
-        weights.assign(grants.size() + 1, 0);
+        weights_.clear();
         int total = imag;
-        weights.back() = imag;
-        for (size_t g = 0; g < grants.size(); ++g) {
-            int m = sampleVirtualGrants(i, grants[g]);
-            weights[g] = m;
+        for (PortId j : grants) {
+            int m = sampleVirtualGrants(i, j);
+            weights_.push_back(m);
             total += m;
         }
+        weights_.push_back(imag);
         if (total == 0)
             continue;  // no virtual grants at all: unmatched
-        size_t pick = rng_->pickWeighted(weights);
-        if (pick < grants.size())
-            in2out[static_cast<size_t>(i)] = grants[pick];
-        // else: accepted the imaginary output; stays unmatched.
+        size_t pick = rng_.pickWeighted(weights_);
+        if (pick == grants.size())
+            continue;  // accepted the imaginary output; stays unmatched
+        PortId j = grants[pick];
+        if (!out.isInputMatched(i) && !out.isOutputSaturated(j))
+            out.add(i, j);
     }
+}
+
+void
+StatisticalMatcher::scheduleInto(Matching& out)
+{
+    out.reset(alloc_.rows(), alloc_.cols());
+    for (int r = 0; r < config_.rounds; ++r)
+        runRound(out);
 }
 
 Matching
 StatisticalMatcher::matchAllocated()
 {
-    const int n = alloc_.rows();
-    std::vector<PortId> round1;
-    runRound(round1);
-
-    Matching m(n, n);
-    std::vector<bool> out_taken(static_cast<size_t>(n), false);
-    for (PortId i = 0; i < n; ++i) {
-        PortId j = round1[static_cast<size_t>(i)];
-        if (j != kNoPort) {
-            m.add(i, j);
-            out_taken[static_cast<size_t>(j)] = true;
-        }
-    }
-
-    if (config_.rounds == 2) {
-        // Independent second round; keep only matches whose input and
-        // output were both left unmatched by round one.
-        std::vector<PortId> round2;
-        runRound(round2);
-        for (PortId i = 0; i < n; ++i) {
-            PortId j = round2[static_cast<size_t>(i)];
-            if (j == kNoPort || m.isInputMatched(i) ||
-                out_taken[static_cast<size_t>(j)])
-                continue;
-            m.add(i, j);
-            out_taken[static_cast<size_t>(j)] = true;
-        }
-    }
+    Matching m(alloc_.rows());
+    scheduleInto(m);
     return m;
 }
 
-Matching
-StatisticalMatcher::match(const RequestMatrix& req)
+void
+StatisticalMatcher::matchInto(const RequestMatrix& req, Matching& out)
 {
     AN2_REQUIRE(req.numInputs() == alloc_.rows() &&
                     req.numOutputs() == alloc_.cols(),
                 "request matrix size does not match allocation");
-    Matching scheduled = matchAllocated();
-    Matching m(req.numInputs(), req.numOutputs());
-    for (auto [i, j] : scheduled.pairs())
-        if (req.has(i, j))
-            m.add(i, j);
-    return m;
+    scheduleInto(out);
+    for (PortId i = 0; i < req.numInputs(); ++i) {
+        PortId j = out.outputOf(i);
+        if (j != kNoPort && !req.has(i, j))
+            out.removeInput(i);
+    }
 }
 
 }  // namespace an2

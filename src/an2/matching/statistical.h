@@ -23,7 +23,6 @@
 #ifndef AN2_MATCHING_STATISTICAL_H
 #define AN2_MATCHING_STATISTICAL_H
 
-#include <memory>
 #include <vector>
 
 #include "an2/base/matrix.h"
@@ -59,18 +58,16 @@ class StatisticalMatcher final : public Matcher
      * @param allocation n x n matrix of allocated units X[i][j]; every row
      *        and column must sum to at most config.units.
      * @param config Algorithm parameters.
-     * @param rng Optional engine override.
      */
     StatisticalMatcher(Matrix<int> allocation,
-                       const StatisticalConfig& config = StatisticalConfig{},
-                       std::unique_ptr<Rng> rng = nullptr);
+                       const StatisticalConfig& config = StatisticalConfig{});
 
     /**
      * Run statistical matching, then drop any matched pair that has no
      * queued cell in `req` (the freed slots are available to a PIM
      * fill-in pass, as §5.2 prescribes).
      */
-    Matching match(const RequestMatrix& req) override;
+    void matchInto(const RequestMatrix& req, Matching& out) override;
 
     std::string name() const override;
 
@@ -97,21 +94,25 @@ class StatisticalMatcher final : public Matcher
     /** Recompute cached tables after an allocation change. */
     void rebuildTables();
 
+    /** Reset `out` and run every round into it, ignoring requests. */
+    void scheduleInto(Matching& out);
+
     /**
-     * Run one grant/accept round; out-parameter vectors receive the
-     * matched partner per input / per output (kNoPort when unmatched).
+     * Run one grant/accept round and add each accepted grant to `out`,
+     * unless an earlier round already matched its input or its output
+     * (rounds are independent; conflicting matches are discarded).
      */
-    void runRound(std::vector<PortId>& in2out) const;
+    void runRound(Matching& out);
 
     /** Sample the virtual-grant count for a granted pair (i,j). */
-    int sampleVirtualGrants(PortId i, PortId j) const;
+    int sampleVirtualGrants(PortId i, PortId j);
 
     /** Sample virtual grants from input i's imaginary output. */
-    int sampleImaginaryGrants(PortId i) const;
+    int sampleImaginaryGrants(PortId i);
 
     Matrix<int> alloc_;
     StatisticalConfig config_;
-    mutable std::unique_ptr<Rng> rng_;
+    Xoshiro256 rng_;
 
     /**
      * Conditional CDF of the virtual-grant count given a grant, per pair
@@ -124,6 +125,13 @@ class StatisticalMatcher final : public Matcher
 
     /** Per-output cumulative allocation over inputs, for grant choice. */
     std::vector<std::vector<int>> col_cum_;
+
+    // Per-round scratch, reserved at construction (no steady-state heap
+    // traffic): the outputs granting each input, in ascending order, and
+    // one input's virtual-grant weights (its grants, then the imaginary
+    // output).
+    std::vector<std::vector<PortId>> grants_to_;
+    std::vector<int> weights_;
 };
 
 }  // namespace an2

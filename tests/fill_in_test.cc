@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include "an2/matching/islip.h"
 #include "an2/matching/pim.h"
+#include "an2/matching/serial_greedy.h"
 #include "an2/matching/statistical.h"
+#include "an2/sim/iq_switch.h"
 
 namespace an2 {
 namespace {
@@ -111,6 +114,75 @@ TEST(FillInTest, NameAndCountersCompose)
     Matching m = matcher->match(req);
     EXPECT_EQ(m.outputOf(1), 1);
     EXPECT_EQ(matcher->fillInPairs(), 1);
+}
+
+TEST(FillInTest, SwitchSendsNothingFromADeadInput)
+{
+    // An input that dies with cells queued keeps them hidden from the
+    // request matrix: the fill-in's residual copies that liveness, so
+    // neither scheduler grants the dead input. The cells stay buffered
+    // and drain once the input revives.
+    constexpr int kN = 4;
+    InputQueuedSwitch sw({.n = kN},
+                         statisticalPlusPim(Matrix<int>(kN, kN, 250), 11));
+    for (PortId j = 0; j < kN; ++j) {
+        Cell c;
+        c.flow = kN + j;
+        c.input = 1;
+        c.output = j;
+        sw.acceptCell(c);
+    }
+    sw.setInputPortLive(1, false);
+    for (SlotTime s = 0; s < 20; ++s)
+        EXPECT_TRUE(sw.runSlot(s).empty()) << "slot " << s;
+    EXPECT_EQ(sw.bufferedCells(), kN);
+    sw.setInputPortLive(1, true);
+    for (SlotTime s = 20; s < 20 + kN; ++s)
+        EXPECT_EQ(sw.runSlot(s).size(), 1u) << "slot " << s;
+    EXPECT_EQ(sw.bufferedCells(), 0);
+}
+
+/**
+ * With nothing booked, statistical matching grants nothing and the
+ * secondary sees every request. Two permutations with the same number
+ * of edges alternate: a warm-starting secondary must notice that its
+ * residual changed and never replay the previous slot's matching.
+ */
+void
+expectLegalWithWarmSecondary(std::unique_ptr<Matcher> secondary)
+{
+    constexpr int kN = 8;
+    FillInMatcher matcher(
+        std::make_unique<StatisticalMatcher>(
+            Matrix<int>(kN, kN, 0),
+            StatisticalConfig{.units = 1000, .rounds = 2, .seed = 3}),
+        std::move(secondary));
+    RequestMatrix diagonal(kN);
+    RequestMatrix shifted(kN);
+    for (PortId i = 0; i < kN; ++i) {
+        diagonal.set(i, i, 1);
+        shifted.set(i, (i + 1) % kN, 1);
+    }
+    for (int t = 0; t < 6; ++t) {
+        const RequestMatrix& req = t % 2 == 0 ? diagonal : shifted;
+        Matching m = matcher.match(req);
+        EXPECT_TRUE(m.isLegalFor(req)) << "call " << t;
+        EXPECT_EQ(m.size(), kN) << "call " << t;
+    }
+    EXPECT_EQ(matcher.primaryPairs(), 0);
+    EXPECT_EQ(matcher.fillInPairs(), 6 * kN);
+}
+
+TEST(FillInTest, WarmIslipSecondaryStaysLegal)
+{
+    expectLegalWithWarmSecondary(
+        std::make_unique<IslipMatcher>(4, WarmStart::On));
+}
+
+TEST(FillInTest, WarmGreedySecondaryStaysLegal)
+{
+    expectLegalWithWarmSecondary(
+        std::make_unique<SerialGreedyMatcher>(true, 5, WarmStart::On));
 }
 
 }  // namespace

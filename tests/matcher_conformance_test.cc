@@ -3,6 +3,7 @@
 // graceful handling of degenerate patterns — across a common sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -385,13 +386,97 @@ TEST(MatcherBackendEquivalence, BeyondOneThousandTwentyFourPorts)
     }
 }
 
+/** A random allocation within an X-unit budget per row and column, with
+    about a third of the pairs left unbooked. */
+Matrix<int>
+randomAllocation(int n, int units, Rng& rng)
+{
+    Matrix<int> alloc(n, n, 0);
+    for (PortId i = 0; i < n; ++i) {
+        for (PortId j = 0; j < n; ++j) {
+            const int slack = std::min(units - alloc.rowSum(i),
+                                       units - alloc.colSum(j));
+            if (rng.nextDouble() < 0.67)
+                alloc(i, j) = static_cast<int>(rng.nextBelow(
+                    static_cast<uint64_t>(std::min(slack, 2 * units / n)) +
+                    1));
+        }
+    }
+    return alloc;
+}
+
+TEST(MatcherBackendEquivalence, Statistical)
+{
+    // The library's statistical matcher computes into the caller's
+    // Matching from reserved scratch; the oracle is the per-call form.
+    // From equal allocations and seeds both must take the same draws, so
+    // every match() (random requests, random dead ports) and every
+    // matchAllocated() agrees pair for pair, across allocation changes.
+    constexpr int kUnits = 1000;
+    for (int rounds : {1, 2}) {
+        for (int n : {4, 16, 64}) {
+            const std::string context = "rounds=" + std::to_string(rounds) +
+                                        " n=" + std::to_string(n);
+            Xoshiro256 rng(static_cast<uint64_t>(9400 + 10 * n + rounds));
+            Matrix<int> alloc = randomAllocation(n, kUnits, rng);
+            const StatisticalConfig cfg{
+                .units = kUnits,
+                .rounds = rounds,
+                .seed = static_cast<uint64_t>(71 + n)};
+            ScalarStatisticalMatcher ref(alloc, cfg);
+            StatisticalMatcher fast(alloc, cfg);
+            Matching buf(n, n);
+            for (int t = 0; t < 120; ++t) {
+                const std::string at = context + " t=" + std::to_string(t);
+                if (t % 7 == 3) {
+                    // Re-book one pair within its row's and column's
+                    // remaining budget.
+                    auto i = static_cast<PortId>(
+                        rng.nextBelow(static_cast<uint64_t>(n)));
+                    auto j = static_cast<PortId>(
+                        rng.nextBelow(static_cast<uint64_t>(n)));
+                    const int slack =
+                        std::min(kUnits - alloc.rowSum(i),
+                                 kUnits - alloc.colSum(j)) +
+                        alloc(i, j);
+                    alloc(i, j) = static_cast<int>(
+                        rng.nextBelow(static_cast<uint64_t>(slack) + 1));
+                    ref.setAllocation(i, j, alloc(i, j));
+                    fast.setAllocation(i, j, alloc(i, j));
+                }
+                if (t % 3 == 0) {
+                    expectIdenticalMatchings(ref.matchAllocated(),
+                                             fast.matchAllocated(),
+                                             at + " allocated");
+                    continue;
+                }
+                auto req = RequestMatrix::bernoulli(
+                    n, 0.2 + 0.7 * rng.nextDouble(), rng);
+                if (t % 2 == 0)
+                    killRandomPorts(req, 0.2, rng);
+                Matching a = ref.match(req);
+                ASSERT_TRUE(a.isLegalFor(req)) << at;
+                // Alternate the entry points so both are pinned.
+                if (t % 3 == 1) {
+                    fast.matchInto(req, buf);
+                    expectIdenticalMatchings(a, buf, at);
+                } else {
+                    expectIdenticalMatchings(a, fast.match(req), at);
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Degenerate request matrices under port-liveness masks. RequestMatrix
 // hides requests touching dead ports from both views (has() and the
 // row/column bitmasks), so every matcher, scalar oracle or library core,
 // must behave identically: never grant a dead port, and recover the
 // hidden requests when the port revives. Exercised for the three core
-// algorithms (PIM, iSLIP, serial greedy) in both forms.
+// algorithms (PIM, iSLIP, serial greedy) in both forms, and, in the cases
+// that expect no grant at all or only legal ones, for maximum matching,
+// statistical matching and its PIM fill-in too.
 // ---------------------------------------------------------------------------
 
 /** The scalar oracles ("_ref"), built from the same seeds as
@@ -440,6 +525,29 @@ allBackendFactories()
     return fs;
 }
 
+/** The matchers with one form only: maximum matching, statistical
+    matching and its PIM fill-in, from allFactories(). */
+std::vector<NamedFactory>
+singleFormFactories()
+{
+    std::vector<NamedFactory> fs;
+    for (NamedFactory& f : allFactories())
+        if (f.label == "hopcroft_karp" || f.label == "statistical" ||
+            f.label == "stat_plus_pim")
+            fs.push_back(std::move(f));
+    return fs;
+}
+
+/** Every matcher that must respect port liveness. */
+std::vector<NamedFactory>
+maskedFactories()
+{
+    auto fs = allBackendFactories();
+    auto single = singleFormFactories();
+    fs.insert(fs.end(), single.begin(), single.end());
+    return fs;
+}
+
 /** Fully populated n x n request matrix (every pair has one cell). */
 RequestMatrix
 fullMatrix(int n)
@@ -460,7 +568,7 @@ TEST(MaskedMatcherConformance, AllPortsDeadYieldsEmptyMatch)
             req.setOutputLive(p, false);
         }
         EXPECT_EQ(req.numEdges(), 0);
-        for (const NamedFactory& f : allBackendFactories()) {
+        for (const NamedFactory& f : maskedFactories()) {
             auto m = f.make(n)->match(req);
             EXPECT_EQ(m.size(), 0) << f.label << " n=" << n;
         }
@@ -527,6 +635,25 @@ TEST(MaskedMatcherConformance, MaskFlipMidSlotNeverGrantsDeadPorts)
             Matching after = matcher->match(req);
             EXPECT_TRUE(after.isLegalFor(req)) << f.label << " n=" << n;
             EXPECT_GE(after.size(), 1) << f.label << " n=" << n;
+        }
+    }
+}
+
+TEST(MaskedMatcherConformance, RandomMasksNeverGrantDeadPorts)
+{
+    // Each (stateful) matcher sees random requests with random dead
+    // ports, call after call. isLegalFor consults the mask-aware has(),
+    // so a legal matching grants no dead port.
+    for (int n : {16, 100}) {
+        for (const NamedFactory& f : maskedFactories()) {
+            auto matcher = f.make(n);
+            Xoshiro256 rng(static_cast<uint64_t>(7500 + n));
+            for (int t = 0; t < 40; ++t) {
+                auto req = RequestMatrix::bernoulli(n, 0.4, rng);
+                killRandomPorts(req, 0.25, rng);
+                EXPECT_TRUE(matcher->match(req).isLegalFor(req))
+                    << f.label << " n=" << n << " t=" << t;
+            }
         }
     }
 }

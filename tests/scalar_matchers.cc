@@ -1,6 +1,7 @@
 #include "scalar_matchers.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "an2/base/error.h"
@@ -17,14 +18,6 @@ ScalarPimMatcher::ScalarPimMatcher(const PimConfig& config)
                 "iterations must be >= 0 (0 = to completion)");
     AN2_REQUIRE(config_.output_capacity >= 1,
                 "output capacity must be >= 1");
-}
-
-Matching
-ScalarPimMatcher::match(const RequestMatrix& req)
-{
-    Matching m(req.numInputs(), req.numOutputs(), config_.output_capacity);
-    matchInto(req, m);
-    return m;
 }
 
 void
@@ -141,14 +134,6 @@ ScalarIslipMatcher::reset()
     grant_ptr_.clear();
     accept_ptr_.clear();
     warm_state_.invalidate();
-}
-
-Matching
-ScalarIslipMatcher::match(const RequestMatrix& req)
-{
-    Matching m(req.numInputs(), req.numOutputs());
-    matchInto(req, m);
-    return m;
 }
 
 void
@@ -311,14 +296,6 @@ ScalarGreedyMatcher::ScalarGreedyMatcher(bool randomize, uint64_t seed,
 {
 }
 
-Matching
-ScalarGreedyMatcher::match(const RequestMatrix& req)
-{
-    Matching m(req.numInputs(), req.numOutputs());
-    matchInto(req, m);
-    return m;
-}
-
 void
 ScalarGreedyMatcher::matchInto(const RequestMatrix& req, Matching& out)
 {
@@ -383,6 +360,225 @@ ScalarGreedyMatcher::matchInto(const RequestMatrix& req, Matching& out)
         rec->matchIteration(obs::MatchAlg::Greedy, 0, requests_seen,
                             grants_issued, out.size() - reused, out.size());
     }
+}
+
+// ---------------------------------------------------------- Statistical
+
+ScalarStatisticalMatcher::ScalarStatisticalMatcher(
+    Matrix<int> allocation, const StatisticalConfig& config)
+    : alloc_(std::move(allocation)), config_(config), rng_(config.seed)
+{
+    AN2_REQUIRE(config_.units >= 2, "need at least two bandwidth units");
+    AN2_REQUIRE(config_.rounds >= 1 && config_.rounds <= 2,
+                "rounds must be 1 or 2");
+    AN2_REQUIRE(alloc_.rows() > 0 && alloc_.rows() == alloc_.cols(),
+                "allocation matrix must be square and non-empty");
+    rebuildTables();
+}
+
+void
+ScalarStatisticalMatcher::setAllocation(PortId i, PortId j, int alloc_units)
+{
+    AN2_REQUIRE(alloc_units >= 0, "allocation must be non-negative");
+    int delta = alloc_units - alloc_.at(i, j);
+    AN2_REQUIRE(alloc_.rowSum(i) + delta <= config_.units,
+                "input " << i << " would be over-allocated");
+    AN2_REQUIRE(alloc_.colSum(j) + delta <= config_.units,
+                "output " << j << " would be over-allocated");
+    alloc_.at(i, j) = alloc_units;
+    rebuildTables();
+}
+
+void
+ScalarStatisticalMatcher::rebuildTables()
+{
+    const int n = alloc_.rows();
+    const int X = config_.units;
+    for (int i = 0; i < n; ++i)
+        AN2_REQUIRE(alloc_.rowSum(i) <= X, "input " << i << " over-allocated");
+    for (int j = 0; j < n; ++j)
+        AN2_REQUIRE(alloc_.colSum(j) <= X, "output " << j << " over-allocated");
+
+    col_cum_.assign(static_cast<size_t>(n), {});
+    for (int j = 0; j < n; ++j) {
+        auto& cum = col_cum_[static_cast<size_t>(j)];
+        cum.resize(static_cast<size_t>(n));
+        int acc = 0;
+        for (int i = 0; i < n; ++i) {
+            acc += alloc_.at(i, j);
+            cum[static_cast<size_t>(i)] = acc;
+        }
+    }
+
+    auto binomial_cdf = [X](int n_units) {
+        std::vector<double> cdf;
+        if (n_units <= 0) {
+            cdf.push_back(1.0);
+            return cdf;
+        }
+        double q = (X - 1.0) / X;
+        double pmf = std::pow(q, n_units);
+        double acc = pmf;
+        cdf.push_back(acc);
+        for (int m = 0; m < n_units; ++m) {
+            pmf *= static_cast<double>(n_units - m) /
+                   (static_cast<double>(m + 1) * (X - 1.0));
+            acc += pmf;
+            cdf.push_back(std::min(acc, 1.0));
+            if (1.0 - acc < 1e-15)
+                break;
+        }
+        cdf.back() = 1.0;
+        return cdf;
+    };
+
+    cond_cdf_.assign(static_cast<size_t>(n) * static_cast<size_t>(n), {});
+    for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+            int units = alloc_.at(i, j);
+            if (units == 0)
+                continue;
+            auto uncond = binomial_cdf(units);
+            std::vector<double> cond(uncond.size());
+            double scale = static_cast<double>(X) / units;
+            double tail = 0.0;
+            for (size_t m = uncond.size(); m-- > 1;) {
+                double pmf = uncond[m] - uncond[m - 1];
+                tail += pmf * scale;
+            }
+            cond[0] = std::max(0.0, 1.0 - tail);
+            double acc = cond[0];
+            for (size_t m = 1; m < uncond.size(); ++m) {
+                double pmf = uncond[m] - uncond[m - 1];
+                acc += pmf * scale;
+                cond[m] = std::min(acc, 1.0);
+            }
+            cond.back() = 1.0;
+            cond_cdf_[static_cast<size_t>(i) * static_cast<size_t>(n) +
+                      static_cast<size_t>(j)] = std::move(cond);
+        }
+    }
+
+    imag_cdf_.assign(static_cast<size_t>(n), {});
+    for (int i = 0; i < n; ++i)
+        imag_cdf_[static_cast<size_t>(i)] = binomial_cdf(X - alloc_.rowSum(i));
+}
+
+namespace {
+
+int
+sampleCdf(const std::vector<double>& cdf, double u)
+{
+    auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+    if (it == cdf.end())
+        --it;
+    return static_cast<int>(it - cdf.begin());
+}
+
+}  // namespace
+
+int
+ScalarStatisticalMatcher::sampleVirtualGrants(PortId i, PortId j)
+{
+    return sampleCdf(
+        cond_cdf_[static_cast<size_t>(i) * static_cast<size_t>(alloc_.rows()) +
+                  static_cast<size_t>(j)],
+        rng_.nextDouble());
+}
+
+int
+ScalarStatisticalMatcher::sampleImaginaryGrants(PortId i)
+{
+    return sampleCdf(imag_cdf_[static_cast<size_t>(i)], rng_.nextDouble());
+}
+
+void
+ScalarStatisticalMatcher::runRound(std::vector<PortId>& in2out)
+{
+    const int n = alloc_.rows();
+    const int X = config_.units;
+    in2out.assign(static_cast<size_t>(n), kNoPort);
+
+    std::vector<std::vector<PortId>> grants_to(static_cast<size_t>(n));
+    for (PortId j = 0; j < n; ++j) {
+        const auto& cum = col_cum_[static_cast<size_t>(j)];
+        int total = cum.back();
+        if (total == 0)
+            continue;
+        auto ticket =
+            static_cast<int>(rng_.nextBelow(static_cast<uint64_t>(X)));
+        if (ticket >= total)
+            continue;
+        auto it = std::upper_bound(cum.begin(), cum.end(), ticket);
+        auto i = static_cast<PortId>(it - cum.begin());
+        grants_to[static_cast<size_t>(i)].push_back(j);
+    }
+
+    std::vector<int> weights;
+    for (PortId i = 0; i < n; ++i) {
+        const auto& grants = grants_to[static_cast<size_t>(i)];
+        int imag = sampleImaginaryGrants(i);
+        if (grants.empty() && imag == 0)
+            continue;
+        weights.assign(grants.size() + 1, 0);
+        int total = imag;
+        weights.back() = imag;
+        for (size_t g = 0; g < grants.size(); ++g) {
+            int m = sampleVirtualGrants(i, grants[g]);
+            weights[g] = m;
+            total += m;
+        }
+        if (total == 0)
+            continue;
+        size_t pick = rng_.pickWeighted(weights);
+        if (pick < grants.size())
+            in2out[static_cast<size_t>(i)] = grants[pick];
+    }
+}
+
+Matching
+ScalarStatisticalMatcher::matchAllocated()
+{
+    const int n = alloc_.rows();
+    std::vector<PortId> round1;
+    runRound(round1);
+
+    Matching m(n, n);
+    std::vector<bool> out_taken(static_cast<size_t>(n), false);
+    for (PortId i = 0; i < n; ++i) {
+        PortId j = round1[static_cast<size_t>(i)];
+        if (j != kNoPort) {
+            m.add(i, j);
+            out_taken[static_cast<size_t>(j)] = true;
+        }
+    }
+
+    if (config_.rounds == 2) {
+        std::vector<PortId> round2;
+        runRound(round2);
+        for (PortId i = 0; i < n; ++i) {
+            PortId j = round2[static_cast<size_t>(i)];
+            if (j == kNoPort || m.isInputMatched(i) ||
+                out_taken[static_cast<size_t>(j)])
+                continue;
+            m.add(i, j);
+            out_taken[static_cast<size_t>(j)] = true;
+        }
+    }
+    return m;
+}
+
+void
+ScalarStatisticalMatcher::matchInto(const RequestMatrix& req, Matching& out)
+{
+    AN2_REQUIRE(req.numInputs() == alloc_.rows() &&
+                    req.numOutputs() == alloc_.cols(),
+                "request matrix size does not match allocation");
+    Matching scheduled = matchAllocated();
+    out.reset(req.numInputs(), req.numOutputs());
+    for (auto [i, j] : scheduled.pairs())
+        if (req.has(i, j))
+            out.add(i, j);
 }
 
 }  // namespace an2

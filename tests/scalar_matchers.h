@@ -1,7 +1,9 @@
 /**
  * @file
  * Scalar reference cores of PIM, iSLIP and serial greedy matching, kept
- * as test oracles for the library's word-parallel cores.
+ * as test oracles for the library's word-parallel cores, and the
+ * per-call form of statistical matching, the oracle for the library's
+ * allocation-free one.
  *
  * Each class is the plain O(N^2)-per-round form of its algorithm: it
  * walks ports in ascending order, tests requests with has(), and keeps
@@ -20,9 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "an2/base/matrix.h"
 #include "an2/base/rng.h"
 #include "an2/matching/matcher.h"
 #include "an2/matching/pim.h"
+#include "an2/matching/statistical.h"
 #include "an2/matching/warm_start.h"
 
 namespace an2 {
@@ -33,7 +37,6 @@ class ScalarPimMatcher final : public Matcher
   public:
     explicit ScalarPimMatcher(const PimConfig& config = PimConfig{});
 
-    Matching match(const RequestMatrix& req) override;
     void matchInto(const RequestMatrix& req, Matching& out) override;
     std::string name() const override { return "ScalarPIM"; }
     void reset() override { accept_ptr_.clear(); }
@@ -56,7 +59,6 @@ class ScalarIslipMatcher final : public Matcher
     explicit ScalarIslipMatcher(int iterations = 4,
                                 WarmStart warm = WarmStart::Off);
 
-    Matching match(const RequestMatrix& req) override;
     void matchInto(const RequestMatrix& req, Matching& out) override;
     std::string name() const override { return "ScalarIslip"; }
     void reset() override;
@@ -83,7 +85,6 @@ class ScalarGreedyMatcher final : public Matcher
     explicit ScalarGreedyMatcher(bool randomize = true, uint64_t seed = 1,
                                  WarmStart warm = WarmStart::Off);
 
-    Matching match(const RequestMatrix& req) override;
     void matchInto(const RequestMatrix& req, Matching& out) override;
     std::string name() const override { return "ScalarGreedy"; }
     void reset() override { warm_state_.invalidate(); }
@@ -94,6 +95,43 @@ class ScalarGreedyMatcher final : public Matcher
     WarmStartState warm_state_;
     Xoshiro256 rng_;
     std::vector<PortId> input_order_;
+};
+
+/**
+ * Statistical matching in its per-call form: each round fills a
+ * per-input vector of partners from grant lists built per call, and the
+ * rounds merge through intermediate matchings. The oracle for
+ * StatisticalMatcher: for equal allocations and configurations both take
+ * the same draws and return the same matchings, from match() and
+ * matchAllocated() alike.
+ */
+class ScalarStatisticalMatcher final : public Matcher
+{
+  public:
+    ScalarStatisticalMatcher(Matrix<int> allocation,
+                             const StatisticalConfig& config);
+
+    void matchInto(const RequestMatrix& req, Matching& out) override;
+    std::string name() const override { return "ScalarStatistical"; }
+
+    /** Allocation-driven matching, ignoring requests (Appendix C). */
+    Matching matchAllocated();
+
+    /** Change one pair's allocation and rebuild the tables. */
+    void setAllocation(PortId i, PortId j, int alloc_units);
+
+  private:
+    void rebuildTables();
+    void runRound(std::vector<PortId>& in2out);
+    int sampleVirtualGrants(PortId i, PortId j);
+    int sampleImaginaryGrants(PortId i);
+
+    Matrix<int> alloc_;
+    StatisticalConfig config_;
+    Xoshiro256 rng_;
+    std::vector<std::vector<double>> cond_cdf_;
+    std::vector<std::vector<double>> imag_cdf_;
+    std::vector<std::vector<int>> col_cum_;
 };
 
 }  // namespace an2

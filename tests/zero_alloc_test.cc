@@ -15,7 +15,9 @@
 #include "an2/fault/fault_plan.h"
 #include "an2/fault/injector.h"
 #include "an2/harness/arch.h"
+#include "an2/matching/fill_in.h"
 #include "an2/matching/pim.h"
+#include "an2/matching/statistical.h"
 #include "an2/obs/recorder.h"
 #include "an2/queueing/voq.h"
 #include "an2/sim/iq_switch.h"
@@ -133,11 +135,36 @@ TEST(ZeroAllocTest, SingleMatcherRunSlotSteadyStateIsAllocationFree)
     const std::pair<const char*, uint64_t> kArchs[] = {
         {"PIM(4)", 1},        {"PIM(4)-pipelined", 2}, {"iSLIP(4)", 0},
         {"Greedy", 3},        {"iSLIP(4)+warm", 0},    {"Greedy+warm", 3},
+        {"Maximum", 0},
     };
     for (const auto& [name, seed] : kArchs) {
         auto sw = harness::archByName(name).make(16, seed);
         EXPECT_EQ(allocationsDuringSteadyState(*sw, 2000, 2000), 0u) << name;
     }
+}
+
+TEST(ZeroAllocTest, StatisticalSwitchesSteadyStateAreAllocationFree)
+{
+    // Figure 8's statistical matcher (X = 1000, two rounds) and its
+    // Section 5.2 form with a PIM(4) fill-in, at 16 ports with every
+    // pair booked alike (62 units). Uniform load 0.5 stays inside the
+    // booked rates, so the queues stay bounded.
+    Matrix<int> alloc(16, 16, 1000 / 16);
+    const StatisticalConfig cfg{.units = 1000, .rounds = 2, .seed = 12};
+    InputQueuedSwitch stat(IqSwitchConfig{.n = 16},
+                           std::make_unique<StatisticalMatcher>(alloc, cfg));
+    EXPECT_EQ(allocationsDuringSteadyState(stat, 2000, 2000, 0.5), 0u);
+
+    InputQueuedSwitch fill_in(
+        IqSwitchConfig{.n = 16},
+        std::make_unique<FillInMatcher>(
+            std::make_unique<StatisticalMatcher>(
+                alloc, StatisticalConfig{.units = 1000,
+                                         .rounds = 2,
+                                         .seed = 13}),
+            std::make_unique<PimMatcher>(
+                PimConfig{.iterations = 4, .seed = 14})));
+    EXPECT_EQ(allocationsDuringSteadyState(fill_in, 2000, 2000, 0.5), 0u);
 }
 
 namespace {
