@@ -110,7 +110,9 @@ BM_HopcroftKarp(benchmark::State& state)
  * matrix evolves by a few visible-edge flips per "slot" (the temporal
  * locality the switch hot loop exhibits — most queued requests survive
  * from one slot to the next), instead of rotating through independent
- * random patterns that would invalidate every remembered edge.
+ * random patterns that would invalidate every remembered edge. Each
+ * touched pair redraws its wire at the starting density, so the matrix
+ * stays 75% dense.
  */
 template <typename MakeMatcher>
 void
@@ -130,10 +132,7 @@ runChurnBench(benchmark::State& state, MakeMatcher make)
                 churn.nextBelow(static_cast<uint64_t>(n)));
             auto j = static_cast<PortId>(
                 churn.nextBelow(static_cast<uint64_t>(n)));
-            if (churn.nextBernoulli(0.5))
-                req.increment(i, j);
-            else if (req.count(i, j) > 0)
-                req.decrement(i, j);
+            req.set(i, j, churn.nextBernoulli(0.75));
         }
         matcher->matchInto(req, m);
         benchmark::DoNotOptimize(m.size());

@@ -105,7 +105,7 @@ runUnicastReplication(int fanout)
             refill(queues[static_cast<size_t>(i)]);
             // VOQ view: all queued copies are eligible.
             for (PortId j : queues[static_cast<size_t>(i)])
-                req.increment(i, j);
+                req.set(i, j, true);
         }
         Matching m = pim.match(req);
         delivered += m.size();

@@ -45,7 +45,6 @@ class SubframeScheduler
 
     int size() const { return n_; }
     int frameSlots() const { return frame_slots_; }
-    int numSubframes() const { return num_subframes_; }
     int subframeSlots() const { return frame_slots_ / num_subframes_; }
 
     /**

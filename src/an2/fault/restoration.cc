@@ -12,18 +12,6 @@
 
 namespace an2::fault {
 
-const char*
-restoreStateName(RestoreState s)
-{
-    switch (s) {
-      case RestoreState::Pending:   return "pending";
-      case RestoreState::Restored:  return "restored";
-      case RestoreState::Degraded:  return "degraded";
-      case RestoreState::Abandoned: return "abandoned";
-    }
-    return "unknown";
-}
-
 PathRestorer::PathRestorer(topo::Lan& lan, const RestorePolicy& policy)
     : lan_(lan), policy_(policy)
 {

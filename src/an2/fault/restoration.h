@@ -74,9 +74,6 @@ enum class RestoreState : uint8_t {
     Abandoned,    ///< retry budget exhausted with no usable path
 };
 
-/** Display name of a restore state ("pending", "restored", ...). */
-const char* restoreStateName(RestoreState s);
-
 /** Aggregate restoration telemetry. */
 struct RestoreStats
 {

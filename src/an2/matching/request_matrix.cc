@@ -5,12 +5,13 @@
 namespace an2 {
 
 RequestMatrix::RequestMatrix(int n_inputs, int n_outputs)
-    : counts_(n_inputs, n_outputs, 0),
+    : n_inputs_(requirePositive(n_inputs, "request matrix inputs")),
+      n_outputs_(requirePositive(n_outputs, "request matrix outputs")),
       row_words_(wordset::numWords(n_outputs)),
       col_words_(wordset::numWords(n_inputs)),
-      row_masks_(static_cast<size_t>(n_inputs) *
-                     static_cast<size_t>(row_words_),
-                 0),
+      wires_(static_cast<size_t>(n_inputs) * static_cast<size_t>(row_words_),
+             0),
+      row_masks_(wires_.size(), 0),
       col_masks_(static_cast<size_t>(n_outputs) *
                      static_cast<size_t>(col_words_),
                  0),
@@ -18,16 +19,16 @@ RequestMatrix::RequestMatrix(int n_inputs, int n_outputs)
       live_in_(static_cast<size_t>(col_words_), 0),
       live_out_(static_cast<size_t>(row_words_), 0)
 {
-    AN2_REQUIRE(n_inputs > 0 && n_outputs > 0,
-                "request matrix must have positive dimensions");
     wordset::fillFirst(live_in_.data(), col_words_, n_inputs);
     wordset::fillFirst(live_out_.data(), row_words_, n_outputs);
 }
 
 RequestMatrix::RequestMatrix(const RequestMatrix& other)
-    : counts_(other.counts_),
+    : n_inputs_(other.n_inputs_),
+      n_outputs_(other.n_outputs_),
       row_words_(other.row_words_),
       col_words_(other.col_words_),
+      wires_(other.wires_),
       row_masks_(other.row_masks_),
       col_masks_(other.col_masks_),
       req_out_(other.req_out_),
@@ -45,9 +46,11 @@ RequestMatrix::operator=(const RequestMatrix& other)
     if (this == &other)
         return *this;
     const uint64_t own_epoch = epoch_;
-    counts_ = other.counts_;
+    n_inputs_ = other.n_inputs_;
+    n_outputs_ = other.n_outputs_;
     row_words_ = other.row_words_;
     col_words_ = other.col_words_;
+    wires_ = other.wires_;
     row_masks_ = other.row_masks_;
     col_masks_ = other.col_masks_;
     req_out_ = other.req_out_;
@@ -85,36 +88,25 @@ RequestMatrix::hideEdge(PortId i, PortId j)
 }
 
 void
-RequestMatrix::set(PortId i, PortId j, int count)
+RequestMatrix::set(PortId i, PortId j, bool request)
 {
-    AN2_REQUIRE(count >= 0, "request count must be non-negative");
-    int& cell = counts_.at(i, j);
-    const bool was = cell > 0;
-    const bool now = count > 0;
-    cell = count;
-    if (was == now)
+    AN2_ASSERT(i >= 0 && i < numInputs() && j >= 0 && j < numOutputs(),
+               "request (" << i << "," << j << ") out of range");
+    uint64_t* wires = wireRow(i);
+    if (wordset::testBit(wires, j) == request)
         return;
+    if (request)
+        wordset::setBit(wires, j);
+    else
+        wordset::clearBit(wires, j);
     // Requests touching a dead port stay hidden: the masks and the edge
     // count track only the visible view.
     if (dead_ports_ > 0 && (!inputLive(i) || !outputLive(j)))
         return;
-    if (now)
+    if (request)
         showEdge(i, j);
     else
         hideEdge(i, j);
-}
-
-void
-RequestMatrix::decrement(PortId i, PortId j)
-{
-    int& cell = counts_.at(i, j);
-    AN2_ASSERT(cell > 0,
-               "decrement of empty request cell (" << i << "," << j << ")");
-    if (--cell == 0) {
-        if (dead_ports_ > 0 && (!inputLive(i) || !outputLive(j)))
-            return;  // hidden edge: nothing visible to clear
-        hideEdge(i, j);
-    }
 }
 
 void
@@ -135,13 +127,13 @@ RequestMatrix::setInputLive(PortId i, bool live)
     } else {
         wordset::setBit(live_in_.data(), i);
         --dead_ports_;
-        // Re-expose the surviving requests toward live outputs; each
-        // re-exposed edge is a transition the epoch must record
-        // (hidden-then-revived requests reappear without any count
-        // change, so the set/decrement paths never see them).
-        for (PortId j = 0; j < numOutputs(); ++j)
-            if (counts_.at(i, j) > 0 && outputLive(j))
+        // Re-expose the raised wires toward live outputs; each re-exposed
+        // edge is a transition the epoch must record (hidden-then-revived
+        // requests reappear without any set() call).
+        wordset::forEachSet(wireRow(i), row_words_, [&](int j) {
+            if (outputLive(j))
                 showEdge(i, j);
+        });
     }
 }
 
@@ -161,7 +153,7 @@ RequestMatrix::setOutputLive(PortId j, bool live)
         wordset::setBit(live_out_.data(), j);
         --dead_ports_;
         for (PortId i = 0; i < numInputs(); ++i)
-            if (counts_.at(i, j) > 0 && inputLive(i))
+            if (wordset::testBit(wireRow(i), j) && inputLive(i))
                 showEdge(i, j);
     }
 }
@@ -169,7 +161,7 @@ RequestMatrix::setOutputLive(PortId j, bool live)
 void
 RequestMatrix::clear()
 {
-    counts_.fill(0);
+    std::fill(wires_.begin(), wires_.end(), 0);
     std::fill(row_masks_.begin(), row_masks_.end(), 0);
     std::fill(col_masks_.begin(), col_masks_.end(), 0);
     std::fill(req_out_.begin(), req_out_.end(), 0);
@@ -180,28 +172,24 @@ RequestMatrix::clear()
 void
 RequestMatrix::clearRow(PortId i)
 {
-    wordset::forEachSet(rowMask(i), row_words_, [&](int j) {
-        counts_.at(i, j) = 0;
-        hideEdge(i, j);
-    });
-    if (dead_ports_ > 0) {
-        // Also zero requests hidden behind dead ports (the mask walk
-        // above cannot see them); only paid when faults are active.
-        for (PortId j = 0; j < numOutputs(); ++j)
-            counts_.at(i, j) = 0;
-    }
+    wordset::forEachSet(rowMask(i), row_words_,
+                        [&](int j) { hideEdge(i, j); });
+    // The raw row also drops the wires hidden behind dead ports.
+    wordset::clearAll(wireRow(i), row_words_);
 }
 
 void
 RequestMatrix::clearColumn(PortId j)
 {
     wordset::forEachSet(colMask(j), col_words_, [&](int i) {
-        counts_.at(i, j) = 0;
+        wordset::clearBit(wireRow(i), j);
         hideEdge(i, j);
     });
     if (dead_ports_ > 0) {
+        // Also drop wires hidden behind dead ports (the mask walk above
+        // cannot see them); only paid when faults are active.
         for (PortId i = 0; i < numInputs(); ++i)
-            counts_.at(i, j) = 0;
+            wordset::clearBit(wireRow(i), j);
     }
 }
 
@@ -212,7 +200,7 @@ RequestMatrix::bernoulli(int n, double p, Rng& rng)
     for (int i = 0; i < n; ++i)
         for (int j = 0; j < n; ++j)
             if (rng.nextBernoulli(p))
-                req.set(i, j, 1);
+                req.set(i, j, true);
     return req;
 }
 

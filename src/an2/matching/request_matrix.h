@@ -4,36 +4,38 @@
  *
  * Switch scheduling is bipartite matching (paper §3.4): inputs and outputs
  * are the two node sets, and an edge (i,j) exists when input i has at least
- * one cell queued for output j. The RequestMatrix records the number of
- * queued cells per pair; schedulers only care whether it is non-zero, but
- * counts are kept for diagnostics and weighted policies.
+ * one cell queued for output j. In the AN2 hardware the request state is
+ * literally one wire per port pair (§3.3), and the RequestMatrix keeps
+ * exactly that: one bit per pair. How many cells wait behind a wire is
+ * the input buffer's business (InputBuffer::cellCountFor); no matcher
+ * reads it.
  *
- * Alongside the dense counts the matrix maintains, incrementally on every
- * mutation, the bit-parallel view the word-parallel matchers consume: a
- * row mask per input (bit j set when input i requests output j), a column
- * mask per output (bit i set when input i requests output j), the set of
+ * The bits are kept, incrementally on every mutation, in the
+ * bit-parallel view the word-parallel matchers consume: a row mask per
+ * input (bit j set when input i requests output j), a column mask per
+ * output (bit i set when input i requests output j), the set of
  * requested outputs (bit j set when column j is non-empty), and the edge
- * count. This mirrors the AN2 hardware, where the request state is
- * literally one wire per port pair (§3.3) and an output's arbiter acts
- * only when one of its wires is high: the matchers grant over the
- * requested outputs, so a slot pays for outputs with work, not for every
- * port. It also lets a switch patch the matrix as cells arrive and depart
- * instead of rebuilding O(N^2) state every slot.
+ * count. An output's arbiter acts only when one of its wires is high:
+ * the matchers grant over the requested outputs, so a slot pays for
+ * outputs with work, not for every port. A switch raises and drops wires
+ * as cells arrive and depart instead of rebuilding O(N^2) state every
+ * slot.
  *
  * Port liveness (fault injection): setInputLive/setOutputLive mark ports
  * dead, which *hides* their requests — has() returns false, the row and
  * column masks exclude them, and numEdges() counts only visible edges —
- * without discarding the underlying counts. Matchers consume only
+ * without discarding the underlying wires: one raw row mask per input
+ * keeps every raised wire, dead ports' included. Matchers consume only
  * has()/rowMask()/colMask()/requestedOutputs(), so a dead port can never
  * be granted by any matcher. Reviving a port re-exposes its surviving
- * queued requests. Liveness survives clear() and copy assignment.
+ * raised wires. Liveness survives clear() and copy assignment.
  *
  * Change tracking (temporal locality): every mutation that changes the
- * *visible* edge set — a count crossing zero, clearRow/clearColumn,
- * clear(), and liveness flips hiding or re-exposing edges — bumps an
- * epoch counter, so a warm-starting matcher detects a completely
- * unchanged matrix in O(1). Count changes that do not cross zero (2 -> 1
- * queued cells) leave the edge set intact and the epoch alone.
+ * *visible* edge set — a wire raised or dropped between live ports,
+ * clearRow/clearColumn, clear(), and liveness flips hiding or
+ * re-exposing edges — bumps an epoch counter, so a warm-starting matcher
+ * detects a completely unchanged matrix in O(1). Setting a wire to the
+ * state it already has changes nothing and leaves the epoch alone.
  */
 #ifndef AN2_MATCHING_REQUEST_MATRIX_H
 #define AN2_MATCHING_REQUEST_MATRIX_H
@@ -42,14 +44,13 @@
 #include <vector>
 
 #include "an2/base/error.h"
-#include "an2/base/matrix.h"
 #include "an2/base/rng.h"
 #include "an2/base/types.h"
 #include "an2/matching/wordset.h"
 
 namespace an2 {
 
-/** Occupancy of the virtual output queues: requests for the next slot. */
+/** The virtual output queues' request wires for the next slot. */
 class RequestMatrix
 {
   public:
@@ -71,13 +72,12 @@ class RequestMatrix
     RequestMatrix(RequestMatrix&&) = default;
     RequestMatrix& operator=(RequestMatrix&&) = default;
 
-    int numInputs() const { return counts_.rows(); }
-    int numOutputs() const { return counts_.cols(); }
+    int numInputs() const { return n_inputs_; }
+    int numOutputs() const { return n_outputs_; }
 
-    /** True when input i has at least one cell queued for output j and
-        both ports are live. One bit test against the incrementally
-        maintained row mask (the masks hold exactly the visible edges),
-        so per-edge legality checks never touch the dense count matrix. */
+    /** True when input i requests output j and both ports are live. One
+        bit test against the incrementally maintained row mask (the masks
+        hold exactly the visible edges). */
     bool has(PortId i, PortId j) const
     {
         AN2_ASSERT(i >= 0 && i < numInputs() && j >= 0 && j < numOutputs(),
@@ -85,26 +85,19 @@ class RequestMatrix
         return wordset::testBit(rowMask(i), j);
     }
 
-    /** Number of cells queued from i to j. */
-    int count(PortId i, PortId j) const { return counts_.at(i, j); }
+    /** Raise (true) or drop (false) the request wire from input i to
+        output j. A wire touching a dead port stays hidden until both
+        ports are live. */
+    void set(PortId i, PortId j, bool request);
 
-    /** Set the queued-cell count for (i,j). */
-    void set(PortId i, PortId j, int count);
-
-    /** Add one queued cell for (i,j). */
-    void increment(PortId i, PortId j) { set(i, j, count(i, j) + 1); }
-
-    /** Remove one queued cell for (i,j); count must be positive. */
-    void decrement(PortId i, PortId j);
-
-    /** Number of (i,j) pairs with at least one visible request (O(1));
-        requests hidden by dead ports are excluded. */
+    /** Number of visible requests (O(1)); requests hidden by dead ports
+        are excluded. */
     int numEdges() const { return edges_; }
 
     /**
      * Mark input i live or dead. Killing a port hides its requests from
-     * has()/masks/numEdges() in O(row edges); reviving re-exposes the
-     * surviving counts in O(numOutputs). Idempotent.
+     * has()/masks/numEdges() in O(row edges); reviving re-exposes its
+     * raised wires in O(raised wires). Idempotent.
      */
     void setInputLive(PortId i, bool live);
 
@@ -124,16 +117,13 @@ class RequestMatrix
     /** True when no port has been marked dead. */
     bool allPortsLive() const { return dead_ports_ == 0; }
 
-    /** Total queued cells across all pairs. */
-    int totalCells() const { return counts_.total(); }
-
     /** Clear all requests. */
     void clear();
 
-    /** Zero every request from input i (counts and masks). */
+    /** Drop every wire from input i, hidden ones included. */
     void clearRow(PortId i);
 
-    /** Zero every request to output j (counts and masks). */
+    /** Drop every wire to output j, hidden ones included. */
     void clearColumn(PortId j);
 
     /** Words per row mask (over outputs). */
@@ -168,12 +158,20 @@ class RequestMatrix
     uint64_t epoch() const { return epoch_; }
 
     /**
-     * Generate a random pattern: each pair independently has one request
-     * with probability p (the Table 1 workload).
+     * Generate a random pattern: each pair independently requests with
+     * probability p (the Table 1 workload).
      */
     static RequestMatrix bernoulli(int n, double p, Rng& rng);
 
   private:
+    /** Raw wires of input i, rowWords() words: bit j set iff the wire
+        (i,j) is raised, whatever the ports' liveness. */
+    uint64_t* wireRow(PortId i)
+    {
+        return wires_.data() +
+               static_cast<size_t>(i) * static_cast<size_t>(row_words_);
+    }
+
     uint64_t* rowMaskMut(PortId i)
     {
         return row_masks_.data() +
@@ -193,9 +191,11 @@ class RequestMatrix
     /** Remove the visible edge (i,j) from the view (see showEdge). */
     void hideEdge(PortId i, PortId j);
 
-    Matrix<int> counts_;
+    int n_inputs_;
+    int n_outputs_;
     int row_words_;
     int col_words_;
+    std::vector<uint64_t> wires_;      ///< numInputs x row_words_, raw
     std::vector<uint64_t> row_masks_;  ///< numInputs x row_words_
     std::vector<uint64_t> col_masks_;  ///< numOutputs x col_words_
     std::vector<uint64_t> req_out_;    ///< bit j set = column j non-empty

@@ -48,9 +48,6 @@ class LocalClock
         return next_slot_++;
     }
 
-    /** Actual slot period in wall picoseconds. */
-    double periodPs() const { return period_ps_; }
-
   private:
     double period_ps_;
     PicoTime phase_ps_;

@@ -56,8 +56,7 @@ InputQueuedSwitch::InputQueuedSwitch(const IqSwitchConfig& config,
       out_busy_(static_cast<size_t>(busy_words_), 0),
       next_in_(static_cast<size_t>(busy_words_), 0),
       next_out_(static_cast<size_t>(busy_words_), 0),
-      vbr_match_(config.n, config.n), combined_(config.n, config.n),
-      pending_vbr_(config.n, config.n),
+      vbr_match_(config.n, config.n), pending_vbr_(config.n, config.n),
       dead_in_(static_cast<size_t>(busy_words_), 0),
       dead_out_(static_cast<size_t>(busy_words_), 0)
 {
@@ -228,9 +227,9 @@ InputQueuedSwitch::acceptCellAs(FlowId queue_key, const Cell& cell)
         cbr_bufs_[static_cast<size_t>(cell.input)].enqueueAs(queue_key, cell);
     } else {
         vbr_bufs_[static_cast<size_t>(cell.input)].enqueueAs(queue_key, cell);
-        // Patch the persistent request matrix; the matching dequeue-side
-        // decrement happens in forwardVbr().
-        vbr_req_.increment(cell.input, cell.output);
+        // Raise the pair's request wire; forwardVbr() drops it when the
+        // dequeue empties the VOQ.
+        vbr_req_.set(cell.input, cell.output, true);
     }
     // Counted only once a buffer holds the cell: a rejected cell never
     // reaches the ledger.
@@ -255,12 +254,12 @@ InputQueuedSwitch::rebindFlow(PortId i, TrafficClass cls, FlowId flow,
     InputBuffer& buf = vbr_bufs_[static_cast<size_t>(i)];
     if (buf.rebindFlow(flow, new_output) == 0)
         return;
-    // The moved cells shift counts between two VOQs of this input; resync
+    // The moved cells leave one VOQ of this input for another; rebuild
     // its request row from the buffer (O(N), and rerouting is rare).
     for (PortId j = 0; j < config_.n; ++j)
-        vbr_req_.set(i, j, buf.cellCountFor(j));
+        vbr_req_.set(i, j, buf.hasCellFor(j));
     // A pipelined matching computed before the move may pair the old VOQ.
-    has_pending_ = false;
+    pending_vbr_.reset(config_.n, config_.n);
 }
 
 int
@@ -355,11 +354,13 @@ InputQueuedSwitch::computeVbrMatch(const uint64_t* in_busy,
 void
 InputQueuedSwitch::forwardVbr(int fs, PortId i, PortId j)
 {
-    AN2_ASSERT(vbr_bufs_[static_cast<size_t>(i)].hasCellFor(j),
+    InputBuffer& buf = vbr_bufs_[static_cast<size_t>(i)];
+    AN2_ASSERT(buf.hasCellFor(j),
                "pipelined matching references a vanished cell");
-    Cell c = vbr_bufs_[static_cast<size_t>(i)].dequeueFor(j);
+    Cell c = buf.dequeueFor(j);
     obs::cellDequeued(c);
-    vbr_req_.decrement(i, j);
+    if (!buf.hasCellFor(j))
+        vbr_req_.set(i, j, false);
     ++vbr_forwarded_;
     // An idle reservation's pairing carried this VBR cell.
     if (cbr_schedule_ != nullptr &&
@@ -615,26 +616,15 @@ InputQueuedSwitch::runSlot(SlotTime slot)
                             vbr_match_);
             if (hasOutputQueues() && vbr_match_.size() == 0)
                 break;
-        }
-        // The crossbar setting is this phase's VBR matching, merged into
-        // combined_ when CBR pairings (served only in single-phase slots)
-        // join it or a pipelined matching loses stale pairs.
-        const bool merged = n_cbr > 0 || config_.pipelined;
-        if (merged) {
-            combined_.reset(n, n);
-            for (size_t k = 0; k < n_cbr; ++k)
-                combined_.add(forwarded_[k].input, forwarded_[k].output);
-        }
-        if (!config_.pipelined) {
             for (PortId i = 0; i < n; ++i) {
                 PortId j = vbr_match_.outputOf(i);
-                if (j == kNoPort)
-                    continue;
-                if (merged)
-                    combined_.add(i, j);
-                forwardVbr(fs, i, j);
+                if (j != kNoPort)
+                    forwardVbr(fs, i, j);
             }
-        } else if (has_pending_) {
+        } else {
+            // The pipelined slot sets the crossbar to the pending
+            // matching's surviving pairs, collected in vbr_match_.
+            vbr_match_.reset(n, n);
             for (PortId i = 0; i < n; ++i) {
                 PortId j = pending_vbr_.outputOf(i);
                 if (j == kNoPort)
@@ -649,12 +639,15 @@ InputQueuedSwitch::runSlot(SlotTime slot)
                 if (any_dead_ && (wordset::testBit(dead_in_.data(), i) ||
                                   wordset::testBit(dead_out_.data(), j)))
                     continue;
-                combined_.add(i, j);
+                vbr_match_.add(i, j);
                 forwardVbr(fs, i, j);
             }
         }
-
-        crossFabric(merged ? combined_ : vbr_match_, phase_first);
+        // The CBR pairings (served only in single-phase slots) join the
+        // VBR pairs: one matching sets the crossbar.
+        for (size_t k = 0; k < n_cbr; ++k)
+            vbr_match_.add(forwarded_[k].input, forwarded_[k].output);
+        crossFabric(vbr_match_, phase_first);
         phase_first = forwarded_.size();
     }
 
@@ -670,7 +663,6 @@ InputQueuedSwitch::runSlot(SlotTime slot)
         }
         computeVbrMatch(next_in_.data(), next_out_.data(), any_next,
                         pending_vbr_);
-        has_pending_ = true;
     }
 
     // Departures: crossed cells leave at once, or join their output's

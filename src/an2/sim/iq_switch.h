@@ -42,11 +42,11 @@
  * one bidder uniformly at random, and a loser moves on to its next cell.
  * It uses no VOQ, request matrix or matcher either.
  *
- * The scheduling input is a persistent RequestMatrix patched as cells
- * arrive and depart (one increment per enqueue, one decrement per
- * dequeue), mirroring the hardware's per-port-pair request wires; the
- * O(N^2) per-slot rebuild of earlier revisions is gone, and steady-state
- * runSlot() performs no heap allocation.
+ * The scheduling input is a persistent RequestMatrix of the hardware's
+ * per-port-pair request wires, patched as cells arrive and depart (a
+ * wire rises with the first cell of a VOQ and drops with its last); the
+ * VBR buffers keep the only cell counts. Nothing is rebuilt per slot,
+ * and steady-state runSlot() performs no heap allocation.
  *
  * The LAN's switch nodes (network/net_switch.h) run this same switch,
  * one slot per local clock tick; rebindFlow() and purgeCbrFlow() serve
@@ -331,7 +331,8 @@ class InputQueuedSwitch
     bool predictCbrBusy(int fs);
 
     /** Dequeue the VBR cell behind pairing (i,j), crossing in frame
-        slot `fs` (ignored without a schedule), and log statistics. */
+        slot `fs` (ignored without a schedule), drop the pair's request
+        wire if that emptied the VOQ, and log statistics. */
     void forwardVbr(int fs, PortId i, PortId j);
 
     /**
@@ -430,10 +431,10 @@ class InputQueuedSwitch
     std::vector<int32_t> wrr_credit_;
 
     /**
-     * Requests for the VBR scheduler: count(i,j) = cells queued in input
-     * i's VBR buffer for output j (every class, with the output stage).
-     * Incremented in acceptCell, decremented as cells cross the fabric —
-     * never rebuilt.
+     * Requests for the VBR scheduler: wire (i,j) is raised while input
+     * i's VBR buffer holds a cell for output j (every class, with the
+     * output stage). Raised in acceptCell, dropped when a crossing cell
+     * empties the VOQ — never rebuilt.
      */
     RequestMatrix vbr_req_;
     /** Scratch copy of vbr_req_ with CBR-claimed ports cleared. */
@@ -445,14 +446,13 @@ class InputQueuedSwitch
     std::vector<uint64_t> out_busy_;   ///< outputs claimed by CBR
     std::vector<uint64_t> next_in_;    ///< predicted busy, next slot
     std::vector<uint64_t> next_out_;   ///< predicted busy, next slot
-    Matching vbr_match_;               ///< matcher or FIFO contention output
-    Matching combined_;                ///< merged CBR + VBR setting
+    Matching vbr_match_;               ///< the slot's crossbar setting
     std::vector<Cell> forwarded_;      ///< cells crossing this slot
     std::vector<Cell> departed_;       ///< runSlot return (output stage)
 
-    /** Pipelined mode: the matching precomputed for the next slot. */
+    /** Pipelined mode: the matching precomputed for the next slot (empty
+        before the first slot and after a rebind). */
     Matching pending_vbr_;
-    bool has_pending_ = false;
 
     // Fault state: dead-port bitmasks mirrored into vbr_req_'s liveness,
     // plus the always-on conservation ledger.

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
+#include <string>
 
 namespace an2 {
 
@@ -47,14 +47,6 @@ UniformTraffic::UniformTraffic(int n, double load, uint64_t seed)
     AN2_REQUIRE(load >= 0.0 && load <= 1.0, "load must be in [0,1]");
 }
 
-std::string
-UniformTraffic::name() const
-{
-    std::ostringstream oss;
-    oss << "uniform(load=" << load_ << ")";
-    return oss.str();
-}
-
 void
 UniformTraffic::generate(SlotTime slot, std::vector<Cell>& out)
 {
@@ -80,15 +72,6 @@ MultiClassUniformTraffic::MultiClassUniformTraffic(int n, double load,
     AN2_REQUIRE(cbr_fraction >= 0.0 && be_fraction >= 0.0 &&
                     cbr_fraction + be_fraction <= 1.0,
                 "class fractions must be non-negative and sum to <= 1");
-}
-
-std::string
-MultiClassUniformTraffic::name() const
-{
-    std::ostringstream oss;
-    oss << "uniform3(load=" << load_ << ",cbr=" << cbr_fraction_
-        << ",be=" << be_fraction_ << ")";
-    return oss.str();
 }
 
 TrafficClass
@@ -123,8 +106,8 @@ MultiClassUniformTraffic::generate(SlotTime slot, std::vector<Cell>& out)
 ClientServerTraffic::ClientServerTraffic(int n, int num_servers,
                                          double server_load, uint64_t seed,
                                          double client_client_ratio)
-    : TrafficGenerator(n, n), num_servers_(num_servers),
-      server_load_(server_load), arrival_rate_(0.0), rng_(seed)
+    : TrafficGenerator(n, n), num_servers_(num_servers), arrival_rate_(0.0),
+      rng_(seed)
 {
     AN2_REQUIRE(num_servers > 0 && num_servers < n,
                 "need at least one server and one client");
@@ -171,15 +154,6 @@ ClientServerTraffic::ClientServerTraffic(int n, int num_servers,
                                << arrival_rate_ << " > 1; infeasible");
 }
 
-std::string
-ClientServerTraffic::name() const
-{
-    std::ostringstream oss;
-    oss << "client-server(servers=" << num_servers_
-        << ",server_load=" << server_load_ << ")";
-    return oss.str();
-}
-
 void
 ClientServerTraffic::generate(SlotTime slot, std::vector<Cell>& out)
 {
@@ -206,14 +180,6 @@ PeriodicBurstTraffic::PeriodicBurstTraffic(int n, double load, uint64_t seed,
     AN2_REQUIRE(burst >= 0, "burst must be non-negative");
 }
 
-std::string
-PeriodicBurstTraffic::name() const
-{
-    std::ostringstream oss;
-    oss << "periodic(load=" << load_ << ",burst=" << burst_ << ")";
-    return oss.str();
-}
-
 void
 PeriodicBurstTraffic::generate(SlotTime slot, std::vector<Cell>& out)
 {
@@ -238,14 +204,6 @@ HotspotTraffic::HotspotTraffic(int n, double load, PortId hotspot,
     AN2_REQUIRE(hotspot >= 0 && hotspot < n, "hotspot out of range");
     AN2_REQUIRE(hotspot_fraction >= 0.0 && hotspot_fraction <= 1.0,
                 "hotspot fraction must be in [0,1]");
-}
-
-std::string
-HotspotTraffic::name() const
-{
-    std::ostringstream oss;
-    oss << "hotspot(load=" << load_ << ",frac=" << hotspot_fraction_ << ")";
-    return oss.str();
 }
 
 void
@@ -314,14 +272,6 @@ TraceTraffic::fromCsv(int n, std::istream& in)
     return TraceTraffic(n, std::move(records));
 }
 
-std::string
-TraceTraffic::name() const
-{
-    std::ostringstream oss;
-    oss << "trace(" << records_.size() << " records)";
-    return oss.str();
-}
-
 void
 TraceTraffic::generate(SlotTime slot, std::vector<Cell>& out)
 {
@@ -340,8 +290,7 @@ TraceTraffic::generate(SlotTime slot, std::vector<Cell>& out)
 
 BurstyTraffic::BurstyTraffic(int n, double load, double mean_burst,
                              uint64_t seed)
-    : TrafficGenerator(n, n), state_(static_cast<size_t>(n)), rng_(seed),
-      load_(load), mean_burst_(mean_burst)
+    : TrafficGenerator(n, n), state_(static_cast<size_t>(n)), rng_(seed)
 {
     AN2_REQUIRE(load >= 0.0 && load < 1.0, "bursty load must be in [0,1)");
     AN2_REQUIRE(mean_burst >= 1.0, "mean burst length must be >= 1");
@@ -349,14 +298,6 @@ BurstyTraffic::BurstyTraffic(int n, double load, double mean_burst,
     // Stationary P(on) = p_off_on / (p_off_on + p_on_off) = load.
     p_off_to_on_ = load * p_on_to_off_ / (1.0 - load);
     p_off_to_on_ = std::min(p_off_to_on_, 1.0);
-}
-
-std::string
-BurstyTraffic::name() const
-{
-    std::ostringstream oss;
-    oss << "bursty(load=" << load_ << ",mean_burst=" << mean_burst_ << ")";
-    return oss.str();
 }
 
 void

@@ -13,7 +13,6 @@
 
 #include <istream>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "an2/base/matrix.h"
@@ -33,9 +32,6 @@ class TrafficGenerator
      * input), fully stamped (flow, ports, inject_slot, seq).
      */
     virtual void generate(SlotTime slot, std::vector<Cell>& out) = 0;
-
-    /** Workload name for reports. */
-    virtual std::string name() const = 0;
 
     /** Cells injected so far. */
     int64_t cellsInjected() const { return cells_injected_; }
@@ -84,7 +80,6 @@ class UniformTraffic final : public TrafficGenerator
     UniformTraffic(int n, double load, uint64_t seed);
 
     void generate(SlotTime slot, std::vector<Cell>& out) override;
-    std::string name() const override;
 
   private:
     double load_;
@@ -116,7 +111,6 @@ class MultiClassUniformTraffic final : public TrafficGenerator
                              double be_fraction = 0.3);
 
     void generate(SlotTime slot, std::vector<Cell>& out) override;
-    std::string name() const override;
 
     /** The deterministic class of connection (i, j). */
     TrafficClass classOf(PortId i, PortId j) const;
@@ -142,16 +136,12 @@ class ClientServerTraffic final : public TrafficGenerator
                         uint64_t seed, double client_client_ratio = 0.05);
 
     void generate(SlotTime slot, std::vector<Cell>& out) override;
-    std::string name() const override;
 
     /** Per-input arrival probability implied by the calibration. */
     double arrivalRate() const { return arrival_rate_; }
 
   private:
-    bool isServer(PortId p) const { return p < num_servers_; }
-
     int num_servers_;
-    double server_load_;
     double arrival_rate_;
     /** Destination CDF per input. */
     std::vector<std::vector<double>> dest_cdf_;
@@ -183,7 +173,6 @@ class PeriodicBurstTraffic final : public TrafficGenerator
     PeriodicBurstTraffic(int n, double load, uint64_t seed, int burst = 0);
 
     void generate(SlotTime slot, std::vector<Cell>& out) override;
-    std::string name() const override;
 
   private:
     double load_;
@@ -202,7 +191,6 @@ class HotspotTraffic final : public TrafficGenerator
                    double hotspot_fraction, uint64_t seed);
 
     void generate(SlotTime slot, std::vector<Cell>& out) override;
-    std::string name() const override;
 
   private:
     double load_;
@@ -241,7 +229,6 @@ class TraceTraffic final : public TrafficGenerator
     static TraceTraffic fromCsv(int n, std::istream& in);
 
     void generate(SlotTime slot, std::vector<Cell>& out) override;
-    std::string name() const override;
 
     /** Total scripted records. */
     int64_t records() const { return static_cast<int64_t>(records_.size()); }
@@ -264,7 +251,6 @@ class BurstyTraffic final : public TrafficGenerator
     BurstyTraffic(int n, double load, double mean_burst, uint64_t seed);
 
     void generate(SlotTime slot, std::vector<Cell>& out) override;
-    std::string name() const override;
 
   private:
     struct State
@@ -277,8 +263,6 @@ class BurstyTraffic final : public TrafficGenerator
     double p_off_to_on_;   ///< per-slot probability an OFF period ends
     std::vector<State> state_;
     Xoshiro256 rng_;
-    double load_;
-    double mean_burst_;
 };
 
 }  // namespace an2

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "an2/base/matrix.h"
 #include "an2/base/rng.h"
 
 namespace an2 {
@@ -134,10 +135,10 @@ TEST(IslipTest, WarmFormMatchesBackendForm)
             for (int k = 0; k < 6; ++k) {
                 const auto i = static_cast<PortId>(rng.nextBelow(24));
                 const auto j = static_cast<PortId>(rng.nextBelow(24));
-                if (req.count(i, j) > 0 && rng.nextBelow(2) == 0)
-                    req.decrement(i, j);
+                if (req.has(i, j) && rng.nextBelow(2) == 0)
+                    req.set(i, j, false);
                 else if (slot % 7 != 0)
-                    req.increment(i, j);
+                    req.set(i, j, true);
             }
             EXPECT_EQ(plain.match(req).pairs(),
                       with_backend.match(req).pairs())

@@ -95,19 +95,17 @@ warmConfigs()
 constexpr int kChurnPorts = 70;
 constexpr int kChurnRounds = 160;
 
-/** One round of the churn-and-faults stream: about one request per port
-    changes, removals included; output 13 dies at round 40 (with edges
-    being reused), input 5 at round 70, and both revive at round 100. */
+/** One round of the churn-and-faults stream: about one wire per port is
+    redrawn, raised with probability 0.7 and dropped otherwise; output 13
+    dies at round 40 (with edges being reused), input 5 at round 70, and
+    both revive at round 100. */
 void
 churnAndFaults(RequestMatrix& req, Xoshiro256& rng, int round)
 {
     for (int t = 0; t < kChurnPorts; ++t) {
         auto i = static_cast<PortId>(rng.nextBelow(kChurnPorts));
         auto j = static_cast<PortId>(rng.nextBelow(kChurnPorts));
-        if (rng.nextBernoulli(0.7))
-            req.increment(i, j);
-        else if (req.count(i, j) > 0)
-            req.decrement(i, j);
+        req.set(i, j, rng.nextBernoulli(0.7));
     }
     if (round == 40)
         req.setOutputLive(13, false);
@@ -293,10 +291,7 @@ TEST(WarmStartRegression, OffMatchesSeedBehavior)
             for (int t = 0; t < kN / 2; ++t) {
                 auto i = static_cast<PortId>(rng.nextBelow(kN));
                 auto j = static_cast<PortId>(rng.nextBelow(kN));
-                if (rng.nextBernoulli(0.6))
-                    req.increment(i, j);
-                else if (req.count(i, j) > 0)
-                    req.decrement(i, j);
+                req.set(i, j, rng.nextBernoulli(0.6));
             }
             p.off->matchInto(req, a);
             p.legacy->matchInto(req, b);

@@ -1,8 +1,9 @@
 // Verifies the hot-path guarantee: after warmup, InputQueuedSwitch's
 // runSlot() performs zero heap allocations. A global counting operator
-// new tracks every allocation; allocations are counted only inside the
-// runSlot() calls themselves (arrival-side enqueues may legitimately
-// grow buffers). This test must stay in its own binary: the replacement
+// new tracks every allocation and its bytes; allocations are counted only
+// inside the runSlot() calls themselves (arrival-side enqueues may
+// legitimately grow buffers). The byte count pins the request matrix's
+// footprint. This test must stay in its own binary: the replacement
 // operator new is program-wide.
 #include <gtest/gtest.h>
 
@@ -12,11 +13,13 @@
 #include <new>
 #include <utility>
 
+#include "an2/cbr/slepian_duguid.h"
 #include "an2/fault/fault_plan.h"
 #include "an2/fault/injector.h"
 #include "an2/harness/arch.h"
 #include "an2/matching/fill_in.h"
 #include "an2/matching/pim.h"
+#include "an2/matching/request_matrix.h"
 #include "an2/matching/statistical.h"
 #include "an2/obs/recorder.h"
 #include "an2/queueing/voq.h"
@@ -37,6 +40,7 @@
 namespace {
 
 std::atomic<size_t> g_allocations{0};
+std::atomic<size_t> g_bytes{0};
 
 }  // namespace
 
@@ -47,6 +51,7 @@ std::atomic<size_t> g_allocations{0};
 operator new(std::size_t size)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
     if (void* p = std::malloc(size))
         return p;
     throw std::bad_alloc{};
@@ -66,6 +71,7 @@ operator new[](std::size_t size)
 operator new(std::size_t size, const std::nothrow_t&) noexcept
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(size, std::memory_order_relaxed);
     return std::malloc(size);
 }
 
@@ -165,6 +171,70 @@ TEST(ZeroAllocTest, StatisticalSwitchesSteadyStateAreAllocationFree)
             std::make_unique<PimMatcher>(
                 PimConfig{.iterations = 4, .seed = 14})));
     EXPECT_EQ(allocationsDuringSteadyState(fill_in, 2000, 2000, 0.5), 0u);
+}
+
+TEST(ZeroAllocTest, CbrMaskedPimSwitchSteadyStateIsAllocationFree)
+{
+    // A 16-port PIM(4) switch under a Slepian-Duguid frame schedule, as
+    // in the iq16_pim_cbr benchmark: every slot that serves a
+    // reservation matches VBR over a copy of the request matrix with the
+    // CBR-claimed ports cleared. Each input and output carries 3 reserved
+    // cells per 32-slot frame, sent at the frame's start, beside uniform
+    // VBR load 0.8.
+    constexpr int kN = 16;
+    constexpr int kFrame = 32;
+    // (output shift, cells per frame) of each input's two bookings.
+    constexpr std::pair<int, int> kBookings[] = {{1, 2}, {5, 1}};
+    SlepianDuguidScheduler sd(kN, kFrame);
+    for (auto [shift, cells] : kBookings)
+        for (PortId i = 0; i < kN; ++i)
+            ASSERT_TRUE(sd.addReservation(i, (i + shift) % kN, cells));
+    InputQueuedSwitch sw(
+        IqSwitchConfig{.n = kN},
+        std::make_unique<PimMatcher>(PimConfig{.iterations = 4, .seed = 15}),
+        &sd.schedule());
+    UniformTraffic traffic(kN, 0.8, 2027);
+    std::vector<Cell> arrivals;
+    size_t counted = 0;
+    for (SlotTime slot = 0; slot < 4000; ++slot) {
+        arrivals.clear();
+        if (slot % kFrame == 0) {
+            for (auto [shift, cells] : kBookings) {
+                for (PortId i = 0; i < kN; ++i) {
+                    Cell c;
+                    c.input = i;
+                    c.output = (i + shift) % kN;
+                    c.flow = (FlowId{1} << 30) + i * kN + c.output;
+                    c.cls = TrafficClass::CBR;
+                    c.inject_slot = slot;
+                    c.arrival_slot = slot;
+                    for (int k = 0; k < cells; ++k)
+                        arrivals.push_back(c);
+                }
+            }
+        }
+        traffic.generate(slot, arrivals);
+        for (const Cell& c : arrivals)
+            sw.acceptCell(c);
+        const size_t before = g_allocations.load(std::memory_order_relaxed);
+        sw.runSlot(slot);
+        if (slot >= 2000)
+            counted += g_allocations.load(std::memory_order_relaxed) - before;
+    }
+    EXPECT_EQ(counted, 0u);
+    EXPECT_EQ(sw.cbrForwarded(), 4000 / kFrame * kN * 3);
+}
+
+TEST(RequestMatrixFootprint, ThousandPortsAllocateUnderOneMiB)
+{
+    // One bit per port pair in each of three views (raw wires, row masks,
+    // column masks): 3 x 128 KiB at 1024 ports. A cell count per pair
+    // would take 4 MiB on its own.
+    const size_t before = g_bytes.load(std::memory_order_relaxed);
+    RequestMatrix req(1024);
+    const size_t bytes = g_bytes.load(std::memory_order_relaxed) - before;
+    EXPECT_LT(bytes, size_t{1} << 20);
+    EXPECT_EQ(req.numEdges(), 0);
 }
 
 namespace {
