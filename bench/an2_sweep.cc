@@ -11,10 +11,9 @@
  *
  * Network-scale experiments (whole topologies on topo::Lan) live in the
  * same registry namespace and speak the same flags, plus `--frames` and
- * `--engine serial|parallel`:
+ * `--chaos`; `--threads` sets the LAN engine's shard count:
  *
- *     an2_sweep --experiment netscale --engine parallel --threads 8 \
- *               --json BENCH_netscale.json
+ *     an2_sweep --experiment netscale --threads 8 --json BENCH_netscale.json
  */
 #include <cstdio>
 #include <string>

@@ -2,15 +2,16 @@
  * @file
  * bench_network_scale — the LAN-scale stress experiment: a 16-ary
  * fat-tree (320 switches, 2048 hosts) carrying a uniform VBR+CBR
- * traffic matrix, driven by the sharded deterministic network engine.
+ * traffic matrix, driven by the network's conservative-window loop on
+ * `--threads` shards.
  *
- *     bench_network_scale --engine parallel --threads 8 \
- *                         --json BENCH_netscale.json
- *     bench_network_scale --engine serial --json serial.json
+ *     bench_network_scale --threads 8 --json BENCH_netscale.json
+ *     bench_network_scale --threads 1 --json one_shard.json
  *
- * The two JSON documents above are byte-identical: the engine is a
+ * The two JSON documents above are byte-identical: the shard count is a
  * wall-clock choice, never a results choice. `--faults` composes — a
- * link_down plan triggers deterministic ECMP failover on both engines.
+ * link_down plan triggers deterministic ECMP failover on any shard
+ * count.
  */
 #include <cstdio>
 

@@ -77,8 +77,8 @@ randomRegularTopo(int switches, int degree, int hosts_per_switch,
 /**
  * netscale: a 16-ary fat-tree with 16 hosts per edge switch — 320
  * switches and 2048 hosts — under a uniform VBR+CBR traffic matrix.
- * The flagship scale test for the sharded engine: `--engine parallel`
- * and `--engine serial` produce byte-identical JSON.
+ * The flagship scale test for the LAN engine: every `--threads` value
+ * produces byte-identical JSON.
  */
 inline topo::NetSweepSpec
 netScaleSpec()
@@ -179,19 +179,15 @@ applyNetCli(const SweepCli& cli, topo::NetSweepSpec& spec)
     }
 }
 
-/** Engine thread count from --engine / --threads (1 = serial loop). */
+/** The LAN engine's shard count from --threads (0 = hardware
+    concurrency). */
 inline int
 netEngineThreads(const SweepCli& cli)
 {
-    if (cli.engine == "serial")
-        return 1;
     int t = cli.threads;
     if (t <= 0)
         t = static_cast<int>(std::thread::hardware_concurrency());
-    t = std::max(t, 1);
-    if (cli.engine == "parallel")
-        t = std::max(t, 2);
-    return t;
+    return std::max(t, 1);
 }
 
 /** Print the delivered-throughput table (topologies as columns). */
@@ -235,8 +231,7 @@ runNetExperimentInner(const topo::NetSweepSpec& spec, const SweepCli& cli,
         if (spec.chaos.enabled())
             std::printf("  chaos: %s (CBR path restoration armed)\n",
                         spec.chaos.str().c_str());
-        std::printf("  delivered/injected throughput; %s engine\n\n",
-                    engine_threads > 1 ? "sharded parallel" : "serial");
+        std::printf("  delivered/injected throughput\n\n");
     }
 
     std::function<void(int, int)> progress;
@@ -266,8 +261,8 @@ runNetExperimentInner(const topo::NetSweepSpec& spec, const SweepCli& cli,
 
     // --metrics / --metrics-prom: re-run the observed grid point (first
     // topology, highest load, replicate 0) sampling LanStats at frame
-    // boundaries. The samples are byte-identical for any engine/thread
-    // choice, so this doubles as the determinism check in CI.
+    // boundaries. The samples are byte-identical for any shard count,
+    // so this doubles as the determinism check in CI.
     if (!cli.metrics_path.empty() || !cli.metrics_prom_path.empty()) {
         const int64_t every =
             cli.metrics_every > 0
@@ -291,7 +286,7 @@ runNetExperimentInner(const topo::NetSweepSpec& spec, const SweepCli& cli,
  * Run a network experiment end to end for `an2_sweep`. Under --chaos the
  * run is flown with a flight recorder: any invariant panic or engine
  * failure dumps an an2.blackbox.v1 post-mortem and prints the one-line
- * serial repro command before exiting nonzero.
+ * one-shard repro command before exiting nonzero.
  */
 inline int
 runNetExperiment(const NetExperiment& exp, const SweepCli& cli)
@@ -306,7 +301,8 @@ runNetExperiment(const NetExperiment& exp, const SweepCli& cli)
     // Chaos flight recorder. The panic hook covers invariants tripped on
     // this thread; failures rethrown from engine workers land in the
     // catch below and dump manually. Either way the newest post-mortem
-    // is on disk next to a command that replays the exact run serially.
+    // is on disk next to a command that replays the exact run on one
+    // shard.
     obs::Recorder recorder{obs::RecorderConfig{}};
     obs::BlackboxConfig bb_cfg;
     bb_cfg.dump_on_fault = false;  // chaos churn is scripted, not fatal
@@ -321,7 +317,7 @@ runNetExperiment(const NetExperiment& exp, const SweepCli& cli)
                      "an2_sweep: chaos run failed: %s\n"
                      "  post-mortem: %s\n"
                      "  repro: an2_sweep --experiment %s --chaos '%s' "
-                     "--seed %llu --frames %lld --engine serial\n",
+                     "--seed %llu --frames %lld --threads 1\n",
                      e.what(), bb_cfg.path.c_str(), spec.name.c_str(),
                      spec.chaos.str().c_str(),
                      static_cast<unsigned long long>(spec.base_seed),

@@ -228,12 +228,12 @@ using harness::printSweepCliHelp;
  * Each front end honours every flag it parses or rejects it, printing
  * an error that names the flag; these return false when the caller
  * should exit 2. A switch sweep rejects the network experiments'
- * --frames, --engine and --chaos.
+ * --frames and --chaos.
  */
 inline bool
 acceptsSwitchSweepFlags(const SweepCli& cli)
 {
-    const char* flag = firstGiven(cli, {"--frames", "--engine", "--chaos"});
+    const char* flag = firstGiven(cli, {"--frames", "--chaos"});
     if (flag)
         std::fprintf(stderr,
                      "error: %s: applies to network experiments only\n",

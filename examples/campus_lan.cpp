@@ -4,7 +4,7 @@
  * eight floor switches, eight workstations per floor — built with the
  * topo layer. Flows are placed by endpoints; the router picks each
  * flow's shortest path with deterministic ECMP tie-breaking. We run
- * the same network twice, serially and on the sharded parallel engine,
+ * the same network twice, on one engine shard and on four threads,
  * and check the totals agree exactly, then down a trunk mid-run to
  * watch deterministic failover reroute the traffic that crossed it.
  *
@@ -73,23 +73,23 @@ main()
     // 9 switches (backbone + 8 floors), 64 hosts, 72 edges.
     const topo::Topology campus = topo::Topology::star(8, 8);
 
-    // Same network, two engines. The results are byte-identical: the
-    // engine is a wall-clock choice, never a results choice.
-    topo::Lan serial(campus, campusConfig(kSeed));
-    placeCampusTraffic(serial);
-    serial.runFrames(kFrames, /*threads=*/1);
+    // Same network, two shard counts. The results are byte-identical:
+    // the shard count is a wall-clock choice, never a results choice.
+    topo::Lan one(campus, campusConfig(kSeed));
+    placeCampusTraffic(one);
+    one.runFrames(kFrames, /*threads=*/1);
     topo::Lan sharded(campus, campusConfig(kSeed));
     placeCampusTraffic(sharded);
     sharded.runFrames(kFrames, /*threads=*/4);
 
-    topo::LanStats a = serial.stats();
+    topo::LanStats a = one.stats();
     topo::LanStats b = sharded.stats();
-    report("serial engine", a);
-    report("sharded engine (4T)", b);
+    report("1 engine shard", a);
+    report("4 engine shards", b);
     const bool identical =
         a.injected == b.injected && a.delivered == b.delivered &&
         a.mean_wall_latency_ps == b.mean_wall_latency_ps;
-    std::printf("  engines agree exactly: %s  (%lld shard windows)\n\n",
+    std::printf("  shard counts agree exactly: %s  (%lld windows each)\n\n",
                 identical ? "yes" : "NO (bug!)",
                 static_cast<long long>(sharded.shardWindows()));
 
@@ -118,8 +118,8 @@ main()
                     static_cast<long long>(f.link_lost));
     }
 
-    std::printf("\nReading the output: the sharded engine reproduces the "
-                "serial run bit for bit.\nUnder the same trunk outage the "
+    std::printf("\nReading the output: four shards reproduce the one-shard "
+                "run bit for bit.\nUnder the same trunk outage the "
                 "single-backbone star strands the flows that\ncrossed it, "
                 "while the torus campus reroutes them around the dead "
                 "link --\nonly pinned CBR reservations take losses.\n");

@@ -14,7 +14,7 @@ Two document kinds are understood, keyed on the run's schema field:
   an2.netsweep.v1 (from `an2_sweep --experiment netscale --json`) —
   delivered/injected throughput per (topology, load) cell vs the
   committed `BENCH_netscale.json`. These numbers are *deterministic*
-  (byte-identical across engines and thread counts), so any drift at
+  (byte-identical across engine shard counts), so any drift at
   all is flagged: it means the simulation's behavior changed and the
   baseline should be regenerated deliberately.
 

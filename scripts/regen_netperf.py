@@ -7,12 +7,11 @@ Usage:
 
 Runs two bench_network_scale binaries (one built from the commit *before*
 the change being documented, one from *after*) over the full netscale
-sweep on three engine shapes: the serial loop, and the sharded engine at
-2 and 4 threads. (`--engine parallel --threads 1` is promoted to 2
-threads, so the one-thread row is the serial engine.) Each shape runs
-five times per binary, the two binaries interleaved run by run with the
-first alternating, so a host that slows or speeds up during the script
-weighs on both sides alike. Each row records:
+sweep on three engine shapes: `--threads 1`, 2 and 4, the LAN engine's
+shard count. Each shape runs five times per binary, the two binaries
+interleaved run by run with the first alternating, so a host that slows
+or speeds up during the script weighs on both sides alike. Each row
+records:
 
   sweep_s        median wall seconds of the sweep, taken from the
                  "N runs in X s on T engine thread(s)" line that
@@ -23,7 +22,7 @@ weighs on both sides alike. Each row records:
 
 Every run's an2.netsweep.v1 document must be byte-identical to the
 committed BENCH_netscale.json, or the script fails and writes nothing:
-the engine is a wall-clock choice, never a results choice, and no timing
+the shard count is a wall-clock choice, never a results choice, and no timing
 enters the netsweep document. Seconds are wall-clock and
 machine-dependent; compare ratios, not absolutes.
 """
@@ -39,9 +38,9 @@ import sys
 import tempfile
 
 ENGINES = [
-    ("serial", ["--engine", "serial"]),
-    ("parallel-2", ["--engine", "parallel", "--threads", "2"]),
-    ("parallel-4", ["--engine", "parallel", "--threads", "4"]),
+    ("threads-1", ["--threads", "1"]),
+    ("threads-2", ["--threads", "2"]),
+    ("threads-4", ["--threads", "4"]),
 ]
 
 RUNS = 5  # per binary and engine shape
@@ -146,7 +145,7 @@ def main():
                 "LAN engine speed on the full netscale sweep (fat-tree "
                 "k=16, 320 switches, 2048 hosts, loads 0.05 and 0.1, 10 "
                 "frames): median sweep wall seconds and simulated cells "
-                "delivered per sweep second, serial vs sharded engine, "
+                "delivered per sweep second, on 1, 2 and 4 engine shards, "
                 "before and after the change. Every run reproduced the "
                 "baseline document byte for byte. Wall-clock rates; "
                 "machine-dependent -- compare ratios, not absolutes."),

@@ -22,9 +22,9 @@ ctest --test-dir "$BUILD" 2>&1 | tee test_output.txt
 
 # Harness sweeps: parallel execution plus one JSON trace per experiment
 # (deterministic — identical bytes for any THREADS value). netscale runs
-# whole networks on the sharded engine; its JSON is likewise identical
-# for any thread count and engine choice, and is checked against its own
-# baseline, BENCH_netscale.json, rather than merged below.
+# whole networks on THREADS engine shards; its JSON is likewise identical
+# for any shard count, and is checked against its own baseline,
+# BENCH_netscale.json, rather than merged below.
 SWEEPS=(fig3 fig4 fig5)
 mkdir -p "$BUILD/sweeps"
 for exp in "${SWEEPS[@]}" netscale; do
@@ -68,13 +68,13 @@ python3 scripts/check_metrics.py \
 
 # Chaos smoke: seeded link/switch churn on the netscale fat-tree with
 # CBR path restoration armed. The expanded fault plan and every
-# restoration retry are deterministic, so the serial and 8-thread
-# engines must produce identical bytes; a blackbox post-mortem on disk
+# restoration retry are deterministic, so 1 and 8 engine shards must
+# produce identical bytes; a blackbox post-mortem on disk
 # means an invariant tripped mid-churn.
 chaos='chaos(7,2.5,link+switch+storm)'
 rm -f "$BUILD/sweeps/chaos_blackbox.json"
 "$BUILD/bench/an2_sweep" --experiment netscale --chaos "$chaos" \
-    --frames 2 --loads 0.05 --engine serial \
+    --frames 2 --loads 0.05 --threads 1 \
     --blackbox "$BUILD/sweeps/chaos_blackbox.json" \
     --json "$BUILD/sweeps/chaos_serial.json"
 "$BUILD/bench/an2_sweep" --experiment netscale --chaos "$chaos" \

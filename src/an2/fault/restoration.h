@@ -22,9 +22,9 @@
  *     but capacity exists), or Abandoned (purged everywhere).
  *
  * All decisions are pure functions of (policy seed, flow id, attempt),
- * so restoration replays byte-identically on the serial and sharded
- * engines. A slot-conservation ledger checks that every revoked
- * cells/frame slot is re-placed, shed, or still pending
+ * so restoration replays byte-identically on any shard count. A
+ * slot-conservation ledger checks that every revoked cells/frame slot
+ * is re-placed, shed, or still pending
  * (InvariantChecker::checkRestorationConservation).
  */
 #ifndef AN2_FAULT_RESTORATION_H

@@ -85,9 +85,6 @@ printSweepCliHelp(const char* prog, const char* switch_experiments,
             std::printf("network experiments (%s) only:\n",
                         network_experiments);
         std::printf("  --frames F          switch frames per run\n");
-        std::printf("  --engine E          network engine: serial | "
-                    "parallel (results are\n"
-                    "                      identical either way)\n");
         std::printf("  --chaos SPEC        seeded random churn, e.g.\n"
                     "                      chaos(7,2.5,link+switch+storm) — "
                     "SEED, expected\n"
@@ -250,14 +247,6 @@ parseSweepCli(int argc, char** argv, SweepCli& cli, std::string& err)
                 return false;
             }
             cli.frames = frames;
-        } else if (!std::strcmp(a, "--engine")) {
-            if (!(v = need(i)))
-                return false;
-            if (std::strcmp(v, "serial") && std::strcmp(v, "parallel")) {
-                err = badValue("--engine", v, "'serial' or 'parallel'");
-                return false;
-            }
-            cli.engine = v;
         } else if (!std::strcmp(a, "--faults") ||
                    (v = eqval(a, "--faults")) != nullptr) {
             if (!v && !(v = need(i)))

@@ -48,14 +48,6 @@ struct SweepCli
         that replaces the arch axis. */
     std::string arch;
 
-    /**
-     * Network engine selection for topology experiments: "serial"
-     * forces the single-threaded event loop, "parallel" the sharded
-     * engine on `threads` workers, "" (default) picks parallel when
-     * threads != 1. Results are byte-identical either way.
-     */
-    std::string engine;
-
     /** Fault scenario (--faults SPEC), already validated by parse. */
     fault::FaultPlan faults;
     std::string faults_spec;      ///< the raw spec, for reporting
@@ -64,7 +56,7 @@ struct SweepCli
      * Seeded chaos churn (--chaos 'chaos(SEED,RATE,KINDS)'): expanded
      * into a concrete FaultPlan per run and driven with CBR path
      * restoration enabled (network experiments only). Same spec, same
-     * run => same plan, byte-identical on any engine/thread count.
+     * run => same plan, byte-identical on any thread count.
      */
     fault::ChaosSpec chaos;
     std::string chaos_spec;       ///< the raw spec, for reporting

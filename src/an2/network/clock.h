@@ -34,7 +34,7 @@ class LocalClock
     PicoTime slotStart(int64_t k) const;
 
     /** Wall time of the next unexecuted slot (kept by advance(), so
-        the engines' repeated reads cost no rounding). */
+        the engine's repeated reads cost no rounding). */
     PicoTime nextTick() const { return next_tick_ps_; }
 
     /** Index of the next unexecuted slot. */

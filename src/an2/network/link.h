@@ -5,14 +5,16 @@
  * downstream node at t + latency (the paper's l includes per-cell switch
  * overhead; fold that into the latency here).
  *
- * Concurrency contract (the sharded engine, an2/topo/parallel_net.h):
- * in *deferred* mode, send() appends to a staging queue touched only by
- * the upstream node's shard, while deliverEach() (and its wrappers
+ * Concurrency contract (Network::run on several shards): in *deferred*
+ * mode, send() appends to a staging queue touched only by the upstream
+ * node's shard, while deliverEach() (and its wrappers
  * deliverInto()/deliverUpTo()) pops from the in-flight queue touched
  * only by the downstream node's shard;
  * commit() — called at a barrier, when no node is ticking — publishes
- * staged cells into the in-flight queue. Immediate mode (the default)
- * keeps the classic serial semantics: send() publishes directly.
+ * staged cells into the in-flight queue. Immediate mode (the default,
+ * and every one-shard run) has send() publish directly: a cell sent in
+ * a window arrives after it, so no node drains it in the window it was
+ * sent in.
  *
  * Due-time mirror: the node a link feeds watch()es it, and from then on
  * the link keeps that node's due slot equal to nextDue(), so a node
@@ -95,10 +97,10 @@ class NetLink
     /**
      * Switch between immediate mode (send publishes straight to the
      * in-flight queue; the default) and deferred mode (send stages, a
-     * later commit() publishes). Used by the sharded engine so upstream
-     * and downstream shards never touch the same queue within a
-     * synchronization window. Pending cells are committed on the switch
-     * back to immediate mode.
+     * later commit() publishes). Network::run uses it on several shards,
+     * so upstream and downstream shards never touch the same queue
+     * within a synchronization window. Pending cells are committed on
+     * the switch back to immediate mode.
      */
     void setDeferred(bool deferred);
 

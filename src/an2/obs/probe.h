@@ -80,7 +80,8 @@ enum class Counter : int {
     RouteLookups,
     /** Flows re-pathed around a dead link (ECMP failover). */
     EcmpReroutes,
-    /** Conservative windows executed by the sharded network engine. */
+    /** Conservative windows executed by Network::run, on any shard
+        count. */
     ShardWindows,
     /** Warm start: previous-slot edges reused to seed a matching. */
     MatchEdgesReused,

@@ -339,26 +339,12 @@ Lan::releaseDownstream(int dead_link)
 }
 
 void
-Lan::runSegment(PicoTime until_ps, int threads)
-{
-    if (threads <= 1) {
-        net_.run(until_ps);
-        return;
-    }
-    if (!engine_ || engine_threads_ != threads) {
-        engine_ = std::make_unique<ParallelNet>(net_, threads);
-        engine_threads_ = threads;
-    }
-    engine_->run(until_ps);
-}
-
-void
 Lan::run(PicoTime until_ps, int threads)
 {
     // Interleave two deterministic event streams: scheduled fault events
     // and the restorer's retry timers. Both are pinned to nominal slot
     // times, and faults win ties, so the split points — and therefore
-    // the run — are identical on every engine and thread count.
+    // the run — are identical on every shard count.
     const PicoTime slot_ps = config_.net.slot_ps;
     while (true) {
         const bool have_fault = fault_cursor_ < fault_events_.size();
@@ -382,7 +368,7 @@ Lan::run(PicoTime until_ps, int threads)
         }
         if (t > until_ps)
             break;
-        runSegment(t, threads);
+        net_.run(t, threads);
         if (fault_first) {
             applyFault(fault_events_[fault_cursor_]);
             ++fault_cursor_;
@@ -390,7 +376,7 @@ Lan::run(PicoTime until_ps, int threads)
             restorer_->runPending(rs);
         }
     }
-    runSegment(until_ps, threads);
+    net_.run(until_ps, threads);
 }
 
 void

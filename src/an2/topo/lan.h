@@ -25,9 +25,9 @@
  * Links that come back up are used by newly (re)routed flows only; no
  * flow moves back automatically.
  *
- * run(until, threads) drives the Network serially (threads <= 1) or on
- * the sharded ParallelNet engine — results are byte-identical either
- * way, including with fault plans.
+ * run(until, threads) drives the Network's window loop on `threads`
+ * shards; results are byte-identical for every shard count, fault plans
+ * included.
  */
 #ifndef AN2_TOPO_LAN_H
 #define AN2_TOPO_LAN_H
@@ -39,7 +39,6 @@
 
 #include "an2/fault/fault_plan.h"
 #include "an2/network/network.h"
-#include "an2/topo/parallel_net.h"
 #include "an2/topo/routing.h"
 #include "an2/topo/topology.h"
 
@@ -171,8 +170,8 @@ class Lan
      * Register a fault plan. Only scripted link_down/link_up events are
      * meaningful in a network (ports belong to the single-switch
      * simulator); targets are network link indices. Events are applied
-     * at nominal wall time slot * slot_ps, identically under the serial
-     * and parallel engines.
+     * at nominal wall time slot * slot_ps, identically on every shard
+     * count.
      */
     void scheduleFaults(const fault::FaultPlan& plan);
 
@@ -181,9 +180,9 @@ class Lan
     int netLinkIndex(int e, bool a_to_b) const;
 
     /**
-     * Run until wall time `until_ps`, applying scheduled fault events
-     * on the way. threads <= 1 runs the serial Network loop; more runs
-     * the sharded engine. Byte-identical results either way.
+     * Run until wall time `until_ps` on `threads` shards (Network::run),
+     * applying scheduled fault events on the way. Byte-identical results
+     * for every shard count.
      */
     void run(PicoTime until_ps, int threads = 1);
 
@@ -255,11 +254,8 @@ class Lan
     /** Flows stranded without a live path by faults. */
     int64_t unroutable() const { return unroutable_; }
 
-    /** Windows executed by the parallel engine (0 under serial runs). */
-    int64_t shardWindows() const
-    {
-        return engine_ ? engine_->windows() : 0;
-    }
+    /** Conservative windows the Network has executed (Network::windows). */
+    int64_t shardWindows() const { return net_.windows(); }
 
   private:
     struct FlowRecord
@@ -290,9 +286,6 @@ class Lan
     /** Apply one fault event to net + router, rerouting VBR flows. */
     void applyFault(const fault::FaultEvent& ev);
 
-    /** Drive the chosen engine to `until_ps` (no fault handling). */
-    void runSegment(PicoTime until_ps, int threads);
-
     const Topology& topo_;
     LanConfig config_;
     Network net_;
@@ -311,8 +304,6 @@ class Lan
     size_t fault_cursor_ = 0;
     int64_t reroutes_ = 0;
     int64_t unroutable_ = 0;
-    std::unique_ptr<ParallelNet> engine_;
-    int engine_threads_ = 0;
     std::unique_ptr<fault::PathRestorer> restorer_;
     int64_t downstream_released_ = 0;
 };

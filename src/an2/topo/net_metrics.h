@@ -3,14 +3,14 @@
  * Deterministic network-level metrics time series.
  *
  * The single-switch metrics ring samples an attached Recorder; a LAN run
- * has no per-thread recorder to sample (the sharded engine's workers are
+ * has no per-thread recorder to sample (the engine's shard workers are
  * observation-free by design). Instead, the series samples LanStats at
  * *nominal wall-time barriers*: runLanWithMetrics() drives Lan::run() in
  * segments of `every_slots` nominal slots and records the cumulative
- * totals after each segment. Lan::run() is byte-identical under the
- * serial and sharded engines — segment boundaries are full barriers in
- * both — so the exported `an2.metrics.v1` document is byte-identical
- * for any thread count, fault plan or not. That property is pinned by
+ * totals after each segment. Lan::run() is byte-identical on every
+ * shard count — segment boundaries are full barriers on all of them —
+ * so the exported `an2.metrics.v1` document is byte-identical for any
+ * thread count, fault plan or not. That property is pinned by
  * the shard-merge identity test and the netscale CI check.
  */
 #ifndef AN2_TOPO_NET_METRICS_H

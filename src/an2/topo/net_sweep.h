@@ -6,11 +6,10 @@
  * A NetSweepSpec names the axes — topologies and offered VBR loads —
  * plus a traffic pattern, replicate count, and the run length in switch
  * frames. Every run's seeds derive from the base seed and the run's
- * grid index through the harness's splitmix64 scheme, and the engine
- * thread count never enters any result: the emitted an2.netsweep.v1
- * document is byte-identical whether runs execute on the serial event
- * loop or the sharded parallel engine, on any thread count, with or
- * without a fault plan.
+ * grid index through the harness's splitmix64 scheme, and the engine's
+ * shard count never enters any result: the emitted an2.netsweep.v1
+ * document is byte-identical on any shard count, with or without a
+ * fault plan.
  */
 #ifndef AN2_TOPO_NET_SWEEP_H
 #define AN2_TOPO_NET_SWEEP_H
@@ -134,9 +133,9 @@ struct NetCellSummary
 };
 
 /**
- * Execute every run of the sweep. `engine_threads` <= 1 drives each
- * network with the serial event loop, more with the sharded engine —
- * a wall-clock choice only, invisible in the results.
+ * Execute every run of the sweep, each network on `engine_threads`
+ * shards (Network::run) — a wall-clock choice only, invisible in the
+ * results.
  *
  * `on_progress`, if set, is called after each completed run with
  * (completed, total).
@@ -159,8 +158,8 @@ class LanMetricsSeries;
  * Re-run one grid point of the sweep — the first topology at its
  * highest load, replicate 0, with that run's exact seeds — sampling
  * cumulative LanStats into `series` every series.everySlots() slots.
- * Samples land at Lan::run() boundaries, which are full barriers in
- * both engines, so the series is byte-identical for any
+ * Samples land at Lan::run() boundaries, which are full barriers on
+ * every shard count, so the series is byte-identical for any
  * `engine_threads`, with or without a fault plan.
  */
 void observeNetPoint(const NetSweepSpec& spec, int engine_threads,

@@ -69,7 +69,7 @@ class Topology
 
     /**
      * Join `a` and `b` with a full-duplex edge (positive latency; the
-     * parallel engine's window size is the minimum over all edges).
+     * network engine's window width is the minimum over all edges).
      * Hosts take exactly one edge. Self-edges and duplicate (a, b)
      * pairs are fatal.
      * @return the edge index (dense, in insertion order).

@@ -1,9 +1,8 @@
-// The contract an2.netsweep.v1 documents ride on: the engine thread
+// The contract an2.netsweep.v1 documents ride on: the engine's shard
 // count is a wall-clock choice, never a results choice. These tests run
-// the same NetSweepSpec on the serial loop and on the sharded engine at
-// several thread counts and require the serialized JSON — every digit
-// of every aggregate — to be byte-identical, with and without a link
-// fault plan.
+// the same NetSweepSpec on one shard and on several and require the
+// serialized JSON — every digit of every aggregate — to be
+// byte-identical, with and without a link fault plan.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -67,7 +66,7 @@ TEST(NetSweepTest, JsonIsByteIdenticalUnderRevivalStorm)
     // kill -> revive, all inside one metrics window). Every router in
     // every shard must rebuild its cached fields on each epoch bump;
     // a stale next-hop in any one shard would desynchronize the
-    // engines and break byte-identity.
+    // runs and break byte-identity.
     NetSweepSpec spec = smallSpec();
     spec.faults = fault::FaultPlan::parse(
         "link_down(3)@40,link_up(3)@60,link_down(3)@80,link_up(3)@400");

@@ -1,11 +1,13 @@
 // Tests for the drifting-clock network simulator (an2/network/*):
-// delivery, CBR pacing, Appendix B bounds, and multi-switch merging.
+// delivery, CBR pacing, Appendix B bounds, multi-switch merging, and
+// Network::run's windows against a one-tick-at-a-time oracle.
 #include "an2/network/network.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "an2/cbr/timing.h"
 #include "an2/matching/pim.h"
@@ -466,9 +468,9 @@ TEST(NetworkTest, TwoCbrFlowsShareASwitchUnderDrift)
     EXPECT_EQ(sink.deliveryStats(fb).order_violations, 0);
 }
 
-// The naive serial event loop, the oracle for Network::run's tick ring: rescan
-// every node before each tick and take the first earliest one (strict <,
-// so the lowest node id wins same-instant ties).
+// The naive event loop, the oracle for Network::run's windows: rescan every
+// node before each tick and take the first earliest one (strict <, so the
+// lowest node id wins same-instant ties).
 void
 runByScan(Network& net, PicoTime until_ps)
 {
@@ -488,22 +490,24 @@ runByScan(Network& net, PicoTime until_ps)
     }
 }
 
-// Runs the twins to the same segment ends, one through each engine, and
-// asserts identical per-flow delivery and per-link traffic.
+// Runs the twins to the same segment ends, `net` through Network::run on
+// `shards` shards and `scan` through the oracle, and asserts identical
+// per-flow delivery and per-link traffic.
 void
-expectRunsMatchScan(Network& ring, Network& scan,
-                    const std::vector<PicoTime>& segment_ends)
+expectRunsMatchScan(Network& net, Network& scan,
+                    const std::vector<PicoTime>& segment_ends, int shards)
 {
     for (PicoTime until : segment_ends) {
-        ring.run(until);
+        net.run(until, shards);
         runByScan(scan, until);
     }
-    ASSERT_EQ(ring.numNodes(), scan.numNodes());
+    EXPECT_GT(net.windows(), 0);
+    ASSERT_EQ(net.numNodes(), scan.numNodes());
     int64_t delivered = 0;
-    for (NodeId n = 0; n < ring.numNodes(); ++n) {
-        if (ring.isSwitchNode(n))
+    for (NodeId n = 0; n < net.numNodes(); ++n) {
+        if (net.isSwitchNode(n))
             continue;
-        auto got = ring.controller(n).allDeliveryStats();
+        auto got = net.controller(n).allDeliveryStats();
         auto want = scan.controller(n).allDeliveryStats();
         ASSERT_EQ(got.size(), want.size()) << "node " << n;
         for (const auto& [flow, st] : got) {
@@ -522,19 +526,22 @@ expectRunsMatchScan(Network& ring, Network& scan,
         }
     }
     EXPECT_GT(delivered, 0);
-    ASSERT_EQ(ring.numLinks(), scan.numLinks());
-    for (int l = 0; l < ring.numLinks(); ++l)
-        EXPECT_EQ(ring.linkAt(l).cellsCarried(), scan.linkAt(l).cellsCarried())
+    ASSERT_EQ(net.numLinks(), scan.numLinks());
+    for (int l = 0; l < net.numLinks(); ++l)
+        EXPECT_EQ(net.linkAt(l).cellsCarried(), scan.linkAt(l).cellsCarried())
             << "link " << l;
 }
 
+// Shard counts every RunMatchesScan case runs at: the inline one-shard
+// loop, and a thread pool of three.
+constexpr int kShardCounts[] = {1, 3};
+
 // Two hosts on each of two switches, every node on the same phase and
-// all but s3 on the nominal clock, joined by zero-latency links. Every
-// tick is a tie, and a cell sent at a tick reaches a higher-id receiver
-// ticking at the same instant but a lower-id one only a slot later, so
-// tie order shows in latencies. s3 at rate error -0.5 ticks every other
-// slot, still on the others' instants, so its re-keyed entry meets its
-// ties out of id order.
+// all but s3 on the nominal clock, joined by 1 ps links, the shortest a
+// link can be. Every tick is a tie, every window is one instant wide,
+// and a cell sent at a tick is due a picosecond later, at its
+// receiver's next tick. s3 at rate error -0.5 ticks every other slot,
+// still on the others' instants, so half the windows lack it.
 void
 buildTiedNetwork(Network& net, double s3_rate_error)
 {
@@ -545,8 +552,8 @@ buildTiedNetwork(Network& net, double s3_rate_error)
     NodeId h4 = net.addController(0.0, 5);
     NodeId h5 = net.addController(0.0, 6);
     auto duplex = [&](NodeId a, PortId pa, NodeId b, PortId pb) {
-        net.connect(a, pa, b, pb, 0);
-        net.connect(b, pb, a, pa, 0);
+        net.connect(a, pa, b, pb, 1);
+        net.connect(b, pb, a, pa, 1);
     };
     duplex(h0, 0, s2, 0);
     duplex(h1, 0, s2, 1);
@@ -559,21 +566,25 @@ buildTiedNetwork(Network& net, double s3_rate_error)
     ASSERT_NE(net.addCbrFlow({h4, s3, s2, h1}, 5), kNoFlow);
 }
 
-TEST(NetworkTest, TickRingMatchesScanWithTiedTicks)
+TEST(NetworkTest, RunMatchesScanWithTiedTicks)
 {
     NetworkConfig cfg;
     cfg.slot_ps = 1000;
     cfg.switch_frame_slots = 50;
-    for (double s3_rate_error : {0.0, -0.5}) {
-        SCOPED_TRACE(s3_rate_error);
-        Network ring(cfg);
-        Network scan(cfg);
-        buildTiedNetwork(ring, s3_rate_error);
-        buildTiedNetwork(scan, s3_rate_error);
-        // Segment ends between and on slot boundaries, plus an empty one.
-        expectRunsMatchScan(
-            ring, scan, {12'345, 50'000, 50'000, 137'500, 200'000, 500'000});
-    }
+    for (int shards : kShardCounts)
+        for (double s3_rate_error : {0.0, -0.5}) {
+            SCOPED_TRACE(testing::Message() << shards << " shard(s), s3 "
+                                            << s3_rate_error);
+            Network net(cfg);
+            Network scan(cfg);
+            buildTiedNetwork(net, s3_rate_error);
+            buildTiedNetwork(scan, s3_rate_error);
+            // Segment ends between and on slot boundaries, plus an empty
+            // one.
+            expectRunsMatchScan(
+                net, scan,
+                {12'345, 50'000, 50'000, 137'500, 200'000, 500'000}, shards);
+        }
 }
 
 // The drifting-clock chain of AppendixBLatencyAndBufferBoundsHold, with a
@@ -595,7 +606,7 @@ buildDriftingChain(Network& net, double tol)
     net.addVbrFlow({src, s1, s2, s3, dst}, 0.3);
 }
 
-TEST(NetworkTest, TickRingMatchesScanWithDriftingClocks)
+TEST(NetworkTest, RunMatchesScanWithDriftingClocks)
 {
     constexpr double kTol = 0.005;
     constexpr int kFrame = 50;
@@ -603,17 +614,21 @@ TEST(NetworkTest, TickRingMatchesScanWithDriftingClocks)
     cfg.slot_ps = 1000;
     cfg.switch_frame_slots = kFrame;
     cfg.controller_padding = minControllerPadding(kFrame, kTol);
-    Network ring(cfg);
-    Network scan(cfg);
-    buildDriftingChain(ring, kTol);
-    buildDriftingChain(scan, kTol);
-    expectRunsMatchScan(ring, scan,
-                        {3'333'333, 7'500'000, 10'000'000, 20'000'000});
+    for (int shards : kShardCounts) {
+        SCOPED_TRACE(shards);
+        Network net(cfg);
+        Network scan(cfg);
+        buildDriftingChain(net, kTol);
+        buildDriftingChain(scan, kTol);
+        expectRunsMatchScan(net, scan,
+                            {3'333'333, 7'500'000, 10'000'000, 20'000'000},
+                            shards);
+    }
 }
 
 // Rate error and phase of node i in buildWideDriftLan: errors up to
-// +-0.3 and phases within three slots, so a re-keyed entry often passes
-// several others in the tick ring.
+// +-0.3 and phases within three slots, so the nodes' tick order changes
+// from slot to slot.
 constexpr double kWideRates[] = {+0.30, -0.30, +0.07, -0.22, 0.00, +0.19,
                                  -0.11, +0.26, -0.04, +0.13, -0.27, +0.02,
                                  -0.17, +0.23, -0.08, +0.11};
@@ -623,8 +638,9 @@ constexpr PicoTime kWidePhases[] = {0, 2'731, 410, 1'999, 0, 2'222, 77, 1'500,
 // A line of four 6-port switches with three hosts each (ports 0-2), the
 // neighbours on ports 3 (left) and 4 (right), and port 5 left free for a
 // late host. Switches and hosts interleave in id order; link latencies
-// mix zero (same-instant delivery, where tie order shows) with a few
-// slots. VBR flows cross one to three switches; one CBR flow crosses two.
+// mix 1 ps (due at the receiver's next tick, and windows one instant
+// wide) with under one slot and a few slots. VBR flows cross one to
+// three switches; one CBR flow crosses two.
 void
 buildWideDriftLan(Network& net)
 {
@@ -642,7 +658,7 @@ buildWideDriftLan(Network& net)
                                               kWidePhases[i]));
     }
     ASSERT_EQ(net.numNodes(), 16);
-    constexpr PicoTime kLatencies[] = {0, 700, 2'500};
+    constexpr PicoTime kLatencies[] = {1, 700, 2'500};
     int l = 0;
     auto duplex = [&](NodeId a, PortId pa, NodeId b, PortId pb) {
         net.connect(a, pa, b, pb, kLatencies[l++ % 3]);
@@ -666,8 +682,8 @@ buildWideDriftLan(Network& net)
 }
 
 // A host joins switch 3's free port between two run() calls. Its clock
-// starts at wall time 0, so the ring first replays its missed ticks one
-// after another, each re-keyed entry passing every other node.
+// starts at wall time 0, so the next run() first replays its missed
+// ticks, one window each, while every other node waits.
 void
 addLateHost(Network& net)
 {
@@ -683,21 +699,66 @@ addLateHost(Network& net)
     net.addVbrFlow({kSw2 + 1, kSw2, kSw3, host}, 0.2);
 }
 
-TEST(NetworkTest, TickRingMatchesScanWithWideDriftAndLateNode)
+TEST(NetworkTest, RunMatchesScanWithWideDriftAndLateNode)
 {
     constexpr int kFrame = 50;
     NetworkConfig cfg;
     cfg.slot_ps = 1000;
     cfg.switch_frame_slots = kFrame;
     cfg.controller_padding = minControllerPadding(kFrame, 0.3);
-    Network ring(cfg);
-    Network scan(cfg);
-    buildWideDriftLan(ring);
-    buildWideDriftLan(scan);
-    expectRunsMatchScan(ring, scan, {7'777, 40'000, 40'000, 123'456});
-    addLateHost(ring);
-    addLateHost(scan);
-    expectRunsMatchScan(ring, scan, {123'456, 200'001, 350'000, 600'000});
+    for (int shards : kShardCounts) {
+        SCOPED_TRACE(shards);
+        Network net(cfg);
+        Network scan(cfg);
+        buildWideDriftLan(net);
+        buildWideDriftLan(scan);
+        expectRunsMatchScan(net, scan, {7'777, 40'000, 40'000, 123'456},
+                            shards);
+        addLateHost(net);
+        addLateHost(scan);
+        expectRunsMatchScan(net, scan, {123'456, 200'001, 350'000, 600'000},
+                            shards);
+    }
+}
+
+TEST(NetworkTest, ConnectRejectsNonPositiveLatency)
+{
+    // A link's latency bounds how soon one node can affect another, and
+    // run()'s windows are as wide as the smallest one.
+    Network net(NetworkConfig{});
+    NodeId a = net.addController(0.0, 1);
+    NodeId b = net.addController(0.0, 2);
+    for (PicoTime latency : {PicoTime{0}, PicoTime{-1}}) {
+        SCOPED_TRACE(latency);
+        try {
+            net.connect(a, 0, b, 0, latency);
+            ADD_FAILURE() << "connect accepted latency " << latency;
+        } catch (const UsageError& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "got " + std::to_string(latency) + " ps"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The refusals wired nothing: both ports are still free.
+    EXPECT_EQ(net.numLinks(), 0);
+    EXPECT_NO_THROW(net.connect(a, 0, b, 0, 1));
+}
+
+TEST(NetworkTest, RunWithoutLinksTakesOneWindow)
+{
+    // Without links no node can affect another, so one window reaches
+    // the horizon.
+    NetworkConfig cfg;
+    cfg.slot_ps = 1000;
+    Network net(cfg);
+    NodeId a = net.addController(+0.01, 1);
+    NodeId b = net.addController(-0.01, 2, 500);
+    net.run(20'000);
+    EXPECT_EQ(net.windows(), 1);
+    EXPECT_GT(net.nodeAt(a).nextTick(), 20'000);
+    EXPECT_GT(net.nodeAt(b).nextTick(), 20'000);
+    EXPECT_LE(net.nodeAt(b).nextTick(), 21'500);
 }
 
 TEST(NetworkTest, TypedAccessorsValidateKind)

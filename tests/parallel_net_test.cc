@@ -1,6 +1,6 @@
 /**
- * The sharded engine's one promise: results byte-identical to the
- * serial event loop on any thread count, with and without faults.
+ * Network::run's one promise for parallel runs: results byte-identical
+ * to a one-shard run on any shard count, with and without faults.
  */
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 
 #include "an2/matching/pim.h"
 #include "an2/topo/lan.h"
-#include "an2/topo/parallel_net.h"
 #include "an2/topo/topology.h"
 
 using namespace an2;
@@ -86,59 +85,45 @@ expectIdentical(const Lan& a, const Lan& b)
 
 }  // namespace
 
-TEST(ParallelNetTest, MatchesSerialOnEveryThreadCount)
+TEST(ParallelNetTest, MatchesOneShardOnEveryShardCount)
 {
     Topology topo = Topology::fatTree(4, 1);
-    auto serial = buildLan(topo, "");
-    serial->runFrames(30, 1);
-    ASSERT_GT(serial->stats().delivered, 0);
+    auto one = buildLan(topo, "");
+    one->runFrames(30, 1);
+    ASSERT_GT(one->stats().delivered, 0);
+    ASSERT_GT(one->shardWindows(), 0);
 
     for (int threads : {2, 5, 8}) {
         auto parallel = buildLan(topo, "");
         parallel->runFrames(30, threads);
-        EXPECT_GT(parallel->shardWindows(), 0);
-        expectIdentical(*serial, *parallel);
+        // The windows follow the earliest pending tick, whatever the
+        // partition.
+        EXPECT_EQ(parallel->shardWindows(), one->shardWindows());
+        expectIdentical(*one, *parallel);
     }
 }
 
-TEST(ParallelNetTest, OneThreadMatchesSerial)
-{
-    // Lan sends threads <= 1 to the serial loop, so drive the engine
-    // directly: one shard runs the same windows behind a barrier of one.
-    Topology topo = Topology::fatTree(4, 1);
-    auto serial = buildLan(topo, "");
-    serial->runFrames(30, 1);
-
-    auto sharded = buildLan(topo, "");
-    ParallelNet engine(sharded->net(), 1);
-    const NetworkConfig& net = sharded->net().config();
-    engine.run(30 * net.switch_frame_slots * net.slot_ps);
-    EXPECT_EQ(engine.threads(), 1);
-    EXPECT_GT(engine.windows(), 0);
-    expectIdentical(*serial, *sharded);
-}
-
-TEST(ParallelNetTest, MatchesSerialUnderLinkFaults)
+TEST(ParallelNetTest, MatchesOneShardUnderLinkFaults)
 {
     Topology topo = Topology::fatTree(4, 1);
     // Down a core-facing trunk mid-run, revive it later: reroutes fire
-    // and in-flight cells are lost, identically on both engines.
+    // and in-flight cells are lost, identically on every shard count.
     auto probe = buildLan(topo, "");
     int target = probe->netLinkIndex(0, true);
     std::string faults = "link_down(" + std::to_string(target) +
                          ")@200,link_up(" + std::to_string(target) + ")@500";
 
-    auto serial = buildLan(topo, faults);
-    serial->runFrames(40, 1);
+    auto one = buildLan(topo, faults);
+    one->runFrames(40, 1);
 
     auto parallel = buildLan(topo, faults);
     parallel->runFrames(40, 4);
 
-    expectIdentical(*serial, *parallel);
+    expectIdentical(*one, *parallel);
     // The dead trunk carried rerouted flows; paths agree exactly.
-    ASSERT_EQ(serial->numFlows(), parallel->numFlows());
-    for (FlowId f = 0; f < serial->numFlows(); ++f)
-        EXPECT_EQ(serial->flowPath(f), parallel->flowPath(f));
+    ASSERT_EQ(one->numFlows(), parallel->numFlows());
+    for (FlowId f = 0; f < one->numFlows(); ++f)
+        EXPECT_EQ(one->flowPath(f), parallel->flowPath(f));
 }
 
 TEST(ParallelNetTest, SegmentedRunsMatchOneShot)

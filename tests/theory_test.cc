@@ -54,5 +54,42 @@ TEST(TheoryTest, FifoSaturationThroughputMatchesKarolHluchyjMorgan)
     }
 }
 
+TEST(TheoryTest, SaturatedPimOneIterationMatchesClosedForm)
+{
+    // PIM (paper §3): once every input requests every output, each output
+    // grants one of the N inputs uniformly at random, and an input is
+    // matched in PIM's first iteration exactly when some output grants
+    // it. So one iteration carries 1 - (1 - 1/N)^N of each link, 0.6439
+    // at N = 16, tending to 1 - 1/e. Under uniform load 1.0 the backlog
+    // grows by about 0.36 cells per input and slot, so after the warmup
+    // every VOQ stays busy. The tolerance is 2 x the 95% confidence
+    // half-width over 8 independent replicates of 30 000 slots (about
+    // 171 000 cells buffered per run at the end).
+    constexpr int kN = 16;
+    harness::SweepSpec spec;
+    spec.name = "pim1_theory";
+    spec.workload = "uniform";
+    spec.archs = {harness::archByName("PIM(1)")};
+    spec.sizes = {kN};
+    spec.loads = {1.0};
+    spec.replicates = 8;
+    spec.base_seed = 1992;
+    spec.slots = 30'000;
+    spec.warmup = 5'000;
+    spec.make_traffic = [](int n, double load, uint64_t seed) {
+        return std::make_unique<UniformTraffic>(n, load, seed);
+    };
+    std::vector<harness::CellSummary> cells =
+        harness::aggregate(spec, harness::runSweep(spec, 2));
+    ASSERT_EQ(cells.size(), 1u);
+    const double theory = 1.0 - std::pow(1.0 - 1.0 / kN, kN);
+    const harness::Aggregate& t = cells[0].throughput;
+    EXPECT_EQ(t.n, 8);
+    EXPECT_GT(t.ci95, 0.0);
+    EXPECT_LE(std::abs(t.mean - theory), 2.0 * t.ci95)
+        << "throughput " << t.mean << " +- " << t.ci95
+        << ", closed form " << theory;
+}
+
 }  // namespace
 }  // namespace an2

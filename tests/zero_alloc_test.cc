@@ -590,10 +590,10 @@ TEST(ZeroAllocTest, NetworkSteadyStateIsAllocationFree)
     // switches matching and forwarding, links shifting cells, and
     // delivery bookkeeping in the controllers' flat per-flow stores.
     // After warmup frames have sized every ring and flat container,
-    // further serial frames must not touch the heap. The measured span
-    // advances one frame per call, as frame-sampled callers do, so the
-    // engine's per-call set-up (its next-tick heap rebuild) is measured
-    // too.
+    // further one-shard frames must not touch the heap. The measured
+    // span advances one frame per call, as frame-sampled callers do, so
+    // the engine's per-call set-up (window width and earliest tick) and
+    // its window loop are measured too.
     topo::Topology topo = topo::Topology::star(4, 2);
     topo::LanConfig config;
     config.seed = 31;
