@@ -22,15 +22,25 @@
  *
  * Each phase runs over 64-bit words of the request matrix's row and
  * column bitmasks, and a grant or an accept costs straight-line work:
- * one AND and inline count of the requesters (wordset::popcount64), one
- * draw, and a branch-free pick of the drawn requester
- * (wordset::selectBit64). The round is one template body with two
- * instances. Up to 64 ports both port sets are one word, and that
- * instance runs every phase without a loop over words; it covers every
- * switch of the paper's experiments and of the LAN. The other reads
- * the word counts at run time and serves larger switches. The
- * per-port scalar form of the algorithm lives in the tests
- * (ScalarPimMatcher), which hold both instances to it draw for draw.
+ * one AND and a count of the requesters, one draw, and a pick of the
+ * drawn requester — in hardware, a little logic per port over a bit
+ * vector. The round is one template body with two instances. Up to 64
+ * ports both port sets are one word, and that instance runs every phase
+ * without a loop over words; it covers every switch of the paper's
+ * experiments and of the LAN. The other reads the word counts at run
+ * time and serves larger switches.
+ *
+ * The round and its bit helpers live in one kernel source
+ * (pim_kernel.inc) that pim.cc compiles twice (PimKernel): a portable
+ * instance (SWAR count, broadword select) and, on x86-64 with GCC, an
+ * instance built for popcnt and BMI2 (the popcnt instruction, pdep).
+ * A PimMatcher picks one when it is built: the popcnt/BMI2 instance on
+ * a CPU that has both and a fast pdep, the portable one elsewhere
+ * (other ISAs, other compilers, and AMD families 15h and 17h, whose
+ * pdep is microcoded). Both take the same draws and return the same
+ * matchings. The per-port scalar form of the algorithm lives in the
+ * tests (ScalarPimMatcher), which hold both kernels to it draw for
+ * draw.
  */
 #ifndef AN2_MATCHING_PIM_H
 #define AN2_MATCHING_PIM_H
@@ -88,6 +98,63 @@ struct PimRunStats
     bool reached_maximal = false;
 };
 
+/**
+ * A PimMatcher's state between and within slots: the accept pointers
+ * and the word-parallel scratch, reused across slots (no steady-state
+ * heap traffic). It is the operand of a PimKernel. Column masks run over
+ * inputs (col_words words); grant rows run over outputs (row_words
+ * words).
+ */
+struct PimState
+{
+    AcceptPolicy accept = AcceptPolicy::Random;
+    Rng* rng = nullptr;
+    std::vector<int> accept_ptr;  ///< per-input round-robin pointer
+    int accept_outputs = 0;       ///< outputs the pointers range over
+
+    int n_inputs = 0;  ///< matrix dimensions the scratch is sized for
+    int n_outputs = 0;
+    int col_words = 0;
+    int row_words = 0;
+    std::vector<uint64_t> free_in;     ///< unmatched inputs
+    std::vector<uint64_t> free_out;    ///< unsaturated outputs
+    std::vector<uint64_t> granted;     ///< inputs granted this round
+    std::vector<uint64_t> requesters;  ///< one output's free requesters
+    std::vector<uint64_t> grant_rows;  ///< outputs granting each input
+    std::vector<PortId> grant_order;   ///< one output's requesters (k > 1)
+};
+
+/**
+ * One compiled instance of PIM's round (pim_kernel.inc). The instances
+ * differ only in the instructions that count and select bits.
+ */
+struct PimKernel
+{
+    /** "portable" or "popcnt+bmi2". */
+    const char* name;
+
+    /** The instance's count of a word's set bits. */
+    int (*popcount64)(uint64_t x);
+
+    /** The instance's index of the k-th (0-based) set bit of a word
+        with more than k bits set. */
+    int (*selectBit64)(uint64_t mask, int k);
+
+    /** Run rounds into `m` (already reset) until one adds nothing or
+        `max_iterations` have run (0 = no limit); `stats`, when given,
+        records each. `state` must be sized for `req`. */
+    void (*run)(PimState& state, const RequestMatrix& req, Matching& m,
+                int max_iterations, PimRunStats* stats);
+};
+
+/** The portable kernel: SWAR count and broadword select; runs on every
+    target. */
+const PimKernel& pimPortableKernel();
+
+/** The kernel built for popcnt and BMI2, or nullptr when this CPU lacks
+    either or the build has no such kernel (not x86-64 GCC). */
+const PimKernel* pimHardwareKernel();
+
 /** Parallel iterative matching scheduler. */
 class PimMatcher final : public Matcher
 {
@@ -97,9 +164,20 @@ class PimMatcher final : public Matcher
      * @param rng Optional engine override (e.g. WeakLcg for the §3.3
      *            PRNG-sensitivity ablation); defaults to xoshiro256**
      *            seeded from config.seed.
+     *
+     * Runs the popcnt/BMI2 kernel when this CPU has both and a fast
+     * pdep, else the portable kernel.
      */
     explicit PimMatcher(const PimConfig& config = PimConfig{},
                         std::unique_ptr<Rng> rng = nullptr);
+
+    /** Run `kernel` whatever the CPU (the tests hold each kernel to the
+        scalar oracle). */
+    PimMatcher(const PimConfig& config, const PimKernel& kernel,
+               std::unique_ptr<Rng> rng = nullptr);
+
+    /** The kernel this matcher runs. */
+    const PimKernel& kernel() const { return *kernel_; }
 
     void matchInto(const RequestMatrix& req, Matching& out) override;
     std::string name() const override;
@@ -117,41 +195,14 @@ class PimMatcher final : public Matcher
                            int max_iterations);
 
   private:
-    /** Validate/initialize the per-input accept pointers for `req`. */
-    void ensureAcceptPtrs(const RequestMatrix& req);
-
-    /** Run rounds into `m` until one adds nothing or `max_iterations`
-        have run (0 = no limit); `stats`, when given, records each. */
-    void runIterations(const RequestMatrix& req, Matching& m,
-                       int max_iterations, PimRunStats* stats);
-
-    /** Size and initialize the word-parallel scratch for `req`. */
-    void prepareWordState(const RequestMatrix& req);
-
-    /** One request/grant/accept round over the port bitmasks; returns
-        matches added. `it` is the iteration index reported to the obs
-        probe layer. kWords is the words per port set when both sets
-        fit in that many (1: up to 64 ports), or 0 to read the word
-        counts at run time. */
-    template <int kWords>
-    int runWordIteration(const RequestMatrix& req, Matching& m, int it);
+    /** Validate/initialize the accept pointers and size the scratch for
+        `req` (resized only when its dimensions change). */
+    void prepare(const RequestMatrix& req);
 
     PimConfig config_;
     std::unique_ptr<Rng> rng_;
-    std::vector<int> accept_ptr_;  ///< per-input round-robin pointer
-    int accept_outputs_ = 0;       ///< outputs the pointers range over
-
-    // Word-parallel scratch, reused across slots (no steady-state heap
-    // traffic). Column masks run over inputs (col_words_ words); grant
-    // rows run over outputs (row_words_ words).
-    int col_words_ = 0;
-    int row_words_ = 0;
-    std::vector<uint64_t> free_in_;     ///< unmatched inputs
-    std::vector<uint64_t> free_out_;    ///< unsaturated outputs
-    std::vector<uint64_t> granted_;     ///< inputs granted this round
-    std::vector<uint64_t> requesters_;  ///< per-output scratch
-    std::vector<uint64_t> grant_rows_;  ///< outputs granting each input
-    std::vector<PortId> grant_order_;   ///< one output's requesters (k > 1)
+    const PimKernel* kernel_;
+    PimState state_;
 };
 
 }  // namespace an2

@@ -159,6 +159,49 @@ RequestMatrix::setOutputLive(PortId j, bool live)
 }
 
 void
+RequestMatrix::assignMasked(const RequestMatrix& src, const uint64_t* busy_in,
+                            const uint64_t* busy_out)
+{
+    AN2_REQUIRE(n_inputs_ == src.n_inputs_ && n_outputs_ == src.n_outputs_,
+                "assignMasked: " << n_inputs_ << "x" << n_outputs_
+                                 << " matrix from a " << src.n_inputs_ << "x"
+                                 << src.n_outputs_ << " source");
+    live_in_ = src.live_in_;
+    live_out_ = src.live_out_;
+    dead_ports_ = src.dead_ports_;
+    int edges = 0;
+    for (PortId i = 0; i < n_inputs_; ++i) {
+        const uint64_t row_keep =
+            wordset::testBit(busy_in, i) ? 0 : ~uint64_t{0};
+        const size_t base =
+            static_cast<size_t>(i) * static_cast<size_t>(row_words_);
+        for (int w = 0; w < row_words_; ++w) {
+            const uint64_t keep = row_keep & ~busy_out[w];
+            wires_[base + w] = src.wires_[base + w] & keep;
+            row_masks_[base + w] = src.row_masks_[base + w] & keep;
+            edges += wordset::popcount64Swar(row_masks_[base + w]);
+        }
+    }
+    wordset::clearAll(req_out_.data(), row_words_);
+    for (PortId j = 0; j < n_outputs_; ++j) {
+        const uint64_t col_keep =
+            wordset::testBit(busy_out, j) ? 0 : ~uint64_t{0};
+        const size_t base =
+            static_cast<size_t>(j) * static_cast<size_t>(col_words_);
+        uint64_t any = 0;
+        for (int w = 0; w < col_words_; ++w) {
+            col_masks_[base + w] =
+                src.col_masks_[base + w] & col_keep & ~busy_in[w];
+            any |= col_masks_[base + w];
+        }
+        if (any != 0)
+            wordset::setBit(req_out_.data(), j);
+    }
+    edges_ = edges;
+    epoch_ = std::max(epoch_, src.epoch_) + 1;
+}
+
+void
 RequestMatrix::clear()
 {
     std::fill(wires_.begin(), wires_.end(), 0);

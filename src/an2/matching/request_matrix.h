@@ -36,6 +36,11 @@
  * re-exposing edges — bumps an epoch counter, so a warm-starting matcher
  * detects a completely unchanged matrix in O(1). Setting a wire to the
  * state it already has changes nothing and leaves the epoch alone.
+ *
+ * A switch that serves reserved (CBR) cells first matches its datagram
+ * traffic over the ports left free: assignMasked() rebuilds a scratch
+ * matrix as the request wires minus the busy ports' rows and columns,
+ * a pass of ANDs over the words rather than one edge at a time.
  */
 #ifndef AN2_MATCHING_REQUEST_MATRIX_H
 #define AN2_MATCHING_REQUEST_MATRIX_H
@@ -116,6 +121,18 @@ class RequestMatrix
 
     /** True when no port has been marked dead. */
     bool allPortsLive() const { return dead_ports_ == 0; }
+
+    /**
+     * Become `src` with every wire from a port of `busy_in` (colWords()
+     * words, over inputs) and every wire to a port of `busy_out`
+     * (rowWords() words, over outputs) dropped: the same matrix as
+     * copy-assigning `src` and then calling clearRow and clearColumn on
+     * each busy port, written one word at a time. Liveness is copied
+     * from `src`, and the epoch moves past both operands' as with
+     * copy-assignment. Both matrices must have the same dimensions.
+     */
+    void assignMasked(const RequestMatrix& src, const uint64_t* busy_in,
+                      const uint64_t* busy_out);
 
     /** Clear all requests. */
     void clear();

@@ -19,6 +19,66 @@ statisticalTwoRoundFraction(int units)
     return (1.0 - miss) * (1.0 + miss * miss);
 }
 
+namespace {
+
+/** CDF of Binomial(n_units, 1/X) over m = 0, 1, ... (cut once the tail
+    is negligible); {1} for n_units <= 0. pmf(m) is computed
+    iteratively. */
+std::vector<double>
+binomialCdf(int X, int n_units)
+{
+    std::vector<double> cdf;
+    if (n_units <= 0) {
+        cdf.push_back(1.0);  // always zero virtual grants
+        return cdf;
+    }
+    double q = (X - 1.0) / X;
+    double pmf = std::pow(q, n_units);  // m = 0
+    double acc = pmf;
+    cdf.push_back(acc);
+    for (int m = 0; m < n_units; ++m) {
+        pmf *= static_cast<double>(n_units - m) /
+               (static_cast<double>(m + 1) * (X - 1.0));
+        acc += pmf;
+        cdf.push_back(std::min(acc, 1.0));
+        if (1.0 - acc < 1e-15)
+            break;  // negligible tail
+    }
+    cdf.back() = 1.0;
+    return cdf;
+}
+
+/** CDF of a pair's virtual-grant count given a grant, for a pair with
+    `units` > 0 allocated; empty for an unallocated pair. Per Appendix C
+    the m >= 1 tail of Binomial(units, 1/X) is rescaled by X/units, with
+    the remainder at m = 0. */
+std::vector<double>
+conditionalCdf(int X, int units)
+{
+    if (units == 0)
+        return {};
+    auto uncond = binomialCdf(X, units);
+    // cond(m) = pmf(m) * X/units for m >= 1; cond(0) = 1 - rest.
+    std::vector<double> cond(uncond.size());
+    double scale = static_cast<double>(X) / units;
+    double tail = 0.0;
+    for (size_t m = uncond.size(); m-- > 1;) {
+        double pmf = uncond[m] - uncond[m - 1];
+        tail += pmf * scale;
+    }
+    cond[0] = std::max(0.0, 1.0 - tail);
+    double acc = cond[0];
+    for (size_t m = 1; m < uncond.size(); ++m) {
+        double pmf = uncond[m] - uncond[m - 1];
+        acc += pmf * scale;
+        cond[m] = std::min(acc, 1.0);
+    }
+    cond.back() = 1.0;
+    return cond;
+}
+
+}  // namespace
+
 StatisticalMatcher::StatisticalMatcher(Matrix<int> allocation,
                                        const StatisticalConfig& config)
     : alloc_(std::move(allocation)), config_(config), rng_(config.seed)
@@ -28,7 +88,7 @@ StatisticalMatcher::StatisticalMatcher(Matrix<int> allocation,
                 "rounds must be 1 or 2");
     AN2_REQUIRE(alloc_.rows() > 0 && alloc_.rows() == alloc_.cols(),
                 "allocation matrix must be square and non-empty");
-    rebuildTables();
+    buildTables();
     // Each output grants at most once per round, so no input holds more
     // than n grants and the weights never exceed n + 1 entries.
     const auto n = static_cast<size_t>(alloc_.rows());
@@ -57,11 +117,16 @@ StatisticalMatcher::setAllocation(PortId i, PortId j, int alloc_units)
     AN2_REQUIRE(alloc_.colSum(j) + delta <= config_.units,
                 "output " << j << " would be over-allocated");
     alloc_.at(i, j) = alloc_units;
-    rebuildTables();
+    // Only the two ports of the pair are affected: its own conditional
+    // CDF, input i's slack and column j's lottery.
+    const int X = config_.units;
+    cond_cdf_[pairIndex(i, j)] = conditionalCdf(X, alloc_units);
+    imag_cdf_[static_cast<size_t>(i)] = binomialCdf(X, X - alloc_.rowSum(i));
+    rebuildColumn(j);
 }
 
 void
-StatisticalMatcher::rebuildTables()
+StatisticalMatcher::buildTables()
 {
     const int n = alloc_.rows();
     const int X = config_.units;
@@ -75,76 +140,29 @@ StatisticalMatcher::rebuildTables()
                     "output " << j << " over-allocated: " << alloc_.colSum(j)
                               << " > " << X);
     }
+    col_cum_.assign(static_cast<size_t>(n),
+                    std::vector<int>(static_cast<size_t>(n)));
+    for (int j = 0; j < n; ++j)
+        rebuildColumn(j);
+    cond_cdf_.resize(static_cast<size_t>(n) * static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i)
+        for (int j = 0; j < n; ++j)
+            cond_cdf_[pairIndex(i, j)] = conditionalCdf(X, alloc_.at(i, j));
+    imag_cdf_.resize(static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i)
+        imag_cdf_[static_cast<size_t>(i)] =
+            binomialCdf(X, X - alloc_.rowSum(i));
+}
 
+void
+StatisticalMatcher::rebuildColumn(PortId j)
+{
     // Per-output cumulative allocations for the grant lottery.
-    col_cum_.assign(static_cast<size_t>(n), {});
-    for (int j = 0; j < n; ++j) {
-        auto& cum = col_cum_[static_cast<size_t>(j)];
-        cum.resize(static_cast<size_t>(n));
-        int acc = 0;
-        for (int i = 0; i < n; ++i) {
-            acc += alloc_.at(i, j);
-            cum[static_cast<size_t>(i)] = acc;
-        }
-    }
-
-    // Binomial virtual-grant tables. pmf(m) for Binomial(n_units, 1/X) is
-    // computed iteratively; the conditional-given-grant CDF rescales the
-    // m >= 1 tail by X/n_units per Appendix C, with the remainder at m=0.
-    auto binomial_cdf = [X](int n_units) {
-        std::vector<double> cdf;
-        if (n_units <= 0) {
-            cdf.push_back(1.0);  // always zero virtual grants
-            return cdf;
-        }
-        double q = (X - 1.0) / X;
-        double pmf = std::pow(q, n_units);  // m = 0
-        double acc = pmf;
-        cdf.push_back(acc);
-        for (int m = 0; m < n_units; ++m) {
-            pmf *= static_cast<double>(n_units - m) /
-                   (static_cast<double>(m + 1) * (X - 1.0));
-            acc += pmf;
-            cdf.push_back(std::min(acc, 1.0));
-            if (1.0 - acc < 1e-15)
-                break;  // negligible tail
-        }
-        cdf.back() = 1.0;
-        return cdf;
-    };
-
-    cond_cdf_.assign(static_cast<size_t>(n) * static_cast<size_t>(n), {});
-    for (int i = 0; i < n; ++i) {
-        for (int j = 0; j < n; ++j) {
-            int units = alloc_.at(i, j);
-            if (units == 0)
-                continue;
-            auto uncond = binomial_cdf(units);
-            // cond(m) = pmf(m) * X/units for m >= 1; cond(0) = 1 - rest.
-            std::vector<double> cond(uncond.size());
-            double scale = static_cast<double>(X) / units;
-            double tail = 0.0;
-            for (size_t m = uncond.size(); m-- > 1;) {
-                double pmf = uncond[m] - uncond[m - 1];
-                tail += pmf * scale;
-            }
-            cond[0] = std::max(0.0, 1.0 - tail);
-            double acc = cond[0];
-            for (size_t m = 1; m < uncond.size(); ++m) {
-                double pmf = uncond[m] - uncond[m - 1];
-                acc += pmf * scale;
-                cond[m] = std::min(acc, 1.0);
-            }
-            cond.back() = 1.0;
-            cond_cdf_[static_cast<size_t>(i) * static_cast<size_t>(n) +
-                      static_cast<size_t>(j)] = std::move(cond);
-        }
-    }
-
-    imag_cdf_.assign(static_cast<size_t>(n), {});
-    for (int i = 0; i < n; ++i) {
-        int slack = X - alloc_.rowSum(i);
-        imag_cdf_[static_cast<size_t>(i)] = binomial_cdf(slack);
+    auto& cum = col_cum_[static_cast<size_t>(j)];
+    int acc = 0;
+    for (int i = 0; i < alloc_.rows(); ++i) {
+        acc += alloc_.at(i, j);
+        cum[static_cast<size_t>(i)] = acc;
     }
 }
 
@@ -165,9 +183,7 @@ sampleCdf(const std::vector<double>& cdf, double u)
 int
 StatisticalMatcher::sampleVirtualGrants(PortId i, PortId j)
 {
-    const auto& cdf =
-        cond_cdf_[static_cast<size_t>(i) * static_cast<size_t>(alloc_.rows()) +
-                  static_cast<size_t>(j)];
+    const auto& cdf = cond_cdf_[pairIndex(i, j)];
     AN2_ASSERT(!cdf.empty(), "virtual-grant table missing for allocated pair");
     return sampleCdf(cdf, rng_.nextDouble());
 }

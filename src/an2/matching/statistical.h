@@ -79,7 +79,9 @@ class StatisticalMatcher final : public Matcher
 
     /**
      * Change the allocation for one pair — the cheap dynamic-rate update
-     * §5 advertises (only the two ports involved are affected).
+     * §5 advertises (only the two ports involved are affected): it
+     * recomputes the pair's conditional CDF, input i's imaginary-output
+     * CDF and output j's cumulative allocations, O(n + X) work.
      * Row/column sums must remain within the unit budget.
      */
     void setAllocation(PortId i, PortId j, int alloc_units);
@@ -91,8 +93,18 @@ class StatisticalMatcher final : public Matcher
     int units() const { return config_.units; }
 
   private:
-    /** Recompute cached tables after an allocation change. */
-    void rebuildTables();
+    /** Validate the allocation and compute every cached table. */
+    void buildTables();
+
+    /** Recompute column j's cumulative allocations. */
+    void rebuildColumn(PortId j);
+
+    /** Index of pair (i,j) in cond_cdf_. */
+    size_t pairIndex(PortId i, PortId j) const
+    {
+        return static_cast<size_t>(i) * static_cast<size_t>(alloc_.rows()) +
+               static_cast<size_t>(j);
+    }
 
     /** Reset `out` and run every round into it, ignoring requests. */
     void scheduleInto(Matching& out);

@@ -7,16 +7,17 @@
  * words, least-significant word first. The helpers keep the word loops
  * in one place so the PIM/iSLIP/greedy cores and the RequestMatrix row
  * and column masks all agree on layout. Called with a word count the
- * compiler can see (PIM's one-word core passes 1), each loop folds to
- * straight-line code.
+ * compiler can see (PIM's one-word kernel passes 1), each loop folds
+ * to straight-line code.
  *
- * The two architecture-sensitive operations are inline on every target
- * and never reach a libgcc helper: counting the set bits of a word
- * (popcount64: the popcnt instruction when the target has it, a SWAR
- * count otherwise) and selecting its k-th set bit (selectBit64: BMI2
- * `_pdep_u64` when available, otherwise Vigna's branch-free broadword
- * select). The portable bodies have names of their own so the tests
- * check them in every build.
+ * Everything here is portable code: counting the set bits of a word
+ * (popcount64Swar, a SWAR count) and selecting its k-th set bit
+ * (selectBit64Broadword, Vigna's branch-free broadword select) are
+ * inline and never reach a libgcc helper. The popcnt and BMI2 `pdep`
+ * forms of the two live only in PIM's kernel (pim_kernel.inc), which
+ * pim.cc compiles a second time for CPUs that have them; an inline
+ * function here compiled for a wider target could be kept by the
+ * linker for every caller.
  */
 #ifndef AN2_MATCHING_WORDSET_H
 #define AN2_MATCHING_WORDSET_H
@@ -24,10 +25,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-
-#ifdef __BMI2__
-#include <immintrin.h>
-#endif
 
 #include "an2/base/error.h"
 
@@ -77,24 +74,13 @@ inline constexpr std::array<uint8_t, 8 * 256> kSelectInByte = [] {
 }  // namespace detail
 
 /** Set bits of a word by a SWAR count: one multiply sums the byte
-    counts into the top byte. */
+    counts into the top byte. (std::popcount is a libgcc call on a
+    target without popcnt.) */
 inline constexpr int
 popcount64Swar(uint64_t x)
 {
     return static_cast<int>((detail::byteCounts(x) * detail::kOnesStep8) >>
                             56);
-}
-
-/** Set bits of a word. std::popcount is a libgcc call on a target
-    without popcnt, so that target takes the inline SWAR count. */
-inline int
-popcount64(uint64_t x)
-{
-#ifdef __POPCNT__
-    return std::popcount(x);
-#else
-    return popcount64Swar(x);
-#endif
 }
 
 /**
@@ -124,22 +110,6 @@ selectBit64Broadword(uint64_t x, int k)
     const int byte = static_cast<int>((x >> place) & 0xff);
     return place +
            detail::kSelectInByte[static_cast<size_t>(byte_rank << 8 | byte)];
-}
-
-/**
- * Index of the k-th (0-based) set bit of a single word; the word must
- * have more than k bits set. With BMI2, depositing the k-th unit bit
- * through the mask lands it on the k-th set position in one
- * instruction; otherwise the broadword select does it branch-free.
- */
-inline int
-selectBit64(uint64_t mask, int k)
-{
-#ifdef __BMI2__
-    return std::countr_zero(_pdep_u64(uint64_t{1} << k, mask));
-#else
-    return selectBit64Broadword(mask, k);
-#endif
 }
 
 inline bool
@@ -193,7 +163,7 @@ popcountAll(const uint64_t* w, int n_words)
 {
     int total = 0;
     for (int i = 0; i < n_words; ++i)
-        total += popcount64(w[i]);
+        total += popcount64Swar(w[i]);
     return total;
 }
 
@@ -220,9 +190,9 @@ inline int
 selectBit(const uint64_t* w, int n_words, int k)
 {
     for (int i = 0; i < n_words; ++i) {
-        const int pc = popcount64(w[i]);
+        const int pc = popcount64Swar(w[i]);
         if (k < pc)
-            return i * kWordBits + selectBit64(w[i], k);
+            return i * kWordBits + selectBit64Broadword(w[i], k);
         k -= pc;
     }
     selectBitOutOfRange();

@@ -332,13 +332,7 @@ InputQueuedSwitch::computeVbrMatch(const uint64_t* in_busy,
 {
     const RequestMatrix* req = &vbr_req_;
     if (any_busy) {
-        // Copy-assign reuses masked_req_'s capacity (same dimensions
-        // every slot), then strip the CBR-claimed ports.
-        masked_req_ = vbr_req_;
-        wordset::forEachSet(in_busy, busy_words_,
-                            [&](int i) { masked_req_.clearRow(i); });
-        wordset::forEachSet(out_busy, busy_words_,
-                            [&](int j) { masked_req_.clearColumn(j); });
+        masked_req_.assignMasked(vbr_req_, in_busy, out_busy);
         req = &masked_req_;
         if (obs::Recorder* rec = obs::current())
             rec->cbrMasked(wordset::popcountAll(in_busy, busy_words_),

@@ -45,8 +45,11 @@
  * The scheduling input is a persistent RequestMatrix of the hardware's
  * per-port-pair request wires, patched as cells arrive and depart (a
  * wire rises with the first cell of a VOQ and drops with its last); the
- * VBR buffers keep the only cell counts. Nothing is rebuilt per slot,
- * and steady-state runSlot() performs no heap allocation.
+ * VBR buffers keep the only cell counts. Nothing is rebuilt per slot
+ * but, in a slot whose CBR cells claim ports, the matcher's view: the
+ * wires minus the claimed ports' rows and columns, one pass of word
+ * ANDs (RequestMatrix::assignMasked). Steady-state runSlot() performs
+ * no heap allocation.
  *
  * The LAN's switch nodes (network/net_switch.h) run this same switch,
  * one slot per local clock tick; rebindFlow() and purgeCbrFlow() serve
@@ -437,7 +440,8 @@ class InputQueuedSwitch
      * empties the VOQ — never rebuilt.
      */
     RequestMatrix vbr_req_;
-    /** Scratch copy of vbr_req_ with CBR-claimed ports cleared. */
+    /** vbr_req_ minus the CBR-claimed ports' rows and columns,
+        rebuilt by assignMasked in each slot that serves CBR. */
     RequestMatrix masked_req_;
 
     // Per-slot scratch, reused so steady-state slots never allocate.

@@ -363,6 +363,70 @@ TEST(MatcherBackendEquivalence, PimOutputCapacity)
     }
 }
 
+/**
+ * Hold one PIM kernel instance, run directly, to the scalar oracle draw
+ * for draw: one-word and multi-word sizes (1, 8, 16, 63, 64, 65, 200
+ * ports), random and round-robin accept, capacities 1 and 2, a 4-round
+ * budget and rounds to completion, and every third pattern with dead
+ * ports.
+ */
+void
+expectKernelMatchesScalar(const PimKernel& kernel)
+{
+    for (int n : {1, 8, 16, 63, 64, 65, 200}) {
+        for (AcceptPolicy accept :
+             {AcceptPolicy::Random, AcceptPolicy::RoundRobin}) {
+            for (int k : {1, 2}) {
+                for (int iterations : {4, 0}) {
+                    const PimConfig cfg{
+                        .iterations = iterations,
+                        .accept = accept,
+                        .output_capacity = k,
+                        .seed = static_cast<uint64_t>(90 + n + k)};
+                    ScalarPimMatcher ref(cfg);
+                    PimMatcher fast(cfg, kernel);
+                    ASSERT_EQ(&fast.kernel(), &kernel);
+                    Xoshiro256 rng(static_cast<uint64_t>(
+                        9500 + 31 * n + 7 * k + iterations));
+                    Matching buf(n, n);
+                    for (int t = 0; t < 15; ++t) {
+                        const std::string at =
+                            std::string(kernel.name) +
+                            " n=" + std::to_string(n) + " rr=" +
+                            std::to_string(accept ==
+                                           AcceptPolicy::RoundRobin) +
+                            " k=" + std::to_string(k) +
+                            " it=" + std::to_string(iterations) +
+                            " t=" + std::to_string(t);
+                        auto req = RequestMatrix::bernoulli(
+                            n, 0.05 + 0.9 * rng.nextDouble(), rng);
+                        if (t % 3 == 2)
+                            killRandomPorts(req, 0.2, rng);
+                        Matching a = ref.match(req);
+                        fast.matchInto(req, buf);
+                        ASSERT_TRUE(buf.isLegalFor(req)) << at;
+                        expectIdenticalMatchings(a, buf, at);
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(MatcherBackendEquivalence, PimPortableKernel)
+{
+    expectKernelMatchesScalar(pimPortableKernel());
+}
+
+TEST(MatcherBackendEquivalence, PimHardwareKernel)
+{
+    const PimKernel* kernel = pimHardwareKernel();
+    if (kernel == nullptr)
+        GTEST_SKIP() << "no popcnt+bmi2 PIM kernel: this CPU lacks popcnt "
+                        "or BMI2, or the build is not x86-64 GCC";
+    expectKernelMatchesScalar(*kernel);
+}
+
 TEST(MatcherBackendEquivalence, BeyondOneThousandTwentyFourPorts)
 {
     // The word-parallel cores have no port limit: at 1100 ports (18

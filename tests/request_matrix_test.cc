@@ -341,6 +341,92 @@ TEST(RequestMatrixTest, CopyAssignPreservesMaskView)
     EXPECT_EQ(a.numEdges(), 2);
 }
 
+/** Expect every view of `a` and `b` to be equal: liveness, both mask
+    sets, the requested outputs, the edge count, and every raw wire
+    (compared by reviving copies of both). */
+void
+expectSameMatrix(const RequestMatrix& a, const RequestMatrix& b)
+{
+    ASSERT_EQ(a.numInputs(), b.numInputs());
+    ASSERT_EQ(a.numOutputs(), b.numOutputs());
+    EXPECT_EQ(a.numEdges(), b.numEdges());
+    for (PortId i = 0; i < a.numInputs(); ++i) {
+        EXPECT_EQ(a.inputLive(i), b.inputLive(i)) << "input " << i;
+        for (int w = 0; w < a.rowWords(); ++w)
+            EXPECT_EQ(a.rowMask(i)[w], b.rowMask(i)[w]) << "row " << i;
+    }
+    for (PortId j = 0; j < a.numOutputs(); ++j) {
+        EXPECT_EQ(a.outputLive(j), b.outputLive(j)) << "output " << j;
+        for (int w = 0; w < a.colWords(); ++w)
+            EXPECT_EQ(a.colMask(j)[w], b.colMask(j)[w]) << "column " << j;
+    }
+    for (int w = 0; w < a.rowWords(); ++w)
+        EXPECT_EQ(a.requestedOutputs()[w], b.requestedOutputs()[w]);
+    RequestMatrix wires_a(a);
+    RequestMatrix wires_b(b);
+    for (RequestMatrix* m : {&wires_a, &wires_b}) {
+        for (PortId i = 0; i < m->numInputs(); ++i)
+            m->setInputLive(i, true);
+        for (PortId j = 0; j < m->numOutputs(); ++j)
+            m->setOutputLive(j, true);
+    }
+    for (PortId i = 0; i < a.numInputs(); ++i)
+        for (PortId j = 0; j < a.numOutputs(); ++j)
+            EXPECT_EQ(wires_a.has(i, j), wires_b.has(i, j))
+                << "wire (" << i << "," << j << ")";
+}
+
+TEST(RequestMatrixTest, MaskedAssignMatchesCopyAndClear)
+{
+    // assignMasked against copy-assignment followed by clearRow and
+    // clearColumn on each busy port, over random matrices with dead
+    // ports and random busy masks; the multi-word shape spans two words
+    // per row and two per column.
+    const std::pair<int, int> shapes[] = {{3, 5}, {16, 16}, {70, 66}};
+    for (auto [n_in, n_out] : shapes) {
+        Xoshiro256 rng(static_cast<uint64_t>(n_in * 100 + n_out));
+        RequestMatrix src(n_in, n_out);
+        RequestMatrix other(n_in, n_out);
+        RequestMatrix masked(n_in, n_out);
+        for (int trial = 0; trial < 60; ++trial) {
+            for (int step = 0; step < 4 * n_in; ++step)
+                mutateRandomly(src, other, rng);
+            for (int step = 0; step < n_in; ++step)
+                mutateRandomly(masked, other, rng);
+            std::vector<uint64_t> busy_in(
+                static_cast<size_t>(src.colWords()), 0);
+            std::vector<uint64_t> busy_out(
+                static_cast<size_t>(src.rowWords()), 0);
+            const double p = rng.nextDouble() * 0.5;
+            for (PortId i = 0; i < n_in; ++i)
+                if (rng.nextDouble() < p)
+                    wordset::setBit(busy_in.data(), i);
+            for (PortId j = 0; j < n_out; ++j)
+                if (rng.nextDouble() < p)
+                    wordset::setBit(busy_out.data(), j);
+
+            RequestMatrix want(src);
+            wordset::forEachSet(busy_in.data(), src.colWords(),
+                                [&](int i) { want.clearRow(i); });
+            wordset::forEachSet(busy_out.data(), src.rowWords(),
+                                [&](int j) { want.clearColumn(j); });
+            const uint64_t src_epoch = src.epoch();
+            const uint64_t own_epoch = masked.epoch();
+            masked.assignMasked(src, busy_in.data(), busy_out.data());
+            SCOPED_TRACE(::testing::Message()
+                         << n_in << "x" << n_out << " trial " << trial);
+            expectSameMatrix(masked, want);
+            EXPECT_GT(masked.epoch(), src_epoch);
+            EXPECT_GT(masked.epoch(), own_epoch);
+            EXPECT_EQ(src.epoch(), src_epoch);
+        }
+    }
+    RequestMatrix square(4);
+    RequestMatrix wide(4, 8);
+    const uint64_t none = 0;
+    EXPECT_THROW(square.assignMasked(wide, &none, &none), UsageError);
+}
+
 TEST(RequestMatrixLiveness, DeadPortHidesWithoutDiscarding)
 {
     RequestMatrix req(4);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace an2 {
@@ -207,6 +208,50 @@ TEST(StatisticalMatcherTest, SetAllocationUpdatesRates)
     double f = statisticalOneRoundFraction(kUnits);
     EXPECT_NEAR(matched(0, 0) / static_cast<double>(kSlots), 0.1 * f, 0.012);
     EXPECT_NEAR(matched(1, 1) / static_cast<double>(kSlots), 0.8 * f, 0.012);
+}
+
+TEST(StatisticalMatcherTest, UpdatedMatcherDrawsLikeAFreshOne)
+{
+    // setAllocation recomputes only the tables of the pair's two ports.
+    // After a random feasible sequence of updates (pairs booked, re-booked
+    // and emptied), the matcher must draw exactly like one built from the
+    // final allocation with the same seed.
+    constexpr int kUnits = 1000;
+    for (int rounds : {1, 2}) {
+        for (int n : {4, 16}) {
+            Xoshiro256 rng(static_cast<uint64_t>(700 + 10 * n + rounds));
+            Matrix<int> alloc(n, n, 0);
+            for (PortId i = 0; i < n; ++i)
+                alloc(i, (i + 1) % n) = kUnits / 2;
+            const StatisticalConfig cfg{.units = kUnits,
+                                        .rounds = rounds,
+                                        .seed = static_cast<uint64_t>(n)};
+            StatisticalMatcher updated(alloc, cfg);
+            for (int step = 0; step < 40 * n; ++step) {
+                auto i = static_cast<PortId>(
+                    rng.nextBelow(static_cast<uint64_t>(n)));
+                auto j = static_cast<PortId>(
+                    rng.nextBelow(static_cast<uint64_t>(n)));
+                const int slack = std::min(kUnits - alloc.rowSum(i),
+                                           kUnits - alloc.colSum(j)) +
+                                  alloc(i, j);
+                alloc(i, j) = rng.nextBelow(4) == 0
+                                  ? 0
+                                  : static_cast<int>(rng.nextBelow(
+                                        static_cast<uint64_t>(slack) + 1));
+                updated.setAllocation(i, j, alloc(i, j));
+            }
+            StatisticalMatcher fresh(alloc, cfg);
+            for (int t = 0; t < 1000; ++t) {
+                const Matching a = updated.matchAllocated();
+                const Matching b = fresh.matchAllocated();
+                for (PortId i = 0; i < n; ++i)
+                    ASSERT_EQ(a.outputOf(i), b.outputOf(i))
+                        << "rounds=" << rounds << " n=" << n << " t=" << t
+                        << " input " << i;
+            }
+        }
+    }
 }
 
 TEST(StatisticalMatcherTest, SetAllocationRejectsOverCommit)

@@ -1,16 +1,16 @@
 // Unit tests for the word-parallel port-set primitives
-// (an2/matching/wordset.h), including randomized equivalence between
-// selectBit64 (BMI2 _pdep_u64 when available) and a reference scan.
-// The portable bodies (popcount64Swar, selectBit64Broadword) are checked
-// by name, so a BMI2 or popcnt build still tests them.
+// (an2/matching/wordset.h) and for the one-word count and select of each
+// PIM kernel instance (an2/matching/pim.h: the portable one, and the
+// popcnt/BMI2 one where this CPU has both), each against a reference
+// scan.
 #include "an2/matching/wordset.h"
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <vector>
 
 #include "an2/base/rng.h"
+#include "an2/matching/pim.h"
 
 namespace an2 {
 namespace {
@@ -41,22 +41,57 @@ popcountNaive(uint64_t mask)
     return n;
 }
 
-/** Check both portable bodies and the dispatching forms on one word,
-    at every rank. */
+/** Words at the edges of the byte and word boundaries. */
+const uint64_t kEdgeWords[] = {
+    0, 1, uint64_t{1} << 63, ~uint64_t{0}, 0x5555555555555555ULL,
+    0xaaaaaaaaaaaaaaaaULL, 0x8000000000000001ULL, 0xff000000000000ffULL,
+    0x0101010101010101ULL, 0x8080808080808080ULL, ~uint64_t{0} >> 1,
+    ~uint64_t{0} << 1};
+
+/** Check the portable bodies and the one-word forms of the set
+    helpers on one word, at every rank. */
 void
 expectWordMatchesNaive(uint64_t mask)
 {
     const int bits = popcountNaive(mask);
     ASSERT_EQ(popcount64Swar(mask), bits) << "mask=" << mask;
-    ASSERT_EQ(popcount64(mask), bits) << "mask=" << mask;
+    ASSERT_EQ(popcountAll(&mask, 1), bits) << "mask=" << mask;
     for (int k = 0; k < bits; ++k) {
         const int want = selectBitNaive(mask, k);
         ASSERT_EQ(selectBit64Broadword(mask, k), want)
             << "mask=" << mask << " k=" << k;
-        ASSERT_EQ(selectBit64(mask, k), want)
-            << "mask=" << mask << " k=" << k;
         ASSERT_EQ(selectBit(&mask, 1, k), want)
             << "mask=" << mask << " k=" << k;
+    }
+}
+
+/** Check a PIM kernel's count and select on one word, at every rank. */
+void
+expectKernelMatchesNaive(const PimKernel& kernel, uint64_t mask)
+{
+    const int bits = popcountNaive(mask);
+    ASSERT_EQ(kernel.popcount64(mask), bits)
+        << kernel.name << " mask=" << mask;
+    for (int k = 0; k < bits; ++k)
+        ASSERT_EQ(kernel.selectBit64(mask, k), selectBitNaive(mask, k))
+            << kernel.name << " mask=" << mask << " k=" << k;
+}
+
+/** Every mask below 2^12, edge words, and random dense and sparse
+    words through one kernel. */
+void
+expectKernelBitsMatchNaive(const PimKernel& kernel)
+{
+    for (uint64_t mask = 0; mask < 4096; ++mask)
+        expectKernelMatchesNaive(kernel, mask);
+    for (uint64_t mask : kEdgeWords)
+        expectKernelMatchesNaive(kernel, mask);
+    Xoshiro256 rng(99);
+    for (int t = 0; t < 20'000; ++t) {
+        uint64_t mask = rng.next64();
+        for (int thin = t % 4; thin > 0; --thin)
+            mask &= rng.next64();  // sparser masks
+        expectKernelMatchesNaive(kernel, mask);
     }
 }
 
@@ -69,30 +104,19 @@ TEST(WordsetTest, NumWords)
     EXPECT_EQ(numWords(1024), 16);
 }
 
-TEST(WordsetTest, SelectBit64MatchesNaiveExhaustiveSmall)
+TEST(WordsetTest, PortableKernelBitsMatchNaive)
 {
-    for (uint64_t mask = 1; mask < 4096; ++mask)
-        for (int k = 0; k < std::popcount(mask); ++k)
-            EXPECT_EQ(selectBit64(mask, k), selectBitNaive(mask, k))
-                << "mask=" << mask << " k=" << k;
+    expectKernelBitsMatchNaive(pimPortableKernel());
 }
 
-TEST(WordsetTest, SelectBit64MatchesNaiveRandomized)
+TEST(WordsetTest, HardwareKernelBitsMatchNaive)
 {
-    // The BMI2 path (_pdep_u64) and the portable clear-lowest loop must
-    // agree on arbitrary masks; the naive scan is the ground truth.
-    Xoshiro256 rng(99);
-    for (int t = 0; t < 20'000; ++t) {
-        uint64_t mask = rng.next64();
-        if (t % 3 == 0)
-            mask &= rng.next64();  // sparser masks
-        if (mask == 0)
-            continue;
-        int bits = std::popcount(mask);
-        int k = static_cast<int>(rng.nextBelow(static_cast<uint64_t>(bits)));
-        EXPECT_EQ(selectBit64(mask, k), selectBitNaive(mask, k))
-            << "mask=" << mask << " k=" << k;
-    }
+    // The popcnt instruction and BMI2 pdep against the reference scans.
+    const PimKernel* kernel = pimHardwareKernel();
+    if (kernel == nullptr)
+        GTEST_SKIP() << "no popcnt+bmi2 PIM kernel: this CPU lacks popcnt "
+                        "or BMI2, or the build is not x86-64 GCC";
+    expectKernelBitsMatchNaive(*kernel);
 }
 
 TEST(WordsetTest, PortableBodiesMatchNaiveOnEverySixteenBitMask)
@@ -107,12 +131,7 @@ TEST(WordsetTest, PortableBodiesMatchNaiveOnEverySixteenBitMask)
 
 TEST(WordsetTest, PortableBodiesMatchNaiveOnEdgeWords)
 {
-    const uint64_t kEdges[] = {
-        0, 1, uint64_t{1} << 63, ~uint64_t{0}, 0x5555555555555555ULL,
-        0xaaaaaaaaaaaaaaaaULL, 0x8000000000000001ULL, 0xff000000000000ffULL,
-        0x0101010101010101ULL, 0x8080808080808080ULL, ~uint64_t{0} >> 1,
-        ~uint64_t{0} << 1};
-    for (uint64_t mask : kEdges)
+    for (uint64_t mask : kEdgeWords)
         expectWordMatchesNaive(mask);
 }
 

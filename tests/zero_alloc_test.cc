@@ -21,6 +21,7 @@
 #include "an2/matching/pim.h"
 #include "an2/matching/request_matrix.h"
 #include "an2/matching/statistical.h"
+#include "an2/network/network.h"
 #include "an2/obs/recorder.h"
 #include "an2/queueing/voq.h"
 #include "an2/sim/iq_switch.h"
@@ -619,6 +620,60 @@ TEST(ZeroAllocTest, NetworkSteadyStateIsAllocationFree)
     EXPECT_EQ(after - before, 0u);
     topo::LanStats stats = lan.stats();
     EXPECT_GT(stats.delivered, 0);
+}
+
+TEST(ZeroAllocTest, StatisticalChainNetworkSteadyStateIsAllocationFree)
+{
+    // Figure 9's parking lot under statistical matching: three 3-port
+    // NetSwitches in a chain, each booking its output link in proportion
+    // to the flows on each input (port 0 upstream, port 1 local), and
+    // four VBR flows merging onto the last link. The flows run at 0.1
+    // cells per slot, inside every pair's two-round share (72% of its
+    // booking), so the queues stay bounded. After warmup frames have
+    // sized every ring and flat container, further frames must not touch
+    // the heap.
+    NetworkConfig cfg;
+    cfg.slot_ps = 1000;
+    cfg.switch_frame_slots = 50;
+    Network net(cfg);
+    auto statistical = [](int upstream_flows, uint64_t seed) {
+        Matrix<int> alloc(3, 3, 0);
+        alloc(0, 2) = 1000 * upstream_flows / (upstream_flows + 1);
+        alloc(1, 2) = 1000 / (upstream_flows + 1);
+        return std::make_unique<StatisticalMatcher>(
+            alloc,
+            StatisticalConfig{.units = 1000, .rounds = 2, .seed = seed});
+    };
+    NodeId src_d = net.addController(0.0, 1);
+    NodeId src_c = net.addController(0.0, 2);
+    NodeId src_b = net.addController(0.0, 3);
+    NodeId src_a = net.addController(0.0, 4);
+    NodeId sink = net.addController(0.0, 5);
+    NodeId s1 = net.addSwitch(3, 0.0, statistical(1, 11));
+    NodeId s2 = net.addSwitch(3, 0.0, statistical(2, 12));
+    NodeId s3 = net.addSwitch(3, 0.0, statistical(3, 13));
+    net.connect(src_d, 0, s1, 0, 100);
+    net.connect(src_c, 0, s1, 1, 100);
+    net.connect(s1, 2, s2, 0, 100);
+    net.connect(src_b, 0, s2, 1, 100);
+    net.connect(s2, 2, s3, 0, 100);
+    net.connect(src_a, 0, s3, 1, 100);
+    net.connect(s3, 2, sink, 0, 100);
+    const FlowId flows[] = {
+        net.addVbrFlow({src_d, s1, s2, s3, sink}, 0.1),
+        net.addVbrFlow({src_c, s1, s2, s3, sink}, 0.1),
+        net.addVbrFlow({src_b, s2, s3, sink}, 0.1),
+        net.addVbrFlow({src_a, s3, sink}, 0.1),
+    };
+
+    net.runFrames(200);  // warmup: grow rings, flat maps, scratch
+    size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int64_t frame = 201; frame <= 600; ++frame)
+        net.runFrames(frame);  // runs up to the end of `frame`
+    size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u);
+    for (FlowId f : flows)
+        EXPECT_GT(net.controller(sink).deliveryStats(f).delivered, 0);
 }
 
 TEST(ZeroAllocTest, MetricsDeliverySteadyStateIsAllocationFree)
