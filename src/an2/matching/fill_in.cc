@@ -1,6 +1,7 @@
 #include "an2/matching/fill_in.h"
 
 #include "an2/base/error.h"
+#include "an2/matching/wordset.h"
 
 namespace an2 {
 
@@ -33,14 +34,20 @@ FillInMatcher::matchInto(const RequestMatrix& req, Matching& out)
     primary_pairs_ += out.size();
 
     // Hand the secondary scheduler only the requests between ports the
-    // primary left idle.
-    residual_ = req;
+    // primary left idle: the request wires minus the matched inputs'
+    // rows and the saturated outputs' columns, in one word pass.
+    if (residual_.numInputs() != req.numInputs() ||
+        residual_.numOutputs() != req.numOutputs())
+        residual_ = RequestMatrix(req.numInputs(), req.numOutputs());
+    busy_in_.assign(static_cast<size_t>(req.colWords()), 0);
     for (PortId i = 0; i < req.numInputs(); ++i)
         if (out.isInputMatched(i))
-            residual_.clearRow(i);
+            wordset::setBit(busy_in_.data(), i);
+    busy_out_.assign(static_cast<size_t>(req.rowWords()), 0);
     for (PortId j = 0; j < req.numOutputs(); ++j)
         if (out.isOutputSaturated(j))
-            residual_.clearColumn(j);
+            wordset::setBit(busy_out_.data(), j);
+    residual_.assignMasked(req, busy_in_.data(), busy_out_.data());
     if (residual_.numEdges() == 0)
         return;
 

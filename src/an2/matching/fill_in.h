@@ -8,16 +8,19 @@
  * scheduler (typically PIM) in the same slot, so reserved shares are
  * honored *and* the switch stays work-conserving.
  *
- * The secondary sees a residual request matrix: a copy of the slot's
- * requests, port liveness included, with the rows of the inputs and the
- * columns of the outputs the primary claimed cleared. A dead port's
- * requests stay hidden in it, and each copy advances its epoch, so a
- * warm-starting secondary never replays a stale matching.
+ * The secondary sees a residual request matrix: the slot's requests,
+ * port liveness included, with the rows of the inputs and the columns of
+ * the outputs the primary claimed cleared, built in one masked word pass
+ * (RequestMatrix::assignMasked). A dead port's requests stay hidden in
+ * it, and each rebuild advances its epoch, so a warm-starting secondary
+ * never replays a stale matching.
  */
 #ifndef AN2_MATCHING_FILL_IN_H
 #define AN2_MATCHING_FILL_IN_H
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "an2/matching/matcher.h"
 
@@ -53,10 +56,12 @@ class FillInMatcher final : public Matcher
     int64_t primary_pairs_ = 0;
     int64_t fill_in_pairs_ = 0;
 
-    // Reused across slots: copy-assignment keeps their storage when the
-    // dimensions do not change.
-    RequestMatrix residual_{1};  ///< requests between idle ports
-    Matching fill_{1};           ///< the secondary's matching
+    // Reused across slots: sized on the first call and whenever the
+    // dimensions change, so steady state allocates nothing.
+    RequestMatrix residual_{1};      ///< requests between idle ports
+    Matching fill_{1};               ///< the secondary's matching
+    std::vector<uint64_t> busy_in_;  ///< the primary's matched inputs
+    std::vector<uint64_t> busy_out_; ///< the primary's saturated outputs
 };
 
 }  // namespace an2

@@ -2,15 +2,26 @@
  * @file
  * Shortest-path routing with deterministic ECMP over a Topology.
  *
- * The Router computes per-destination BFS distance fields over the
- * *live* directed edges (each full-duplex topology edge is two directed
- * half-edges that fail independently, matching the Network's directed
- * links). At any node, the next hops toward a destination are the
- * neighbors one hop closer, in adjacency order; when several are
- * equally close (ECMP), the choice is a pure function of (flow, node)
- * — a splitmix64 hash — so a flow's path is stable across runs, thread
- * counts, and machines, and distinct flows spread over the parallel
- * paths.
+ * The Router computes BFS distance fields over the *live* directed
+ * edges (each full-duplex topology edge is two directed half-edges that
+ * fail independently, matching the Network's directed links). At any
+ * node, the next hops toward a destination are the neighbors one hop
+ * closer, in adjacency order; when several are equally close (ECMP),
+ * the choice is a pure function of (flow, node) — a splitmix64 hash —
+ * so a flow's path is stable across runs, thread counts, and machines,
+ * and distinct flows spread over the parallel paths.
+ *
+ * Attachments: a node with exactly one edge, whose neighbor has more
+ * than one, is *attached* to that neighbor — every host, and a leaf
+ * switch with no hosts. Every route to an attached node ends with its
+ * one edge, so its distance field is its neighbor's plus one hop, and
+ * the Router answers queries toward it from the neighbor's field
+ * instead of keeping a field of its own. Fields are therefore rooted
+ * only at non-leaf nodes (the switches with two or more edges; and,
+ * degenerately, an isolated node or the two ends of a lone edge), and
+ * the cache grows as non-leaf roots x nodes, not hosts x nodes: routes
+ * between the hosts of a k=8 fat-tree with 8 hosts per edge switch fill
+ * 32 fields of 336 entries, one per edge switch.
  *
  * Fault model: setEdgeDirAlive marks a directed half-edge dead, which
  * removes it from every distance field (caches invalidate). Flows
@@ -44,13 +55,19 @@ class Router
 
     bool edgeDirAlive(int e, bool a_to_b) const;
 
-    /** Hop count from `from` to `dst` over live edges; -1 unreachable. */
+    /**
+     * Hop count from `from` to `dst` over live edges; -1 unreachable.
+     * Toward an attached `dst`: 0 at `dst`, -1 when its neighbor's edge
+     * into it is dead, else the distance to the neighbor plus one.
+     */
     int distance(NodeId from, NodeId dst) const;
 
     /**
      * Next-hop candidates at `at` toward `dst`: live out-neighbors one
      * hop closer, in adjacency order. Empty when `dst` is unreachable
-     * (or at == dst).
+     * (or at == dst). Toward an attached `dst`, the candidates at its
+     * neighbor are its one edge, and elsewhere they are the candidates
+     * toward the neighbor.
      */
     void nextHops(NodeId at, NodeId dst, std::vector<Neighbor>& out) const;
 
@@ -68,19 +85,27 @@ class Router
     std::vector<NodeId> path(NodeId src, NodeId dst, FlowId flow) const;
 
   private:
-    /** The distance field toward `dst`, computing it if stale. */
-    const std::vector<int32_t>& distField(NodeId dst) const;
+    /** The distance field toward unattached `root`, computing it if
+        stale. */
+    const std::vector<int32_t>& distField(NodeId root) const;
+
+    /** True when edge `e`'s direction out of its endpoint `from` is
+        alive. */
+    bool liveFrom(int e, NodeId from) const;
 
     const Topology& topo_;
     /** Bit 2e = edge e direction a->b alive; bit 2e+1 = b->a. */
     std::vector<uint64_t> dir_alive_;
     /** Liveness generation; bumping it invalidates every cached field. */
     uint64_t epoch_ = 1;
+    /** [node]: an attached node's one neighbor and edge; node -1 when
+        the node is not attached. */
+    std::vector<Neighbor> attach_;
 
-    // Per-destination BFS caches (lazy; mutable because routing queries
-    // are logically const).
-    mutable std::vector<std::vector<int32_t>> dist_;   ///< [dst][node]
-    mutable std::vector<uint64_t> dist_epoch_;         ///< [dst]
+    // Per-root BFS caches (lazy; mutable because routing queries are
+    // logically const). Only unattached roots are ever filled.
+    mutable std::vector<std::vector<int32_t>> dist_;   ///< [root][node]
+    mutable std::vector<uint64_t> dist_epoch_;         ///< [root]
     mutable std::vector<NodeId> bfs_queue_;
 };
 

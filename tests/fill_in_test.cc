@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "an2/matching/islip.h"
 #include "an2/matching/pim.h"
 #include "an2/matching/serial_greedy.h"
 #include "an2/matching/statistical.h"
 #include "an2/sim/iq_switch.h"
+#include "same_matrix.h"
 
 namespace an2 {
 namespace {
@@ -183,6 +187,110 @@ TEST(FillInTest, WarmGreedySecondaryStaysLegal)
 {
     expectLegalWithWarmSecondary(
         std::make_unique<SerialGreedyMatcher>(true, 5, WarmStart::On));
+}
+
+/** Pairs two inputs in three, in ascending order, each with a random
+    requested output that still has room. */
+class RandomPrimary final : public Matcher
+{
+  public:
+    RandomPrimary(uint64_t seed, int capacity)
+        : rng_(seed), capacity_(capacity)
+    {
+    }
+
+    void matchInto(const RequestMatrix& req, Matching& out) override
+    {
+        out.reset(req.numInputs(), req.numOutputs(), capacity_);
+        std::vector<PortId> open;
+        for (PortId i = 0; i < req.numInputs(); ++i) {
+            if (rng_.nextBelow(3) == 0)
+                continue;
+            open.clear();
+            for (PortId j = 0; j < req.numOutputs(); ++j)
+                if (req.has(i, j) && !out.isOutputSaturated(j))
+                    open.push_back(j);
+            if (!open.empty())
+                out.add(i, open[rng_.nextBelow(open.size())]);
+        }
+    }
+
+    std::string name() const override { return "RandomPrimary"; }
+
+  private:
+    Xoshiro256 rng_;
+    int capacity_;
+};
+
+/** Keeps a copy of the residual it is handed and matches nothing. */
+class RecordingSecondary final : public Matcher
+{
+  public:
+    void matchInto(const RequestMatrix& req, Matching& out) override
+    {
+        seen = req;
+        ++calls;
+        out.reset(req.numInputs(), req.numOutputs());
+    }
+
+    std::string name() const override { return "Recorder"; }
+
+    RequestMatrix seen{1};
+    int calls = 0;
+};
+
+TEST(FillInTest, ResidualMatchesCopyAndClear)
+{
+    // The residual built in one masked word pass against the slot's
+    // requests copied and then cleared row by row and column by column,
+    // over random primaries (capacity 1 and 2, so a matched output may
+    // stay open) and random requests with dead ports. One matcher sees
+    // every shape in turn, so its scratch is resized between them.
+    const std::pair<int, int> shapes[] = {{3, 5}, {16, 16}, {70, 66}};
+    for (int capacity : {1, 2}) {
+        auto recorder = std::make_unique<RecordingSecondary>();
+        RecordingSecondary& seen = *recorder;
+        FillInMatcher matcher(
+            std::make_unique<RandomPrimary>(17 + capacity, capacity),
+            std::move(recorder));
+        Xoshiro256 rng(static_cast<uint64_t>(capacity));
+        Matching out(1);
+        for (auto [n_in, n_out] : shapes) {
+            for (int trial = 0; trial < 40; ++trial) {
+                SCOPED_TRACE(::testing::Message()
+                             << "capacity " << capacity << ", " << n_in
+                             << "x" << n_out << " trial " << trial);
+                RequestMatrix req(n_in, n_out);
+                const double p = 0.05 + 0.5 * rng.nextDouble();
+                for (PortId i = 0; i < n_in; ++i)
+                    for (PortId j = 0; j < n_out; ++j)
+                        if (rng.nextDouble() < p)
+                            req.set(i, j, true);
+                for (PortId i = 0; i < n_in; ++i)
+                    if (rng.nextBelow(8) == 0)
+                        req.setInputLive(i, false);
+                for (PortId j = 0; j < n_out; ++j)
+                    if (rng.nextBelow(8) == 0)
+                        req.setOutputLive(j, false);
+
+                const int calls = seen.calls;
+                matcher.matchInto(req, out);
+                RequestMatrix want(req);
+                for (PortId i = 0; i < n_in; ++i)
+                    if (out.isInputMatched(i))
+                        want.clearRow(i);
+                for (PortId j = 0; j < n_out; ++j)
+                    if (out.isOutputSaturated(j))
+                        want.clearColumn(j);
+                if (want.numEdges() == 0) {
+                    EXPECT_EQ(seen.calls, calls);
+                    continue;
+                }
+                ASSERT_EQ(seen.calls, calls + 1);
+                expectSameMatrix(seen.seen, want);
+            }
+        }
+    }
 }
 
 }  // namespace

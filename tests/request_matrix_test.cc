@@ -7,6 +7,8 @@
 #include <utility>
 #include <vector>
 
+#include "same_matrix.h"
+
 namespace an2 {
 namespace {
 
@@ -339,41 +341,6 @@ TEST(RequestMatrixTest, CopyAssignPreservesMaskView)
     b.clearRow(1);  // mutating the copy leaves the original intact
     EXPECT_TRUE(a.has(1, 2));
     EXPECT_EQ(a.numEdges(), 2);
-}
-
-/** Expect every view of `a` and `b` to be equal: liveness, both mask
-    sets, the requested outputs, the edge count, and every raw wire
-    (compared by reviving copies of both). */
-void
-expectSameMatrix(const RequestMatrix& a, const RequestMatrix& b)
-{
-    ASSERT_EQ(a.numInputs(), b.numInputs());
-    ASSERT_EQ(a.numOutputs(), b.numOutputs());
-    EXPECT_EQ(a.numEdges(), b.numEdges());
-    for (PortId i = 0; i < a.numInputs(); ++i) {
-        EXPECT_EQ(a.inputLive(i), b.inputLive(i)) << "input " << i;
-        for (int w = 0; w < a.rowWords(); ++w)
-            EXPECT_EQ(a.rowMask(i)[w], b.rowMask(i)[w]) << "row " << i;
-    }
-    for (PortId j = 0; j < a.numOutputs(); ++j) {
-        EXPECT_EQ(a.outputLive(j), b.outputLive(j)) << "output " << j;
-        for (int w = 0; w < a.colWords(); ++w)
-            EXPECT_EQ(a.colMask(j)[w], b.colMask(j)[w]) << "column " << j;
-    }
-    for (int w = 0; w < a.rowWords(); ++w)
-        EXPECT_EQ(a.requestedOutputs()[w], b.requestedOutputs()[w]);
-    RequestMatrix wires_a(a);
-    RequestMatrix wires_b(b);
-    for (RequestMatrix* m : {&wires_a, &wires_b}) {
-        for (PortId i = 0; i < m->numInputs(); ++i)
-            m->setInputLive(i, true);
-        for (PortId j = 0; j < m->numOutputs(); ++j)
-            m->setOutputLive(j, true);
-    }
-    for (PortId i = 0; i < a.numInputs(); ++i)
-        for (PortId j = 0; j < a.numOutputs(); ++j)
-            EXPECT_EQ(wires_a.has(i, j), wires_b.has(i, j))
-                << "wire (" << i << "," << j << ")";
 }
 
 TEST(RequestMatrixTest, MaskedAssignMatchesCopyAndClear)

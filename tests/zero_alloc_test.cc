@@ -28,6 +28,7 @@
 #include "an2/sim/metrics.h"
 #include "an2/sim/traffic.h"
 #include "an2/topo/lan.h"
+#include "an2/topo/routing.h"
 #include "an2/topo/topology.h"
 
 // The attached-recorder assertions need the probes compiled in.
@@ -236,6 +237,27 @@ TEST(RequestMatrixFootprint, ThousandPortsAllocateUnderOneMiB)
     const size_t bytes = g_bytes.load(std::memory_order_relaxed) - before;
     EXPECT_LT(bytes, size_t{1} << 20);
     EXPECT_EQ(req.numEdges(), 0);
+}
+
+TEST(RouterFootprint, HostDistancesCacheOneFieldPerEdgeSwitch)
+{
+    // Every ordered host pair of fatTree(8, 8) (80 switches, 256 hosts):
+    // a host's field is its edge switch's plus one hop, so the router
+    // caches 32 edge-switch fields of 336 int32 (about 43 KiB), not one
+    // per destination host (256 fields, about 344 KiB).
+    topo::Topology t = topo::Topology::fatTree(8, 8);
+    topo::Router r(t);
+    const std::vector<NodeId> hosts = t.hosts();
+    const size_t before = g_bytes.load(std::memory_order_relaxed);
+    int64_t hops = 0;
+    for (NodeId src : hosts)
+        for (NodeId dst : hosts)
+            hops += r.distance(src, dst);
+    const size_t bytes = g_bytes.load(std::memory_order_relaxed) - before;
+    EXPECT_LT(bytes, size_t{64} << 10);
+    // 7 same-switch peers at 2 hops, 24 same-pod hosts at 4, the rest
+    // (224) at 6.
+    EXPECT_EQ(hops, int64_t{256} * (7 * 2 + 24 * 4 + 224 * 6));
 }
 
 namespace {
