@@ -13,6 +13,7 @@
 
 #include <vector>
 
+#include "an2/matching/fill_in.h"
 #include "an2/matching/hopcroft_karp.h"
 #include "an2/matching/islip.h"
 #include "an2/matching/pim.h"
@@ -188,6 +189,25 @@ BM_Statistical2(benchmark::State& state)
     });
 }
 
+/** Section 5.2's configuration (Figure 8's fill-in row): PIM(4) recycles
+    the slots statistical matching leaves idle, on the residual of the
+    ports the primary left free. */
+void
+BM_StatisticalPimFillIn(benchmark::State& state)
+{
+    runMatcherBench(state, [](int n) {
+        Matrix<int> alloc(n, n, 1000 / n);
+        StatisticalConfig cfg;
+        cfg.units = 1000;
+        cfg.rounds = 2;
+        cfg.seed = 7;
+        return std::make_unique<FillInMatcher>(
+            std::make_unique<StatisticalMatcher>(alloc, cfg),
+            std::make_unique<PimMatcher>(
+                PimConfig{.iterations = 4, .seed = 7}));
+    });
+}
+
 // The word-parallel cores run on multi-word masks beyond 64 ports.
 BENCHMARK(BM_Pim4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_PimComplete)->Arg(16)->Arg(64)->Arg(256);
@@ -195,6 +215,7 @@ BENCHMARK(BM_Islip4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_Greedy)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_HopcroftKarp)->Arg(16)->Arg(64);
 BENCHMARK(BM_Statistical2)->Arg(16)->Arg(64);
+BENCHMARK(BM_StatisticalPimFillIn)->Arg(4)->Arg(16)->Arg(64);
 
 // Warm-start rows (churn model: the matrix evolves slot to slot).
 BENCHMARK(BM_Islip4Churn)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
