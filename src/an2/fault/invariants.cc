@@ -7,21 +7,6 @@
 namespace an2::fault {
 
 void
-InvariantChecker::checkMatchingLive(const Matching& m,
-                                    const RequestMatrix& req, const char* who)
-{
-    const int n = m.numInputs();
-    for (PortId i = 0; i < n; ++i) {
-        PortId j = m.outputOf(i);
-        if (j == kNoPort)
-            continue;
-        AN2_CHECK(req.has(i, j),
-                  who << ": matching pairs (" << i << "," << j
-                      << ") which is not a live request");
-    }
-}
-
-void
 InvariantChecker::checkMatchingAvoidsDead(const Matching& m,
                                           const uint64_t* dead_in,
                                           const uint64_t* dead_out,

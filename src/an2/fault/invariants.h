@@ -42,7 +42,6 @@
 namespace an2 {
 
 class Matching;
-class RequestMatrix;
 class FrameSchedule;
 class ReservationMatrix;
 
@@ -84,15 +83,6 @@ class InvariantChecker
     }
 
     // ---- structural checks (static; called where the state lives) ----
-
-    /**
-     * Every pairing of `m` must be a visible request in `req`. Because
-     * RequestMatrix hides requests touching dead ports, this is matching
-     * legality *against the live masks*: a matcher that granted to a
-     * killed port fails here.
-     */
-    static void checkMatchingLive(const Matching& m,
-                                  const RequestMatrix& req, const char* who);
 
     /**
      * No pairing of `m` touches a port marked dead in the given

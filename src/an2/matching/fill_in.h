@@ -8,12 +8,11 @@
  * scheduler (typically PIM) in the same slot, so reserved shares are
  * honored *and* the switch stays work-conserving.
  *
- * The secondary sees a residual request matrix: the slot's requests,
- * port liveness included, with the rows of the inputs and the columns of
- * the outputs the primary claimed cleared, built in one masked word pass
- * (RequestMatrix::assignMasked). A dead port's requests stay hidden in
- * it, and each rebuild advances its epoch, so a warm-starting secondary
- * never replays a stale matching.
+ * The secondary sees a residual request matrix: the slot's requests
+ * with the rows of the inputs and the columns of the outputs the
+ * primary claimed cleared, built in one masked word pass
+ * (RequestMatrix::assignMasked). Each rebuild advances its epoch, so a
+ * warm-starting secondary never replays a stale matching.
  */
 #ifndef AN2_MATCHING_FILL_IN_H
 #define AN2_MATCHING_FILL_IN_H

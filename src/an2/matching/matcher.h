@@ -18,7 +18,7 @@ namespace an2 {
  * Cross-slot warm starting (temporal locality). At steady load the
  * request matrix changes by O(N) edges per slot; with WarmStart::On a
  * matcher seeds each slot's matching with the previous slot's surviving
- * edges (pairs still requested and not hidden by a dead port) and runs a
+ * edges (pairs still requested: a dead port's wires are down) and runs a
  * repair pass over the remaining free ports, touching O(changed) state
  * instead of recomputing from empty. The result is always legal and
  * *maximal*, but it is a different scheduling policy from the cold

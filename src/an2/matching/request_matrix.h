@@ -21,21 +21,15 @@
  * as cells arrive and depart instead of rebuilding O(N^2) state every
  * slot.
  *
- * Port liveness (fault injection): setInputLive/setOutputLive mark ports
- * dead, which *hides* their requests — has() returns false, the row and
- * column masks exclude them, and numEdges() counts only visible edges —
- * without discarding the underlying wires: one raw row mask per input
- * keeps every raised wire, dead ports' included. Matchers consume only
- * has()/rowMask()/colMask()/requestedOutputs(), so a dead port can never
- * be granted by any matcher. Reviving a port re-exposes its surviving
- * raised wires. Liveness survives clear() and copy assignment.
+ * A dead port's requests are the switch's business, as its cells are:
+ * InputQueuedSwitch drops a dead port's wires and raises them again
+ * from its VOQs when the port revives, so a matcher never sees them.
  *
  * Change tracking (temporal locality): every mutation that changes the
- * *visible* edge set — a wire raised or dropped between live ports,
- * clearRow/clearColumn, clear(), and liveness flips hiding or
- * re-exposing edges — bumps an epoch counter, so a warm-starting matcher
- * detects a completely unchanged matrix in O(1). Setting a wire to the
- * state it already has changes nothing and leaves the epoch alone.
+ * edge set — a wire raised or dropped, clearRow/clearColumn, clear() —
+ * bumps an epoch counter, so a warm-starting matcher detects a
+ * completely unchanged matrix in O(1). Setting a wire to the state it
+ * already has changes nothing and leaves the epoch alone.
  *
  * A switch that serves reserved (CBR) cells first matches its datagram
  * traffic over the ports left free: assignMasked() rebuilds a scratch
@@ -67,10 +61,10 @@ class RequestMatrix
 
     /**
      * Copying bumps the destination's epoch past both operands: an
-     * overwrite may change any visible edge without an individually
-     * recorded transition, so a warm-started matcher must never
-     * wholesale-reuse a matching across a copy (the per-edge seeding path
-     * remains valid). Moves are exact.
+     * overwrite may change any edge without an individually recorded
+     * transition, so a warm-started matcher must never wholesale-reuse a
+     * matching across a copy (the per-edge seeding path remains valid).
+     * Moves are exact.
      */
     RequestMatrix(const RequestMatrix& other);
     RequestMatrix& operator=(const RequestMatrix& other);
@@ -80,9 +74,8 @@ class RequestMatrix
     int numInputs() const { return n_inputs_; }
     int numOutputs() const { return n_outputs_; }
 
-    /** True when input i requests output j and both ports are live. One
-        bit test against the incrementally maintained row mask (the masks
-        hold exactly the visible edges). */
+    /** True when input i requests output j. One bit test against the
+        incrementally maintained row mask. */
     bool has(PortId i, PortId j) const
     {
         AN2_ASSERT(i >= 0 && i < numInputs() && j >= 0 && j < numOutputs(),
@@ -91,45 +84,20 @@ class RequestMatrix
     }
 
     /** Raise (true) or drop (false) the request wire from input i to
-        output j. A wire touching a dead port stays hidden until both
-        ports are live. */
+        output j. */
     void set(PortId i, PortId j, bool request);
 
-    /** Number of visible requests (O(1)); requests hidden by dead ports
-        are excluded. */
+    /** Number of requests (O(1)). */
     int numEdges() const { return edges_; }
-
-    /**
-     * Mark input i live or dead. Killing a port hides its requests from
-     * has()/masks/numEdges() in O(row edges); reviving re-exposes its
-     * raised wires in O(raised wires). Idempotent.
-     */
-    void setInputLive(PortId i, bool live);
-
-    /** Mark output j live or dead (see setInputLive). */
-    void setOutputLive(PortId j, bool live);
-
-    bool inputLive(PortId i) const
-    {
-        return wordset::testBit(live_in_.data(), i);
-    }
-
-    bool outputLive(PortId j) const
-    {
-        return wordset::testBit(live_out_.data(), j);
-    }
-
-    /** True when no port has been marked dead. */
-    bool allPortsLive() const { return dead_ports_ == 0; }
 
     /**
      * Become `src` with every wire from a port of `busy_in` (colWords()
      * words, over inputs) and every wire to a port of `busy_out`
      * (rowWords() words, over outputs) dropped: the same matrix as
      * copy-assigning `src` and then calling clearRow and clearColumn on
-     * each busy port, written one word at a time. Liveness is copied
-     * from `src`, and the epoch moves past both operands' as with
-     * copy-assignment. Both matrices must have the same dimensions.
+     * each busy port, written one word at a time. The epoch moves past
+     * both operands' as with copy-assignment. Both matrices must have
+     * the same dimensions.
      */
     void assignMasked(const RequestMatrix& src, const uint64_t* busy_in,
                       const uint64_t* busy_out);
@@ -137,10 +105,10 @@ class RequestMatrix
     /** Clear all requests. */
     void clear();
 
-    /** Drop every wire from input i, hidden ones included. */
+    /** Drop every wire from input i. */
     void clearRow(PortId i);
 
-    /** Drop every wire to output j, hidden ones included. */
+    /** Drop every wire to output j. */
     void clearColumn(PortId j);
 
     /** Words per row mask (over outputs). */
@@ -164,12 +132,12 @@ class RequestMatrix
     }
 
     /** Requested outputs, rowWords() words: bit j set iff colMask(j) is
-        non-empty (requests hidden by dead ports are excluded). */
+        non-empty. */
     const uint64_t* requestedOutputs() const { return req_out_.data(); }
 
     /**
-     * Monotonic change counter: bumped on every visible-edge transition
-     * and never reset, so any number of consumers holding a snapshot can
+     * Monotonic change counter: bumped on every edge transition and
+     * never reset, so any number of consumers holding a snapshot can
      * detect "anything changed?" in O(1).
      */
     uint64_t epoch() const { return epoch_; }
@@ -181,14 +149,6 @@ class RequestMatrix
     static RequestMatrix bernoulli(int n, double p, Rng& rng);
 
   private:
-    /** Raw wires of input i, rowWords() words: bit j set iff the wire
-        (i,j) is raised, whatever the ports' liveness. */
-    uint64_t* wireRow(PortId i)
-    {
-        return wires_.data() +
-               static_cast<size_t>(i) * static_cast<size_t>(row_words_);
-    }
-
     uint64_t* rowMaskMut(PortId i)
     {
         return row_masks_.data() +
@@ -201,26 +161,19 @@ class RequestMatrix
                static_cast<size_t>(j) * static_cast<size_t>(col_words_);
     }
 
-    /** Add (i,j) to the visible view: both masks, the requested
-        outputs, the edge count and the epoch. */
-    void showEdge(PortId i, PortId j);
-
-    /** Remove the visible edge (i,j) from the view (see showEdge). */
-    void hideEdge(PortId i, PortId j);
+    /** Drop the edge (i,j): both masks, the requested outputs, the edge
+        count and the epoch. */
+    void dropEdge(PortId i, PortId j);
 
     int n_inputs_;
     int n_outputs_;
     int row_words_;
     int col_words_;
-    std::vector<uint64_t> wires_;      ///< numInputs x row_words_, raw
     std::vector<uint64_t> row_masks_;  ///< numInputs x row_words_
     std::vector<uint64_t> col_masks_;  ///< numOutputs x col_words_
     std::vector<uint64_t> req_out_;    ///< bit j set = column j non-empty
-    std::vector<uint64_t> live_in_;    ///< bit i set = input i live
-    std::vector<uint64_t> live_out_;   ///< bit j set = output j live
-    int dead_ports_ = 0;               ///< dead inputs + dead outputs
     int edges_ = 0;
-    uint64_t epoch_ = 0;  ///< visible-edge transitions (see epoch())
+    uint64_t epoch_ = 0;  ///< edge transitions (see epoch())
 };
 
 }  // namespace an2

@@ -33,8 +33,8 @@ WarmStartState::seed(const RequestMatrix& req, Matching& out,
         PortId j = prev_[static_cast<size_t>(i)];
         if (j == kNoPort)
             continue;
-        // One bit test: still requested and both ports live. An edge
-        // hidden by a mid-run port death fails here and is not reused.
+        // One bit test: still requested. A mid-run port death drops the
+        // port's wires, so its edges fail here and are not reused.
         if (!req.has(i, j))
             continue;
         out.add(i, j);

@@ -12,8 +12,8 @@
  *    matching can be replayed wholesale — it is still legal and still
  *    maximal. O(1) to detect.
  *  - seed(): otherwise, each remembered edge is validated against the
- *    current matrix with one has() bit test (liveness-aware: an edge
- *    whose port died since last slot fails the test and is dropped) and
+ *    current matrix with one has() bit test (an edge whose port died
+ *    since last slot has lost its wire and is dropped) and
  *    the survivors are pre-added to the matching, clearing their bits
  *    from the caller's free-port masks. The caller then repairs only the
  *    remaining free ports.

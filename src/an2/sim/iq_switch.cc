@@ -146,10 +146,12 @@ InputQueuedSwitch::setInputPortLive(PortId i, bool live)
         wordset::clearBit(dead_in_.data(), i);
     else
         wordset::setBit(dead_in_.data(), i);
-    vbr_req_.setInputLive(i, live);
     any_dead_ = wordset::popcountAll(dead_in_.data(), busy_words_) +
                     wordset::popcountAll(dead_out_.data(), busy_words_) >
                 0;
+    if (!vbr_bufs_.empty())
+        for (PortId j = 0; j < config_.n; ++j)
+            syncWire(i, j);
 }
 
 void
@@ -161,10 +163,20 @@ InputQueuedSwitch::setOutputPortLive(PortId j, bool live)
         wordset::clearBit(dead_out_.data(), j);
     else
         wordset::setBit(dead_out_.data(), j);
-    vbr_req_.setOutputLive(j, live);
     any_dead_ = wordset::popcountAll(dead_in_.data(), busy_words_) +
                     wordset::popcountAll(dead_out_.data(), busy_words_) >
                 0;
+    if (!vbr_bufs_.empty())
+        for (PortId i = 0; i < config_.n; ++i)
+            syncWire(i, j);
+}
+
+void
+InputQueuedSwitch::syncWire(PortId i, PortId j)
+{
+    vbr_req_.set(i, j,
+                 inputPortLive(i) && outputPortLive(j) &&
+                     vbr_bufs_[static_cast<size_t>(i)].hasCellFor(j));
 }
 
 void
@@ -255,9 +267,10 @@ InputQueuedSwitch::rebindFlow(PortId i, TrafficClass cls, FlowId flow,
     if (buf.rebindFlow(flow, new_output) == 0)
         return;
     // The moved cells leave one VOQ of this input for another; rebuild
-    // its request row from the buffer (O(N), and rerouting is rare).
+    // its request row from the buffer (O(N), and rerouting is rare). A
+    // wire at a dead port stays down until the port revives.
     for (PortId j = 0; j < config_.n; ++j)
-        vbr_req_.set(i, j, buf.hasCellFor(j));
+        syncWire(i, j);
     // A pipelined matching computed before the move may pair the old VOQ.
     pending_vbr_.reset(config_.n, config_.n);
 }

@@ -45,11 +45,14 @@
  * The scheduling input is a persistent RequestMatrix of the hardware's
  * per-port-pair request wires, patched as cells arrive and depart (a
  * wire rises with the first cell of a VOQ and drops with its last); the
- * VBR buffers keep the only cell counts. Nothing is rebuilt per slot
- * but, in a slot whose CBR cells claim ports, the matcher's view: the
- * wires minus the claimed ports' rows and columns, one pass of word
- * ANDs (RequestMatrix::assignMasked). Steady-state runSlot() performs
- * no heap allocation.
+ * VBR buffers keep the only cell counts. A wire is raised only while
+ * both its ports are live: killing a port drops its wires, and reviving
+ * it raises them again from its VOQs, so the dead-port masks are the
+ * switch's only record of liveness and no matcher sees a dead port.
+ * Nothing is rebuilt per slot but, in a slot whose CBR cells claim
+ * ports, the matcher's view: the wires minus the claimed ports' rows and
+ * columns, one pass of word ANDs (RequestMatrix::assignMasked).
+ * Steady-state runSlot() performs no heap allocation.
  *
  * The LAN's switch nodes (network/net_switch.h) run this same switch,
  * one slot per local clock tick; rebindFlow() and purgeCbrFlow() serve
@@ -214,7 +217,8 @@ class InputQueuedSwitch
     /** Number of ports. */
     int size() const { return config_.n; }
 
-    /** Mark input port `i` (output port `j`) live or dead. */
+    /** Mark input port `i` (output port `j`) live or dead; the VOQ form
+        drops or raises again the port's request wires, O(n) per flip. */
     void setInputPortLive(PortId i, bool live);
     void setOutputPortLive(PortId j, bool live);
     bool inputPortLive(PortId i) const;
@@ -333,6 +337,10 @@ class InputQueuedSwitch
         `fs`, marking them in next_in_/next_out_; returns true if any. */
     bool predictCbrBusy(int fs);
 
+    /** Raise request wire (i,j) iff both ports are live and input i
+        queues a VBR cell for output j; drop it otherwise. */
+    void syncWire(PortId i, PortId j);
+
     /** Dequeue the VBR cell behind pairing (i,j), crossing in frame
         slot `fs` (ignored without a schedule), drop the pair's request
         wire if that emptied the VOQ, and log statistics. */
@@ -436,8 +444,9 @@ class InputQueuedSwitch
     /**
      * Requests for the VBR scheduler: wire (i,j) is raised while input
      * i's VBR buffer holds a cell for output j (every class, with the
-     * output stage). Raised in acceptCell, dropped when a crossing cell
-     * empties the VOQ — never rebuilt.
+     * output stage) and both ports are live. Raised in acceptCell,
+     * dropped when a crossing cell empties the VOQ, and set again by
+     * syncWire at a port flip or a rebind — never rebuilt.
      */
     RequestMatrix vbr_req_;
     /** vbr_req_ minus the CBR-claimed ports' rows and columns,
@@ -458,8 +467,8 @@ class InputQueuedSwitch
         before the first slot and after a rebind). */
     Matching pending_vbr_;
 
-    // Fault state: dead-port bitmasks mirrored into vbr_req_'s liveness,
-    // plus the always-on conservation ledger.
+    // Fault state: the dead-port bitmasks, the switch's only record of
+    // liveness, plus the always-on conservation ledger.
     std::vector<uint64_t> dead_in_;
     std::vector<uint64_t> dead_out_;
     bool any_dead_ = false;

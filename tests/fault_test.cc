@@ -15,7 +15,6 @@
 #include "an2/fault/invariants.h"
 #include "an2/matching/matching.h"
 #include "an2/matching/pim.h"
-#include "an2/matching/request_matrix.h"
 #include "an2/network/link.h"
 #include "an2/sim/iq_switch.h"
 #include "an2/sim/simulator.h"
@@ -415,22 +414,6 @@ TEST(InvariantCheckerTest, ConservationLedger)
     EXPECT_EQ(chk.purged(), 1);
     EXPECT_NO_THROW(chk.checkConservation(0, "test"));
     EXPECT_THROW(chk.checkConservation(1, "test"), InternalError);
-}
-
-TEST(InvariantCheckerTest, MatchingLegalityAgainstLiveMasks)
-{
-    RequestMatrix req(4);
-    req.set(0, 1, 1);
-    req.set(2, 3, 1);
-    Matching m(4);
-    m.add(0, 1);
-    m.add(2, 3);
-    EXPECT_NO_THROW(InvariantChecker::checkMatchingLive(m, req, "test"));
-
-    // Killing output 1 hides (0,1); the same matching is now illegal.
-    req.setOutputLive(1, false);
-    EXPECT_THROW(InvariantChecker::checkMatchingLive(m, req, "test"),
-                 InternalError);
 }
 
 TEST(InvariantCheckerTest, MatchingAvoidsDeadMasks)

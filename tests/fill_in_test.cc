@@ -122,10 +122,10 @@ TEST(FillInTest, NameAndCountersCompose)
 
 TEST(FillInTest, SwitchSendsNothingFromADeadInput)
 {
-    // An input that dies with cells queued keeps them hidden from the
-    // request matrix: the fill-in's residual copies that liveness, so
-    // neither scheduler grants the dead input. The cells stay buffered
-    // and drain once the input revives.
+    // An input that dies with cells queued loses its request wires, so
+    // neither scheduler grants it, nor does the fill-in's residual copy
+    // of the wires show it. The cells stay buffered and drain once the
+    // input revives and its wires rise again.
     constexpr int kN = 4;
     InputQueuedSwitch sw({.n = kN},
                          statisticalPlusPim(Matrix<int>(kN, kN, 250), 11));
@@ -266,12 +266,13 @@ TEST(FillInTest, ResidualMatchesCopyAndClear)
                     for (PortId j = 0; j < n_out; ++j)
                         if (rng.nextDouble() < p)
                             req.set(i, j, true);
+                // Dead ports, as the switch shows them: no wires.
                 for (PortId i = 0; i < n_in; ++i)
                     if (rng.nextBelow(8) == 0)
-                        req.setInputLive(i, false);
+                        req.clearRow(i);
                 for (PortId j = 0; j < n_out; ++j)
                     if (rng.nextBelow(8) == 0)
-                        req.setOutputLive(j, false);
+                        req.clearColumn(j);
 
                 const int calls = seen.calls;
                 matcher.matchInto(req, out);

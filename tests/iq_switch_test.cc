@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "an2/cbr/frame_schedule.h"
@@ -502,6 +503,122 @@ TEST(IqSwitchTest, RebindDropsAStalePipelinedMatching)
     ASSERT_EQ(departed.size(), 1u);
     EXPECT_EQ(departed[0].output, 2);
     EXPECT_EQ(sw.bufferedCells(), 0);
+}
+
+TEST(IqSwitchTest, RebindAtADeadInputRaisesNoWireUntilRevival)
+{
+    // Input 2 queues flows 7, 8 and 9 for outputs 0, 2 and 3, then dies:
+    // its wires drop and its cells stay. While it is dead, flow 8 moves
+    // to output 1 (a VOQ that fills while dead) and flow 9 joins flow 7
+    // at output 0 (a VOQ that empties while dead); no wire rises. At
+    // revival exactly the wires of the VOQs still queued rise again.
+    InputQueuedSwitch sw({.n = 4}, pim());
+    sw.acceptCell(vbrCell(7, 2, 0));
+    sw.acceptCell(vbrCell(8, 2, 2));
+    sw.acceptCell(vbrCell(9, 2, 3));
+    ASSERT_EQ(sw.vbrRequests().numEdges(), 3);
+    sw.setInputPortLive(2, false);
+    EXPECT_EQ(sw.vbrRequests().numEdges(), 0);
+    EXPECT_EQ(sw.vbrCellsAt(2), 3);
+
+    const uint64_t epoch = sw.vbrRequests().epoch();
+    sw.rebindFlow(2, TrafficClass::VBR, 8, 1);
+    sw.rebindFlow(2, TrafficClass::VBR, 9, 0);
+    EXPECT_EQ(sw.vbrRequests().numEdges(), 0);
+    EXPECT_EQ(sw.vbrRequests().epoch(), epoch);
+
+    sw.setInputPortLive(2, true);
+    EXPECT_EQ(sw.vbrRequests().numEdges(), 2);
+    EXPECT_TRUE(sw.vbrRequests().has(2, 0));
+    EXPECT_TRUE(sw.vbrRequests().has(2, 1));
+    EXPECT_FALSE(sw.vbrRequests().has(2, 2));
+    EXPECT_FALSE(sw.vbrRequests().has(2, 3));
+}
+
+/** Check every request wire of `sw` against its VOQs (fillOccupancy)
+    and its ports' liveness; returns the raised wires, one flag per
+    pair. */
+std::vector<char>
+expectWiresFollowQueues(const InputQueuedSwitch& sw, int step)
+{
+    const int n = sw.size();
+    std::vector<int32_t> voq(static_cast<size_t>(n * n));
+    std::vector<int32_t> backlog(static_cast<size_t>(n));
+    sw.fillOccupancy(voq.data(), backlog.data());
+    std::vector<char> raised;
+    for (PortId i = 0; i < n; ++i) {
+        for (PortId j = 0; j < n; ++j) {
+            const bool want = sw.inputPortLive(i) && sw.outputPortLive(j) &&
+                              voq[static_cast<size_t>(i * n + j)] > 0;
+            const bool has = sw.vbrRequests().has(i, j);
+            if (has != want)
+                ADD_FAILURE() << sw.name() << " n=" << n << " step " << step
+                              << ": wire (" << i << "," << j << ") is "
+                              << has;
+            raised.push_back(has ? 1 : 0);
+        }
+    }
+    return raised;
+}
+
+TEST(IqSwitchWireSync, WiresFollowQueuesAndLivenessOnRandomStreams)
+{
+    // A seeded stream of arrivals, slots, port deaths and revivals (some
+    // of ports with nothing queued), and flow rebinds, on the plain,
+    // pipelined and CIOQ (S = 2) forms. After every step the raised
+    // wires are exactly the queued pairs between live ports, and the
+    // epoch moves iff that set changed.
+    constexpr int kFlows = 3;  // flows per input
+    for (int n : {16, 70}) {
+        const IqSwitchConfig configs[] = {
+            {.n = n},
+            {.n = n, .pipelined = true},
+            {.n = n, .speedup = 2, .service = ServiceDiscipline::Strict}};
+        for (const IqSwitchConfig& cfg : configs) {
+            InputQueuedSwitch sw(cfg, pim(4, static_cast<uint64_t>(n)));
+            Xoshiro256 rng(static_cast<uint64_t>(
+                n * 10 + cfg.speedup + (cfg.pipelined ? 5 : 0)));
+            const auto draw = [&rng](int below) {
+                return static_cast<int>(
+                    rng.nextBelow(static_cast<uint64_t>(below)));
+            };
+            // Flow k of input i is i * kFlows + k, bound to an output
+            // until it is rebound.
+            std::vector<PortId> bound(static_cast<size_t>(n * kFlows));
+            for (PortId& out : bound)
+                out = draw(n);
+            int idle_flips = 0;
+            SlotTime slot = 0;
+            std::vector<char> before = expectWiresFollowQueues(sw, -1);
+            for (int step = 0; step < 3000; ++step) {
+                const PortId i = draw(n);
+                const PortId j = draw(n);
+                const FlowId f = i * kFlows + draw(kFlows);
+                const int op = draw(100);
+                const uint64_t epoch = sw.vbrRequests().epoch();
+                if (op < 50) {
+                    sw.acceptCell(
+                        vbrCell(f, i, bound[static_cast<size_t>(f)], step));
+                } else if (op < 70) {
+                    sw.runSlot(slot++);
+                } else if (op < 80) {
+                    idle_flips += sw.vbrCellsAt(i) == 0 ? 1 : 0;
+                    sw.setInputPortLive(i, draw(2) == 0);
+                } else if (op < 90) {
+                    sw.setOutputPortLive(j, draw(2) == 0);
+                } else {
+                    bound[static_cast<size_t>(f)] = j;
+                    sw.rebindFlow(i, TrafficClass::VBR, f, j);
+                }
+                std::vector<char> after = expectWiresFollowQueues(sw, step);
+                ASSERT_EQ(sw.vbrRequests().epoch() != epoch, after != before)
+                    << sw.name() << " n=" << n << " step " << step
+                    << " op " << op;
+                before = std::move(after);
+            }
+            EXPECT_GT(idle_flips, 0) << sw.name() << " n=" << n;
+        }
+    }
 }
 
 TEST(IqSwitchTest, RebindCbrFlowRidesTheNewReservation)

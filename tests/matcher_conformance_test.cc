@@ -308,15 +308,16 @@ TEST(MatcherBackendEquivalence, GreedyFixedOrder)
     }
 }
 
-/** Kill each input and each output independently with probability p. */
+/** Kill each input and each output independently with probability p,
+    as the switch does: a dead port's wires drop. */
 void
 killRandomPorts(RequestMatrix& req, double p, Rng& rng)
 {
     for (PortId q = 0; q < req.numInputs(); ++q) {
         if (rng.nextDouble() < p)
-            req.setInputLive(q, false);
+            req.clearRow(q);
         if (rng.nextDouble() < p)
-            req.setOutputLive(q, false);
+            req.clearColumn(q);
     }
 }
 
@@ -533,11 +534,11 @@ TEST(MatcherBackendEquivalence, Statistical)
 }
 
 // ---------------------------------------------------------------------------
-// Degenerate request matrices under port-liveness masks. RequestMatrix
-// hides requests touching dead ports from both views (has() and the
-// row/column bitmasks), so every matcher, scalar oracle or library core,
-// must behave identically: never grant a dead port, and recover the
-// hidden requests when the port revives. Exercised for the three core
+// Degenerate request matrices with dead ports. The switch drops a dead
+// port's wires from both views (has() and the row/column bitmasks) and
+// raises them again at revival, so every matcher, scalar oracle or
+// library core, must behave identically: never grant a dead port, and
+// serve its requests again once it revives. Exercised for the three core
 // algorithms (PIM, iSLIP, serial greedy) in both forms, and, in the cases
 // that expect no grant at all or only legal ones, for maximum matching,
 // statistical matching and its PIM fill-in too.
@@ -602,7 +603,7 @@ singleFormFactories()
     return fs;
 }
 
-/** Every matcher that must respect port liveness. */
+/** Every matcher the dead-port cases run. */
 std::vector<NamedFactory>
 maskedFactories()
 {
@@ -628,8 +629,8 @@ TEST(MaskedMatcherConformance, AllPortsDeadYieldsEmptyMatch)
     for (int n : {4, 16, 80}) {
         RequestMatrix req = fullMatrix(n);
         for (PortId p = 0; p < n; ++p) {
-            req.setInputLive(p, false);
-            req.setOutputLive(p, false);
+            req.clearRow(p);
+            req.clearColumn(p);
         }
         EXPECT_EQ(req.numEdges(), 0);
         for (const NamedFactory& f : maskedFactories()) {
@@ -641,17 +642,17 @@ TEST(MaskedMatcherConformance, AllPortsDeadYieldsEmptyMatch)
 
 TEST(MaskedMatcherConformance, SingleLivePairIsTheOnlyGrant)
 {
-    // Kill everything except input 2 / output 5: the sole visible
+    // Kill everything except input 2 / output 5: the sole remaining
     // request (2,5) is the only legal grant, and every matcher must
-    // find it (the visible graph is a single edge, so any maximal or
-    // greedy pass takes it).
+    // find it (the graph is a single edge, so any maximal or greedy
+    // pass takes it).
     for (int n : {8, 80}) {
         RequestMatrix req = fullMatrix(n);
         for (PortId p = 0; p < n; ++p) {
             if (p != 2)
-                req.setInputLive(p, false);
+                req.clearRow(p);
             if (p != 5)
-                req.setOutputLive(p, false);
+                req.clearColumn(p);
         }
         EXPECT_EQ(req.numEdges(), 1);
         for (const NamedFactory& f : allBackendFactories()) {
@@ -666,9 +667,9 @@ TEST(MaskedMatcherConformance, SingleLivePairIsTheOnlyGrant)
 TEST(MaskedMatcherConformance, MaskFlipMidSlotNeverGrantsDeadPorts)
 {
     // Kill and revive ports between match() calls on the same matrix
-    // and the same (stateful) matcher instances: each call must be
-    // legal for the masks in force at that moment, and revival must
-    // re-expose the hidden requests.
+    // and the same (stateful) matcher instances, as the switch does:
+    // a dying port's wires drop and a reviving port's rise again. Each
+    // call must be legal for the wires in force at that moment.
     for (int n : {8, 64}) {
         RequestMatrix req = fullMatrix(n);
         for (const NamedFactory& f : allBackendFactories()) {
@@ -679,13 +680,13 @@ TEST(MaskedMatcherConformance, MaskFlipMidSlotNeverGrantsDeadPorts)
             EXPECT_GE(before.size(), 1) << f.label << " n=" << n;
             EXPECT_EQ(req.numEdges(), n * n);
 
-            req.setInputLive(1, false);
-            req.setOutputLive(3, false);
+            req.clearRow(1);
+            req.clearColumn(3);
             EXPECT_EQ(req.numEdges(), (n - 1) * (n - 1));
             Matching during = matcher->match(req);
-            // isLegalFor consults has(), which is mask-aware, so this
-            // already proves no dead port was granted; the explicit
-            // checks below document the contract.
+            // isLegalFor consults has(), and a dead port has no wires,
+            // so this already proves no dead port was granted; the
+            // explicit checks below document the contract.
             EXPECT_TRUE(during.isLegalFor(req)) << f.label << " n=" << n;
             EXPECT_EQ(during.outputOf(1), kNoPort) << f.label;
             for (auto [i, j] : during.pairs())
@@ -693,8 +694,10 @@ TEST(MaskedMatcherConformance, MaskFlipMidSlotNeverGrantsDeadPorts)
             EXPECT_GE(during.size(), 1) << f.label << " n=" << n;
             EXPECT_LE(during.size(), n - 1) << f.label << " n=" << n;
 
-            req.setInputLive(1, true);
-            req.setOutputLive(3, true);
+            for (PortId p = 0; p < n; ++p) {
+                req.set(1, p, true);
+                req.set(p, 3, true);
+            }
             EXPECT_EQ(req.numEdges(), n * n);
             Matching after = matcher->match(req);
             EXPECT_TRUE(after.isLegalFor(req)) << f.label << " n=" << n;
@@ -706,8 +709,8 @@ TEST(MaskedMatcherConformance, MaskFlipMidSlotNeverGrantsDeadPorts)
 TEST(MaskedMatcherConformance, RandomMasksNeverGrantDeadPorts)
 {
     // Each (stateful) matcher sees random requests with random dead
-    // ports, call after call. isLegalFor consults the mask-aware has(),
-    // so a legal matching grants no dead port.
+    // ports, call after call. isLegalFor consults has(), and a dead
+    // port has no wires, so a legal matching grants no dead port.
     for (int n : {16, 100}) {
         for (const NamedFactory& f : maskedFactories()) {
             auto matcher = f.make(n);
@@ -724,10 +727,10 @@ TEST(MaskedMatcherConformance, RandomMasksNeverGrantDeadPorts)
 
 TEST(MaskedMatcherConformance, BackendsAgreeUnderRandomMasks)
 {
-    // The word-parallel cores consume the masked row/column bitmasks;
-    // the scalar oracles consume masked has(). Same draws, same masks
-    // -> byte-identical matchings, exactly as in the unmasked
-    // equivalence suite.
+    // The word-parallel cores consume the row/column bitmasks; the
+    // scalar oracles consume has(). Same draws, same dead ports ->
+    // byte-identical matchings, exactly as in the equivalence suite
+    // without dead ports.
     for (int n : {16, 100}) {
         auto refs = oracleFactories();
         auto wps = wordParallelFactories();

@@ -163,9 +163,21 @@ mutateRandomly(RequestMatrix& req, const RequestMatrix& other, Rng& rng)
     } else if (op < 80) {
         req.clearColumn(j);
     } else if (op < 88) {
-        req.setInputLive(i, rng.nextBelow(2) == 0);
+        // Input i dies (its row drops) or revives (some wires rise).
+        if (rng.nextBelow(2) == 0)
+            req.clearRow(i);
+        else
+            for (PortId c = 0; c < n_out; ++c)
+                if (rng.nextBelow(2) == 0)
+                    req.set(i, c, true);
     } else if (op < 96) {
-        req.setOutputLive(j, rng.nextBelow(2) == 0);
+        // Output j dies or revives likewise.
+        if (rng.nextBelow(2) == 0)
+            req.clearColumn(j);
+        else
+            for (PortId r = 0; r < n_in; ++r)
+                if (rng.nextBelow(2) == 0)
+                    req.set(r, j, true);
     } else if (op < 97) {
         req.clear();
     } else if (op < 99) {
@@ -194,8 +206,9 @@ TEST(RequestMatrixTest, RequestedOutputsTrackRandomStreams)
     }
 }
 
-// A naive model of the matrix: one flag per wire and per port. A pair
-// is visible iff its wire is raised and both ports are live.
+// A naive model of a switch's wires: one flag per queued pair and per
+// port. A pair's wire is raised iff it queues a cell and both ports are
+// live, the rule InputQueuedSwitch keeps.
 struct NaiveWires
 {
     int n_in;
@@ -248,9 +261,11 @@ expectMatchesModel(const RequestMatrix& req, NaiveWires& model)
 
 TEST(RequestMatrixTest, MatchesANaiveWireModelOnRandomStreams)
 {
-    // Every mutation, dead ports included, leaves exactly the model's
-    // visible pairs, and the epoch moves iff the visible set changed
-    // (clear() always moves it).
+    // The matrix is driven as the switch drives it: a pair is set to the
+    // model's visibility, a dying port's row or column is cleared, and a
+    // reviving port's pairs are set again. Every mutation leaves exactly
+    // the model's visible pairs, and the epoch moves iff the visible set
+    // changed (clear() always moves it).
     const std::pair<int, int> shapes[] = {{3, 5}, {70, 66}};
     for (auto [n_in, n_out] : shapes) {
         RequestMatrix req(n_in, n_out);
@@ -265,9 +280,8 @@ TEST(RequestMatrixTest, MatchesANaiveWireModelOnRandomStreams)
             const uint64_t op = rng.nextBelow(100);
             const uint64_t epoch = req.epoch();
             if (op < 70) {
-                const bool up = rng.nextBelow(2) == 0;
-                req.set(i, j, up);
-                model.at(i, j) = up ? 1 : 0;
+                model.at(i, j) = rng.nextBelow(2) == 0 ? 1 : 0;
+                req.set(i, j, model.visible(i, j));
             } else if (op < 75) {
                 req.clearRow(i);
                 for (PortId c = 0; c < n_out; ++c)
@@ -278,12 +292,18 @@ TEST(RequestMatrixTest, MatchesANaiveWireModelOnRandomStreams)
                     model.at(r, j) = 0;
             } else if (op < 89) {
                 const bool live = rng.nextBelow(2) == 0;
-                req.setInputLive(i, live);
                 model.live_in[static_cast<size_t>(i)] = live ? 1 : 0;
+                if (!live)
+                    req.clearRow(i);
+                for (PortId c = 0; live && c < n_out; ++c)
+                    req.set(i, c, model.visible(i, c));
             } else if (op < 99) {
                 const bool live = rng.nextBelow(2) == 0;
-                req.setOutputLive(j, live);
                 model.live_out[static_cast<size_t>(j)] = live ? 1 : 0;
+                if (!live)
+                    req.clearColumn(j);
+                for (PortId r = 0; live && r < n_in; ++r)
+                    req.set(r, j, model.visible(r, j));
             } else {
                 req.clear();
                 std::fill(model.wire.begin(), model.wire.end(), 0);
@@ -346,9 +366,9 @@ TEST(RequestMatrixTest, CopyAssignPreservesMaskView)
 TEST(RequestMatrixTest, MaskedAssignMatchesCopyAndClear)
 {
     // assignMasked against copy-assignment followed by clearRow and
-    // clearColumn on each busy port, over random matrices with dead
-    // ports and random busy masks; the multi-word shape spans two words
-    // per row and two per column.
+    // clearColumn on each busy port, over random matrices and random
+    // busy masks; the multi-word shape spans two words per row and two
+    // per column.
     const std::pair<int, int> shapes[] = {{3, 5}, {16, 16}, {70, 66}};
     for (auto [n_in, n_out] : shapes) {
         Xoshiro256 rng(static_cast<uint64_t>(n_in * 100 + n_out));
@@ -394,18 +414,17 @@ TEST(RequestMatrixTest, MaskedAssignMatchesCopyAndClear)
     EXPECT_THROW(square.assignMasked(wide, &none, &none), UsageError);
 }
 
-TEST(RequestMatrixLiveness, DeadPortHidesWithoutDiscarding)
+TEST(RequestMatrixLiveness, DeadInputDropsItsRowAndRevivalRaisesIt)
 {
+    // The switch clears a dead input's row and raises its wires again
+    // from its VOQs at revival; the other rows are untouched.
     RequestMatrix req(4);
     req.set(1, 2, true);
     req.set(1, 3, true);
     req.set(0, 2, true);
     EXPECT_EQ(req.numEdges(), 3);
-    EXPECT_TRUE(req.allPortsLive());
 
-    req.setInputLive(1, false);
-    EXPECT_FALSE(req.inputLive(1));
-    EXPECT_FALSE(req.allPortsLive());
+    req.clearRow(1);  // input 1 dies
     EXPECT_FALSE(req.has(1, 2));
     EXPECT_FALSE(req.has(1, 3));
     EXPECT_TRUE(req.has(0, 2));
@@ -414,22 +433,21 @@ TEST(RequestMatrixLiveness, DeadPortHidesWithoutDiscarding)
     EXPECT_FALSE(wordset::testBit(req.colMask(2), 1));
     EXPECT_TRUE(wordset::testBit(req.colMask(2), 0));
 
-    req.setInputLive(1, true);
-    EXPECT_TRUE(req.allPortsLive());
+    req.set(1, 2, true);  // input 1 revives, both VOQs still queued
+    req.set(1, 3, true);
     EXPECT_TRUE(req.has(1, 2));
     EXPECT_EQ(req.numEdges(), 3);
     EXPECT_TRUE(wordset::testBit(req.rowMask(1), 2));
 }
 
-TEST(RequestMatrixLiveness, DeadOutputHidesColumn)
+TEST(RequestMatrixLiveness, DeadOutputDropsItsColumnAndRevivalRaisesIt)
 {
     RequestMatrix req(4);
     req.set(0, 1, true);
     req.set(2, 1, true);
     req.set(2, 3, true);
 
-    req.setOutputLive(1, false);
-    EXPECT_FALSE(req.outputLive(1));
+    req.clearColumn(1);  // output 1 dies
     EXPECT_FALSE(req.has(0, 1));
     EXPECT_FALSE(req.has(2, 1));
     EXPECT_TRUE(req.has(2, 3));
@@ -437,54 +455,30 @@ TEST(RequestMatrixLiveness, DeadOutputHidesColumn)
     EXPECT_FALSE(wordset::testBit(req.rowMask(0), 1));
     EXPECT_FALSE(wordset::testBit(req.rowMask(2), 1));
 
-    req.setOutputLive(1, true);
+    req.set(0, 1, true);  // output 1 revives
+    req.set(2, 1, true);
     EXPECT_EQ(req.numEdges(), 3);
     EXPECT_TRUE(wordset::testBit(req.colMask(1), 0));
     EXPECT_TRUE(wordset::testBit(req.colMask(1), 2));
 }
 
-TEST(RequestMatrixLiveness, MutationsWhileDeadStayHidden)
-{
-    // set() on a dead row must keep the edge hidden and re-expose the
-    // wires still raised at revival.
-    RequestMatrix req(4);
-    req.set(2, 0, true);
-    req.set(2, 2, true);
-    req.setInputLive(2, false);
-
-    req.set(2, 1, true);     // new edge born hidden
-    req.set(2, 2, false);    // hidden edge dropped while dead
-    req.set(2, 3, true);
-    req.set(2, 3, false);    // born and dropped while dead
-    EXPECT_EQ(req.numEdges(), 0);
-    EXPECT_FALSE(req.has(2, 0));
-    EXPECT_FALSE(req.has(2, 1));
-
-    req.setInputLive(2, true);
-    EXPECT_EQ(req.numEdges(), 2);
-    EXPECT_TRUE(req.has(2, 0));
-    EXPECT_TRUE(req.has(2, 1));
-    EXPECT_FALSE(req.has(2, 2));
-    EXPECT_FALSE(req.has(2, 3));
-}
-
-TEST(RequestMatrixLiveness, IdempotentAndSurvivesClear)
+TEST(RequestMatrixLiveness, DeathAndRevivalAreIdempotent)
 {
     RequestMatrix req(3);
     req.set(0, 0, true);
-    req.setInputLive(0, false);
-    req.setInputLive(0, false);  // idempotent
+    req.clearRow(0);  // input 0 dies
+    const uint64_t e = req.epoch();
+    req.clearRow(0);  // idempotent
     EXPECT_EQ(req.numEdges(), 0);
+    EXPECT_EQ(req.epoch(), e);
 
     req.clear();
     EXPECT_EQ(req.numEdges(), 0);
-    EXPECT_FALSE(req.inputLive(0));  // liveness survives clear()
-    req.set(0, 1, true);
     req.set(1, 1, true);
-    EXPECT_EQ(req.numEdges(), 1);  // dead input's new request hidden
+    EXPECT_EQ(req.numEdges(), 1);
 
-    req.setInputLive(0, true);
-    req.setInputLive(0, true);  // idempotent
+    req.set(0, 1, true);  // input 0 revives with a queued cell
+    req.set(0, 1, true);  // idempotent
     EXPECT_EQ(req.numEdges(), 2);
 }
 
@@ -536,26 +530,24 @@ TEST(RequestMatrixEpoch, LivenessFlipsBumpEpoch)
     req.set(2, 3, true);
     uint64_t e = req.epoch();
 
-    // Killing the input hides two visible edges.
-    req.setInputLive(2, false);
+    // Killing the input drops two edges.
+    req.clearRow(2);
     EXPECT_GT(req.epoch(), e);
 
-    // Mutations while dead stay invisible.
+    // Revival raises the wires of its queued VOQs, including one that
+    // filled while the port was dead.
     e = req.epoch();
-    req.set(2, 0, true);  // born hidden
-    EXPECT_EQ(req.epoch(), e);
-
-    // Revival re-exposes the surviving requests, including the one that
-    // appeared while the port was dead.
-    req.setInputLive(2, true);
+    req.set(2, 0, true);
+    req.set(2, 1, true);
+    req.set(2, 3, true);
     EXPECT_GT(req.epoch(), e);
 
     // Same via the output side.
     e = req.epoch();
-    req.setOutputLive(1, false);
+    req.clearColumn(1);
     EXPECT_GT(req.epoch(), e);
     e = req.epoch();
-    req.setOutputLive(1, true);
+    req.set(2, 1, true);
     EXPECT_GT(req.epoch(), e);
 }
 
@@ -581,27 +573,6 @@ TEST(RequestMatrixEpoch, CopyBumpsEpochPastBothOperands)
 
     RequestMatrix c(a);  // copy-construction likewise
     EXPECT_GT(c.epoch(), a.epoch());
-}
-
-TEST(RequestMatrixLiveness, ClearLinesOnMaskedMatrix)
-{
-    RequestMatrix req(4);
-    for (PortId i = 0; i < 4; ++i)
-        for (PortId j = 0; j < 4; ++j)
-            req.set(i, j, true);
-    req.setInputLive(1, false);
-    EXPECT_EQ(req.numEdges(), 12);
-
-    req.clearRow(1);  // clearing a dead row drops its hidden wires
-    EXPECT_EQ(req.numEdges(), 12);
-    req.setInputLive(1, true);  // nothing left to re-expose
-    EXPECT_EQ(req.numEdges(), 12);
-
-    req.setOutputLive(2, false);
-    EXPECT_EQ(req.numEdges(), 9);
-    req.clearColumn(2);
-    req.setOutputLive(2, true);
-    EXPECT_EQ(req.numEdges(), 9);
 }
 
 }  // namespace

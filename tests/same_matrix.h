@@ -12,39 +12,22 @@
 
 namespace an2 {
 
-/** Expect every view of `a` and `b` to be equal: liveness, both mask
-    sets, the requested outputs, the edge count, and every raw wire
-    (compared by reviving copies of both). */
+/** Expect every view of `a` and `b` to be equal: both mask sets, the
+    requested outputs and the edge count. */
 inline void
 expectSameMatrix(const RequestMatrix& a, const RequestMatrix& b)
 {
     ASSERT_EQ(a.numInputs(), b.numInputs());
     ASSERT_EQ(a.numOutputs(), b.numOutputs());
     EXPECT_EQ(a.numEdges(), b.numEdges());
-    for (PortId i = 0; i < a.numInputs(); ++i) {
-        EXPECT_EQ(a.inputLive(i), b.inputLive(i)) << "input " << i;
+    for (PortId i = 0; i < a.numInputs(); ++i)
         for (int w = 0; w < a.rowWords(); ++w)
             EXPECT_EQ(a.rowMask(i)[w], b.rowMask(i)[w]) << "row " << i;
-    }
-    for (PortId j = 0; j < a.numOutputs(); ++j) {
-        EXPECT_EQ(a.outputLive(j), b.outputLive(j)) << "output " << j;
+    for (PortId j = 0; j < a.numOutputs(); ++j)
         for (int w = 0; w < a.colWords(); ++w)
             EXPECT_EQ(a.colMask(j)[w], b.colMask(j)[w]) << "column " << j;
-    }
     for (int w = 0; w < a.rowWords(); ++w)
         EXPECT_EQ(a.requestedOutputs()[w], b.requestedOutputs()[w]);
-    RequestMatrix wires_a(a);
-    RequestMatrix wires_b(b);
-    for (RequestMatrix* m : {&wires_a, &wires_b}) {
-        for (PortId i = 0; i < m->numInputs(); ++i)
-            m->setInputLive(i, true);
-        for (PortId j = 0; j < m->numOutputs(); ++j)
-            m->setOutputLive(j, true);
-    }
-    for (PortId i = 0; i < a.numInputs(); ++i)
-        for (PortId j = 0; j < a.numOutputs(); ++j)
-            EXPECT_EQ(wires_a.has(i, j), wires_b.has(i, j))
-                << "wire (" << i << "," << j << ")";
 }
 
 }  // namespace an2

@@ -1,6 +1,6 @@
 // Tests for warm-started incremental matching (an2/matching/warm_start.h):
 // matchings seeded from the previous slot must stay legal and maximal
-// under request churn, fault-driven liveness flips, and matrix copies,
+// under request churn, port deaths and revivals, and matrix copies,
 // and WarmStart::Off must leave every matcher's decisions untouched.
 #include "an2/matching/warm_start.h"
 
@@ -44,21 +44,6 @@ expectMaximal(const RequestMatrix& req, const Matching& m,
     }
 }
 
-void
-expectAvoidsDeadPorts(const RequestMatrix& req, const Matching& m,
-                      const std::string& ctx)
-{
-    for (PortId i = 0; i < req.numInputs(); ++i) {
-        PortId j = m.outputOf(i);
-        if (j == kNoPort)
-            continue;
-        EXPECT_TRUE(req.inputLive(i))
-            << ctx << ": dead input " << i << " matched";
-        EXPECT_TRUE(req.outputLive(j))
-            << ctx << ": dead output " << j << " matched";
-    }
-}
-
 struct WarmConfig
 {
     std::string name;
@@ -95,27 +80,72 @@ warmConfigs()
 constexpr int kChurnPorts = 70;
 constexpr int kChurnRounds = 160;
 
-/** One round of the churn-and-faults stream: about one wire per port is
-    redrawn, raised with probability 0.7 and dropped otherwise; output 13
-    dies at round 40 (with edges being reused), input 5 at round 70, and
-    both revive at round 100. */
-void
-churnAndFaults(RequestMatrix& req, Xoshiro256& rng, int round)
+/**
+ * The churn-and-faults stream. Each round about one pair per port is
+ * redrawn, queued with probability 0.7 and emptied otherwise; output 13
+ * dies at round 40 (with edges being reused), input 5 at round 70, and
+ * both revive at round 100. The stream drives the matrix as the switch
+ * does: a pair's wire is raised iff it queues and both ports are live,
+ * a dying port's wires are cleared, and a reviving port's queued pairs
+ * are raised again.
+ */
+struct ChurnAndFaults
 {
-    for (int t = 0; t < kChurnPorts; ++t) {
-        auto i = static_cast<PortId>(rng.nextBelow(kChurnPorts));
-        auto j = static_cast<PortId>(rng.nextBelow(kChurnPorts));
-        req.set(i, j, rng.nextBernoulli(0.7));
+    std::vector<char> queued =
+        std::vector<char>(static_cast<size_t>(kChurnPorts * kChurnPorts));
+    PortId dead_in = kNoPort;
+    PortId dead_out = kNoPort;
+
+    /** Set wire (i,j) as the switch would. */
+    void sync(RequestMatrix& req, PortId i, PortId j) const
+    {
+        req.set(i, j,
+                queued[static_cast<size_t>(i * kChurnPorts + j)] != 0 &&
+                    i != dead_in && j != dead_out);
     }
-    if (round == 40)
-        req.setOutputLive(13, false);
-    if (round == 70)
-        req.setInputLive(5, false);
-    if (round == 100) {
-        req.setOutputLive(13, true);
-        req.setInputLive(5, true);
+
+    /** Run round `round` of the stream on `req`. */
+    void advance(RequestMatrix& req, Xoshiro256& rng, int round)
+    {
+        for (int t = 0; t < kChurnPorts; ++t) {
+            auto i = static_cast<PortId>(rng.nextBelow(kChurnPorts));
+            auto j = static_cast<PortId>(rng.nextBelow(kChurnPorts));
+            queued[static_cast<size_t>(i * kChurnPorts + j)] =
+                rng.nextBernoulli(0.7) ? 1 : 0;
+            sync(req, i, j);
+        }
+        if (round == 40) {
+            dead_out = 13;
+            req.clearColumn(13);
+        }
+        if (round == 70) {
+            dead_in = 5;
+            req.clearRow(5);
+        }
+        if (round == 100) {
+            dead_in = dead_out = kNoPort;
+            for (PortId k = 0; k < kChurnPorts; ++k) {
+                sync(req, k, 13);
+                sync(req, 5, k);
+            }
+        }
     }
-}
+
+    /** No pairing of `m` touches a dead port. */
+    void expectAvoidsDeadPorts(const Matching& m,
+                               const std::string& ctx) const
+    {
+        for (PortId i = 0; i < m.numInputs(); ++i) {
+            PortId j = m.outputOf(i);
+            if (j == kNoPort)
+                continue;
+            EXPECT_NE(i, dead_in) << ctx << ": dead input " << i
+                                  << " matched";
+            EXPECT_NE(j, dead_out) << ctx << ": dead output " << j
+                                   << " matched";
+        }
+    }
+};
 
 // Random request churn with mid-run port death and revival: every warm
 // matching must be legal, avoid dead ports, and be maximal — including
@@ -128,13 +158,14 @@ TEST(WarmStartProperty, LegalAndMaximalUnderChurnAndFaults)
         RequestMatrix req(kChurnPorts);
         Matching m(kChurnPorts);
         Xoshiro256 rng(2026);
+        ChurnAndFaults stream;
         for (int round = 0; round < kChurnRounds; ++round) {
-            churnAndFaults(req, rng, round);
+            stream.advance(req, rng, round);
             matcher->matchInto(req, m);
             const std::string ctx =
                 cfg.name + " round " + std::to_string(round);
             EXPECT_TRUE(m.isLegalFor(req)) << ctx;
-            expectAvoidsDeadPorts(req, m, ctx);
+            stream.expectAvoidsDeadPorts(m, ctx);
             expectMaximal(req, m, ctx);
         }
     }
@@ -168,8 +199,9 @@ TEST(WarmStartEquivalence, OracleAndLibraryAgreeUnderChurnAndFaults)
         obs::Recorder rec_oracle;
         obs::Recorder rec_library;
         Xoshiro256 rng(2026);
+        ChurnAndFaults stream;
         for (int round = 0; round < kChurnRounds; ++round) {
-            churnAndFaults(req, rng, round);
+            stream.advance(req, rng, round);
             const int passes = round % 10 == 9 ? 2 : 1;
             for (int pass = 0; pass < passes; ++pass) {
                 obs::attach(&rec_oracle);

@@ -227,15 +227,16 @@ TEST(ZeroAllocTest, CbrMaskedPimSwitchSteadyStateIsAllocationFree)
     EXPECT_EQ(sw.cbrForwarded(), 4000 / kFrame * kN * 3);
 }
 
-TEST(RequestMatrixFootprint, ThousandPortsAllocateUnderOneMiB)
+TEST(RequestMatrixFootprint, ThousandPortsAllocateUnder264KiB)
 {
-    // One bit per port pair in each of three views (raw wires, row masks,
-    // column masks): 3 x 128 KiB at 1024 ports. A cell count per pair
-    // would take 4 MiB on its own.
+    // One bit per port pair in each of two views (row masks, column
+    // masks): 2 x 128 KiB at 1024 ports, plus one 128-byte word set of
+    // requested outputs. A cell count per pair would take 4 MiB on its
+    // own.
     const size_t before = g_bytes.load(std::memory_order_relaxed);
     RequestMatrix req(1024);
     const size_t bytes = g_bytes.load(std::memory_order_relaxed) - before;
-    EXPECT_LT(bytes, size_t{1} << 20);
+    EXPECT_LT(bytes, size_t{264} << 10);
     EXPECT_EQ(req.numEdges(), 0);
 }
 
